@@ -216,10 +216,9 @@ def cmd_simulate(args) -> int:
     state = initial_state(config)
     _check_hypotheses(state, config)
     profile = CutoffProfile(_bounds(config))
-    traj = integrate(state, _integrator_config(config), _model(config), profile)
-
     out_dir = config["directory"]
     with OutputLock(out_dir):
+        traj = integrate(state, _integrator_config(config), _model(config), profile)
         with open(os.path.join(out_dir, "config.txt"), "w") as fh:
             fh.write(print_config(config))
         for i, st in enumerate(traj.states):

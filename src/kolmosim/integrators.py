@@ -17,7 +17,7 @@ import numpy as np
 from .cutoffs import CutoffProfile
 from .spectral import _geometry, div_residual, leray_coefficients
 # the packed kernel under the name the loop calls: one call, one RHS evaluation
-from .system import ModelParams, SimState, pack, unpack
+from .system import ModelParams, RhsWorkspace, SimState, pack, unpack
 from .system import packed_rhs as rhs
 
 # Dormand-Prince 5(4) tableau (FSAL)
@@ -79,16 +79,18 @@ class Trajectory:
 
 
 class _PackedSystem:
-    """rhs on packed coefficient stacks, plus the structural fix-ups."""
+    """rhs on packed coefficient stacks, plus the structural fix-ups.  Owns the
+    kernel's workspace for the integration it is built for."""
 
     def __init__(self, dim: int, cutoff: int, params: ModelParams, profile: CutoffProfile):
         self.dim = dim
         self.cutoff = cutoff
         self.params = params
         self.profile = profile
+        self.workspace = RhsWorkspace(dim, cutoff, params.grid_points(cutoff))
 
     def rhs(self, arr: np.ndarray, t: float) -> np.ndarray:
-        return rhs(arr, t, self.params, self.profile)
+        return rhs(arr, t, self.params, self.profile, workspace=self.workspace)
 
     def div_residual(self, arr: np.ndarray) -> float:
         return div_residual(arr[:self.dim], self.dim, self.cutoff)
@@ -98,12 +100,12 @@ class _PackedSystem:
         out[:self.dim] = leray_coefficients(arr[:self.dim], self.dim, self.cutoff)
         return out
 
-    def fix_up(self, arr: np.ndarray, div_tol: float) -> np.ndarray:
-        """Average with the conjugate mirror; re-project when div v drifts past div_tol."""
+    def fix_up(self, arr: np.ndarray, div_tol: float):
+        """Average with the conjugate mirror; re-project when div v drifts past
+        div_tol.  Returns the new stack and whether it was re-projected."""
         arr = 0.5 * (arr + np.conj(np.flip(arr, axis=tuple(range(1, self.dim + 1)))))
-        if self.div_residual(arr) > div_tol:
-            arr = self.project_divergence(arr)
-        return arr
+        reproject = self.div_residual(arr) > div_tol
+        return (self.project_divergence(arr) if reproject else arr), reproject
 
     def triple_sq(self, arr: np.ndarray, s: float) -> float:
         w = _geometry(self.dim, self.cutoff).bessel_weight(s)
@@ -127,7 +129,7 @@ def step(state: SimState, h: float, params: ModelParams,
     arr = rk4_step(system, pack(state), state.t, h)
     if not np.all(np.isfinite(arr)):
         raise FloatingPointError("non-finite coefficients after step")
-    return unpack(system.fix_up(arr, IntegratorConfig.div_drift_tol),
+    return unpack(system.fix_up(arr, IntegratorConfig.div_drift_tol)[0],
                   state.dim, state.cutoff, state.t + h)
 
 
@@ -210,8 +212,9 @@ def integrate(state0: SimState, config: IntegratorConfig, params: ModelParams,
         steps += 1
         y = y_new
         if steps % config.reproject_every == 0:
-            y = system.fix_up(y, config.div_drift_tol)
-            k1 = None              # y changed; FSAL stage is stale
+            y, reprojected = system.fix_up(y, config.div_drift_tol)
+            if reprojected:        # the mirror average alone moves y by roundoff
+                k1 = None          # and keeps the FSAL stage; a projection does not
         h = h_next
 
         at_end = t >= config.t_end - 1e-14

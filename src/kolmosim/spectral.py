@@ -20,10 +20,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-try:  # scipy's pocketfft is noticeably faster on one core; numpy is the fallback
-    import scipy.fft as _fft
-except ImportError:  # pragma: no cover
-    _fft = np.fft
+import scipy.fft as _fft      # in-place complex passes (overwrite_x)
 
 FOUR_PI_SQ = 4.0 * np.pi ** 2
 _TINY = 1e-300
@@ -68,21 +65,33 @@ def _geometry(dim: int, cutoff: int) -> _ModeGeometry:
 
 
 @functools.lru_cache(maxsize=None)
-def _fft_bins(dim: int, cutoff: int, points: int, half: bool = False) -> np.ndarray:
+def _fft_bins(dim: int, cutoff: int, points: int) -> np.ndarray:
     """Flat FFT bin of each centered-cube mode on a points^dim grid, built once
-    per size.  half=True indexes the rfftn half-spectrum (last axis
-    0..points//2), where a mode with k_last < 0 has no bin of its own and is
-    given the bin of -k, which holds conj(c(k)) for real samples."""
+    per size."""
     if points < 2 * cutoff - 1:
         raise ValueError("grid too coarse for the mode cube")
     k = _geometry(dim, cutoff).k.reshape(dim, -1)
-    shape = (points,) * dim
-    if half:
-        k = np.where(k[-1] >= 0, k, -k)
-        shape = shape[:-1] + (points // 2 + 1,)
-    bins = np.ravel_multi_index(tuple(k % points), shape)
+    bins = np.ravel_multi_index(tuple(k % points), (points,) * dim)
     bins.setflags(write=False)                # shared by every caller
     return bins
+
+
+@functools.lru_cache(maxsize=None)
+def _half_bins(dim: int, cutoff: int, points: int, upper: bool = False):
+    """Index (one array per axis) of each centered-cube mode in the first
+    `cutoff` columns of an rfftn half spectrum on a points^dim grid, built once
+    per size.  A mode with k_last < 0 has no bin of its own and is given the
+    bin of -k, which holds conj(c(k)) for real samples; upper=True keeps only
+    the modes with k_last >= 0."""
+    if points < 2 * cutoff - 1:
+        raise ValueError("grid too coarse for the mode cube")
+    geo = _geometry(dim, cutoff)
+    k = geo.k.reshape(dim, -1)
+    k = np.where(k[-1] >= 0, k, -k) % points
+    if upper:
+        k = k[:, geo.upper]
+    k.setflags(write=False)
+    return tuple(k)
 
 
 def embed_coefficients(coeffs: np.ndarray, cutoff: int, dim: int, points: int) -> np.ndarray:
@@ -118,29 +127,46 @@ def grid_to_coefficients(grid: np.ndarray, cutoff: int, dim: int) -> np.ndarray:
 
 
 def coefficients_to_real_grid(coeffs: np.ndarray, cutoff: int, dim: int,
-                              points: int) -> np.ndarray:
+                              points: int, out: np.ndarray | None = None,
+                              half: np.ndarray | None = None) -> np.ndarray:
     """Real samples of conjugate-symmetric coefficients (half-spectrum path).
 
     Requires c(-k) = conj(c(k)); any asymmetric part is silently discarded,
-    so callers must hold the realness invariant.
+    so callers must hold the realness invariant.  Only the first `cutoff`
+    columns of the half spectrum can be nonzero, so the complex passes run on
+    those alone and the real pass pads the rest with zeros.  `out` (the grid
+    stack) and `half` (complex, batch + (points,)*(dim-1) + (cutoff,),
+    overwritten) are optional buffers for callers that repeat the transform.
     """
     upper = _geometry(dim, cutoff).upper          # the modes rfftn keeps
     batch = coeffs.shape[:-dim]
-    half_shape = (points,) * (dim - 1) + (points // 2 + 1,)
-    half = np.zeros(batch + (int(np.prod(half_shape)),), dtype=complex)
-    half[..., _fft_bins(dim, cutoff, points, half=True)[upper]] = \
+    if half is None:
+        half = np.zeros(batch + (points,) * (dim - 1) + (cutoff,), dtype=complex)
+    else:
+        half.fill(0.0)
+    half[(Ellipsis,) + _half_bins(dim, cutoff, points, upper=True)] = \
         coeffs.reshape(batch + (-1,))[..., upper]
-    return _fft.irfftn(half.reshape(batch + half_shape), s=(points,) * dim,
-                       axes=tuple(range(-dim, 0)), norm="forward")
+    half = _fft.ifftn(half, axes=tuple(range(-dim, -1)), norm="forward", overwrite_x=True)
+    return np.fft.irfft(half, n=points, axis=-1, norm="forward", out=out)
 
 
-def real_grid_to_coefficients(grid: np.ndarray, cutoff: int, dim: int) -> np.ndarray:
-    """Centered-cube coefficients of real grid samples via the half-spectrum."""
+def real_grid_to_coefficients(grid: np.ndarray, cutoff: int, dim: int,
+                              half: np.ndarray | None = None) -> np.ndarray:
+    """Centered-cube coefficients of real grid samples via the half-spectrum.
+
+    The complex passes run only on the first `cutoff` columns, the ones that
+    hold modes.  `half` is an optional buffer of the real pass's output shape
+    (overwritten).
+    """
     geo = _geometry(dim, cutoff)
-    half = _fft.rfftn(grid, axes=tuple(range(-dim, 0)), norm="forward")
-    vals = half.reshape(grid.shape[:-dim] + (-1,))[..., _fft_bins(dim, cutoff, grid.shape[-1], half=True)]
+    half = np.fft.rfft(grid, axis=-1, norm="forward", out=half)
+    cols = _fft.fftn(half[..., :cutoff], axes=tuple(range(-dim, -1)), norm="forward",
+                     overwrite_x=True)
+    vals = cols[(Ellipsis,) + _half_bins(dim, cutoff, grid.shape[-1])]
     vals = vals.reshape(grid.shape[:-dim] + geo.k_sq.shape)
-    return np.where(geo.ball, np.where(geo.k[-1] >= 0, vals, np.conj(vals)), 0.0)
+    np.conjugate(vals, out=vals, where=geo.k[-1] < 0)
+    vals[..., ~geo.ball] = 0.0
+    return vals
 
 
 def leray_coefficients(stack: np.ndarray, dim: int, cutoff: int) -> np.ndarray:

@@ -17,6 +17,14 @@ The time-stepping loop works on packed stacks (v_1..v_d, omega, b) of
 centered-cube coefficients (`pack`/`unpack`) through `packed_rhs`; `rhs`,
 `pressure_gradient`, `advective_diffusive_force` and `transport_terms` are
 field-level views of the same kernel.
+
+The kernel's grid-sized arrays live in an `RhsWorkspace`.  Each integration
+owns one (the integrator's `_PackedSystem` builds it for its size) and passes
+it to every call; a call without one, such as the field-level views and
+`integrators.step`, builds a throwaway one.  There is no shared cache, so
+threads never share a workspace.  `packed_rhs` always returns a new array,
+never a view of the workspace, so results held across calls (the RK stages)
+stay valid.
 """
 
 from __future__ import annotations
@@ -51,6 +59,10 @@ class ModelParams:
             raise ValueError("alpha must be positive")
         if self.oversample < 2:
             raise ValueError("oversample must be >= 2 (alias-free quadratics)")
+
+    def grid_points(self, cutoff: int) -> int:
+        """Points per axis of the quadrature grid at this cutoff."""
+        return fast_grid_size(self.oversample * (2 * cutoff - 1))
 
     def check_dimension(self, dim: int):
         if self.s <= dim / 2:
@@ -140,37 +152,83 @@ def _upper_pairs(dim: int):
     return tuple((i, j) for i in range(dim) for j in range(i, dim))
 
 
-def _advective_fluxes(g: np.ndarray, dim: int, extra: int = 0) -> np.ndarray:
-    """v_i v_j (i <= j), v w, v b from grids whose first rows are v, omega, b,
-    then `extra` rows left to the caller.  With div v = 0 their divergences
-    are v.grad v, v.grad w and v.grad b."""
+@functools.lru_cache(maxsize=None)
+def _pair_layout(dim: int):
+    """Index arrays of the pairs' i and j, each pair's weight in the
+    contraction D:D (1 on the diagonal, 2 off it), and the flux rows whose
+    divergences _flux_divergences takes: row i of the symmetric tensor, then
+    the two vector fluxes."""
     pairs = _upper_pairs(dim)
     m = len(pairs)
-    out = np.empty((m + 2 * dim + extra,) + g.shape[1:])
+    pi, pj = (np.array(ix) for ix in zip(*pairs))
+    weight = np.where(pi == pj, 1.0, 2.0).reshape((m,) + (1,) * dim)
+    row = {}
+    for p, (i, j) in enumerate(pairs):
+        row[i, j] = row[j, i] = p
+    div_rows = np.array([[row[i, j] for j in range(dim)] for i in range(dim)]
+                        + [[m + j for j in range(dim)], [m + dim + j for j in range(dim)]])
+    for arr in (pi, pj, weight, div_rows):
+        arr.setflags(write=False)             # shared by every caller
+    return pi, pj, weight, div_rows
+
+
+def _advective_fluxes(g: np.ndarray, dim: int, out: np.ndarray | None = None) -> np.ndarray:
+    """v_i v_j (i <= j), v w, v b from grids whose first rows are v, omega, b,
+    into the first rows of `out`.  With div v = 0 their divergences are
+    v.grad v, v.grad w and v.grad b."""
+    pairs = _upper_pairs(dim)
+    m = len(pairs)
+    if out is None:
+        out = np.empty((m + 2 * dim,) + g.shape[1:])
     for p, (i, j) in enumerate(pairs):
         np.multiply(g[i], g[j], out=out[p])
-    np.multiply(g[:dim], g[dim], out=out[m:m + dim])
-    np.multiply(g[:dim], g[dim + 1], out=out[m + dim:m + 2 * dim])
+    np.multiply(g[:dim], g[dim:dim + 2, None], out=out[m:m + 2 * dim].reshape((2,) + g[:dim].shape))
     return out
 
 
-def _flux_divergences(c: np.ndarray, dim: int, cutoff: int):
+def _flux_divergences(c: np.ndarray, dim: int, cutoff: int) -> np.ndarray:
     """Divergences of fluxes laid out as _advective_fluxes writes them: the
-    symmetric tensor's rows (a vector), then the two vector fluxes (scalars)."""
-    mult = _geometry(dim, cutoff).grad
-    pairs = _upper_pairs(dim)
-    vec = np.zeros((dim,) + c.shape[1:], dtype=complex)
-    for p, (i, j) in enumerate(pairs):
-        vec[i] += mult[j] * c[p]
-        if i != j:
-            vec[j] += mult[i] * c[p]
-    m = len(pairs)
-    return (vec, np.sum(mult * c[m:m + dim], axis=0),
-            np.sum(mult * c[m + dim:m + 2 * dim], axis=0))
+    symmetric tensor's rows (d rows of a vector), then the two vector fluxes
+    (one scalar each)."""
+    rows = _pair_layout(dim)[3]
+    return np.sum(c[rows] * _geometry(dim, cutoff).grad, axis=1)
 
 
-def packed_rhs(y: np.ndarray, t: float, params: ModelParams,
-               profile: CutoffProfile, project: bool = True) -> np.ndarray:
+def _shared(*specs):
+    """Arrays of the given (shape, dtype) in one buffer, for stages of a call
+    that never hold data at the same time."""
+    nbytes = [int(np.prod(shape)) * np.dtype(dtype).itemsize for shape, dtype in specs]
+    raw = np.empty(max(nbytes), dtype=np.uint8)
+    return [raw[:size].view(dtype).reshape(shape)
+            for (shape, dtype), size in zip(specs, nbytes)]
+
+
+class RhsWorkspace:
+    """The grid-sized arrays of packed_rhs at one (dim, cutoff, points).
+
+    Allocated anew, these arrays cost every call about 5 MB of freshly
+    page-faulted memory at d=2, n=16, oversample 4.  Every call overwrites
+    them; they hold nothing between calls.  Two pairs share memory (2.8 MB in
+    all at that size): the inverse transform's half spectrum is dead before
+    the fluxes are written, and the grids are dead before the forward
+    transform's half spectrum is.
+    """
+
+    def __init__(self, dim: int, cutoff: int, points: int):
+        self.size = (dim, cutoff, points)
+        m = len(_upper_pairs(dim))
+        grids, fluxes = 3 * dim + 2 + m, 2 * dim + m + 3
+        cube = (points,) * dim
+        self.coeffs = np.empty((grids,) + (2 * cutoff - 1,) * dim, dtype=complex)
+        self.half_in, self.flux = _shared(((grids,) + cube[:-1] + (cutoff,), complex),
+                                          ((fluxes,) + cube, float))
+        self.grids, self.half_out = _shared(
+            ((grids,) + cube, float),
+            ((fluxes,) + cube[:-1] + (points // 2 + 1,), complex))
+
+
+def packed_rhs(y: np.ndarray, t: float, params: ModelParams, profile: CutoffProfile,
+               project: bool = True, workspace: RhsWorkspace | None = None) -> np.ndarray:
     """Right-hand side on a packed stack y = (v_1..v_d, omega, b).
 
     Flux form: with M_ij = v_i v_j - nubar D_ij, F_w = v w - nubar grad w
@@ -184,33 +242,51 @@ def packed_rhs(y: np.ndarray, t: float, params: ModelParams,
     are alias-free at oversample >= 2.  D_ij is formed on the spectral side;
     a 2-D RHS takes 11 inverse and 10 forward transforms.  project=False
     leaves the velocity rows as the force -P_n(v.grad v) + div P_n(nubar Dv)
-    before the pressure correction.
+    before the pressure correction.  `workspace` holds the grid-sized arrays
+    (built for this call when None); the result is always a new array.
     """
     d = y.shape[0] - 2
     n = (y.shape[-1] + 1) // 2
+    points = params.grid_points(n)
+    ws = RhsWorkspace(d, n, points) if workspace is None else workspace
+    if ws.size != (d, n, points):
+        raise ValueError(f"workspace built for {ws.size}, not {(d, n, points)}")
     mult = _geometry(d, n).grad
-    pairs = _upper_pairs(d)
-    # grids: v, omega, b, then the gradients the viscous fluxes need, in the
-    # flux layout: D_ij (i <= j), grad omega, grad b.  States hold the
+    pi, pj, weight, _ = _pair_layout(d)
+    m = len(pi)
+    # spectral rows: v, omega, b, then the gradients the viscous fluxes need,
+    # in the flux layout: D_ij (i <= j), grad omega, grad b.  States hold the
     # realness invariant, so the half-spectrum path applies.
-    deform = [0.5 * (mult[j] * y[i] + mult[i] * y[j]) for i, j in pairs]
-    g = coefficients_to_real_grid(np.concatenate([y, deform, mult * y[d], mult * y[d + 1]]),
-                                  n, d, fast_grid_size(params.oversample * (2 * n - 1)))
+    c = ws.coeffs
+    c[:d + 2] = y
+    deform = c[d + 2:d + 2 + m]
+    np.multiply(mult[pj], y[pi], out=deform)
+    deform += mult[pi] * y[pj]
+    deform *= 0.5
+    np.multiply(mult, y[d:d + 2, None], out=c[d + 2 + m:].reshape((2,) + mult.shape))
+    g = coefficients_to_real_grid(c, n, d, points, out=ws.grids, half=ws.half_in)
     w_g, b_g = g[d], g[d + 1]
     nu_g = nu_bar_grid(b_g, w_g, t, profile)
-    flux = _advective_fluxes(g, d, extra=3)
-    flux[:-3] -= nu_g * g[d + 2:]
+    flux = ws.flux
+    # nubar |Dv|^2 first: the momentum rows hold the squares D_ij^2 until
+    # the fluxes overwrite them, and the gradient rows are scaled in place
+    def_sq = np.square(g[d + 2:d + 2 + m], out=flux[:m])
+    def_sq *= weight
+    np.sum(def_sq, axis=0, out=flux[-1])
+    flux[-1] *= nu_g
+    _advective_fluxes(g, d, out=flux)
+    viscous = g[d + 2:]
+    viscous *= nu_g
+    flux[:-3] -= viscous
     np.multiply(w_g, w_g, out=flux[-3])
     np.multiply(b_g, w_g, out=flux[-2])
-    def_sq = sum((1.0 if i == j else 2.0) * g[d + 2 + p] ** 2 for p, (i, j) in enumerate(pairs))
-    np.multiply(nu_g, def_sq, out=flux[-1])
-    c = real_grid_to_coefficients(flux, n, d)
+    coef = real_grid_to_coefficients(flux, n, d, half=ws.half_out)
 
-    div_m, div_w, div_b = _flux_divergences(c, d, n)
+    div = _flux_divergences(coef, d, n)
     out = np.empty_like(y)
-    out[:d] = leray_coefficients(-div_m, d, n) if project else -div_m
-    out[d] = -div_w - params.alpha * c[-3]
-    out[d + 1] = -div_b - c[-2] + c[-1]
+    out[:d] = leray_coefficients(-div[:d], d, n) if project else -div[:d]
+    out[d] = -div[d] - params.alpha * coef[-3]
+    out[d + 1] = -div[d + 1] - coef[-2] + coef[-1]
     return out
 
 
@@ -256,6 +332,5 @@ def transport_terms(state: SimState, oversample: int = 4):
     d, n = state.dim, state.cutoff
     g = coefficients_to_real_grid(pack(state), n, d,
                                   fast_grid_size(oversample * (2 * n - 1)))
-    flux = real_grid_to_coefficients(_advective_fluxes(g, d), n, d)
-    adv_v, adv_w, adv_b = _flux_divergences(flux, d, n)
-    return _vector(adv_v, d, n), SpectralField(d, n, adv_w), SpectralField(d, n, adv_b)
+    div = _flux_divergences(real_grid_to_coefficients(_advective_fluxes(g, d), n, d), d, n)
+    return _vector(div[:d], d, n), SpectralField(d, n, div[d]), SpectralField(d, n, div[d + 1])

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from kolmosim import cli
 from kolmosim.cli import main
 from kolmosim.spectral import SpectralField, VectorSpectralField
 from kolmosim.storage import (load_snapshot, parse_config, print_config,
@@ -120,6 +121,18 @@ def test_simulate_blowup_guard_exits_2(tmp_path, capsys):
 
 
 def test_simulate_locked_directory_refused(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    os.makedirs(out)
+    open(os.path.join(out, ".kolmosim-lock"), "w").write("123")
+    assert run(*sim_args(out)) == 1
+    assert "owned by another" in capsys.readouterr().err
+
+
+def test_simulate_lock_taken_before_integrating(tmp_path, capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("integrated into a locked directory")
+
+    monkeypatch.setattr(cli, "integrate", must_not_run)
     out = str(tmp_path / "run")
     os.makedirs(out)
     open(os.path.join(out, ".kolmosim-lock"), "w").write("123")

@@ -2,8 +2,11 @@
 observed convergence order, structural drift over long runs, determinism,
 and the guard/abort paths."""
 
+import threading
+
 import numpy as np
 
+from kolmosim import integrators
 from kolmosim.cutoffs import CutoffProfile, InitialBounds
 from kolmosim.integrators import (IntegratorConfig, _PackedSystem, integrate,
                                   pack, step, unpack)
@@ -192,3 +195,57 @@ class TestPacking:
         expected = np.stack([c.coeffs for c in v.components])
         assert np.allclose(projected[:2], expected, atol=1e-14)
         assert sys_.div_residual(projected) < 1e-13
+
+
+class TestStageReuse:
+    def test_fsal_stage_survives_the_mirror_average(self, monkeypatch):
+        # With no Leray re-projection, each accepted or rejected RK45 step
+        # costs six RHS evaluations; the first step adds one for its k1.
+        calls, projections = [0], [0]
+        kernel = integrators.rhs
+        project = _PackedSystem.project_divergence
+
+        def counting_rhs(*args, **kwargs):
+            calls[0] += 1
+            return kernel(*args, **kwargs)
+
+        def counting_project(self, arr):
+            projections[0] += 1
+            return project(self, arr)
+
+        monkeypatch.setattr(integrators, "rhs", counting_rhs)
+        monkeypatch.setattr(_PackedSystem, "project_divergence", counting_project)
+        state = divergence_free_random_state(21, dim=2, cutoff=6)
+        config = IntegratorConfig(method="rk45", dt=0.05, abs_tol=1e-7,
+                                  rel_tol=1e-7, t_end=0.02)
+        traj = integrate(state, config, make_params(bounds=WIDE), CutoffProfile(WIDE))
+        assert traj.status == "completed"
+        assert traj.rejected >= 1 and projections[0] == 0
+        assert calls[0] == 6 * (traj.steps + traj.rejected) + 1
+
+    def test_concurrent_integrations_match_serial(self):
+        # Each integration owns its kernel workspace, so two threads at
+        # different sizes reproduce the serial runs bit for bit.
+        runs = [(divergence_free_random_state(31, dim=2, cutoff=6), 2),
+                (divergence_free_random_state(32, dim=2, cutoff=8), 3)]
+        config = IntegratorConfig(method="rk45", dt=1e-3, t_end=0.01)
+
+        def run(state, oversample):
+            traj = integrate(state, config, make_params(bounds=WIDE, oversample=oversample),
+                             CutoffProfile(WIDE))
+            return pack(traj.final)
+
+        serial = [run(*args) for args in runs]
+        threaded = [None, None]
+
+        def worker(i):
+            threaded[i] = run(*runs[i])
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+            assert not th.is_alive()
+        for a, b in zip(serial, threaded):
+            assert np.array_equal(a, b)

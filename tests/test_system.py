@@ -8,13 +8,17 @@ import numpy as np
 import pytest
 
 from kolmosim.cutoffs import CutoffProfile, InitialBounds
-from kolmosim.spectral import SpectralField, VectorSpectralField
+from kolmosim.spectral import SpectralField, VectorSpectralField, _geometry
 from kolmosim.system import (
     ModelParams,
+    RhsWorkspace,
     SimState,
+    _flux_divergences,
     advective_diffusive_force,
     hypothesis_violations,
     leray_project,
+    pack,
+    packed_rhs,
     pressure_gradient,
     rhs,
     transport_terms,
@@ -217,3 +221,49 @@ class TestHypotheses:
             2, 8, {(0, 0): 5.0}), state.b)
         problems = hypothesis_violations(bad, s=2.0)
         assert any("omega_0" in p for p in problems)
+
+
+class TestWorkspace:
+    def test_result_survives_later_calls(self):
+        a = pack(divergence_free_random_state(41))
+        b = pack(divergence_free_random_state(42))
+        ws = RhsWorkspace(2, 8, PARAMS.grid_points(8))
+        first = packed_rhs(a, 0.0, PARAMS, PROFILE, workspace=ws)
+        kept = first.copy()
+        packed_rhs(b, 0.1, PARAMS, PROFILE, workspace=ws)
+        packed_rhs(b, 0.2, PARAMS, PROFILE, workspace=ws, project=False)
+        assert np.array_equal(first, kept)
+        assert not any(np.shares_memory(first, buf) for buf in vars(ws).values()
+                       if isinstance(buf, np.ndarray))
+
+    def test_reused_workspace_matches_fresh(self):
+        ws = RhsWorkspace(2, 8, PARAMS.grid_points(8))
+        for seed in (43, 44):
+            y = pack(divergence_free_random_state(seed))
+            for project in (True, False):
+                assert np.array_equal(
+                    packed_rhs(y, 0.05, PARAMS, PROFILE, project, workspace=ws),
+                    packed_rhs(y, 0.05, PARAMS, PROFILE, project))
+
+    def test_flux_divergences_match_the_loop(self):
+        # the batched contraction against the explicit sum over flux rows
+        for dim, cutoff in ((2, 5), (3, 3)):
+            rng = np.random.default_rng(dim)
+            m = dim * (dim + 1) // 2
+            c = rng.normal(size=(m + 2 * dim,) + (2 * cutoff - 1,) * dim) + 0j
+            grad = _geometry(dim, cutoff).grad
+            pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
+            vec = np.zeros((dim,) + c.shape[1:], dtype=complex)
+            for p, (i, j) in enumerate(pairs):
+                vec[i] += grad[j] * c[p]
+                if i != j:
+                    vec[j] += grad[i] * c[p]
+            w = sum(grad[a] * c[m + a] for a in range(dim))
+            b = sum(grad[a] * c[m + dim + a] for a in range(dim))
+            got = _flux_divergences(c, dim, cutoff)
+            assert np.array_equal(got, np.concatenate([vec, [w, b]]))
+
+    def test_workspace_of_another_size_refused(self):
+        y = pack(divergence_free_random_state(45))
+        with pytest.raises(ValueError, match="workspace"):
+            packed_rhs(y, 0.0, PARAMS, PROFILE, workspace=RhsWorkspace(2, 8, 32))
