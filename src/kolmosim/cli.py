@@ -3,7 +3,6 @@ certificates, drive estimate campaigns, inspect snapshots, and compare
 refinement levels.
 
 Exit codes: 0 success, 1 usage/config/I-O error, 2 monitor abort.
-KOLMO_THREADS caps campaign parallelism.
 """
 
 from __future__ import annotations

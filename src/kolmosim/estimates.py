@@ -12,8 +12,6 @@ surrogate for a constant independent of the fields.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -22,8 +20,8 @@ import numpy as np
 from .cutoffs import CutoffProfile, smooth_step
 from .integrators import IntegratorConfig, integrate, pack
 from .spectral import (FOUR_PI_SQ, SpectralField, VectorSpectralField,
-                       _geometry, fast_grid_size, grid_to_coefficients,
-                       lp_norm, spectral_product)
+                       _geometry, fast_grid_size, lp_norm,
+                       real_grid_to_coefficients, spectral_product, symmetrize)
 from .system import ModelParams, SimState
 
 
@@ -53,7 +51,7 @@ class RandomFieldSpec:
         shape = geo.k_sq.shape
         amp = (1.0 + np.sqrt(geo.k_sq)) ** (-self.rho)
         c = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * amp * scale
-        c = 0.5 * (c + np.conj(np.flip(c)))
+        c = symmetrize(c, self.dim)
         c[(self.cutoff - 1,) * self.dim] = shift
         return SpectralField(self.dim, self.cutoff, c)
 
@@ -106,21 +104,6 @@ def admissible_state(spec: RandomFieldSpec, bounds, index: int = 0,
     return SimState(v, omega, b, t=0.0)
 
 
-def _worker_count() -> int:
-    env = os.environ.get("KOLMO_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
-def _run_samples(samples: int, one: Callable[[int], tuple]) -> list:
-    workers = _worker_count()
-    if workers == 1 or samples < 4:
-        return [one(i) for i in range(samples)]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(one, range(samples)))
-
-
 # -- reports -----------------------------------------------------------------------
 
 
@@ -166,14 +149,13 @@ def attach_stability(report: EstimateReport, doubled: EstimateReport) -> Estimat
 
 
 def field_lp(f, p: float, oversample: int = 4) -> float:
-    """L^p norm by torus quadrature; vectors use the Euclidean magnitude."""
-    if isinstance(f, VectorSpectralField):
-        pts = fast_grid_size(oversample * (2 * f.cutoff - 1))
-        mag = np.sqrt(sum(np.abs(c.physical(points=pts)) ** 2
-                          for c in f.components))
-        return lp_norm(mag, p)
+    """L^p norm of the field's real part by torus quadrature, sampled through
+    the half spectrum; vectors use the Euclidean magnitude."""
     pts = fast_grid_size(oversample * (2 * f.cutoff - 1))
-    return lp_norm(f.physical(points=pts).real, p)
+    grid = f.real_samples(pts)
+    if isinstance(f, VectorSpectralField):
+        grid = np.sqrt(np.sum(grid ** 2, axis=0))
+    return lp_norm(grid, p)
 
 
 def _check_holder(p, parts):
@@ -379,14 +361,14 @@ def verify_composition_estimate(spec: RandomFieldSpec, s: float,
         rng = spec.rng(i)
         f = spec.draw(rng)
         pts = fast_grid_size(4 * (2 * f.cutoff - 1))
-        grid = f.physical(points=pts).real
+        grid = f.real_samples(pts)
         f_inf = float(np.max(np.abs(grid)))
         if f_inf == 0.0:
             return 0.0, 0.0                       # skipped: 0/0
         gf = _SMOOTH_MAPS[g_name][0](grid)
         out_cutoff = 2 * f.cutoff - 1
         gf_field = SpectralField(f.dim, out_cutoff,
-                                 grid_to_coefficients(gf, out_cutoff, f.dim))
+                                 real_grid_to_coefficients(gf, out_cutoff, f.dim))
         lhs = gf_field.hs_norm(s)
         g_bound = smooth_map_derivative_bound(g_name, ceil_s + 1, f_inf)
         rhs = g_bound * (1.0 + f_inf) ** ceil_s * f.hs_norm(s)
@@ -425,7 +407,7 @@ def verify_interpolation_inequality(spec: RandomFieldSpec, s: float,
 
 def _collect(name: str, spec: RandomFieldSpec, one: Callable[[int], tuple],
              samples: int, extra_meta: Dict) -> EstimateReport:
-    results = _run_samples(samples, one)
+    results = [one(i) for i in range(samples)]
     pairs = [(l, r) for l, r in results if r > 0.0]
     skipped = len(results) - len(pairs)
     meta = dict(dim=spec.dim, cutoff=spec.cutoff, rho=spec.rho,

@@ -15,7 +15,7 @@ from typing import List, Optional
 import numpy as np
 
 from .cutoffs import CutoffProfile
-from .spectral import _geometry, div_residual, leray_coefficients
+from .spectral import _geometry, div_residual, leray_coefficients, symmetrize
 # the packed kernel under the name the loop calls: one call, one RHS evaluation
 from .system import ModelParams, RhsWorkspace, SimState, pack, unpack
 from .system import packed_rhs as rhs
@@ -103,7 +103,7 @@ class _PackedSystem:
     def fix_up(self, arr: np.ndarray, div_tol: float):
         """Average with the conjugate mirror; re-project when div v drifts past
         div_tol.  Returns the new stack and whether it was re-projected."""
-        arr = 0.5 * (arr + np.conj(np.flip(arr, axis=tuple(range(1, self.dim + 1)))))
+        arr = symmetrize(arr, self.dim)
         reproject = self.div_residual(arr) > div_tol
         return (self.project_divergence(arr) if reproject else arr), reproject
 

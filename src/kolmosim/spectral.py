@@ -24,6 +24,7 @@ import scipy.fft as _fft      # in-place complex passes (overwrite_x)
 
 FOUR_PI_SQ = 4.0 * np.pi ** 2
 _TINY = 1e-300
+REAL_TOL = 1e-12      # realness residual up to which coefficients count as a real field
 
 
 class _ModeGeometry:
@@ -167,6 +168,17 @@ def real_grid_to_coefficients(grid: np.ndarray, cutoff: int, dim: int,
     np.conjugate(vals, out=vals, where=geo.k[-1] < 0)
     vals[..., ~geo.ball] = 0.0
     return vals
+
+
+def conj_flip(coeffs: np.ndarray, dim: int) -> np.ndarray:
+    """conj(c(-k)) on the trailing dim axes; leading axes are a batch and are
+    not flipped.  Fixed points are the coefficients of real fields."""
+    return np.conj(np.flip(coeffs, axis=tuple(range(-dim, 0))))
+
+
+def symmetrize(coeffs: np.ndarray, dim: int) -> np.ndarray:
+    """(c(k) + conj(c(-k))) / 2: the coefficients of the field's real part."""
+    return 0.5 * (coeffs + conj_flip(coeffs, dim))
 
 
 def leray_coefficients(stack: np.ndarray, dim: int, cutoff: int) -> np.ndarray:
@@ -317,16 +329,15 @@ class SpectralField:
 
     def conj_mirror(self) -> "SpectralField":
         """Field with coefficients conj(c(-k)); fixed points are real fields."""
-        return SpectralField(self.dim, self.cutoff, np.conj(np.flip(self.coeffs)))
+        return SpectralField(self.dim, self.cutoff, conj_flip(self.coeffs, self.dim))
 
     def realness_residual(self) -> float:
         scale = max(float(np.max(np.abs(self.coeffs))), _TINY)
-        dev = np.max(np.abs(self.coeffs - np.conj(np.flip(self.coeffs))))
+        dev = np.max(np.abs(self.coeffs - conj_flip(self.coeffs, self.dim)))
         return float(dev) / scale
 
     def symmetrized(self) -> "SpectralField":
-        c = 0.5 * (self.coeffs + np.conj(np.flip(self.coeffs)))
-        return SpectralField(self.dim, self.cutoff, c)
+        return SpectralField(self.dim, self.cutoff, symmetrize(self.coeffs, self.dim))
 
     # -- physical space -----------------------------------------------------------
 
@@ -337,6 +348,12 @@ class SpectralField:
         """Complex samples on the uniform grid (real fields: imag ~ roundoff)."""
         n_pts = points if points is not None else self.grid_points(oversample)
         return coefficients_to_grid(self.coeffs, self.cutoff, self.dim, n_pts)
+
+    def real_samples(self, points: int) -> np.ndarray:
+        """physical(points=points).real through the half spectrum: samples of
+        the field's real part, at about half the cost."""
+        return coefficients_to_real_grid(symmetrize(self.coeffs, self.dim),
+                                         self.cutoff, self.dim, points)
 
 
 @dataclass
@@ -411,6 +428,12 @@ class VectorSpectralField:
     def physical(self, oversample: int = 1, points: int | None = None) -> np.ndarray:
         return np.stack([f.physical(oversample, points) for f in self.components])
 
+    def real_samples(self, points: int) -> np.ndarray:
+        """physical(points=points).real, all components in one half-spectrum
+        transform."""
+        return coefficients_to_real_grid(symmetrize(self.stack(), self.dim),
+                                         self.cutoff, self.dim, points)
+
 
 # -- products ---------------------------------------------------------------------
 
@@ -441,7 +464,9 @@ def spectral_product(f: SpectralField, g: SpectralField, mode: str = "exact",
     mode "exact": full convolution truncated to the output ball, computed by
     a direct sum over mode pairs.  mode "oversampled": multiply samples on a
     grid of oversample*(2n-1) points per axis and transform back; alias-free
-    for quadratics once oversample >= 2.
+    for quadratics once oversample >= 2.  Real operands (realness residual
+    at most REAL_TOL) go through the half-spectrum transforms, both in one
+    batched call; others keep the complex transforms.
     """
     if (f.dim, f.cutoff) != (g.dim, g.cutoff):
         raise ValueError("operands must share layout")
@@ -450,8 +475,14 @@ def spectral_product(f: SpectralField, g: SpectralField, mode: str = "exact",
         return _direct_convolution(f, g, n_out)
     if mode == "oversampled":
         pts = oversample * (2 * f.cutoff - 1)
-        grid = f.physical(points=pts) * g.physical(points=pts)
-        return SpectralField(f.dim, n_out, grid_to_coefficients(grid, n_out, f.dim))
+        if max(f.realness_residual(), g.realness_residual()) <= REAL_TOL:
+            pair = symmetrize(np.stack((f.coeffs, g.coeffs)), f.dim)
+            grids = coefficients_to_real_grid(pair, f.cutoff, f.dim, pts)
+            coeffs = real_grid_to_coefficients(grids[0] * grids[1], n_out, f.dim)
+        else:
+            grid = f.physical(points=pts) * g.physical(points=pts)
+            coeffs = grid_to_coefficients(grid, n_out, f.dim)
+        return SpectralField(f.dim, n_out, coeffs)
     raise ValueError(f"unknown product mode: {mode}")
 
 

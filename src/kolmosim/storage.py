@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .spectral import SpectralField, VectorSpectralField, _geometry
+from .spectral import REAL_TOL, SpectralField, VectorSpectralField, _geometry
 from .system import SimState
 
 MAGIC = b"KOLM"
@@ -102,7 +102,7 @@ def load_snapshot(path: str, expect_dim: Optional[int] = None,
 
     state = SimState(VectorSpectralField(tuple(fields[:d])),
                      fields[d], fields[d + 1], t)
-    if not allow_asymmetric and state.realness_residual() > 1e-12:
+    if not allow_asymmetric and state.realness_residual() > REAL_TOL:
         raise SnapshotError("coefficients are not conjugate-symmetric "
                             "(pass allow_asymmetric to load anyway)")
     return state

@@ -37,6 +37,7 @@ import numpy as np
 
 from .cutoffs import CutoffProfile, InitialBounds, nu_bar_grid
 from .spectral import (
+    REAL_TOL,
     SpectralField,
     VectorSpectralField,
     _geometry,
@@ -106,7 +107,7 @@ class SimState:
     def div_residual(self) -> float:
         return self.v.div_residual()
 
-    def validate(self, div_tol: float = 1e-10, real_tol: float = 1e-12):
+    def validate(self, div_tol: float = 1e-10, real_tol: float = REAL_TOL):
         if self.t < 0:
             raise ValueError("state time must be >= 0")
         if self.div_residual() > div_tol:

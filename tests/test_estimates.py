@@ -22,7 +22,8 @@ from kolmosim.estimates import (PartitionOfUnity, RandomFieldSpec,
                                 verify_interpolation_inequality,
                                 verify_product_estimate)
 from kolmosim.integrators import IntegratorConfig
-from kolmosim.spectral import SpectralField, VectorSpectralField
+from kolmosim.spectral import (SpectralField, VectorSpectralField,
+                               fast_grid_size, lp_norm)
 from kolmosim.system import ModelParams
 
 WIDE = InitialBounds(b_min0=0.5, omega_min0=0.5, omega_max0=2.0, alpha=1.0)
@@ -197,6 +198,27 @@ class TestGridNorms:
         v = VectorSpectralField((f, g))
         assert field_lp(v, np.inf) == pytest.approx(5.0, rel=1e-12)
         assert field_lp(v, 2.0) == pytest.approx(5.0, rel=1e-12)
+
+    def test_half_spectrum_matches_complex_samples(self):
+        """field_lp samples through the half spectrum; the norms equal those
+        of the complex samples' real parts, also for fields that are not real
+        (scalar, and a vector with one non-real component)."""
+        for n in (8, 16):
+            pts = fast_grid_size(4 * (2 * n - 1))
+            spec = RandomFieldSpec(dim=2, cutoff=n, rho=1.5, seed=n)
+            f = spec.draw(spec.rng(0))
+            c = f.coeffs.copy()
+            c[n, n - 1] += 0.3 + 0.2j                   # breaks realness
+            nonreal = SpectralField(2, n, c)
+            v = VectorSpectralField((f, spec.draw(spec.rng(1)))).leray_project()
+            for p in (2.0, 3.0, np.inf):
+                for g in (f, nonreal):
+                    ref = lp_norm(g.physical(points=pts).real, p)
+                    assert field_lp(g, p) == pytest.approx(ref, rel=1e-13)
+                for w in (v, f.gradient(), VectorSpectralField((nonreal, f))):
+                    mag = np.sqrt(sum(c.physical(points=pts).real ** 2
+                                      for c in w.components))
+                    assert field_lp(w, p) == pytest.approx(lp_norm(mag, p), rel=1e-13)
 
 
 class TestCampaigns:

@@ -10,21 +10,31 @@ import pytest
 from kolmosim.spectral import (
     SpectralField,
     VectorSpectralField,
+    fast_grid_size,
+    grid_to_coefficients,
     lp_norm,
     spectral_product,
 )
 
 
-def sample_real_field(dim, cutoff, rho=1.5, seed=0):
-    """Test-local generator: decaying random amplitudes, conjugate-symmetric."""
+def sample_complex_field(dim, cutoff, rho=1.5, seed=0):
+    """Test-local generator: decaying random amplitudes, not a real field."""
     rng = np.random.default_rng(seed)
     side = 2 * cutoff - 1
     raw = rng.normal(size=(side,) * dim) + 1j * rng.normal(size=(side,) * dim)
     k = np.indices((side,) * dim) - (cutoff - 1)
     amp = (1.0 + np.sqrt(np.sum(k ** 2, axis=0))) ** (-rho)
-    c = raw * amp
-    c = 0.5 * (c + np.conj(np.flip(c)))
-    return SpectralField(dim, cutoff, c)
+    return SpectralField(dim, cutoff, raw * amp)
+
+
+def sample_real_field(dim, cutoff, rho=1.5, seed=0):
+    """The same amplitudes, conjugate-symmetrized (the ball is symmetric)."""
+    c = sample_complex_field(dim, cutoff, rho, seed).coeffs
+    return SpectralField(dim, cutoff, 0.5 * (c + np.conj(np.flip(c))))
+
+
+def rel_diff(a, b):
+    return float(np.max(np.abs(a - b))) / max(float(np.max(np.abs(b))), 1e-300)
 
 
 class TestNormsAndOperators:
@@ -124,6 +134,31 @@ class TestNormsAndOperators:
         assert broken.symmetrized().realness_residual() < 1e-14
 
 
+class TestRealSamples:
+    def test_scalar_matches_physical_real(self):
+        """Half-spectrum samples equal the real part of the complex samples,
+        for a non-real field too."""
+        for n in (8, 16):
+            for f in (sample_real_field(2, n, seed=n), sample_complex_field(2, n, seed=n)):
+                for pts in (2 * n - 1, fast_grid_size(4 * (2 * n - 1))):
+                    ref = f.physical(points=pts).real
+                    assert rel_diff(f.real_samples(pts), ref) <= 1e-13
+        f = sample_real_field(3, 4, seed=5)
+        assert rel_diff(f.real_samples(12), f.physical(points=12).real) <= 1e-13
+
+    def test_vector_matches_physical_real(self):
+        """One batched transform, component by component; the component axis
+        is not mirrored."""
+        for n in (8, 16):
+            pts = fast_grid_size(4 * (2 * n - 1))
+            v = VectorSpectralField(tuple(sample_real_field(2, n, seed=10 * n + a)
+                                          for a in range(2)))
+            for w in (v, v.leray_project(), sample_real_field(2, n, seed=n).gradient()):
+                out = w.real_samples(pts)
+                assert out.shape == (2, pts, pts)
+                assert rel_diff(out, w.physical(points=pts).real) <= 1e-13
+
+
 class TestProducts:
     def test_single_mode_product(self):
         f = SpectralField.from_modes(2, 4, {(1, 0): 2.0})
@@ -165,6 +200,28 @@ class TestProducts:
             scale = max(a.hs_norm(0.0), 1e-30)
             assert np.max(np.abs(a.coeffs - b.coeffs)) / scale < 1e-12
             assert np.max(np.abs(a.coeffs - c.coeffs)) / scale < 1e-12
+
+    def test_real_branch_matches_complex_transforms(self):
+        """Real operands take the half-spectrum transforms; the result equals
+        the product of the complex samples, transformed back."""
+        for n in (8, 16):
+            f = sample_real_field(2, n, seed=300 + n)
+            g = sample_real_field(2, n, seed=400 + n)
+            pts = 2 * (2 * n - 1)
+            m = 2 * n - 1
+            ref = grid_to_coefficients(f.physical(points=pts) * g.physical(points=pts), m, 2)
+            out = spectral_product(f, g, mode="oversampled", out_cutoff=m)
+            assert rel_diff(out.coeffs, ref) <= 1e-13
+
+    def test_nonreal_branch_matches_exact(self):
+        """Non-real operands keep the complex transforms; the product of their
+        real parts would not match the convolution."""
+        f = sample_complex_field(2, 6, seed=51)
+        g = sample_complex_field(2, 6, seed=52)
+        assert f.realness_residual() > 1e-3
+        a = spectral_product(f, g, mode="exact")
+        b = spectral_product(f, g, mode="oversampled", oversample=2)
+        assert np.max(np.abs(a.coeffs - b.coeffs)) / a.hs_norm(0.0) < 1e-12
 
     def test_undersampled_grid_aliases(self):
         """oversample = 1 folds the tail back in; the modes must disagree."""
