@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cutoffs import CutoffProfile, smooth_step
-from .integrators import IntegratorConfig, integrate, pack
+from .integrators import IntegratorConfig, integrate_lockstep, pack
 from .spectral import (FOUR_PI_SQ, SpectralField, VectorSpectralField,
                        _geometry, fast_grid_size, lp_norm,
                        real_grid_to_coefficients, spectral_product, symmetrize)
@@ -452,14 +452,15 @@ def perturbation(state: SimState, amplitude: float, seed: int = 0) -> SimState:
 def uniqueness_probe(state0: SimState, amplitude: float, params: ModelParams,
                      profile: CutoffProfile, config: IntegratorConfig,
                      seed: int = 0) -> GrowthReport:
-    """Integrate state0 and state0 + delta, track the squared L2 distance
-    e(t), and fit exponential growth.  In the linear regime e scales with
-    amplitude^2, the Gronwall mechanism behind uniqueness."""
+    """Integrate state0 and state0 + delta in lockstep, track the squared L2
+    distance e(t), and fit exponential growth.  In the linear regime e scales
+    with amplitude^2, the Gronwall mechanism behind uniqueness.  Both runs
+    take the same steps, so e compares states at equal times (rk45 included),
+    and with rk4 each run is bit-identical to its solo integration."""
     delta = perturbation(state0, amplitude, seed)
     pert0 = SimState(state0.v + delta.v, state0.omega + delta.omega,
                      state0.b + delta.b, state0.t)
-    base = integrate(state0, config, params, profile)
-    pert = integrate(pert0, config, params, profile)
+    base, pert = integrate_lockstep([state0, pert0], config, params, profile)
     n_common = min(len(base.states), len(pert.states))
     partial = (base.status != "completed" or pert.status != "completed"
                or len(base.states) != len(pert.states))

@@ -5,6 +5,15 @@ pair with PI step control.  After accepted steps the integrator re-enforces
 the structural invariants (conjugate symmetry by averaging with the mirror,
 divergence re-projection when drift exceeds a threshold) and runs the
 blow-up guard against the a-priori norm ceiling.
+
+`integrate_lockstep` advances several states of one layout together: the
+loop carries a leading member axis, and each RK stage is one kernel call
+(`system.member_rhs`) for every member, with one workspace per lockstep
+run.  Fix-ups, guard and samples stay per member; a member that fails or
+aborts leaves the run with its own status, message and states, and the
+others go on.  `integrate` is the one-member case.  The stages run with
+floating-point warnings silenced, so a diverging run ends as a clean
+`failed-nonfinite`.
 """
 
 from __future__ import annotations
@@ -16,9 +25,10 @@ import numpy as np
 
 from .cutoffs import CutoffProfile
 from .spectral import _geometry, div_residual, leray_coefficients, symmetrize
-# the packed kernel under the name the loop calls: one call, one RHS evaluation
+# the member-stack kernel under the name the loop calls: one call per stage,
+# for every member of the stack
 from .system import ModelParams, RhsWorkspace, SimState, pack, unpack
-from .system import packed_rhs as rhs
+from .system import member_rhs as rhs
 
 # Dormand-Prince 5(4) tableau (FSAL)
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -79,37 +89,44 @@ class Trajectory:
 
 
 class _PackedSystem:
-    """rhs on packed coefficient stacks, plus the structural fix-ups.  Owns the
-    kernel's workspace for the integration it is built for."""
+    """rhs on stacks of packed coefficient states, one row per member, plus
+    the structural fix-ups.  Owns the kernel's workspace for the members it
+    is built for."""
 
-    def __init__(self, dim: int, cutoff: int, params: ModelParams, profile: CutoffProfile):
+    def __init__(self, dim: int, cutoff: int, params: ModelParams, profile: CutoffProfile,
+                 members: int = 1):
         self.dim = dim
         self.cutoff = cutoff
         self.params = params
         self.profile = profile
-        self.workspace = RhsWorkspace(dim, cutoff, params.grid_points(cutoff))
+        self.velocity = (Ellipsis, slice(0, dim)) + (slice(None),) * dim
+        self.workspace = RhsWorkspace(dim, cutoff, params.grid_points(cutoff), members)
 
-    def rhs(self, arr: np.ndarray, t: float) -> np.ndarray:
-        return rhs(arr, t, self.params, self.profile, workspace=self.workspace)
+    def rhs(self, stack: np.ndarray, t: float) -> np.ndarray:
+        return rhs(stack, t, self.params, self.profile, workspace=self.workspace)
 
-    def div_residual(self, arr: np.ndarray) -> float:
-        return div_residual(arr[:self.dim], self.dim, self.cutoff)
+    def div_residual(self, arr: np.ndarray):
+        """Of one packed state (a float) or of each member of a stack."""
+        return div_residual(arr[self.velocity], self.dim, self.cutoff)
 
     def project_divergence(self, arr: np.ndarray) -> np.ndarray:
         out = arr.copy()
-        out[:self.dim] = leray_coefficients(arr[:self.dim], self.dim, self.cutoff)
+        out[self.velocity] = leray_coefficients(arr[self.velocity], self.dim, self.cutoff)
         return out
 
-    def fix_up(self, arr: np.ndarray, div_tol: float):
-        """Average with the conjugate mirror; re-project when div v drifts past
-        div_tol.  Returns the new stack and whether it was re-projected."""
-        arr = symmetrize(arr, self.dim)
-        reproject = self.div_residual(arr) > div_tol
-        return (self.project_divergence(arr) if reproject else arr), reproject
+    def fix_up(self, stack: np.ndarray, div_tol: float):
+        """Average each member with its conjugate mirror; re-project the members
+        whose div v drifted past div_tol.  Returns the new stack and which
+        members were re-projected."""
+        stack = symmetrize(stack, self.dim)
+        reproject = self.div_residual(stack) > div_tol
+        if reproject.any():
+            stack[reproject] = self.project_divergence(stack[reproject])
+        return stack, reproject
 
-    def triple_sq(self, arr: np.ndarray, s: float) -> float:
+    def triple_sq(self, stack: np.ndarray, s: float) -> List[float]:
         w = _geometry(self.dim, self.cutoff).bessel_weight(s)
-        return float(np.sum(w * np.abs(arr) ** 2))
+        return [float(np.sum(w * np.abs(arr) ** 2)) for arr in stack]
 
 
 def rk4_step(system: _PackedSystem, arr: np.ndarray, t: float, h: float) -> np.ndarray:
@@ -126,10 +143,10 @@ def step(state: SimState, h: float, params: ModelParams,
     if h <= 0:
         raise ValueError("step size must be positive")
     system = _PackedSystem(state.dim, state.cutoff, params, profile)
-    arr = rk4_step(system, pack(state), state.t, h)
+    arr = rk4_step(system, pack(state)[None], state.t, h)
     if not np.all(np.isfinite(arr)):
         raise FloatingPointError("non-finite coefficients after step")
-    return unpack(system.fix_up(arr, IntegratorConfig.div_drift_tol)[0],
+    return unpack(system.fix_up(arr, IntegratorConfig.div_drift_tol)[0][0],
                   state.dim, state.cutoff, state.t + h)
 
 
@@ -139,97 +156,142 @@ def _error_ratio(err: np.ndarray, y0: np.ndarray, y1: np.ndarray,
     return float(np.sqrt(np.mean((np.abs(err) / scale) ** 2)))
 
 
+def _leave(traj: Trajectory, status: str, message: str, steps: int, rejected: int):
+    traj.status, traj.message, traj.steps, traj.rejected = status, message, steps, rejected
+
+
+def _survivors(keep: np.ndarray, live: List[int], *stacks):
+    """live and the rows of each stack (None stays None) where keep holds."""
+    return ([member for member, k in zip(live, keep) if k],
+            *(None if a is None else a[keep] for a in stacks))
+
+
 def integrate(state0: SimState, config: IntegratorConfig, params: ModelParams,
               profile: CutoffProfile, norm_s: Optional[float] = None) -> Trajectory:
-    """Advance to config.t_end, sampling every monitor_every accepted steps.
+    """Advance to config.t_end, sampling every monitor_every accepted steps:
+    the one-member case of integrate_lockstep.
 
     norm_s is the Sobolev index used by the blow-up guard (defaults to
     params.s); the guard aborts when the triple norm squared exceeds
     blowup_factor * (2*X0 + 1).
     """
-    s = params.s if norm_s is None else norm_s
-    system = _PackedSystem(state0.dim, state0.cutoff, params, profile)
-    y = pack(state0)
-    t = float(state0.t)
-    traj = Trajectory(states=[state0.copy()])
-    if config.t_end <= t:
-        return traj
+    return integrate_lockstep([state0], config, params, profile, norm_s)[0]
 
-    x0 = system.triple_sq(y, s)
-    ceiling = config.blowup_factor * (2.0 * x0 + 1.0)
+
+def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
+                       params: ModelParams, profile: CutoffProfile,
+                       norm_s: Optional[float] = None) -> List[Trajectory]:
+    """Advance states of one layout and start time together to config.t_end,
+    one kernel call per stage for all of them; one trajectory per state.
+
+    Each member has its own mirror average, re-projection decision, blow-up
+    guard (against its own X0) and samples.  A member that goes non-finite
+    or trips the guard leaves with its own status, message and states; the
+    others go on.  Fixed-step rk4 members, failed and aborted ones included,
+    are bit-identical to their solo integrate runs.  rk45 members share one
+    step, controlled by the largest member error ratio, so their samples have
+    equal times: a non-finite stage in any member rejects the shared step, a
+    step-size underflow fails every member still running, and a re-projection
+    of any member drops the shared FSAL stage.  The stages run with floating-point
+    warnings silenced: a non-finite member is reported by its status.
+    """
+    if not states0:
+        raise ValueError("need at least one state")
+    dim, cutoff, t = states0[0].dim, states0[0].cutoff, float(states0[0].t)
+    if any((st.dim, st.cutoff, float(st.t)) != (dim, cutoff, t) for st in states0):
+        raise ValueError("lockstep states must share dim, cutoff and start time")
+    s = params.s if norm_s is None else norm_s
+    trajs = [Trajectory(states=[st.copy()]) for st in states0]
+    if config.t_end <= t:
+        return trajs
+
+    live = list(range(len(states0)))          # members still stepping, in row order
+    system = _PackedSystem(dim, cutoff, params, profile, len(live))
+    y = np.stack([pack(st) for st in states0])
+    ceiling = config.blowup_factor * (2.0 * np.array(system.triple_sq(y, s)) + 1.0)
     h = config.dt
     k1 = None                      # FSAL cache for rk45
-    steps = 0
+    steps = rejected = 0
+    stopped = ""                   # why the members still running stopped early
 
-    while t < config.t_end - 1e-14 and steps < config.max_steps:
-        h = min(h, config.t_end - t)
-        if config.method == "rk4":
-            y_new = rk4_step(system, y, t, h)
-            if not np.all(np.isfinite(y_new)):
-                traj.status = "failed-nonfinite"
-                traj.message = f"non-finite coefficients at t = {t + h:.6g}"
-                break
-            accepted = True
-            h_next = config.dt
-            k1 = None
-        else:
-            if k1 is None:
-                k1 = system.rhs(y, t)
-            ks = [k1]
-            bad = False
-            for i in range(1, 7):
-                yi = y + h * sum(a * k for a, k in zip(_DP_A[i], ks))
-                if not np.all(np.isfinite(yi)):
-                    bad = True
-                    break
-                ks.append(system.rhs(yi, t + _DP_C[i] * h))
-            if bad or not np.all(np.isfinite(ks[-1])):
-                traj.rejected += 1
-                h *= 0.2
-                k1 = ks[0]
-                if h < config.min_dt:
-                    traj.status = "failed-nonfinite"
-                    traj.message = f"step size underflow at t = {t:.6g}"
-                    break
-                continue
-            y_new = y + h * sum(b * k for b, k in zip(_DP_B5, ks))
-            err = h * sum((b5 - b4) * k
-                          for (b5, b4), k in zip(zip(_DP_B5, _DP_B4), ks))
-            ratio = _error_ratio(err, y, y_new, config.abs_tol, config.rel_tol)
-            if ratio > 1.0:
-                traj.rejected += 1
-                h = max(h * max(0.2, 0.9 * ratio ** (-0.2)), config.min_dt)
-                if h <= config.min_dt:
-                    traj.status = "failed-nonfinite"
-                    traj.message = f"step size underflow at t = {t:.6g}"
-                    break
-                continue
-            accepted = True
-            h_next = h * min(5.0, max(0.2, 0.9 * ratio ** (-0.2) if ratio > 0 else 5.0))
-            k1 = ks[6]             # FSAL: last stage is f(t+h, y_new)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while live and t < config.t_end - 1e-14 and steps < config.max_steps:
+            h = min(h, config.t_end - t)
+            if config.method == "rk4":
+                y_new = rk4_step(system, y, t, h)
+                finite = np.isfinite(y_new).all(axis=tuple(range(1, y_new.ndim)))
+                if not finite.all():
+                    for i in np.flatnonzero(~finite):
+                        _leave(trajs[live[i]], "failed-nonfinite",
+                               f"non-finite coefficients at t = {t + h:.6g}", steps, rejected)
+                    live, y_new, ceiling = _survivors(finite, live, y_new, ceiling)
+                    if not live:
+                        break
+                    system = _PackedSystem(dim, cutoff, params, profile, len(live))
+                h_next = config.dt
+                k1 = None
+            else:
+                if k1 is None:
+                    k1 = system.rhs(y, t)
+                ks = [k1]
+                bad = False
+                for i in range(1, 7):
+                    yi = y + h * sum(a * k for a, k in zip(_DP_A[i], ks))
+                    if not np.all(np.isfinite(yi)):
+                        bad = True
+                        break
+                    ks.append(system.rhs(yi, t + _DP_C[i] * h))
+                if bad or not np.all(np.isfinite(ks[-1])):
+                    rejected += 1
+                    h *= 0.2
+                    k1 = ks[0]
+                    if h < config.min_dt:
+                        stopped = f"step size underflow at t = {t:.6g}"
+                        break
+                    continue
+                y_new = y + h * sum(b * k for b, k in zip(_DP_B5, ks))
+                err = h * sum((b5 - b4) * k
+                              for (b5, b4), k in zip(zip(_DP_B5, _DP_B4), ks))
+                ratio = max(_error_ratio(*rows, config.abs_tol, config.rel_tol)
+                            for rows in zip(err, y, y_new))
+                if ratio > 1.0:
+                    rejected += 1
+                    h = max(h * max(0.2, 0.9 * ratio ** (-0.2)), config.min_dt)
+                    if h <= config.min_dt:
+                        stopped = f"step size underflow at t = {t:.6g}"
+                        break
+                    continue
+                h_next = h * min(5.0, max(0.2, 0.9 * ratio ** (-0.2) if ratio > 0 else 5.0))
+                k1 = ks[6]             # FSAL: last stage is f(t+h, y_new)
 
-        t = t + h
-        steps += 1
-        y = y_new
-        if steps % config.reproject_every == 0:
-            y, reprojected = system.fix_up(y, config.div_drift_tol)
-            if reprojected:        # the mirror average alone moves y by roundoff
-                k1 = None          # and keeps the FSAL stage; a projection does not
-        h = h_next
+            t = t + h
+            steps += 1
+            y = y_new
+            if steps % config.reproject_every == 0:
+                y, reprojected = system.fix_up(y, config.div_drift_tol)
+                if reprojected.any():  # the mirror average alone moves y by roundoff
+                    k1 = None          # and keeps the FSAL stage; a projection does not
+            h = h_next
 
-        at_end = t >= config.t_end - 1e-14
-        if steps % config.monitor_every == 0 or at_end:
-            x_now = system.triple_sq(y, s)
-            if not np.isfinite(x_now) or x_now > ceiling:
-                traj.states.append(unpack(y, state0.dim, state0.cutoff, t))
-                traj.status = "aborted-blowup"
-                traj.message = (f"triple norm^2 {x_now:.6g} exceeded guard "
-                                f"{ceiling:.6g} at t = {t:.6g}")
-                break
-            traj.states.append(unpack(y, state0.dim, state0.cutoff, t))
+            at_end = t >= config.t_end - 1e-14
+            if steps % config.monitor_every == 0 or at_end:
+                x_now = system.triple_sq(y, s)
+                ok = np.array([bool(x <= c) for x, c in zip(x_now, ceiling)])
+                for i, member in enumerate(live):
+                    trajs[member].states.append(unpack(y[i], dim, cutoff, t))
+                    if not ok[i]:
+                        _leave(trajs[member], "aborted-blowup",
+                               f"triple norm^2 {x_now[i]:.6g} exceeded guard "
+                               f"{ceiling[i]:.6g} at t = {t:.6g}", steps, rejected)
+                if not ok.all():
+                    live, y, k1, ceiling = _survivors(ok, live, y, k1, ceiling)
+                    if live:
+                        system = _PackedSystem(dim, cutoff, params, profile, len(live))
 
-    traj.steps = steps
-    if traj.status == "completed" and t < config.t_end - 1e-14:
-        traj.status = "failed-nonfinite"
-        traj.message = traj.message or "max_steps exhausted"
-    return traj
+    for member in live:
+        traj = trajs[member]
+        traj.steps, traj.rejected = steps, rejected
+        if stopped or t < config.t_end - 1e-14:
+            traj.status = "failed-nonfinite"
+            traj.message = stopped or "max_steps exhausted"
+    return trajs

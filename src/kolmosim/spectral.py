@@ -181,21 +181,30 @@ def symmetrize(coeffs: np.ndarray, dim: int) -> np.ndarray:
     return 0.5 * (coeffs + conj_flip(coeffs, dim))
 
 
+def _k_dot(stack: np.ndarray, dim: int, geo: _ModeGeometry) -> np.ndarray:
+    """k . c(k) of a velocity stack whose component axis precedes the dim
+    spatial axes."""
+    cube = (slice(None),) * dim
+    return sum(geo.k[a] * stack[(Ellipsis, a) + cube] for a in range(dim))
+
+
 def leray_coefficients(stack: np.ndarray, dim: int, cutoff: int) -> np.ndarray:
-    """Leray projection of a (dim, side^dim) velocity stack:
-    c(k) -= k (k.c(k)) / |k|^2 for k != 0."""
+    """Leray projection of a (..., dim) + side^dim velocity stack (leading
+    axes are a batch): c(k) -= k (k.c(k)) / |k|^2 for k != 0."""
     geo = _geometry(dim, cutoff)
-    k_dot = sum(geo.k[a] * stack[a] for a in range(dim))
+    k_dot = _k_dot(stack, dim, geo)[(Ellipsis, None) + (slice(None),) * dim]
     return stack - geo.k * k_dot / geo.leray_denom
 
 
-def div_residual(stack: np.ndarray, dim: int, cutoff: int) -> float:
-    """max_k |k . c(k)| of a (dim, side^dim) velocity stack, relative to its
-    largest coefficient magnitude."""
+def div_residual(stack: np.ndarray, dim: int, cutoff: int):
+    """max_k |k . c(k)| of a (..., dim) + side^dim velocity stack, relative to
+    its largest coefficient magnitude: a float for one stack, an array of one
+    value per batch index otherwise."""
     geo = _geometry(dim, cutoff)
-    acc = sum(geo.k[a] * stack[a] for a in range(dim))
-    scale = max(float(np.max(np.abs(stack))), _TINY)
-    return float(np.max(np.abs(acc))) / scale
+    acc = np.max(np.abs(_k_dot(stack, dim, geo)), axis=tuple(range(-dim, 0)))
+    scale = np.max(np.abs(stack), axis=tuple(range(-dim - 1, 0)))
+    res = acc / np.maximum(scale, _TINY)
+    return float(res) if np.ndim(res) == 0 else res
 
 
 @dataclass

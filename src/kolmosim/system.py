@@ -13,18 +13,23 @@ Quadratic products are evaluated on an oversampled grid (alias-free for
 oversample >= 2); only the composed viscosity nubar = Phi(b)/Psi(omega) is a
 genuine quadrature, whose residual the oversampling controls.
 
-The time-stepping loop works on packed stacks (v_1..v_d, omega, b) of
-centered-cube coefficients (`pack`/`unpack`) through `packed_rhs`; `rhs`,
+The time-stepping loop works on member stacks: a leading member axis over
+packed states (v_1..v_d, omega, b) of centered-cube coefficients
+(`pack`/`unpack`), shaped (members, d+2) + cube, through `member_rhs`, one
+call per RK stage for every member.  Members share t, the parameters and
+the profile; each member's row equals its one-state result bit for bit.
+`packed_rhs` is the one-member case on a single (d+2) + cube stack; `rhs`,
 `pressure_gradient`, `advective_diffusive_force` and `transport_terms` are
 field-level views of the same kernel.
 
-The kernel's grid-sized arrays live in an `RhsWorkspace`.  Each integration
-owns one (the integrator's `_PackedSystem` builds it for its size) and passes
-it to every call; a call without one, such as the field-level views and
-`integrators.step`, builds a throwaway one.  There is no shared cache, so
-threads never share a workspace.  `packed_rhs` always returns a new array,
-never a view of the workspace, so results held across calls (the RK stages)
-stay valid.
+The kernel's grid-sized arrays live in an `RhsWorkspace`, whose size
+includes the member count.  Each integration owns one (the integrator's
+`_PackedSystem` builds it: one per lockstep run, rebuilt only when a member
+leaves the run) and passes it to every call; a call without one, such as
+the field-level views and `integrators.step`, builds a throwaway one.  There
+is no shared cache, so threads never share a workspace.  The kernel always
+returns a new array, never a view of the workspace, so results held across
+calls (the RK stages) stay valid.
 """
 
 from __future__ import annotations
@@ -190,9 +195,12 @@ def _advective_fluxes(g: np.ndarray, dim: int, out: np.ndarray | None = None) ->
 def _flux_divergences(c: np.ndarray, dim: int, cutoff: int) -> np.ndarray:
     """Divergences of fluxes laid out as _advective_fluxes writes them: the
     symmetric tensor's rows (d rows of a vector), then the two vector fluxes
-    (one scalar each)."""
+    (one scalar each).  Axes between the row axis and the spatial axes are a
+    batch."""
     rows = _pair_layout(dim)[3]
-    return np.sum(c[rows] * _geometry(dim, cutoff).grad, axis=1)
+    grad = _geometry(dim, cutoff).grad
+    grad = grad.reshape(grad.shape[:1] + (1,) * (c.ndim - 1 - dim) + grad.shape[1:])
+    return np.sum(c[rows] * grad, axis=1)
 
 
 def _shared(*specs):
@@ -205,32 +213,39 @@ def _shared(*specs):
 
 
 class RhsWorkspace:
-    """The grid-sized arrays of packed_rhs at one (dim, cutoff, points).
+    """The grid-sized arrays of member_rhs for stacks of `members` states at
+    one (dim, cutoff, points).
 
-    Allocated anew, these arrays cost every call about 5 MB of freshly
-    page-faulted memory at d=2, n=16, oversample 4.  Every call overwrites
-    them; they hold nothing between calls.  Two pairs share memory (2.8 MB in
-    all at that size): the inverse transform's half spectrum is dead before
-    the fluxes are written, and the grids are dead before the forward
-    transform's half spectrum is.
+    Allocated anew, these arrays cost every call about 5 MB per member of
+    freshly page-faulted memory at d=2, n=16, oversample 4.  Every call
+    overwrites them; they hold nothing between calls.  Two pairs share memory
+    (2.8 MB per member in all at that size): the inverse transform's half
+    spectrum is dead before the fluxes are written, and the grids are dead
+    before the forward transform's half spectrum is.  Rows lead and members
+    follow, (rows, members) + cube, so one row of every member is one
+    contiguous block.  A one-member workspace has no member axis: on small
+    grids every numpy call of the kernel pays for an extra axis (about 4% of
+    a call at n = 6), and most runs have one member.
     """
 
-    def __init__(self, dim: int, cutoff: int, points: int):
-        self.size = (dim, cutoff, points)
+    def __init__(self, dim: int, cutoff: int, points: int, members: int = 1):
+        self.size = (dim, cutoff, points, members)
         m = len(_upper_pairs(dim))
-        grids, fluxes = 3 * dim + 2 + m, 2 * dim + m + 3
+        lead = (members,) if members > 1 else ()
+        grids, fluxes = (3 * dim + 2 + m,) + lead, (2 * dim + m + 3,) + lead
         cube = (points,) * dim
-        self.coeffs = np.empty((grids,) + (2 * cutoff - 1,) * dim, dtype=complex)
-        self.half_in, self.flux = _shared(((grids,) + cube[:-1] + (cutoff,), complex),
-                                          ((fluxes,) + cube, float))
+        self.coeffs = np.empty(grids + (2 * cutoff - 1,) * dim, dtype=complex)
+        self.half_in, self.flux = _shared((grids + cube[:-1] + (cutoff,), complex),
+                                          (fluxes + cube, float))
         self.grids, self.half_out = _shared(
-            ((grids,) + cube, float),
-            ((fluxes,) + cube[:-1] + (points // 2 + 1,), complex))
+            (grids + cube, float),
+            (fluxes + cube[:-1] + (points // 2 + 1,), complex))
 
 
-def packed_rhs(y: np.ndarray, t: float, params: ModelParams, profile: CutoffProfile,
+def member_rhs(ys: np.ndarray, t: float, params: ModelParams, profile: CutoffProfile,
                project: bool = True, workspace: RhsWorkspace | None = None) -> np.ndarray:
-    """Right-hand side on a packed stack y = (v_1..v_d, omega, b).
+    """Right-hand side of every member of a stack ys shaped (members, d+2) +
+    cube, each member a packed state (v_1..v_d, omega, b) at time t.
 
     Flux form: with M_ij = v_i v_j - nubar D_ij, F_w = v w - nubar grad w
     and F_b = v b - nubar grad b,
@@ -241,30 +256,35 @@ def packed_rhs(y: np.ndarray, t: float, params: ModelParams, profile: CutoffProf
 
     This is the advective form exactly, because div v = 0 and the quadratics
     are alias-free at oversample >= 2.  D_ij is formed on the spectral side;
-    a 2-D RHS takes 11 inverse and 10 forward transforms.  project=False
-    leaves the velocity rows as the force -P_n(v.grad v) + div P_n(nubar Dv)
-    before the pressure correction.  `workspace` holds the grid-sized arrays
-    (built for this call when None); the result is always a new array.
+    a 2-D RHS takes 11 inverse and 10 forward transforms per member, batched
+    over the members in one call each.  Each member's row equals its
+    one-state packed_rhs bit for bit.  project=False leaves the velocity rows
+    as the force -P_n(v.grad v) + div P_n(nubar Dv) before the pressure
+    correction.  `workspace` holds the grid-sized arrays for this member
+    count (built for this call when None); the result is always a new array.
     """
-    d = y.shape[0] - 2
-    n = (y.shape[-1] + 1) // 2
+    members, d = ys.shape[0], ys.shape[1] - 2
+    n = (ys.shape[-1] + 1) // 2
     points = params.grid_points(n)
-    ws = RhsWorkspace(d, n, points) if workspace is None else workspace
-    if ws.size != (d, n, points):
-        raise ValueError(f"workspace built for {ws.size}, not {(d, n, points)}")
-    mult = _geometry(d, n).grad
+    ws = RhsWorkspace(d, n, points, members) if workspace is None else workspace
+    if ws.size != (d, n, points, members):
+        raise ValueError(f"workspace built for {ws.size}, not {(d, n, points, members)}")
+    c = ws.coeffs
+    per_row = (slice(None),) + (None,) * (c.ndim - 1 - d)     # broadcast over members
+    mult = _geometry(d, n).grad[per_row]
     pi, pj, weight, _ = _pair_layout(d)
     m = len(pi)
     # spectral rows: v, omega, b, then the gradients the viscous fluxes need,
-    # in the flux layout: D_ij (i <= j), grad omega, grad b.  States hold the
-    # realness invariant, so the half-spectrum path applies.
-    c = ws.coeffs
-    c[:d + 2] = y
+    # in the flux layout: D_ij (i <= j), grad omega, grad b; each row holds
+    # every member (the workspace layout).  States hold the realness
+    # invariant, so the half-spectrum path applies.
+    y = c[:d + 2]
+    y[...] = ys.swapaxes(0, 1).reshape(y.shape)
     deform = c[d + 2:d + 2 + m]
     np.multiply(mult[pj], y[pi], out=deform)
     deform += mult[pi] * y[pj]
     deform *= 0.5
-    np.multiply(mult, y[d:d + 2, None], out=c[d + 2 + m:].reshape((2,) + mult.shape))
+    np.multiply(mult, y[d:d + 2, None], out=c[d + 2 + m:].reshape((2, d) + y.shape[1:]))
     g = coefficients_to_real_grid(c, n, d, points, out=ws.grids, half=ws.half_in)
     w_g, b_g = g[d], g[d + 1]
     nu_g = nu_bar_grid(b_g, w_g, t, profile)
@@ -272,7 +292,7 @@ def packed_rhs(y: np.ndarray, t: float, params: ModelParams, profile: CutoffProf
     # nubar |Dv|^2 first: the momentum rows hold the squares D_ij^2 until
     # the fluxes overwrite them, and the gradient rows are scaled in place
     def_sq = np.square(g[d + 2:d + 2 + m], out=flux[:m])
-    def_sq *= weight
+    def_sq *= weight[per_row]
     np.sum(def_sq, axis=0, out=flux[-1])
     flux[-1] *= nu_g
     _advective_fluxes(g, d, out=flux)
@@ -284,11 +304,20 @@ def packed_rhs(y: np.ndarray, t: float, params: ModelParams, profile: CutoffProf
     coef = real_grid_to_coefficients(flux, n, d, half=ws.half_out)
 
     div = _flux_divergences(coef, d, n)
-    out = np.empty_like(y)
-    out[:d] = leray_coefficients(-div[:d], d, n) if project else -div[:d]
-    out[d] = -div[d] - params.alpha * coef[-3]
-    out[d + 1] = -div[d + 1] - coef[-2] + coef[-1]
+    force = div[:d].reshape((d, members) + ys.shape[2:]).swapaxes(0, 1)   # members lead
+    out = np.empty_like(ys)
+    out[:, :d] = leray_coefficients(-force, d, n) if project else -force
+    out[:, d] = -div[d] - params.alpha * coef[-3]
+    out[:, d + 1] = -div[d + 1] - coef[-2] + coef[-1]
     return out
+
+
+def packed_rhs(y: np.ndarray, t: float, params: ModelParams, profile: CutoffProfile,
+               project: bool = True, workspace: RhsWorkspace | None = None) -> np.ndarray:
+    """Right-hand side on one packed stack y = (v_1..v_d, omega, b): the
+    one-member case of member_rhs (a workspace must be built for one
+    member)."""
+    return member_rhs(y[None], t, params, profile, project, workspace)[0]
 
 
 def _vector(stack: np.ndarray, dim: int, cutoff: int) -> VectorSpectralField:

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from kolmosim import estimates
 from kolmosim.cutoffs import CutoffProfile, InitialBounds
 from kolmosim.estimates import (PartitionOfUnity, RandomFieldSpec,
                                 admissible_state, attach_stability,
@@ -349,3 +350,22 @@ class TestUniquenessProbe:
         # The fitted envelope dominates every sample by construction.
         grow = big.e[0] * np.exp(big.g_envelope * (big.times - big.times[0]))
         assert np.all(big.e <= grow * (1.0 + 1e-9))
+    def test_rk45_samples_share_times(self, monkeypatch):
+        # with separate step controllers the two runs sampled different
+        # times, so e mixed the distance with the time shift
+        runs = []
+        lockstep = estimates.integrate_lockstep
+
+        def keep_runs(*args, **kwargs):
+            runs.extend(lockstep(*args, **kwargs))
+            return runs
+
+        monkeypatch.setattr(estimates, "integrate_lockstep", keep_runs)
+        state, params, profile, _ = self.make_setup()
+        config = IntegratorConfig(method="rk45", dt=1e-3, abs_tol=1e-7,
+                                  rel_tol=1e-7, t_end=0.02, monitor_every=5)
+        report = uniqueness_probe(state, 1e-6, params, profile, config)
+        base, pert = runs
+        assert len(base.states) > 2 and not report.partial
+        assert np.array_equal(base.times, pert.times)
+        assert np.array_equal(report.times, base.times)

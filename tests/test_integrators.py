@@ -3,13 +3,15 @@ observed convergence order, structural drift over long runs, determinism,
 and the guard/abort paths."""
 
 import threading
+import warnings
 
 import numpy as np
+import pytest
 
 from kolmosim import integrators
 from kolmosim.cutoffs import CutoffProfile, InitialBounds
 from kolmosim.integrators import (IntegratorConfig, _PackedSystem, integrate,
-                                  pack, step, unpack)
+                                  integrate_lockstep, pack, step, unpack)
 from kolmosim.spectral import SpectralField, VectorSpectralField
 from kolmosim.system import ModelParams, SimState
 
@@ -176,6 +178,20 @@ class TestDegenerateCases:
         assert traj.status == "failed-nonfinite"
         assert np.all(np.isfinite(pack(traj.final)))
 
+    def test_divergence_emits_no_warnings(self):
+        # the stages run with floating-point warnings silenced: a diverging
+        # run is reported by its status, not by a flood of RuntimeWarnings
+        state = divergence_free_random_state(5, dim=2, cutoff=16)
+        config = IntegratorConfig(method="rk4", dt=0.5, t_end=50.0,
+                                  monitor_every=1_000_000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = integrate(state, config, make_params(bounds=WIDE),
+                             CutoffProfile(WIDE))
+        assert traj.status == "failed-nonfinite"
+        assert "non-finite" in traj.message
+        assert np.all(np.isfinite(pack(traj.final)))
+
 
 class TestPacking:
     def test_pack_unpack_roundtrip(self):
@@ -249,3 +265,108 @@ class TestStageReuse:
             assert not th.is_alive()
         for a, b in zip(serial, threaded):
             assert np.array_equal(a, b)
+
+
+def drifting_state(seed, dim=2, cutoff=6):
+    """A state whose velocity has a small gradient part, so the first fix-up
+    re-projects it."""
+    arr = pack(divergence_free_random_state(seed, dim=dim, cutoff=cutoff))
+    arr[0] += 1e-6 * arr[1]
+    return unpack(arr, dim, cutoff, 0.0)
+
+
+def assert_same_run(got, solo):
+    assert (got.status, got.message, got.steps, got.rejected) == \
+        (solo.status, solo.message, solo.steps, solo.rejected)
+    assert len(got.states) == len(solo.states)
+    for a, b in zip(got.states, solo.states):
+        assert a.t == b.t
+        assert np.array_equal(pack(a), pack(b))
+
+
+class TestLockstep:
+    def test_rk4_members_match_solo_runs(self):
+        # d=2 with one member whose drift triggers the re-projection, and a
+        # small d=3 pair: every member is bit-identical to its solo run
+        config = IntegratorConfig(method="rk4", dt=1e-3, t_end=0.01, monitor_every=3)
+        params = make_params(bounds=WIDE)
+        cases = [[divergence_free_random_state(61, cutoff=6), drifting_state(62),
+                  constant_state(cutoff=6)],
+                 [divergence_free_random_state(63, dim=3, cutoff=3),
+                  divergence_free_random_state(64, dim=3, cutoff=3)]]
+        for states in cases:
+            solo = [integrate(st, config, params, CutoffProfile(WIDE)) for st in states]
+            runs = integrate_lockstep(states, config, params, CutoffProfile(WIDE))
+            for got, ref in zip(runs, solo):
+                assert got.status == "completed" and got.steps == 10
+                assert_same_run(got, ref)
+
+    def test_drifting_member_is_reprojected(self, monkeypatch):
+        # the re-projection decision is per member: one row, once
+        rows = []
+        project = _PackedSystem.project_divergence
+
+        def recording_project(self, arr):
+            rows.append(arr.shape[0])
+            return project(self, arr)
+
+        monkeypatch.setattr(_PackedSystem, "project_divergence", recording_project)
+        config = IntegratorConfig(method="rk4", dt=1e-3, t_end=0.003)
+        integrate_lockstep([divergence_free_random_state(61, cutoff=6), drifting_state(62)],
+                           config, make_params(bounds=WIDE), CutoffProfile(WIDE))
+        assert rows == [1]
+
+    def test_nonfinite_member_leaves_with_its_solo_run(self):
+        diverging = divergence_free_random_state(5, dim=2, cutoff=16)
+        steady = constant_state(cutoff=16)
+        config = IntegratorConfig(method="rk4", dt=0.5, t_end=5.0, monitor_every=2)
+        params = make_params(bounds=WIDE)
+        solo = [integrate(st, config, params, CutoffProfile(WIDE))
+                for st in (diverging, steady)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runs = integrate_lockstep([diverging, steady], config, params, CutoffProfile(WIDE))
+        assert runs[0].status == "failed-nonfinite" and runs[1].status == "completed"
+        for got, ref in zip(runs, solo):
+            assert_same_run(got, ref)
+
+    def test_guard_trip_leaves_with_its_solo_run(self):
+        # X/(2 X0 + 1) stays near 0.4 for the constant state and falls from
+        # 0.5 to about 0.14 by t = 1e-3 for the random one, so a factor of 0.3
+        # aborts only the constant state, at its first sample
+        tripping = constant_state(cutoff=8)
+        steady = divergence_free_random_state(3, dim=2, cutoff=8)
+        config = IntegratorConfig(method="rk4", dt=1e-4, t_end=0.002,
+                                  monitor_every=10, blowup_factor=0.3)
+        params = make_params(bounds=WIDE)
+        solo = [integrate(st, config, params, CutoffProfile(WIDE))
+                for st in (tripping, steady)]
+        runs = integrate_lockstep([tripping, steady], config, params, CutoffProfile(WIDE))
+        assert runs[0].status == "aborted-blowup" and runs[0].steps == 10
+        assert runs[1].status == "completed" and runs[1].steps == 20
+        for got, ref in zip(runs, solo):
+            assert_same_run(got, ref)
+
+    def test_rk45_members_share_steps(self):
+        # the shared step follows the largest error ratio: the constant
+        # state's is always the smaller one, so the random state's run is
+        # its solo run, and the constant state samples at the same times
+        states = [constant_state(cutoff=6), divergence_free_random_state(71, cutoff=6)]
+        config = IntegratorConfig(method="rk45", dt=1e-3, abs_tol=1e-7, rel_tol=1e-7,
+                                  t_end=0.01, monitor_every=2)
+        params = make_params(bounds=WIDE)
+        runs = integrate_lockstep(states, config, params, CutoffProfile(WIDE))
+        assert [r.status for r in runs] == ["completed", "completed"]
+        assert runs[0].steps == runs[1].steps and runs[0].rejected == runs[1].rejected
+        assert np.array_equal(runs[0].times, runs[1].times)
+        assert abs(runs[0].final.t - 0.01) < 1e-12
+        assert_same_run(runs[1], integrate(states[1], config, params, CutoffProfile(WIDE)))
+
+    def test_members_of_other_layouts_refused(self):
+        config = IntegratorConfig(method="rk4", dt=1e-3, t_end=0.002)
+        later = divergence_free_random_state(73, cutoff=6)
+        later.t = 0.001
+        for other in (divergence_free_random_state(74, cutoff=5), later):
+            with pytest.raises(ValueError, match="share"):
+                integrate_lockstep([divergence_free_random_state(75, cutoff=6), other],
+                                   config, make_params(bounds=WIDE), CutoffProfile(WIDE))

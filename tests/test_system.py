@@ -17,6 +17,7 @@ from kolmosim.system import (
     advective_diffusive_force,
     hypothesis_violations,
     leray_project,
+    member_rhs,
     pack,
     packed_rhs,
     pressure_gradient,
@@ -267,3 +268,27 @@ class TestWorkspace:
         y = pack(divergence_free_random_state(45))
         with pytest.raises(ValueError, match="workspace"):
             packed_rhs(y, 0.0, PARAMS, PROFILE, workspace=RhsWorkspace(2, 8, 32))
+
+
+class TestMemberStacks:
+    def test_rows_equal_one_state_calls(self):
+        # one batched call per stage is only a saving if every member's row
+        # is exactly what its own call would give
+        for dim, cutoff, members in ((2, 8, 3), (3, 3, 2)):
+            ys = np.stack([pack(divergence_free_random_state(50 + i, dim=dim, cutoff=cutoff))
+                           for i in range(members)])
+            ws = RhsWorkspace(dim, cutoff, PARAMS.grid_points(cutoff), members)
+            for project in (True, False):
+                stack = member_rhs(ys, 0.05, PARAMS, PROFILE, project, workspace=ws)
+                assert stack.shape == ys.shape
+                for y, row in zip(ys, stack):
+                    assert np.array_equal(row, packed_rhs(y, 0.05, PARAMS, PROFILE, project))
+
+    def test_workspace_of_another_member_count_refused(self):
+        y = pack(divergence_free_random_state(46))
+        points = PARAMS.grid_points(8)
+        with pytest.raises(ValueError, match="workspace"):
+            member_rhs(np.stack([y, y]), 0.0, PARAMS, PROFILE,
+                       workspace=RhsWorkspace(2, 8, points))
+        with pytest.raises(ValueError, match="workspace"):
+            packed_rhs(y, 0.0, PARAMS, PROFILE, workspace=RhsWorkspace(2, 8, points, 2))
