@@ -119,8 +119,8 @@ def _taylor_green(cutoff: int, bounds: InitialBounds, scale: float) -> SimState:
     xx, yy = np.meshgrid(x, x, indexing="ij")
     u = scale * np.cos(2 * np.pi * xx) * np.sin(2 * np.pi * yy)
     w = -scale * np.sin(2 * np.pi * xx) * np.cos(2 * np.pi * yy)
-    v = VectorSpectralField((SpectralField.from_grid(u.astype(complex), cutoff),
-                             SpectralField.from_grid(w.astype(complex), cutoff)))
+    v = VectorSpectralField((SpectralField.from_grid(u, cutoff),
+                             SpectralField.from_grid(w, cutoff)))
     omega0 = 0.5 * (bounds.omega_min0 + bounds.omega_max0)
     omega = SpectralField.from_modes(2, cutoff, {(0, 0): omega0})
     b = SpectralField.from_modes(2, cutoff, {(0, 0): bounds.b_min0})

@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spectral import SpectralField, grid_to_coefficients
+from .spectral import (SpectralField, coefficients_to_real_grid, real_grid_to_coefficients,
+                       symmetrize)
 
 
 @dataclass(frozen=True)
@@ -149,11 +150,11 @@ def nu_bar(b_n: SpectralField, omega_n: SpectralField, t: float, n_grid: int,
     """
     if (b_n.dim, b_n.cutoff) != (omega_n.dim, omega_n.cutoff):
         raise ValueError("fields must share layout")
-    b_grid = b_n.physical(points=n_grid).real
-    w_grid = omega_n.physical(points=n_grid).real
+    pair = symmetrize(np.stack((b_n.coeffs, omega_n.coeffs)), b_n.dim)
+    b_grid, w_grid = coefficients_to_real_grid(pair, b_n.cutoff, b_n.dim, n_grid)
     grid = nu_bar_grid(b_grid, w_grid, t, profile)
-    coeffs = grid_to_coefficients(grid.astype(complex), b_n.cutoff, b_n.dim)
-    return SpectralField(b_n.dim, b_n.cutoff, coeffs)
+    return SpectralField(b_n.dim, b_n.cutoff,
+                         real_grid_to_coefficients(grid, b_n.cutoff, b_n.dim))
 
 
 def _max_derivatives(fn, lo: float, hi: float, order: int, points: int = 4001):

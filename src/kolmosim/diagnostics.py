@@ -13,8 +13,7 @@ from typing import Callable, List, Sequence, Tuple
 import numpy as np
 
 from .cutoffs import CutoffProfile
-from .spectral import fast_grid_size
-from .system import SimState
+from .system import SimState, grid_extrema
 
 
 @dataclass(frozen=True)
@@ -138,24 +137,15 @@ class EnergyReport:
     p_values: dict
     lhs: float
     rhs_bound: float
-    extrema: Tuple[float, float, float]      # (min omega, max omega, min b)
 
     @property
     def satisfied(self) -> bool:
         return self.lhs <= self.rhs_bound
 
 
-def _grid_extrema(state: SimState, grid: int | None = None):
-    pts = grid if grid is not None else fast_grid_size(4 * (2 * state.cutoff - 1))
-    w = state.omega.physical(points=pts).real
-    b = state.b.physical(points=pts).real
-    return float(np.min(w)), float(np.max(w)), float(np.min(b))
-
-
 def energy_balance(trajectory, s: float, nu_lower: Callable[[float], float],
                    beta: float, cmodel: ConstantModel,
-                   p_orders: Sequence[float] = (),
-                   grid: int | None = None) -> Tuple[List[EnergyReport], float]:
+                   p_orders: Sequence[float] = ()) -> Tuple[List[EnergyReport], float]:
     """Evaluate the integrated energy inequality along a trajectory.
 
     lhs(t) = d/dt (1 + triple_sq) + nu_lower(t) * hs1_triple_sq, with the
@@ -188,7 +178,6 @@ def energy_balance(trajectory, s: float, nu_lower: Callable[[float], float],
             p_values={k: float(p_k(triple[i], k)) for k in p_orders},
             lhs=float(lhs[i]),
             rhs_bound=float(rhs[i]),
-            extrema=_grid_extrema(st, grid),
         ))
     return reports, c_hat
 
@@ -210,7 +199,7 @@ def extrema_monitor(state: SimState, profile: CutoffProfile, grid: int,
     """Check grid extrema of omega and b against the envelope values at
     state.t, with relative slack eps_tol for quadrature and time-stepping
     error."""
-    min_w, max_w, min_b = _grid_extrema(state, grid)
+    min_w, max_w, min_b = grid_extrema(state, grid)
     env = profile.values(state.t)
     lo_w = env.omega_lower * (1.0 - eps_tol)
     hi_w = env.omega_upper * (1.0 + eps_tol)

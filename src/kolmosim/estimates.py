@@ -39,8 +39,8 @@ class RandomFieldSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dim < 1 or self.cutoff < 1 or self.rho < 0:
-            raise ValueError("need dim >= 1, cutoff >= 1, rho >= 0")
+        if self.dim < 2 or self.cutoff < 1 or self.rho < 0:
+            raise ValueError("need dim >= 2, cutoff >= 1, rho >= 0")
 
     def rng(self, index: int) -> np.random.Generator:
         return np.random.default_rng((self.seed, index))
@@ -76,13 +76,12 @@ def admissible_state(spec: RandomFieldSpec, bounds, index: int = 0,
     def mapped(lo: float, hi: Optional[float]) -> SpectralField:
         f = spec.draw(rng, scale=1.0)
         fine = fast_grid_size(16 * spec.cutoff)
-        g = f.physical(points=fine).real
+        g = f.real_samples(fine)
         # Continuum extrema can exceed the fine-grid extrema by at most
         # |grad f|_inf times the farthest node distance; the grid sup of the
         # gradient (doubled for safety) stands in for |grad f|_inf, so the
         # enlarged interval is mapped and containment holds pointwise.
-        grad_mag = np.sqrt(sum(np.abs(f.diff(a).physical(points=fine)) ** 2
-                               for a in range(spec.dim)))
+        grad_mag = np.sqrt(np.sum(f.gradient().real_samples(fine) ** 2, axis=0))
         slack = float(np.max(grad_mag)) * math.sqrt(spec.dim) / fine
         g_lo = float(np.min(g)) - slack
         g_hi = float(np.max(g)) + slack

@@ -10,6 +10,13 @@ Conventions kept throughout the package:
     (1 + 4*pi^2 |k|^2)^(s/2).
   * d/dx_i multiplies by 2*pi*i*k_i.
   * Physical grids are uniform with N points per axis at x_j = j/N.
+
+There is one transform pair, on the real half spectrum:
+`coefficients_to_real_grid` samples conjugate-symmetric coefficients and
+`real_grid_to_coefficients` takes real samples back.  Complex samples are
+re + i*im, the half-spectrum samples of the real part symmetrize(c) and of
+the imaginary part (c - conj_flip(c)) / 2i (`coefficients_to_grid`,
+`grid_to_coefficients`).
 """
 
 from __future__ import annotations
@@ -66,18 +73,6 @@ def _geometry(dim: int, cutoff: int) -> _ModeGeometry:
 
 
 @functools.lru_cache(maxsize=None)
-def _fft_bins(dim: int, cutoff: int, points: int) -> np.ndarray:
-    """Flat FFT bin of each centered-cube mode on a points^dim grid, built once
-    per size."""
-    if points < 2 * cutoff - 1:
-        raise ValueError("grid too coarse for the mode cube")
-    k = _geometry(dim, cutoff).k.reshape(dim, -1)
-    bins = np.ravel_multi_index(tuple(k % points), (points,) * dim)
-    bins.setflags(write=False)                # shared by every caller
-    return bins
-
-
-@functools.lru_cache(maxsize=None)
 def _half_bins(dim: int, cutoff: int, points: int, upper: bool = False):
     """Index (one array per axis) of each centered-cube mode in the first
     `cutoff` columns of an rfftn half spectrum on a points^dim grid, built once
@@ -93,38 +88,6 @@ def _half_bins(dim: int, cutoff: int, points: int, upper: bool = False):
         k = k[:, geo.upper]
     k.setflags(write=False)
     return tuple(k)
-
-
-def embed_coefficients(coeffs: np.ndarray, cutoff: int, dim: int, points: int) -> np.ndarray:
-    """Place centered-cube coefficients into an FFT-layout cube of side `points`.
-
-    Only the trailing dim axes are embedded; leading axes are a batch.
-    """
-    batch = coeffs.shape[:-dim]
-    out = np.zeros(batch + (points ** dim,), dtype=complex)
-    out[..., _fft_bins(dim, cutoff, points)] = coeffs.reshape(batch + (-1,))
-    return out.reshape(batch + (points,) * dim)
-
-
-def extract_coefficients(fft_cube: np.ndarray, cutoff: int, dim: int) -> np.ndarray:
-    """Inverse of embed_coefficients for the trailing dim axes."""
-    batch = fft_cube.shape[:-dim]
-    flat = fft_cube.reshape(batch + (-1,))[..., _fft_bins(dim, cutoff, fft_cube.shape[-1])]
-    return flat.reshape(batch + (2 * cutoff - 1,) * dim)
-
-
-def coefficients_to_grid(coeffs: np.ndarray, cutoff: int, dim: int, points: int) -> np.ndarray:
-    """Evaluate the trigonometric sum on the uniform grid x_j = j/points."""
-    axes = tuple(range(-dim, 0))
-    return np.fft.ifftn(embed_coefficients(coeffs, cutoff, dim, points), axes=axes, norm="forward")
-
-
-def grid_to_coefficients(grid: np.ndarray, cutoff: int, dim: int) -> np.ndarray:
-    """Trapezoid-free spectral quadrature: exact for band-limited grids."""
-    axes = tuple(range(-dim, 0))
-    cube = np.fft.fftn(grid, axes=axes, norm="forward")
-    out = extract_coefficients(cube, cutoff, dim)
-    return out * _geometry(dim, cutoff).ball
 
 
 def coefficients_to_real_grid(coeffs: np.ndarray, cutoff: int, dim: int,
@@ -179,6 +142,25 @@ def conj_flip(coeffs: np.ndarray, dim: int) -> np.ndarray:
 def symmetrize(coeffs: np.ndarray, dim: int) -> np.ndarray:
     """(c(k) + conj(c(-k))) / 2: the coefficients of the field's real part."""
     return 0.5 * (coeffs + conj_flip(coeffs, dim))
+
+
+def coefficients_to_grid(coeffs: np.ndarray, cutoff: int, dim: int, points: int) -> np.ndarray:
+    """Complex samples of the trigonometric sum on the uniform grid x_j =
+    j/points: the real and imaginary parts' coefficients, symmetrize(c) and
+    (c - conj_flip(c)) / 2i, sampled in one half-spectrum transform."""
+    parts = np.stack((symmetrize(coeffs, dim), (coeffs - conj_flip(coeffs, dim)) / 2j))
+    grids = coefficients_to_real_grid(parts, cutoff, dim, points)
+    return grids[0] + 1j * grids[1]
+
+
+def grid_to_coefficients(grid: np.ndarray, cutoff: int, dim: int) -> np.ndarray:
+    """Spectral quadrature, exact for band-limited grids.  A real grid goes
+    through the half-spectrum transform as it is; a complex one as its real
+    and imaginary parts, in one batched call."""
+    if not np.iscomplexobj(grid):
+        return real_grid_to_coefficients(grid, cutoff, dim)
+    parts = real_grid_to_coefficients(np.stack((grid.real, grid.imag)), cutoff, dim)
+    return parts[0] + 1j * parts[1]
 
 
 def _k_dot(stack: np.ndarray, dim: int, geo: _ModeGeometry) -> np.ndarray:
@@ -257,7 +239,6 @@ class SpectralField:
         return SpectralField(self.dim, self.cutoff, self.coeffs.copy())
 
     def mode(self, k) -> complex:
-        geo = self.geometry
         idx = tuple(int(ki) + self.cutoff - 1 for ki in k)
         return complex(self.coeffs[idx])
 
@@ -435,7 +416,9 @@ class VectorSpectralField:
         return max(f.realness_residual() for f in self.components)
 
     def physical(self, oversample: int = 1, points: int | None = None) -> np.ndarray:
-        return np.stack([f.physical(oversample, points) for f in self.components])
+        """Complex samples of every component in one transform."""
+        n_pts = points if points is not None else self.components[0].grid_points(oversample)
+        return coefficients_to_grid(self.stack(), self.cutoff, self.dim, n_pts)
 
     def real_samples(self, points: int) -> np.ndarray:
         """physical(points=points).real, all components in one half-spectrum
@@ -473,9 +456,9 @@ def spectral_product(f: SpectralField, g: SpectralField, mode: str = "exact",
     mode "exact": full convolution truncated to the output ball, computed by
     a direct sum over mode pairs.  mode "oversampled": multiply samples on a
     grid of oversample*(2n-1) points per axis and transform back; alias-free
-    for quadratics once oversample >= 2.  Real operands (realness residual
-    at most REAL_TOL) go through the half-spectrum transforms, both in one
-    batched call; others keep the complex transforms.
+    for quadratics once oversample >= 2.  Both operands are sampled in one
+    batched call: real ones (realness residual at most REAL_TOL) as real
+    samples, others as complex samples.
     """
     if (f.dim, f.cutoff) != (g.dim, g.cutoff):
         raise ValueError("operands must share layout")
@@ -484,14 +467,12 @@ def spectral_product(f: SpectralField, g: SpectralField, mode: str = "exact",
         return _direct_convolution(f, g, n_out)
     if mode == "oversampled":
         pts = oversample * (2 * f.cutoff - 1)
+        pair = np.stack((f.coeffs, g.coeffs))
         if max(f.realness_residual(), g.realness_residual()) <= REAL_TOL:
-            pair = symmetrize(np.stack((f.coeffs, g.coeffs)), f.dim)
-            grids = coefficients_to_real_grid(pair, f.cutoff, f.dim, pts)
-            coeffs = real_grid_to_coefficients(grids[0] * grids[1], n_out, f.dim)
+            grids = coefficients_to_real_grid(symmetrize(pair, f.dim), f.cutoff, f.dim, pts)
         else:
-            grid = f.physical(points=pts) * g.physical(points=pts)
-            coeffs = grid_to_coefficients(grid, n_out, f.dim)
-        return SpectralField(f.dim, n_out, coeffs)
+            grids = coefficients_to_grid(pair, f.cutoff, f.dim, pts)
+        return SpectralField(f.dim, n_out, grid_to_coefficients(grids[0] * grids[1], n_out, f.dim))
     raise ValueError(f"unknown product mode: {mode}")
 
 

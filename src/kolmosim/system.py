@@ -50,6 +50,7 @@ from .spectral import (
     fast_grid_size,
     leray_coefficients,
     real_grid_to_coefficients,
+    symmetrize,
 )
 
 
@@ -122,8 +123,17 @@ class SimState:
                              f"residual {self.realness_residual():.3e}")
 
 
-def hypothesis_violations(state: SimState, s: float, grid_oversample: int = 4):
-    """Checkable local-existence hypotheses; returns problem descriptions."""
+def grid_extrema(state: SimState, points: int) -> Tuple[float, float, float]:
+    """(min omega, max omega, min b) of the real samples of omega and b on a
+    points^d grid, both fields in one half-spectrum transform."""
+    pair = symmetrize(np.stack((state.omega.coeffs, state.b.coeffs)), state.dim)
+    w, b = coefficients_to_real_grid(pair, state.cutoff, state.dim, points)
+    return float(np.min(w)), float(np.max(w)), float(np.min(b))
+
+
+def hypothesis_violations(state: SimState, s: float):
+    """Checkable local-existence hypotheses; returns problem descriptions.
+    The positivity checks sample on 4(2n-1) points per axis."""
     problems = []
     if state.dim < 2:
         problems.append(f"dimension d = {state.dim} < 2")
@@ -131,9 +141,7 @@ def hypothesis_violations(state: SimState, s: float, grid_oversample: int = 4):
         problems.append(f"regularity s = {s} <= d/2 = {state.dim / 2}")
     if state.div_residual() > 1e-10:
         problems.append(f"div v0 != 0 (residual {state.div_residual():.3e})")
-    pts = grid_oversample * (2 * state.cutoff - 1)
-    w_min = float(np.min(state.omega.physical(points=pts).real))
-    b_min = float(np.min(state.b.physical(points=pts).real))
+    w_min, _, b_min = grid_extrema(state, 4 * (2 * state.cutoff - 1))
     if w_min <= 0:
         problems.append(f"min omega_0 = {w_min:.3e} <= 0")
     if b_min <= 0:

@@ -38,6 +38,10 @@ COS_INTERP_RATIO = 0.08702929350228393
 
 
 class TestRandomFieldSpec:
+    def test_rejects_one_dimensional_torus(self):
+        with pytest.raises(ValueError, match="dim >= 2"):
+            RandomFieldSpec(dim=1, cutoff=4)
+
     def test_reproducible_and_symmetric(self):
         spec = RandomFieldSpec(dim=2, cutoff=6, rho=2.0, seed=3)
         f1 = spec.draw(spec.rng(5))

@@ -159,6 +159,35 @@ class TestRealSamples:
                 assert rel_diff(out, w.physical(points=pts).real) <= 1e-13
 
 
+def trigonometric_sum(f, points):
+    """sum_k c_k exp(2 pi i k.x) on the grid x_j = j/points, term by term."""
+    x = np.indices((points,) * f.dim) / points
+    out = np.zeros((points,) * f.dim, dtype=complex)
+    for k, c in zip(*f.modes_and_coefficients()):
+        out += c * np.exp(2j * np.pi * np.tensordot(k, x, axes=1))
+    return out
+
+
+ORACLE_SIZES = [(2, 4, 7), (2, 4, 8), (3, 3, 5), (3, 3, 6)]     # (d, n, points)
+
+
+class TestTrigonometricSumOracle:
+    @pytest.mark.parametrize("dim,n,pts", ORACLE_SIZES)
+    def test_physical_matches_literal_sum(self, dim, n, pts):
+        for make in (sample_real_field, sample_complex_field):
+            f = make(dim, n, seed=pts)
+            assert rel_diff(f.physical(points=pts), trigonometric_sum(f, pts)) <= 1e-13
+            v = VectorSpectralField(tuple(make(dim, n, seed=10 * pts + a) for a in range(dim)))
+            ref = np.stack([trigonometric_sum(c, pts) for c in v.components])
+            assert rel_diff(v.physical(points=pts), ref) <= 1e-13
+
+    @pytest.mark.parametrize("dim,n,pts", ORACLE_SIZES)
+    def test_from_grid_recovers_nonreal_coefficients(self, dim, n, pts):
+        f = sample_complex_field(dim, n, seed=pts + 1)
+        back = SpectralField.from_grid(trigonometric_sum(f, pts), n)
+        assert rel_diff(back.coeffs, f.coeffs) <= 1e-13
+
+
 class TestProducts:
     def test_single_mode_product(self):
         f = SpectralField.from_modes(2, 4, {(1, 0): 2.0})
