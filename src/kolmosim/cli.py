@@ -152,8 +152,7 @@ def initial_state(config: RunConfig) -> SimState:
     if kind == "snapshot":
         state = load_snapshot(config["snapshot"], expect_dim=d)
         if state.cutoff != n:
-            state = SimState(state.v.project(n), state.omega.project(n),
-                             state.b.project(n), state.t)
+            state = state.project(n)
         return state
     raise ValueError(f"unknown initial-data kind {kind!r}")
 
@@ -357,9 +356,7 @@ def refinement_gap(config: RunConfig, s_prime: float) -> float:
     state_lo = initial_state(config)
     hi_config = RunConfig(dict(config.values))
     hi_config["n"] = 2 * config["n"]
-    state_hi = SimState(state_lo.v.project(2 * config["n"]),
-                        state_lo.omega.project(2 * config["n"]),
-                        state_lo.b.project(2 * config["n"]), state_lo.t)
+    state_hi = state_lo.project(2 * config["n"])
     profile = CutoffProfile(_bounds(config))
     traj_lo = integrate(state_lo, _integrator_config(config), _model(config),
                         profile)
@@ -369,8 +366,7 @@ def refinement_gap(config: RunConfig, s_prime: float) -> float:
         raise RuntimeError(f"refinement runs did not complete: "
                            f"{traj_lo.status}, {traj_hi.status}")
     lo, hi = traj_lo.final, traj_hi.final
-    lo_up = SimState(lo.v.project(hi.cutoff), lo.omega.project(hi.cutoff),
-                     lo.b.project(hi.cutoff), lo.t)
+    lo_up = lo.project(hi.cutoff)
     diff_sq = sum((a - b).hs_norm_sq(s_prime)
                   for a, b in zip(lo_up.fields(), hi.fields()))
     return math.sqrt(diff_sq)

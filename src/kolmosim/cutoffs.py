@@ -86,13 +86,10 @@ class CutoffProfile:
 
     bounds: InitialBounds
     smoothness_order: int = 3
-    transition: str = "exp-bump"
 
     def __post_init__(self):
         if self.smoothness_order < 1:
             raise ValueError("smoothness_order must be >= 1")
-        if self.transition != "exp-bump":
-            raise ValueError(f"unknown transition construction: {self.transition}")
 
     def values(self, t: float) -> ProfileValues:
         return time_profiles(self.bounds, t)

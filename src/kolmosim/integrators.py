@@ -8,10 +8,13 @@ blow-up guard against the a-priori norm ceiling.
 
 `integrate_lockstep` advances several states of one layout together: the
 loop carries a leading member axis, and each RK stage is one kernel call
-(`system.member_rhs`) for every member, with one workspace per lockstep
-run.  Fix-ups, guard and samples stay per member; a member that fails or
-aborts leaves the run with its own status, message and states, and the
-others go on.  `integrate` is the one-member case.  The stages run with
+(`system.member_rhs`) for every member.  The kernel owns its grid-sized
+buffers: each thread caches one set for the last stack size it stepped, so
+a run reuses them at every stage and a member leaving the run resizes them
+once; the thread keeps them until it calls at another size or exits.
+Fix-ups, guard and samples stay per member; a member that fails or aborts
+leaves the run with its own status, message and states, and the others go
+on.  `integrate` is the one-member case.  The stages run with
 floating-point warnings silenced, so a diverging run ends as a clean
 `failed-nonfinite`.
 """
@@ -25,10 +28,14 @@ import numpy as np
 
 from .cutoffs import CutoffProfile
 from .spectral import _geometry, div_residual, leray_coefficients, symmetrize
-# the member-stack kernel under the name the loop calls: one call per stage,
-# for every member of the stack
-from .system import ModelParams, RhsWorkspace, SimState, pack, unpack
+# the member-stack kernel under the module-global name the loop looks up at
+# each call: one call per stage, for every member of the stack
+from .system import ModelParams, SimState, pack, unpack
 from .system import member_rhs as rhs
+
+MAX_STEPS = 2_000_000          # accepted steps before a run is failed
+MIN_DT = 1e-12                 # rk45 step-size floor
+DIV_DRIFT_TOL = 1e-11          # div v residual above which a fix-up re-projects
 
 # Dormand-Prince 5(4) tableau (FSAL)
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -55,10 +62,7 @@ class IntegratorConfig:
     t_end: float = 1.0
     reproject_every: int = 1
     monitor_every: int = 10
-    max_steps: int = 2_000_000
-    min_dt: float = 1e-12
     blowup_factor: float = 10.0
-    div_drift_tol: float = 1e-11
 
     def __post_init__(self):
         if self.method not in ("rk4", "rk45"):
@@ -88,52 +92,29 @@ class Trajectory:
         return self.states[-1]
 
 
-class _PackedSystem:
-    """rhs on stacks of packed coefficient states, one row per member, plus
-    the structural fix-ups.  Owns the kernel's workspace for the members it
-    is built for."""
-
-    def __init__(self, dim: int, cutoff: int, params: ModelParams, profile: CutoffProfile,
-                 members: int = 1):
-        self.dim = dim
-        self.cutoff = cutoff
-        self.params = params
-        self.profile = profile
-        self.velocity = (Ellipsis, slice(0, dim)) + (slice(None),) * dim
-        self.workspace = RhsWorkspace(dim, cutoff, params.grid_points(cutoff), members)
-
-    def rhs(self, stack: np.ndarray, t: float) -> np.ndarray:
-        return rhs(stack, t, self.params, self.profile, workspace=self.workspace)
-
-    def div_residual(self, arr: np.ndarray):
-        """Of one packed state (a float) or of each member of a stack."""
-        return div_residual(arr[self.velocity], self.dim, self.cutoff)
-
-    def project_divergence(self, arr: np.ndarray) -> np.ndarray:
-        out = arr.copy()
-        out[self.velocity] = leray_coefficients(arr[self.velocity], self.dim, self.cutoff)
-        return out
-
-    def fix_up(self, stack: np.ndarray, div_tol: float):
-        """Average each member with its conjugate mirror; re-project the members
-        whose div v drifted past div_tol.  Returns the new stack and which
-        members were re-projected."""
-        stack = symmetrize(stack, self.dim)
-        reproject = self.div_residual(stack) > div_tol
-        if reproject.any():
-            stack[reproject] = self.project_divergence(stack[reproject])
-        return stack, reproject
-
-    def triple_sq(self, stack: np.ndarray, s: float) -> List[float]:
-        w = _geometry(self.dim, self.cutoff).bessel_weight(s)
-        return [float(np.sum(w * np.abs(arr) ** 2)) for arr in stack]
+def fix_up(stack: np.ndarray, dim: int, cutoff: int):
+    """Average each member of a stack with its conjugate mirror; re-project
+    the velocity of the members whose div v drifted past DIV_DRIFT_TOL.
+    Returns the new stack and which members were re-projected."""
+    stack = symmetrize(stack, dim)
+    reproject = div_residual(stack[:, :dim], dim, cutoff) > DIV_DRIFT_TOL
+    if reproject.any():
+        stack[reproject, :dim] = leray_coefficients(stack[reproject, :dim], dim, cutoff)
+    return stack, reproject
 
 
-def rk4_step(system: _PackedSystem, arr: np.ndarray, t: float, h: float) -> np.ndarray:
-    k1 = system.rhs(arr, t)
-    k2 = system.rhs(arr + 0.5 * h * k1, t + 0.5 * h)
-    k3 = system.rhs(arr + 0.5 * h * k2, t + 0.5 * h)
-    k4 = system.rhs(arr + h * k3, t + h)
+def triple_sq(stack: np.ndarray, dim: int, cutoff: int, s: float) -> List[float]:
+    """The triple norm squared of each member of a stack."""
+    w = _geometry(dim, cutoff).bessel_weight(s)
+    return [float(np.sum(w * np.abs(arr) ** 2)) for arr in stack]
+
+
+def rk4_step(arr: np.ndarray, t: float, h: float, params: ModelParams,
+             profile: CutoffProfile) -> np.ndarray:
+    k1 = rhs(arr, t, params, profile)
+    k2 = rhs(arr + 0.5 * h * k1, t + 0.5 * h, params, profile)
+    k3 = rhs(arr + 0.5 * h * k2, t + 0.5 * h, params, profile)
+    k4 = rhs(arr + h * k3, t + h, params, profile)
     return arr + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -142,11 +123,10 @@ def step(state: SimState, h: float, params: ModelParams,
     """Single classical RK4 step with the structural fix-ups applied."""
     if h <= 0:
         raise ValueError("step size must be positive")
-    system = _PackedSystem(state.dim, state.cutoff, params, profile)
-    arr = rk4_step(system, pack(state)[None], state.t, h)
+    arr = rk4_step(pack(state)[None], state.t, h, params, profile)
     if not np.all(np.isfinite(arr)):
         raise FloatingPointError("non-finite coefficients after step")
-    return unpack(system.fix_up(arr, IntegratorConfig.div_drift_tol)[0][0],
+    return unpack(fix_up(arr, state.dim, state.cutoff)[0][0],
                   state.dim, state.cutoff, state.t + h)
 
 
@@ -206,19 +186,18 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
         return trajs
 
     live = list(range(len(states0)))          # members still stepping, in row order
-    system = _PackedSystem(dim, cutoff, params, profile, len(live))
     y = np.stack([pack(st) for st in states0])
-    ceiling = config.blowup_factor * (2.0 * np.array(system.triple_sq(y, s)) + 1.0)
+    ceiling = config.blowup_factor * (2.0 * np.array(triple_sq(y, dim, cutoff, s)) + 1.0)
     h = config.dt
     k1 = None                      # FSAL cache for rk45
     steps = rejected = 0
     stopped = ""                   # why the members still running stopped early
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while live and t < config.t_end - 1e-14 and steps < config.max_steps:
+        while live and t < config.t_end - 1e-14 and steps < MAX_STEPS:
             h = min(h, config.t_end - t)
             if config.method == "rk4":
-                y_new = rk4_step(system, y, t, h)
+                y_new = rk4_step(y, t, h, params, profile)
                 finite = np.isfinite(y_new).all(axis=tuple(range(1, y_new.ndim)))
                 if not finite.all():
                     for i in np.flatnonzero(~finite):
@@ -227,12 +206,11 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
                     live, y_new, ceiling = _survivors(finite, live, y_new, ceiling)
                     if not live:
                         break
-                    system = _PackedSystem(dim, cutoff, params, profile, len(live))
                 h_next = config.dt
                 k1 = None
             else:
                 if k1 is None:
-                    k1 = system.rhs(y, t)
+                    k1 = rhs(y, t, params, profile)
                 ks = [k1]
                 bad = False
                 for i in range(1, 7):
@@ -240,12 +218,12 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
                     if not np.all(np.isfinite(yi)):
                         bad = True
                         break
-                    ks.append(system.rhs(yi, t + _DP_C[i] * h))
+                    ks.append(rhs(yi, t + _DP_C[i] * h, params, profile))
                 if bad or not np.all(np.isfinite(ks[-1])):
                     rejected += 1
                     h *= 0.2
                     k1 = ks[0]
-                    if h < config.min_dt:
+                    if h < MIN_DT:
                         stopped = f"step size underflow at t = {t:.6g}"
                         break
                     continue
@@ -256,8 +234,8 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
                             for rows in zip(err, y, y_new))
                 if ratio > 1.0:
                     rejected += 1
-                    h = max(h * max(0.2, 0.9 * ratio ** (-0.2)), config.min_dt)
-                    if h <= config.min_dt:
+                    h = max(h * max(0.2, 0.9 * ratio ** (-0.2)), MIN_DT)
+                    if h <= MIN_DT:
                         stopped = f"step size underflow at t = {t:.6g}"
                         break
                     continue
@@ -268,14 +246,14 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
             steps += 1
             y = y_new
             if steps % config.reproject_every == 0:
-                y, reprojected = system.fix_up(y, config.div_drift_tol)
+                y, reprojected = fix_up(y, dim, cutoff)
                 if reprojected.any():  # the mirror average alone moves y by roundoff
                     k1 = None          # and keeps the FSAL stage; a projection does not
             h = h_next
 
             at_end = t >= config.t_end - 1e-14
             if steps % config.monitor_every == 0 or at_end:
-                x_now = system.triple_sq(y, s)
+                x_now = triple_sq(y, dim, cutoff, s)
                 ok = np.array([bool(x <= c) for x, c in zip(x_now, ceiling)])
                 for i, member in enumerate(live):
                     trajs[member].states.append(unpack(y[i], dim, cutoff, t))
@@ -285,13 +263,11 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
                                f"{ceiling[i]:.6g} at t = {t:.6g}", steps, rejected)
                 if not ok.all():
                     live, y, k1, ceiling = _survivors(ok, live, y, k1, ceiling)
-                    if live:
-                        system = _PackedSystem(dim, cutoff, params, profile, len(live))
 
     for member in live:
         traj = trajs[member]
         traj.steps, traj.rejected = steps, rejected
         if stopped or t < config.t_end - 1e-14:
             traj.status = "failed-nonfinite"
-            traj.message = stopped or "max_steps exhausted"
+            traj.message = stopped or f"{MAX_STEPS} steps exhausted"
     return trajs

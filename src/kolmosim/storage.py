@@ -75,7 +75,7 @@ def load_snapshot(path: str, expect_dim: Optional[int] = None,
         raise SnapshotError(f"unsupported version {version} at offset 4")
     if expect_dim is not None and d != expect_dim:
         raise SnapshotError(f"dimension mismatch: snapshot d={d}, run d={expect_dim}")
-    if d < 1 or n < 1:
+    if d < 2 or n < 1:
         raise SnapshotError(f"invalid layout d={d}, n={n}")
 
     dtype = _record_dtype(d)

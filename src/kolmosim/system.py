@@ -22,19 +22,21 @@ the profile; each member's row equals its one-state result bit for bit.
 `pressure_gradient`, `advective_diffusive_force` and `transport_terms` are
 field-level views of the same kernel.
 
-The kernel's grid-sized arrays live in an `RhsWorkspace`, whose size
-includes the member count.  Each integration owns one (the integrator's
-`_PackedSystem` builds it: one per lockstep run, rebuilt only when a member
-leaves the run) and passes it to every call; a call without one, such as
-the field-level views and `integrators.step`, builds a throwaway one.  There
-is no shared cache, so threads never share a workspace.  The kernel always
-returns a new array, never a view of the workspace, so results held across
-calls (the RK stages) stay valid.
+The kernel's grid-sized arrays live in an `RhsWorkspace`, which the kernel
+owns: each thread keeps one, for the last (dim, cutoff, points, members) it
+called at, and every caller (integrations, the field-level views,
+`integrators.step`) reuses it.  A call at another size replaces it, so a
+lockstep run that loses a member rebuilds it on its next call; a thread
+keeps its last-size buffers until it calls at another size or exits.
+Threads never share buffers.  The kernel always returns a new array, never
+a view of the workspace, so results held across calls (the RK stages) stay
+valid.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -101,6 +103,11 @@ class SimState:
     def copy(self) -> "SimState":
         return SimState(self.v.copy(), self.omega.copy(), self.b.copy(), self.t)
 
+    def project(self, cutoff: int) -> "SimState":
+        """The Galerkin projection (or zero-padded embedding) at another cutoff."""
+        return SimState(self.v.project(cutoff), self.omega.project(cutoff),
+                        self.b.project(cutoff), self.t)
+
     def fields(self):
         return list(self.v.components) + [self.omega, self.b]
 
@@ -135,8 +142,6 @@ def hypothesis_violations(state: SimState, s: float):
     """Checkable local-existence hypotheses; returns problem descriptions.
     The positivity checks sample on 4(2n-1) points per axis."""
     problems = []
-    if state.dim < 2:
-        problems.append(f"dimension d = {state.dim} < 2")
     if s <= state.dim / 2:
         problems.append(f"regularity s = {s} <= d/2 = {state.dim / 2}")
     if state.div_residual() > 1e-10:
@@ -250,8 +255,21 @@ class RhsWorkspace:
             (fluxes + cube[:-1] + (points // 2 + 1,), complex))
 
 
+_local = threading.local()
+
+
+def _workspace(size) -> RhsWorkspace:
+    """This thread's workspace for (dim, cutoff, points, members): one entry,
+    replaced when a call arrives at another size."""
+    ws = getattr(_local, "workspace", None)
+    if ws is None or ws.size != size:
+        _local.workspace = None               # free the old buffers first
+        ws = _local.workspace = RhsWorkspace(*size)
+    return ws
+
+
 def member_rhs(ys: np.ndarray, t: float, params: ModelParams, profile: CutoffProfile,
-               project: bool = True, workspace: RhsWorkspace | None = None) -> np.ndarray:
+               project: bool = True) -> np.ndarray:
     """Right-hand side of every member of a stack ys shaped (members, d+2) +
     cube, each member a packed state (v_1..v_d, omega, b) at time t.
 
@@ -268,15 +286,13 @@ def member_rhs(ys: np.ndarray, t: float, params: ModelParams, profile: CutoffPro
     over the members in one call each.  Each member's row equals its
     one-state packed_rhs bit for bit.  project=False leaves the velocity rows
     as the force -P_n(v.grad v) + div P_n(nubar Dv) before the pressure
-    correction.  `workspace` holds the grid-sized arrays for this member
-    count (built for this call when None); the result is always a new array.
+    correction.  The grid-sized arrays are this thread's cached workspace;
+    the result is always a new array.
     """
     members, d = ys.shape[0], ys.shape[1] - 2
     n = (ys.shape[-1] + 1) // 2
     points = params.grid_points(n)
-    ws = RhsWorkspace(d, n, points, members) if workspace is None else workspace
-    if ws.size != (d, n, points, members):
-        raise ValueError(f"workspace built for {ws.size}, not {(d, n, points, members)}")
+    ws = _workspace((d, n, points, members))
     c = ws.coeffs
     per_row = (slice(None),) + (None,) * (c.ndim - 1 - d)     # broadcast over members
     mult = _geometry(d, n).grad[per_row]
@@ -321,11 +337,10 @@ def member_rhs(ys: np.ndarray, t: float, params: ModelParams, profile: CutoffPro
 
 
 def packed_rhs(y: np.ndarray, t: float, params: ModelParams, profile: CutoffProfile,
-               project: bool = True, workspace: RhsWorkspace | None = None) -> np.ndarray:
+               project: bool = True) -> np.ndarray:
     """Right-hand side on one packed stack y = (v_1..v_d, omega, b): the
-    one-member case of member_rhs (a workspace must be built for one
-    member)."""
-    return member_rhs(y[None], t, params, profile, project, workspace)[0]
+    one-member case of member_rhs."""
+    return member_rhs(y[None], t, params, profile, project)[0]
 
 
 def _vector(stack: np.ndarray, dim: int, cutoff: int) -> VectorSpectralField:

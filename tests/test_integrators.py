@@ -10,9 +10,9 @@ import pytest
 
 from kolmosim import integrators
 from kolmosim.cutoffs import CutoffProfile, InitialBounds
-from kolmosim.integrators import (IntegratorConfig, _PackedSystem, integrate,
+from kolmosim.integrators import (IntegratorConfig, fix_up, integrate,
                                   integrate_lockstep, pack, step, unpack)
-from kolmosim.spectral import SpectralField, VectorSpectralField
+from kolmosim.spectral import SpectralField, VectorSpectralField, div_residual
 from kolmosim.system import ModelParams, SimState
 
 TIGHT = InitialBounds(b_min0=1.0, omega_min0=1.0, omega_max0=1.0, alpha=1.0)
@@ -202,15 +202,16 @@ class TestPacking:
 
     def test_projection_helper_matches_field_method(self):
         state = divergence_free_random_state(13, dim=2, cutoff=6)
-        sys_ = _PackedSystem(2, 6, make_params(), CutoffProfile(TIGHT))
         arr = pack(state)
         arr[0] += 0.01 * arr[1]        # break the divergence-free property
-        projected = sys_.project_divergence(arr)
+        stack, reprojected = fix_up(arr[None], 2, 6)
+        projected = stack[0]
         v = VectorSpectralField(tuple(SpectralField(2, 6, arr[i].copy())
                                       for i in range(2))).leray_project()
         expected = np.stack([c.coeffs for c in v.components])
+        assert reprojected.tolist() == [True]
         assert np.allclose(projected[:2], expected, atol=1e-14)
-        assert sys_.div_residual(projected) < 1e-13
+        assert div_residual(projected[:2], 2, 6) < 1e-13
 
 
 class TestStageReuse:
@@ -219,18 +220,19 @@ class TestStageReuse:
         # costs six RHS evaluations; the first step adds one for its k1.
         calls, projections = [0], [0]
         kernel = integrators.rhs
-        project = _PackedSystem.project_divergence
+        fix = integrators.fix_up
 
         def counting_rhs(*args, **kwargs):
             calls[0] += 1
             return kernel(*args, **kwargs)
 
-        def counting_project(self, arr):
-            projections[0] += 1
-            return project(self, arr)
+        def counting_fix_up(*args):
+            stack, reprojected = fix(*args)
+            projections[0] += int(reprojected.any())
+            return stack, reprojected
 
         monkeypatch.setattr(integrators, "rhs", counting_rhs)
-        monkeypatch.setattr(_PackedSystem, "project_divergence", counting_project)
+        monkeypatch.setattr(integrators, "fix_up", counting_fix_up)
         state = divergence_free_random_state(21, dim=2, cutoff=6)
         config = IntegratorConfig(method="rk45", dt=0.05, abs_tol=1e-7,
                                   rel_tol=1e-7, t_end=0.02)
@@ -240,31 +242,42 @@ class TestStageReuse:
         assert calls[0] == 6 * (traj.steps + traj.rejected) + 1
 
     def test_concurrent_integrations_match_serial(self):
-        # Each integration owns its kernel workspace, so two threads at
+        # Each thread keeps its own kernel buffers, so two threads at
         # different sizes reproduce the serial runs bit for bit.
-        runs = [(divergence_free_random_state(31, dim=2, cutoff=6), 2),
-                (divergence_free_random_state(32, dim=2, cutoff=8), 3)]
-        config = IntegratorConfig(method="rk45", dt=1e-3, t_end=0.01)
+        assert_threads_match_serial([(divergence_free_random_state(31, dim=2, cutoff=6), 2),
+                                     (divergence_free_random_state(32, dim=2, cutoff=8), 3)])
 
-        def run(state, oversample):
-            traj = integrate(state, config, make_params(bounds=WIDE, oversample=oversample),
-                             CutoffProfile(WIDE))
-            return pack(traj.final)
+    def test_concurrent_integrations_of_one_size_match_serial(self):
+        # the same size in both threads: buffers cached per size but shared
+        # between threads would be overwritten by the other thread's stages
+        assert_threads_match_serial([(divergence_free_random_state(33, dim=2, cutoff=8), 2),
+                                     (divergence_free_random_state(34, dim=2, cutoff=8), 2)])
 
-        serial = [run(*args) for args in runs]
-        threaded = [None, None]
 
-        def worker(i):
-            threaded[i] = run(*runs[i])
+def assert_threads_match_serial(runs):
+    """Integrations of (state, oversample) run on one thread each reproduce
+    their serial runs bit for bit."""
+    config = IntegratorConfig(method="rk45", dt=1e-3, t_end=0.01)
 
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=120)
-            assert not th.is_alive()
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a, b)
+    def run(state, oversample):
+        traj = integrate(state, config, make_params(bounds=WIDE, oversample=oversample),
+                         CutoffProfile(WIDE))
+        return pack(traj.final)
+
+    serial = [run(*args) for args in runs]
+    threaded = [None] * len(runs)
+
+    def worker(i):
+        threaded[i] = run(*runs[i])
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(runs))]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=120)
+        assert not th.is_alive()
+    for a, b in zip(serial, threaded):
+        assert np.array_equal(a, b)
 
 
 def drifting_state(seed, dim=2, cutoff=6):
@@ -304,13 +317,15 @@ class TestLockstep:
     def test_drifting_member_is_reprojected(self, monkeypatch):
         # the re-projection decision is per member: one row, once
         rows = []
-        project = _PackedSystem.project_divergence
+        fix = integrators.fix_up
 
-        def recording_project(self, arr):
-            rows.append(arr.shape[0])
-            return project(self, arr)
+        def recording_fix_up(*args):
+            stack, reprojected = fix(*args)
+            if reprojected.any():
+                rows.append(int(reprojected.sum()))
+            return stack, reprojected
 
-        monkeypatch.setattr(_PackedSystem, "project_divergence", recording_project)
+        monkeypatch.setattr(integrators, "fix_up", recording_fix_up)
         config = IntegratorConfig(method="rk4", dt=1e-3, t_end=0.003)
         integrate_lockstep([divergence_free_random_state(61, cutoff=6), drifting_state(62)],
                            config, make_params(bounds=WIDE), CutoffProfile(WIDE))

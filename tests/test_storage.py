@@ -138,6 +138,19 @@ def test_mode_outside_ball_rejected(tmp_path):
         load_snapshot(path)
 
 
+def test_one_dimensional_header_rejected(tmp_path):
+    # Hand-built snapshot: d=1, n=2, one zero-mode record per field.  The
+    # torus needs d >= 2, so the layout is refused as a snapshot error.
+    d, n = 1, 2
+    rec = np.zeros(1, dtype=np.dtype([("k", "<i4", (d,)), ("re", "<f8"),
+                                      ("im", "<f8")]))
+    body = (struct.pack("<Q", 1) + rec.tobytes()) * (d + 2)
+    path = str(tmp_path / "line.kolm")
+    open(path, "wb").write(MAGIC + struct.pack("<HHId", 1, d, n, 0.0) + body)
+    with pytest.raises(SnapshotError, match="invalid layout d=1"):
+        load_snapshot(path)
+
+
 def test_asymmetric_coefficients_need_flag(tmp_path):
     state = random_state(cutoff=3)
     state.omega.coeffs[0, 0] += 0.5j  # breaks f(-k) = conj(f(k))

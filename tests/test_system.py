@@ -4,14 +4,16 @@ The Taylor-Green pressure and the perturbed-diffusion coefficients were
 derived by hand from the definitions before being frozen here.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
+from kolmosim import system
 from kolmosim.cutoffs import CutoffProfile, InitialBounds
 from kolmosim.spectral import SpectralField, VectorSpectralField, _geometry
 from kolmosim.system import (
     ModelParams,
-    RhsWorkspace,
     SimState,
     _flux_divergences,
     advective_diffusive_force,
@@ -224,27 +226,55 @@ class TestHypotheses:
         assert any("omega_0" in p for p in problems)
 
 
+def in_new_thread(fn):
+    """fn() run on a thread of its own, so on freshly built kernel buffers."""
+    out = []
+    th = threading.Thread(target=lambda: out.append(fn()))
+    th.start()
+    th.join(timeout=60)
+    assert not th.is_alive()
+    return out[0]
+
+
+def cached_buffers():
+    """This thread's kernel workspace: its size and its arrays."""
+    ws = system._local.workspace
+    return ws.size, [buf for buf in vars(ws).values() if isinstance(buf, np.ndarray)]
+
+
 class TestWorkspace:
     def test_result_survives_later_calls(self):
         a = pack(divergence_free_random_state(41))
         b = pack(divergence_free_random_state(42))
-        ws = RhsWorkspace(2, 8, PARAMS.grid_points(8))
-        first = packed_rhs(a, 0.0, PARAMS, PROFILE, workspace=ws)
+        first = packed_rhs(a, 0.0, PARAMS, PROFILE)
         kept = first.copy()
-        packed_rhs(b, 0.1, PARAMS, PROFILE, workspace=ws)
-        packed_rhs(b, 0.2, PARAMS, PROFILE, workspace=ws, project=False)
+        packed_rhs(b, 0.1, PARAMS, PROFILE)
+        packed_rhs(b, 0.2, PARAMS, PROFILE, project=False)
         assert np.array_equal(first, kept)
-        assert not any(np.shares_memory(first, buf) for buf in vars(ws).values()
-                       if isinstance(buf, np.ndarray))
+        size, buffers = cached_buffers()
+        assert size == (2, 8, PARAMS.grid_points(8), 1)
+        assert not any(np.shares_memory(first, buf) for buf in buffers)
 
     def test_reused_workspace_matches_fresh(self):
-        ws = RhsWorkspace(2, 8, PARAMS.grid_points(8))
+        # this thread's buffers, dirty from the calls before, against a new
+        # thread's freshly built ones
+        packed_rhs(pack(divergence_free_random_state(42)), 0.3, PARAMS, PROFILE)
         for seed in (43, 44):
             y = pack(divergence_free_random_state(seed))
             for project in (True, False):
                 assert np.array_equal(
-                    packed_rhs(y, 0.05, PARAMS, PROFILE, project, workspace=ws),
-                    packed_rhs(y, 0.05, PARAMS, PROFILE, project))
+                    packed_rhs(y, 0.05, PARAMS, PROFILE, project),
+                    in_new_thread(lambda: packed_rhs(y, 0.05, PARAMS, PROFILE, project)))
+
+    def test_call_at_another_size_replaces_the_buffers(self):
+        y = pack(divergence_free_random_state(45))
+        first = packed_rhs(y, 0.05, PARAMS, PROFILE)
+        _, old = cached_buffers()
+        packed_rhs(pack(divergence_free_random_state(46, cutoff=6)), 0.05, PARAMS, PROFILE)
+        size, new = cached_buffers()
+        assert size == (2, 6, PARAMS.grid_points(6), 1)
+        assert not any(np.shares_memory(a, b) for a in old for b in new)
+        assert np.array_equal(packed_rhs(y, 0.05, PARAMS, PROFILE), first)
 
     def test_flux_divergences_match_the_loop(self):
         # the batched contraction against the explicit sum over flux rows
@@ -264,10 +294,6 @@ class TestWorkspace:
             got = _flux_divergences(c, dim, cutoff)
             assert np.array_equal(got, np.concatenate([vec, [w, b]]))
 
-    def test_workspace_of_another_size_refused(self):
-        y = pack(divergence_free_random_state(45))
-        with pytest.raises(ValueError, match="workspace"):
-            packed_rhs(y, 0.0, PARAMS, PROFILE, workspace=RhsWorkspace(2, 8, 32))
 
 
 class TestMemberStacks:
@@ -277,18 +303,8 @@ class TestMemberStacks:
         for dim, cutoff, members in ((2, 8, 3), (3, 3, 2)):
             ys = np.stack([pack(divergence_free_random_state(50 + i, dim=dim, cutoff=cutoff))
                            for i in range(members)])
-            ws = RhsWorkspace(dim, cutoff, PARAMS.grid_points(cutoff), members)
             for project in (True, False):
-                stack = member_rhs(ys, 0.05, PARAMS, PROFILE, project, workspace=ws)
+                stack = member_rhs(ys, 0.05, PARAMS, PROFILE, project)
                 assert stack.shape == ys.shape
                 for y, row in zip(ys, stack):
                     assert np.array_equal(row, packed_rhs(y, 0.05, PARAMS, PROFILE, project))
-
-    def test_workspace_of_another_member_count_refused(self):
-        y = pack(divergence_free_random_state(46))
-        points = PARAMS.grid_points(8)
-        with pytest.raises(ValueError, match="workspace"):
-            member_rhs(np.stack([y, y]), 0.0, PARAMS, PROFILE,
-                       workspace=RhsWorkspace(2, 8, points))
-        with pytest.raises(ValueError, match="workspace"):
-            packed_rhs(y, 0.0, PARAMS, PROFILE, workspace=RhsWorkspace(2, 8, points, 2))
