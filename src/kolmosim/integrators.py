@@ -1,10 +1,31 @@
-"""Explicit Runge-Kutta advancement of the coefficient ODE system.
+"""Runge-Kutta advancement of the coefficient ODE system.
 
 Two schemes: classical fixed-step RK4 and an embedded Dormand-Prince 5(4)
-pair with PI step control.  After accepted steps the integrator re-enforces
-the structural invariants (conjugate symmetry by averaging with the mirror,
-divergence re-projection when drift exceeds a threshold) and runs the
-blow-up guard against the a-priori norm ceiling.
+pair, its step set from the embedded error estimate, in Lawson's
+integrating-factor form (Lawson 1967, SIAM J. Numer. Anal. 4:372).  After
+accepted steps the integrator re-enforces the structural invariants
+(conjugate symmetry by averaging with the mirror, divergence re-projection
+when drift exceeds a threshold) and runs the blow-up guard against the
+a-priori norm ceiling.
+
+rk45 splits each member's right-hand side F into a diagonal linear part
+L = -nu_ref 4 pi^2 |k|^2 (half that on the velocity rows, whose flux is nubar
+times the symmetric gradient) and the rest N = F - L y, and applies the
+exact exponential of L between stage times:
+
+    Y_i   = E(c_i h) y + h sum_j a_ij E((c_i - c_j) h) N_j,   E(t) = exp(t L)
+    y_new = E(h) y + h sum_j b_j E((1 - c_j) h) N_j
+
+with the embedded error estimate weighted by the same E((1 - c_j) h).  So
+the constant-viscosity part of div(nubar grad) costs no stability limit; only
+the spread of nubar around nu_ref is stepped explicitly.  nu_ref is each
+member's midrange of its nubar grid at the step's start, which the kernel
+returns with every right-hand side.  The FSAL stage is kept as the full
+F(y_new), and the next step subtracts its own L from it: a diagonal
+correction, no extra kernel call.  The factors are real arrays, formed once
+per attempted (h, nu_ref).  On the velocity rows of one mode L is a
+multiple of the identity, so it commutes with the Leray projection and the
+stages stay divergence-free.
 
 `integrate_lockstep` advances several states of one layout together: the
 loop carries a leading member axis, and each RK stage is one kernel call
@@ -21,13 +42,14 @@ floating-point warnings silenced, so a diverging run ends as a clean
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
 from .cutoffs import CutoffProfile
-from .spectral import _geometry, div_residual, leray_coefficients, symmetrize
+from .spectral import FOUR_PI_SQ, _geometry, div_residual, leray_coefficients, symmetrize
 # the member-stack kernel under the module-global name the loop looks up at
 # each call: one call per stage, for every member of the stack
 from .system import ModelParams, SimState, pack, unpack
@@ -38,7 +60,7 @@ MIN_DT = 1e-12                 # rk45 step-size floor
 DIV_DRIFT_TOL = 1e-11          # div v residual above which a fix-up re-projects
 
 # Dormand-Prince 5(4) tableau (FSAL)
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_C = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]
 _DP_A = [
     [],
     [1 / 5],
@@ -51,6 +73,9 @@ _DP_A = [
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
+# the gaps c_i - c_j (j <= i) at which the integrating factor is applied;
+# the last stage is the update, so 1 - c_j is among them
+_IF_GAPS = sorted({ci - cj for i, ci in enumerate(_DP_C) for cj in _DP_C[:i + 1]})
 
 
 @dataclass
@@ -111,11 +136,23 @@ def triple_sq(stack: np.ndarray, dim: int, cutoff: int, s: float) -> List[float]
 
 def rk4_step(arr: np.ndarray, t: float, h: float, params: ModelParams,
              profile: CutoffProfile) -> np.ndarray:
-    k1 = rhs(arr, t, params, profile)
-    k2 = rhs(arr + 0.5 * h * k1, t + 0.5 * h, params, profile)
-    k3 = rhs(arr + 0.5 * h * k2, t + 0.5 * h, params, profile)
-    k4 = rhs(arr + h * k3, t + h, params, profile)
+    k1 = rhs(arr, t, params, profile)[0]
+    k2 = rhs(arr + 0.5 * h * k1, t + 0.5 * h, params, profile)[0]
+    k3 = rhs(arr + 0.5 * h * k2, t + 0.5 * h, params, profile)[0]
+    k4 = rhs(arr + h * k3, t + h, params, profile)[0]
     return arr + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@functools.lru_cache(maxsize=None)
+def _diffusion_rates(dim: int, cutoff: int) -> np.ndarray:
+    """The linear rates at unit viscosity, -4 pi^2 |k|^2 on the omega and b
+    rows and half that on the velocity rows (the flux takes nubar times the
+    symmetric gradient, whose divergence is Laplacian/2 when div v = 0),
+    shaped (d+2) + cube."""
+    rates = -FOUR_PI_SQ * _geometry(dim, cutoff).k_sq * np.ones((dim + 2,) + (1,) * dim)
+    rates[:dim] *= 0.5
+    rates.setflags(write=False)
+    return rates
 
 
 def step(state: SimState, h: float, params: ModelParams,
@@ -130,10 +167,18 @@ def step(state: SimState, h: float, params: ModelParams,
                   state.dim, state.cutoff, state.t + h)
 
 
+def _midrange(nu: np.ndarray) -> np.ndarray:
+    """Each member's reference viscosity: the midrange of its nubar samples."""
+    return 0.5 * (nu.min(axis=1) + nu.max(axis=1))
+
+
 def _error_ratio(err: np.ndarray, y0: np.ndarray, y1: np.ndarray,
                  abs_tol: float, rel_tol: float) -> float:
-    scale = abs_tol + rel_tol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean((np.abs(err) / scale) ** 2)))
+    """RMS of err / (abs_tol + rel_tol max(|y0|, |y1|)) over the ball's modes
+    of every row of one packed state; the cube's corners are not unknowns."""
+    ball = _geometry(err.ndim - 1, (err.shape[-1] + 1) // 2).ball
+    scale = abs_tol + rel_tol * np.maximum(np.abs(y0[:, ball]), np.abs(y1[:, ball]))
+    return float(np.sqrt(np.mean((np.abs(err[:, ball]) / scale) ** 2)))
 
 
 def _leave(traj: Trajectory, status: str, message: str, steps: int, rejected: int):
@@ -189,7 +234,8 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
     y = np.stack([pack(st) for st in states0])
     ceiling = config.blowup_factor * (2.0 * np.array(triple_sq(y, dim, cutoff, s)) + 1.0)
     h = config.dt
-    k1 = None                      # FSAL cache for rk45
+    k1 = nu_ref = None             # rk45's FSAL stage F(t, y) and reference viscosities
+    rates = _diffusion_rates(dim, cutoff)
     steps = rejected = 0
     stopped = ""                   # why the members still running stopped early
 
@@ -202,7 +248,8 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
                 if not finite.all():
                     for i in np.flatnonzero(~finite):
                         _leave(trajs[live[i]], "failed-nonfinite",
-                               f"non-finite coefficients at t = {t + h:.6g}", steps, rejected)
+                               f"non-finite coefficients at t = {t + h:.6g}, h = {h:.3g}",
+                               steps, rejected)
                     live, y_new, ceiling = _survivors(finite, live, y_new, ceiling)
                     if not live:
                         break
@@ -210,37 +257,40 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
                 k1 = None
             else:
                 if k1 is None:
-                    k1 = rhs(y, t, params, profile)
-                ks = [k1]
-                bad = False
+                    k1, nu = rhs(y, t, params, profile)
+                    nu_ref = _midrange(nu)
+                lin = nu_ref.reshape((-1,) + (1,) * (y.ndim - 1)) * rates
+                ef = {c: np.exp((c * h) * lin) for c in _IF_GAPS}    # E(c h)
+                ns = [k1 - lin * y]     # the full F is kept: N depends on this step's L
                 for i in range(1, 7):
-                    yi = y + h * sum(a * k for a, k in zip(_DP_A[i], ks))
+                    ci = _DP_C[i]
+                    yi = ef[ci] * y + h * sum(a * ef[ci - cj] * nj for a, cj, nj
+                                              in zip(_DP_A[i], _DP_C, ns) if a)
                     if not np.all(np.isfinite(yi)):
-                        bad = True
                         break
-                    ks.append(rhs(yi, t + _DP_C[i] * h, params, profile))
-                if bad or not np.all(np.isfinite(ks[-1])):
+                    fi, nu = rhs(yi, t + ci * h, params, profile)
+                    ns.append(fi - lin * yi)
+                if len(ns) < 7 or not np.all(np.isfinite(fi)):
                     rejected += 1
                     h *= 0.2
-                    k1 = ks[0]
                     if h < MIN_DT:
-                        stopped = f"step size underflow at t = {t:.6g}"
+                        stopped = f"step size underflow at t = {t:.6g}, h = {h:.3g}"
                         break
                     continue
-                y_new = y + h * sum(b * k for b, k in zip(_DP_B5, ks))
-                err = h * sum((b5 - b4) * k
-                              for (b5, b4), k in zip(zip(_DP_B5, _DP_B4), ks))
+                y_new = yi             # the last stage is the update
+                err = h * sum((b5 - b4) * ef[1.0 - cj] * nj for b5, b4, cj, nj
+                              in zip(_DP_B5, _DP_B4, _DP_C, ns) if b5 != b4)
                 ratio = max(_error_ratio(*rows, config.abs_tol, config.rel_tol)
                             for rows in zip(err, y, y_new))
                 if ratio > 1.0:
                     rejected += 1
                     h = max(h * max(0.2, 0.9 * ratio ** (-0.2)), MIN_DT)
                     if h <= MIN_DT:
-                        stopped = f"step size underflow at t = {t:.6g}"
+                        stopped = f"step size underflow at t = {t:.6g}, h = {h:.3g}"
                         break
                     continue
                 h_next = h * min(5.0, max(0.2, 0.9 * ratio ** (-0.2) if ratio > 0 else 5.0))
-                k1 = ks[6]             # FSAL: last stage is f(t+h, y_new)
+                k1, nu_ref = fi, _midrange(nu)    # FSAL: last stage is F(t+h, y_new)
 
             t = t + h
             steps += 1
@@ -262,7 +312,7 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
                                f"triple norm^2 {x_now[i]:.6g} exceeded guard "
                                f"{ceiling[i]:.6g} at t = {t:.6g}", steps, rejected)
                 if not ok.all():
-                    live, y, k1, ceiling = _survivors(ok, live, y, k1, ceiling)
+                    live, y, k1, nu_ref, ceiling = _survivors(ok, live, y, k1, nu_ref, ceiling)
 
     for member in live:
         traj = trajs[member]

@@ -18,9 +18,12 @@ packed states (v_1..v_d, omega, b) of centered-cube coefficients
 (`pack`/`unpack`), shaped (members, d+2) + cube, through `member_rhs`, one
 call per RK stage for every member.  Members share t, the parameters and
 the profile; each member's row equals its one-state result bit for bit.
-`packed_rhs` is the one-member case on a single (d+2) + cube stack; `rhs`,
-`pressure_gradient`, `advective_diffusive_force` and `transport_terms` are
-field-level views of the same kernel.
+With the stack it returns each member's nubar samples on the quadrature
+grid, from which the integrator takes its reference viscosity.
+`packed_rhs` is the one-member case on a single (d+2) + cube stack; it,
+`rhs`, `pressure_gradient`, `advective_diffusive_force` and
+`transport_terms` are field-level views of the same kernel, without the
+nubar samples.
 
 The kernel's grid-sized arrays live in an `RhsWorkspace`, which the kernel
 owns: each thread keeps one, for the last (dim, cutoff, points, members) it
@@ -288,6 +291,10 @@ def member_rhs(ys: np.ndarray, t: float, params: ModelParams, profile: CutoffPro
     as the force -P_n(v.grad v) + div P_n(nubar Dv) before the pressure
     correction.  The grid-sized arrays are this thread's cached workspace;
     the result is always a new array.
+
+    Returns the stack of right-hand sides and each member's nubar on the
+    quadrature grid, flattened to (members, points^d) (a new array too),
+    from whose extremes the integrator takes its reference viscosity.
     """
     members, d = ys.shape[0], ys.shape[1] - 2
     n = (ys.shape[-1] + 1) // 2
@@ -333,14 +340,14 @@ def member_rhs(ys: np.ndarray, t: float, params: ModelParams, profile: CutoffPro
     out[:, :d] = leray_coefficients(-force, d, n) if project else -force
     out[:, d] = -div[d] - params.alpha * coef[-3]
     out[:, d + 1] = -div[d + 1] - coef[-2] + coef[-1]
-    return out
+    return out, nu_g.reshape(members, -1)
 
 
 def packed_rhs(y: np.ndarray, t: float, params: ModelParams, profile: CutoffProfile,
                project: bool = True) -> np.ndarray:
     """Right-hand side on one packed stack y = (v_1..v_d, omega, b): the
-    one-member case of member_rhs."""
-    return member_rhs(y[None], t, params, profile, project)[0]
+    one-member case of member_rhs, without the nubar samples."""
+    return member_rhs(y[None], t, params, profile, project)[0][0]
 
 
 def _vector(stack: np.ndarray, dim: int, cutoff: int) -> VectorSpectralField:

@@ -77,7 +77,7 @@ def envelope_batch():
         assert t_exist == pytest.approx(T_TARGET, rel=1e-12)
         config = IntegratorConfig(method="rk45", dt=1e-3, abs_tol=1e-7,
                                   rel_tol=1e-7, t_end=min(t_exist, 1.0),
-                                  monitor_every=20)
+                                  monitor_every=1)
         traj = integrate(state, config, params, profile)
         assert traj.status == "completed"
         runs.append({"seed": seed, "x0": x0, "traj": traj, "t_exist": t_exist})

@@ -150,6 +150,27 @@ def test_simulate_taylor_green_divergence_free(tmp_path):
     assert all(row["div_residual"] <= 1e-9 for row in rows)
 
 
+def test_simulate_summary_reports_rejected_steps(tmp_path, monkeypatch):
+    # a first step of 0.05 is too long for the tolerance, so the run
+    # rejects steps, and the summary says how many next to the accepted ones
+    runs = []
+    integrate = cli.integrate
+
+    def recording_integrate(*args):
+        runs.append(integrate(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "integrate", recording_integrate)
+    out = str(tmp_path / "run")
+    assert run(*sim_args(out, kind="random", n=4, seed=9, method="rk45", dt=0.05,
+                         t_end=0.01)) == 0
+    with open(os.path.join(out, "summary.txt")) as fh:
+        summary = dict(line.split(" = ", 1) for line in fh.read().splitlines())
+    traj, = runs
+    assert traj.rejected >= 1
+    assert (int(summary["steps"]), int(summary["rejected"])) == (traj.steps, traj.rejected)
+
+
 def test_simulate_random_deterministic(tmp_path):
     outs = []
     for name in ("a", "b"):

@@ -12,7 +12,8 @@ from kolmosim import integrators
 from kolmosim.cutoffs import CutoffProfile, InitialBounds
 from kolmosim.integrators import (IntegratorConfig, fix_up, integrate,
                                   integrate_lockstep, pack, step, unpack)
-from kolmosim.spectral import SpectralField, VectorSpectralField, div_residual
+from kolmosim.spectral import (FOUR_PI_SQ, SpectralField, VectorSpectralField, _geometry,
+                               div_residual)
 from kolmosim.system import ModelParams, SimState
 
 TIGHT = InitialBounds(b_min0=1.0, omega_min0=1.0, omega_max0=1.0, alpha=1.0)
@@ -193,6 +194,65 @@ class TestDegenerateCases:
         assert np.all(np.isfinite(pack(traj.final)))
 
 
+class TestIntegratingFactor:
+    def test_single_b_mode_decays_at_the_exact_rate(self):
+        # On criterion 02's background (v, w, b) = (0, 1, 1) with WIDE bounds
+        # nubar = b/w = 1, so a small b mode at k obeys
+        # beta' = -4 pi^2 |k|^2 beta - w beta, i.e. eps e^{-4 pi^2 |k|^2 t}/(1+t);
+        # its eps^2 products land on k = 0 and on 2k, outside the ball.
+        eps, k, n, t_end = 1e-6, (3, 6), 8, 0.005
+        state = constant_state(cutoff=n)
+        state.b = SpectralField.from_modes(2, n, {(0, 0): 1.0, k: eps, (-3, -6): eps})
+        config = IntegratorConfig(method="rk45", dt=1e-3, abs_tol=1e-12, rel_tol=1e-8,
+                                  t_end=t_end)
+        traj = integrate(state, config, make_params(bounds=WIDE), CutoffProfile(WIDE))
+        assert traj.status == "completed"
+        exact = eps * np.exp(-FOUR_PI_SQ * 45 * t_end) / (1.0 + t_end)
+        got = traj.final.b.coeffs[n - 1 + k[0], n - 1 + k[1]]
+        assert abs(got - exact) <= 1e-8 * exact
+        # the explicit stability limit 2.9 / lambda_max would need 3.3 steps
+        lam_max = FOUR_PI_SQ * (n - 1) ** 2
+        assert traj.steps < t_end * lam_max / 2.9
+
+    def test_rates_are_the_kernel_response_at_unit_viscosity(self):
+        # On the same background small modes of v, w and b decay at their
+        # rows' rates, half on the velocity rows, plus the linearized
+        # reactions -2 w and -w of the omega and b rows
+        eps, n = 1e-7, 6
+        kv, kw, kb = (1, 2), (2, -1), (0, 3)
+
+        def mode(k, amp):
+            return SpectralField.from_modes(2, n, {k: amp, tuple(-a for a in k): amp})
+
+        state = constant_state(cutoff=n)
+        state.v = VectorSpectralField((mode(kv, -2 * eps), mode(kv, eps)))   # k . v = 0
+        state.omega = state.omega + mode(kw, eps)
+        state.b = state.b + mode(kb, eps)
+        y = pack(state)
+        f = integrators.rhs(y[None], 0.0, make_params(bounds=WIDE), CutoffProfile(WIDE))[0][0]
+        rates = integrators._diffusion_rates(2, n)
+        for row, k, reaction in ((0, kv, 0.0), (1, kv, 0.0), (2, kw, -2.0), (3, kb, -1.0)):
+            at = (row, n - 1 + k[0], n - 1 + k[1])
+            assert f[at].real / y[at].real == pytest.approx(rates[at] + reaction, rel=1e-6)
+        assert rates[0, n - 1 + kv[0], n - 1 + kv[1]] == -0.5 * FOUR_PI_SQ * 5
+
+
+class TestErrorNorm:
+    def test_rms_runs_over_the_ball(self):
+        # the cube's corners outside the ball hold no unknowns: averaging
+        # them in would scale the ratio by sqrt(ball/cube), 0.91 at d=2,
+        # n=16 and 0.82 at d=3, n=6
+        rng = np.random.default_rng(5)
+        for dim, cutoff in ((2, 16), (3, 6)):
+            ball = _geometry(dim, cutoff).ball
+            err = np.zeros((dim + 2,) + ball.shape, dtype=complex)
+            y = np.zeros_like(err)
+            err[:, ball] = 3e-8 * np.exp(2j * np.pi * rng.random((dim + 2, ball.sum())))
+            y[:, ball] = 2.0
+            ratio = integrators._error_ratio(err, y, 0.5 * y, 1e-8, 1e-8)
+            assert ratio == pytest.approx(1.0, rel=1e-12)   # |err| / (1e-8 + 2e-8)
+
+
 class TestPacking:
     def test_pack_unpack_roundtrip(self):
         state = divergence_free_random_state(9, dim=2, cutoff=6)
@@ -342,6 +402,7 @@ class TestLockstep:
             warnings.simplefilter("error")
             runs = integrate_lockstep([diverging, steady], config, params, CutoffProfile(WIDE))
         assert runs[0].status == "failed-nonfinite" and runs[1].status == "completed"
+        assert "h = 0.5" in runs[0].message
         for got, ref in zip(runs, solo):
             assert_same_run(got, ref)
 

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from kolmosim import system
-from kolmosim.cutoffs import CutoffProfile, InitialBounds
-from kolmosim.spectral import SpectralField, VectorSpectralField, _geometry
+from kolmosim.cutoffs import CutoffProfile, InitialBounds, nu_bar_grid
+from kolmosim.spectral import (SpectralField, VectorSpectralField, _geometry,
+                               coefficients_to_real_grid)
 from kolmosim.system import (
     ModelParams,
     SimState,
@@ -304,7 +305,20 @@ class TestMemberStacks:
             ys = np.stack([pack(divergence_free_random_state(50 + i, dim=dim, cutoff=cutoff))
                            for i in range(members)])
             for project in (True, False):
-                stack = member_rhs(ys, 0.05, PARAMS, PROFILE, project)
+                stack, nu = member_rhs(ys, 0.05, PARAMS, PROFILE, project)
                 assert stack.shape == ys.shape
-                for y, row in zip(ys, stack):
+                assert nu.shape == (members, PARAMS.grid_points(cutoff) ** dim)
+                for y, row, samples in zip(ys, stack, nu):
                     assert np.array_equal(row, packed_rhs(y, 0.05, PARAMS, PROFILE, project))
+                    assert np.array_equal(samples, member_rhs(y[None], 0.05, PARAMS, PROFILE,
+                                                              project)[1][0])
+
+    def test_nubar_samples_are_the_quadrature_grid_values(self):
+        # the integrator's reference viscosity is the midrange of these
+        ys = np.stack([pack(divergence_free_random_state(60 + i)) for i in range(2)])
+        _, nu = member_rhs(ys, 0.05, PARAMS, PROFILE)
+        for y, samples in zip(ys, nu):
+            w, b = coefficients_to_real_grid(y[2:], 8, 2, PARAMS.grid_points(8))
+            expected = nu_bar_grid(b, w, 0.05, PROFILE).ravel()
+            assert np.ptp(expected) > 0.1
+            assert np.allclose(samples, expected, rtol=1e-13, atol=0.0)
