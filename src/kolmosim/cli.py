@@ -12,7 +12,7 @@ import csv
 import math
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -26,12 +26,12 @@ from .estimates import (RandomFieldSpec, admissible_state, attach_stability,
                         verify_composition_estimate,
                         verify_interpolation_inequality,
                         verify_product_estimate)
-from .integrators import IntegratorConfig, Trajectory, integrate
+from .integrators import Trajectory, integrate
 from .spectral import SpectralField, VectorSpectralField, fast_grid_size
-from .storage import (OutputLock, RunConfig, SnapshotError, load_config,
-                      load_snapshot, print_config, save_snapshot,
+from .storage import (OutputLock, RunConfig, RunObjects, SnapshotError,
+                      load_config, load_snapshot, print_config, save_snapshot,
                       write_diagnostics_csv)
-from .system import ModelParams, SimState, hypothesis_violations
+from .system import SimState, hypothesis_violations
 
 USAGE_ERROR, MONITOR_ABORT = 1, 2
 
@@ -86,31 +86,15 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_run_config(args) -> RunConfig:
+def _load_run_config(args) -> Tuple[RunConfig, RunObjects]:
+    """The configuration and the objects it describes, every key checked."""
     config = load_config(args.config) if args.config else RunConfig()
     for item in args.set:
         if "=" not in item:
             raise ValueError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         config[key.strip()] = value.strip()
-    config.validate()
-    return config
-
-
-def _bounds(config: RunConfig) -> InitialBounds:
-    return InitialBounds(b_min0=config["b_min0"],
-                         omega_min0=config["omega_min0"],
-                         omega_max0=config["omega_max0"],
-                         alpha=config["alpha"])
-
-
-def _integrator_config(config: RunConfig) -> IntegratorConfig:
-    return IntegratorConfig(method=config["method"], dt=config["dt"],
-                            abs_tol=config["abs_tol"],
-                            rel_tol=config["rel_tol"], t_end=config["t_end"],
-                            reproject_every=config["reproject_every"],
-                            monitor_every=config["monitor_every"],
-                            blowup_factor=config["blowup_factor"])
+    return config, config.validate()
 
 
 def _taylor_green(cutoff: int, bounds: InitialBounds, scale: float) -> SimState:
@@ -129,7 +113,7 @@ def _taylor_green(cutoff: int, bounds: InitialBounds, scale: float) -> SimState:
 
 def initial_state(config: RunConfig) -> SimState:
     d, n = config["d"], config["n"]
-    bounds = _bounds(config)
+    bounds = config.validate().bounds
     kind = config["kind"]
     if kind == "random":
         spec = RandomFieldSpec(dim=d, cutoff=n, rho=config["rho"],
@@ -163,17 +147,11 @@ def _check_hypotheses(state: SimState, config: RunConfig) -> None:
         raise ValueError("hypothesis violated: " + "; ".join(problems))
 
 
-def _model(config: RunConfig) -> ModelParams:
-    return ModelParams(alpha=config["alpha"], s=config["s"],
-                       bounds=_bounds(config), oversample=config["oversample"])
-
-
-def _diagnostics_rows(traj: Trajectory, config: RunConfig,
+def _diagnostics_rows(traj: Trajectory, config: RunConfig, cm: ConstantModel,
                       profile: CutoffProfile):
     """Per-sample CSV rows plus the first time (or None) at which the
     omega/b extrema left their envelopes."""
     s = config["s"]
-    cm = ConstantModel(config["c_tilde"], config["gamma"])
     beta = beta_exponent(s, config["d"])
     states = traj.states
     if len(states) >= 3:
@@ -210,18 +188,18 @@ def _diagnostics_rows(traj: Trajectory, config: RunConfig,
 
 
 def cmd_simulate(args) -> int:
-    config = _load_run_config(args)
+    config, run = _load_run_config(args)
     state = initial_state(config)
     _check_hypotheses(state, config)
-    profile = CutoffProfile(_bounds(config))
+    profile = CutoffProfile(run.bounds)
     out_dir = config["directory"]
     with OutputLock(out_dir):
-        traj = integrate(state, _integrator_config(config), _model(config), profile)
+        traj = integrate(state, run.integrator, run.model, profile)
         with open(os.path.join(out_dir, "config.txt"), "w") as fh:
             fh.write(print_config(config))
         for i, st in enumerate(traj.states):
             save_snapshot(st, os.path.join(out_dir, f"snapshot_{i:06d}.kolm"))
-        rows, first_violation = _diagnostics_rows(traj, config, profile)
+        rows, first_violation = _diagnostics_rows(traj, config, run.constants, profile)
         write_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"), rows)
         with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
             fh.write(f"status = {traj.status}\n")
@@ -245,14 +223,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_existence_time(args) -> int:
-    config = _load_run_config(args)
+    config, run = _load_run_config(args)
     state = initial_state(config)
     _check_hypotheses(state, config)
     s, d = config["s"], config["d"]
     x0 = state.triple_norm_sq(s)
     beta = args.beta if args.beta is not None else beta_exponent(s, d)
-    cm = ConstantModel(config["c_tilde"], config["gamma"])
-    t_exist = existence_time(x0, beta, cm)
+    t_exist = existence_time(x0, beta, run.constants)
     ceiling = uniform_bound(x0)
     print(f"X0 = {x0!r}")
     print(f"beta = {beta!r}" + ("  (formula extended beyond s = d/2+1)"
@@ -354,15 +331,12 @@ def cmd_norms(args) -> int:
 def refinement_gap(config: RunConfig, s_prime: float) -> float:
     """H^s' distance at t_end between the run at n and the run at 2n from
     the same (projected) initial data."""
+    run = config.validate()
     state_lo = initial_state(config)
-    hi_config = RunConfig(dict(config.values))
-    hi_config["n"] = 2 * config["n"]
     state_hi = state_lo.project(2 * config["n"])
-    profile = CutoffProfile(_bounds(config))
-    traj_lo = integrate(state_lo, _integrator_config(config), _model(config),
-                        profile)
-    traj_hi = integrate(state_hi, _integrator_config(hi_config),
-                        _model(hi_config), profile)
+    profile = CutoffProfile(run.bounds)
+    traj_lo = integrate(state_lo, run.integrator, run.model, profile)
+    traj_hi = integrate(state_hi, run.integrator, run.model, profile)
     if traj_lo.status != "completed" or traj_hi.status != "completed":
         raise RuntimeError(f"refinement runs did not complete: "
                            f"{traj_lo.status}, {traj_hi.status}")
@@ -374,7 +348,7 @@ def refinement_gap(config: RunConfig, s_prime: float) -> float:
 
 
 def cmd_convergence(args) -> int:
-    config = _load_run_config(args)
+    config, _ = _load_run_config(args)
     if args.s_prime >= config["s"]:
         print("error: s' must be below s", file=sys.stderr)
         return USAGE_ERROR

@@ -30,9 +30,9 @@ class InitialBounds:
 
     def __post_init__(self):
         if not (0 < self.omega_min0 <= self.omega_max0):
-            raise ValueError("need 0 < omega_min0 <= omega_max0")
+            raise ValueError("hypothesis violated: need 0 < omega_min0 <= omega_max0")
         if self.b_min0 <= 0:
-            raise ValueError("need b_min0 > 0")
+            raise ValueError("hypothesis violated: need b_min0 > 0")
         if self.alpha <= 0:
             raise ValueError("need alpha > 0")
 

@@ -3,10 +3,12 @@
 Two schemes: classical fixed-step RK4 and an embedded Dormand-Prince 5(4)
 pair, its step set from the embedded error estimate, in Lawson's
 integrating-factor form (Lawson 1967, SIAM J. Numer. Anal. 4:372).  After
-accepted steps the integrator re-enforces the structural invariants
-(conjugate symmetry by averaging with the mirror, divergence re-projection
-when drift exceeds a threshold) and runs the blow-up guard against the
-a-priori norm ceiling.
+each accepted step the integrator re-projects the velocity when its
+divergence has drifted past a threshold, and runs the blow-up guard against
+the a-priori norm ceiling.  Conjugate symmetry needs no fix-up: the run
+starts from the data's real parts, the transform returns exactly Hermitian
+coefficients, and every operation of the loop is real-linear per mode with
+factors even in k, so every stage and state is exactly conjugate-symmetric.
 
 rk45 splits each member's right-hand side F into a diagonal linear part
 L = -nu_ref 4 pi^2 |k|^2 (half that on the velocity rows, whose flux is nubar
@@ -85,7 +87,6 @@ class IntegratorConfig:
     abs_tol: float = 1e-8
     rel_tol: float = 1e-8
     t_end: float = 1.0
-    reproject_every: int = 1
     monitor_every: int = 10
     blowup_factor: float = 10.0
 
@@ -96,8 +97,10 @@ class IntegratorConfig:
             raise ValueError("dt and tolerances must be positive")
         if self.t_end < 0:
             raise ValueError("t_end must be >= 0")
-        if self.reproject_every < 1 or self.monitor_every < 1:
-            raise ValueError("cadences must be >= 1")
+        if self.monitor_every < 1:
+            raise ValueError("monitor_every must be >= 1")
+        if self.blowup_factor <= 0:
+            raise ValueError("blowup_factor must be positive")
 
 
 @dataclass
@@ -118,12 +121,12 @@ class Trajectory:
 
 
 def fix_up(stack: np.ndarray, dim: int, cutoff: int):
-    """Average each member of a stack with its conjugate mirror; re-project
-    the velocity of the members whose div v drifted past DIV_DRIFT_TOL.
-    Returns the new stack and which members were re-projected."""
-    stack = symmetrize(stack, dim)
+    """Re-project the velocity of the members of a stack whose div v drifted
+    past DIV_DRIFT_TOL.  Returns the stack (a new one if any member was
+    re-projected) and which members were."""
     reproject = div_residual(stack[:, :dim], dim, cutoff) > DIV_DRIFT_TOL
     if reproject.any():
+        stack = stack.copy()
         stack[reproject, :dim] = leray_coefficients(stack[reproject, :dim], dim, cutoff)
     return stack, reproject
 
@@ -209,11 +212,11 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
     """Advance states of one layout and start time together to config.t_end,
     one kernel call per stage for all of them; one trajectory per state.
 
-    Each member has its own mirror average, re-projection decision, blow-up
-    guard (against its own X0) and samples.  A member that goes non-finite
-    or trips the guard leaves with its own status, message and states; the
-    others go on.  Fixed-step rk4 members, failed and aborted ones included,
-    are bit-identical to their solo integrate runs.  rk45 members share one
+    Each member has its own re-projection decision, blow-up guard (against
+    its own X0) and samples.  A member that goes non-finite or trips the
+    guard leaves with its own status, message and states; the others go on.
+    Fixed-step rk4 members, failed and aborted ones included, are
+    bit-identical to their solo integrate runs.  rk45 members share one
     step, controlled by the largest member error ratio, so their samples have
     equal times: a non-finite stage in any member rejects the shared step, a
     step-size underflow fails every member still running, and a re-projection
@@ -231,7 +234,9 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
         return trajs
 
     live = list(range(len(states0)))          # members still stepping, in row order
-    y = np.stack([pack(st) for st in states0])
+    # the loop keeps conjugate symmetry exactly, so it starts from the data's
+    # real parts; on conjugate-symmetric data this changes no bit
+    y = symmetrize(np.stack([pack(st) for st in states0]), dim)
     ceiling = config.blowup_factor * (2.0 * np.array(triple_sq(y, dim, cutoff, s)) + 1.0)
     h = config.dt
     k1 = nu_ref = None             # rk45's FSAL stage F(t, y) and reference viscosities
@@ -295,10 +300,9 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
             t = t + h
             steps += 1
             y = y_new
-            if steps % config.reproject_every == 0:
-                y, reprojected = fix_up(y, dim, cutoff)
-                if reprojected.any():  # the mirror average alone moves y by roundoff
-                    k1 = None          # and keeps the FSAL stage; a projection does not
+            y, reprojected = fix_up(y, dim, cutoff)
+            if reprojected.any():      # a projection moves y off the FSAL stage's point
+                k1 = None
             h = h_next
 
             at_end = t >= config.t_end - 1e-14

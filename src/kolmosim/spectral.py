@@ -55,6 +55,11 @@ class _ModeGeometry:
         self.grad = 2j * np.pi * self.k                  # d/dx_a multiplies by row a
         self.leray_denom = np.where(self.k_sq == 0, 1, self.k_sq)
         self.upper = np.flatnonzero(self.k[-1] >= 0)    # flat indices with k_last >= 0
+        # the modes whose last nonzero component is negative: one of each
+        # mirror pair {k, -k}, k = 0 excluded
+        self.lower = np.zeros(self.k_sq.shape, dtype=bool)
+        for ka in self.k:
+            self.lower = np.where(ka != 0, ka < 0, self.lower)
         self._weights: Dict[float, np.ndarray] = {}
 
     def bessel_weight(self, s: float) -> np.ndarray:
@@ -76,16 +81,17 @@ def _geometry(dim: int, cutoff: int) -> _ModeGeometry:
 def _half_bins(dim: int, cutoff: int, points: int, upper: bool = False):
     """Index (one array per axis) of each centered-cube mode in the first
     `cutoff` columns of an rfftn half spectrum on a points^dim grid, built once
-    per size.  A mode with k_last < 0 has no bin of its own and is given the
-    bin of -k, which holds conj(c(k)) for real samples; upper=True keeps only
-    the modes with k_last >= 0."""
+    per size.  A `lower` mode (every k_last < 0 mode and half the k_last = 0
+    plane) is given the bin of -k, which holds conj(c(k)) for real samples;
+    upper=True keeps only the modes with k_last >= 0, each at its own bin."""
     if points < 2 * cutoff - 1:
         raise ValueError("grid too coarse for the mode cube")
     geo = _geometry(dim, cutoff)
     k = geo.k.reshape(dim, -1)
-    k = np.where(k[-1] >= 0, k, -k) % points
     if upper:
-        k = k[:, geo.upper]
+        k = k[:, geo.upper] % points
+    else:
+        k = np.where(geo.lower.ravel(), -k, k) % points
     k.setflags(write=False)
     return tuple(k)
 
@@ -119,8 +125,10 @@ def real_grid_to_coefficients(grid: np.ndarray, cutoff: int, dim: int,
     """Centered-cube coefficients of real grid samples via the half-spectrum.
 
     The complex passes run only on the first `cutoff` columns, the ones that
-    hold modes.  `half` is an optional buffer of the real pass's output shape
-    (overwritten).
+    hold modes.  Each `lower` mode is read as the conjugate of its mirror's
+    coefficient, so the result is exactly conjugate-symmetric: c(-k) =
+    conj(c(k)) holds bit for bit, not up to roundoff.  `half` is an optional
+    buffer of the real pass's output shape (overwritten).
     """
     geo = _geometry(dim, cutoff)
     half = np.fft.rfft(grid, axis=-1, norm="forward", out=half)
@@ -128,7 +136,7 @@ def real_grid_to_coefficients(grid: np.ndarray, cutoff: int, dim: int,
                      overwrite_x=True)
     vals = cols[(Ellipsis,) + _half_bins(dim, cutoff, grid.shape[-1])]
     vals = vals.reshape(grid.shape[:-dim] + geo.k_sq.shape)
-    np.conjugate(vals, out=vals, where=geo.k[-1] < 0)
+    np.conjugate(vals, out=vals, where=geo.lower)
     vals[..., ~geo.ball] = 0.0
     return vals
 

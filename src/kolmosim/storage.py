@@ -1,6 +1,12 @@
 """Persistence: binary state snapshots, the diagnostics CSV, and the flat
 key = value run configuration with sectioned canonical form.
 
+The run configuration is declared once, in CONFIG_SCHEMA: each key's
+section, default and (by the default's type) type.  RunConfig.validate
+checks what no run object owns and builds the objects that own the rest
+(InitialBounds, ModelParams, IntegratorConfig, ConstantModel), so every key
+is checked before a run writes anything.
+
 Snapshot layout (little-endian): magic "KOLM", version u16, d u16, n u32,
 t f64, then for each of the d+2 fields (v_1..v_d, omega, b) a u64 mode count
 followed by (k: d x i32, re: f64, im: f64) records in lexicographic k order.
@@ -11,13 +17,16 @@ from __future__ import annotations
 import csv
 import os
 import struct
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from .cutoffs import InitialBounds
+from .diagnostics import ConstantModel
+from .integrators import IntegratorConfig
 from .spectral import REAL_TOL, SpectralField, VectorSpectralField, _geometry
-from .system import SimState
+from .system import ModelParams, SimState
 
 MAGIC = b"KOLM"
 VERSION = 1
@@ -130,30 +139,27 @@ def read_diagnostics_csv(path: str) -> List[Dict]:
 # -- run configuration -------------------------------------------------------------
 
 
-_CONFIG_SECTIONS = {
-    "model": ["d", "n", "s", "alpha", "oversample", "omega_min0", "omega_max0",
-              "b_min0"],
-    "initial": ["kind", "preset", "snapshot", "seed", "rho", "v_scale"],
-    "integrator": ["method", "dt", "abs_tol", "rel_tol", "t_end",
-                   "monitor_every", "reproject_every", "blowup_factor"],
-    "constants": ["c_tilde", "gamma"],
-    "output": ["directory"],
+# section -> key -> default; a key's type is its default's type, and the
+# [integrator] section is IntegratorConfig's fields
+CONFIG_SCHEMA = {
+    "model": {"d": 2, "n": 16, "s": 2.0, "alpha": 1.0, "oversample": 4,
+              "omega_min0": 0.5, "omega_max0": 2.0, "b_min0": 0.5},
+    "initial": {"kind": "random", "preset": "", "snapshot": "", "seed": 0,
+                "rho": 2.0, "v_scale": 0.25},
+    "integrator": {f.name: f.default for f in fields(IntegratorConfig)},
+    "constants": {"c_tilde": 1.0, "gamma": 0.0},
+    "output": {"directory": "out"},
 }
+_DEFAULTS = {key: default for keys in CONFIG_SCHEMA.values()
+             for key, default in keys.items()}
 
-_DEFAULTS = {
-    "d": 2, "n": 16, "s": 2.0, "alpha": 1.0, "oversample": 4,
-    "omega_min0": 0.5, "omega_max0": 2.0, "b_min0": 0.5,
-    "kind": "random", "preset": "", "snapshot": "", "seed": 0, "rho": 2.0,
-    "v_scale": 0.25,
-    "method": "rk45", "dt": 1e-3, "abs_tol": 1e-8, "rel_tol": 1e-8,
-    "t_end": 1.0, "monitor_every": 10, "reproject_every": 1,
-    "blowup_factor": 10.0,
-    "c_tilde": 1.0, "gamma": 0.0,
-    "directory": "out",
-}
 
-_INT_KEYS = {"d", "n", "oversample", "seed", "monitor_every", "reproject_every"}
-_STR_KEYS = {"kind", "preset", "snapshot", "method", "directory"}
+class RunObjects(NamedTuple):
+    """The objects a run configuration describes; each checks its own fields."""
+    bounds: InitialBounds
+    model: ModelParams
+    integrator: IntegratorConfig
+    constants: ConstantModel
 
 
 @dataclass
@@ -166,9 +172,11 @@ class RunConfig:
     def __setitem__(self, key, value):
         if key not in _DEFAULTS:
             raise KeyError(f"unknown config key: {key}")
-        self.values[key] = _coerce(key, value)
+        self.values[key] = type(_DEFAULTS[key])(value)
 
-    def validate(self) -> None:
+    def validate(self) -> RunObjects:
+        """Check what no run object owns (d, s > d/2, n, kind), then build
+        the objects, which check every other key."""
         v = self.values
         if v["d"] < 2:
             raise ValueError("hypothesis violated: d >= 2 required")
@@ -177,46 +185,37 @@ class RunConfig:
                              f"(s={v['s']}, d={v['d']})")
         if v["n"] < 1:
             raise ValueError("n must be >= 1")
-        if not (0 < v["omega_min0"] <= v["omega_max0"]):
-            raise ValueError("hypothesis violated: 0 < omega_min0 <= omega_max0")
-        if v["b_min0"] <= 0:
-            raise ValueError("hypothesis violated: b_min0 > 0")
-        if v["alpha"] <= 0:
-            raise ValueError("alpha must be positive")
         if v["kind"] not in ("random", "preset", "snapshot"):
             raise ValueError(f"unknown initial-data kind {v['kind']!r}")
-        if v["c_tilde"] <= 0:
-            raise ValueError("c_tilde must be positive")
-
-
-def _coerce(key: str, value):
-    if key in _STR_KEYS:
-        return str(value)
-    if key in _INT_KEYS:
-        return int(value)
-    return float(value)
+        bounds = InitialBounds(b_min0=v["b_min0"], omega_min0=v["omega_min0"],
+                               omega_max0=v["omega_max0"], alpha=v["alpha"])
+        return RunObjects(
+            bounds,
+            ModelParams(alpha=v["alpha"], s=v["s"], bounds=bounds,
+                        oversample=v["oversample"]),
+            IntegratorConfig(**{key: v[key] for key in CONFIG_SCHEMA["integrator"]}),
+            ConstantModel(v["c_tilde"], v["gamma"]))
 
 
 def parse_config(text: str) -> RunConfig:
     config = RunConfig()
     section = None
-    known = {k for keys in _CONFIG_SECTIONS.values() for k in keys}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
             section = stripped[1:-1].strip()
-            if section not in _CONFIG_SECTIONS:
+            if section not in CONFIG_SCHEMA:
                 raise ValueError(f"line {lineno}: unknown section [{section}]")
             continue
         if "=" not in stripped:
             raise ValueError(f"line {lineno}: expected key = value")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in known:
+        if key not in _DEFAULTS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-        if section is not None and key not in _CONFIG_SECTIONS[section]:
+        if section is not None and key not in CONFIG_SCHEMA[section]:
             raise ValueError(f"line {lineno}: key {key!r} not in section "
                              f"[{section}]")
         config[key] = raw.strip()
@@ -226,16 +225,12 @@ def parse_config(text: str) -> RunConfig:
 def print_config(config: RunConfig) -> str:
     """Canonical text form; parse(print(parse(x))) is a fixpoint."""
     lines = []
-    for section, keys in _CONFIG_SECTIONS.items():
+    for section, keys in CONFIG_SCHEMA.items():
         lines.append(f"[{section}]")
         for key in keys:
             value = config[key]
-            if key in _STR_KEYS:
-                lines.append(f"{key} = {value}")
-            elif key in _INT_KEYS:
-                lines.append(f"{key} = {value:d}")
-            else:
-                lines.append(f"{key} = {value!r}")
+            lines.append(f"{key} = {value!r}" if isinstance(value, float)
+                         else f"{key} = {value}")
         lines.append("")
     return "\n".join(lines)
 
@@ -243,11 +238,6 @@ def print_config(config: RunConfig) -> str:
 def load_config(path: str) -> RunConfig:
     with open(path) as fh:
         return parse_config(fh.read())
-
-
-def save_config(config: RunConfig, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(print_config(config))
 
 
 # -- output directory ownership ----------------------------------------------------

@@ -76,10 +76,6 @@ class ModelParams:
         """Points per axis of the quadrature grid at this cutoff."""
         return fast_grid_size(self.oversample * (2 * cutoff - 1))
 
-    def check_dimension(self, dim: int):
-        if self.s <= dim / 2:
-            raise ValueError(f"need s > d/2: s={self.s}, d={dim}")
-
 
 @dataclass
 class SimState:
@@ -374,11 +370,6 @@ def advective_diffusive_force(state: SimState, params: ModelParams,
     """-P_n(v.grad v) + div P_n(nubar Dv), before pressure correction."""
     force = packed_rhs(pack(state), state.t, params, profile, project=False)
     return _vector(force[:state.dim], state.dim, state.cutoff)
-
-
-def leray_project(f: VectorSpectralField) -> VectorSpectralField:
-    """Modewise removal of the gradient part (cross-check for the pressure path)."""
-    return f.leray_project()
 
 
 def transport_terms(state: SimState, oversample: int = 4):

@@ -81,6 +81,18 @@ def test_simulate_subcritical_regularity_rejected(tmp_path, capsys):
     assert not os.path.exists(out)  # refused before any artifact was written
 
 
+@pytest.mark.parametrize("key, value", [("dt", -1), ("method", "rk3"),
+                                        ("oversample", 1), ("monitor_every", 0),
+                                        ("blowup_factor", -1)])
+def test_simulate_bad_setting_refused_before_output(tmp_path, capsys, key, value):
+    # each of these is checked by the object that uses it (IntegratorConfig,
+    # ModelParams), which the configuration builds before the output lock
+    out = str(tmp_path / "run")
+    assert run(*sim_args(out, **{key: value})) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_simulate_negative_omega_snapshot_rejected(tmp_path, capsys):
     # An initial datum violating omega_0 > 0 arrives via a snapshot file and
     # must be named in the rejection.

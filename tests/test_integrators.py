@@ -124,6 +124,20 @@ class TestStructuralDrift:
         assert traj.final.div_residual() <= 1e-9
         assert traj.final.realness_residual() <= 1e-11
 
+    def test_states_are_exactly_conjugate_symmetric(self):
+        # a datum off symmetry by roundoff (as a snapshot may be) is stepped
+        # from its real part; from there every state is exactly Hermitian
+        state = divergence_free_random_state(17, dim=2, cutoff=6)
+        state.omega.coeffs[5, 6] += 1e-13
+        for method in ("rk4", "rk45"):
+            config = IntegratorConfig(method=method, dt=1e-3, t_end=0.01,
+                                      monitor_every=1)
+            traj = integrate(state, config, make_params(bounds=WIDE),
+                             CutoffProfile(WIDE))
+            assert traj.status == "completed"
+            assert [st.realness_residual() for st in traj.states[1:]] == \
+                [0.0] * (len(traj.states) - 1)
+
     def test_determinism_fixed_dt(self):
         state = divergence_free_random_state(11, dim=2, cutoff=8)
         config = IntegratorConfig(method="rk4", dt=1e-3, t_end=0.02)
@@ -168,6 +182,12 @@ class TestDegenerateCases:
         assert traj.status == "aborted-blowup"
         assert "guard" in traj.message
         assert traj.final.t < 1.0
+
+    def test_non_positive_blowup_factor_refused(self):
+        # a guard at or below zero would abort every run at its first sample
+        for factor in (0.0, -1.0):
+            with pytest.raises(ValueError, match="blowup_factor"):
+                IntegratorConfig(blowup_factor=factor)
 
     def test_unstable_step_reports_failure(self):
         state = divergence_free_random_state(5, dim=2, cutoff=16)
@@ -276,8 +296,10 @@ class TestPacking:
 
 class TestStageReuse:
     def test_fsal_stage_survives_the_mirror_average(self, monkeypatch):
-        # With no Leray re-projection, each accepted or rejected RK45 step
-        # costs six RHS evaluations; the first step adds one for its k1.
+        # fix_up runs after every accepted step; with no Leray re-projection
+        # it leaves the state, and so the FSAL stage, as they are: each
+        # accepted or rejected RK45 step costs six RHS evaluations, and the
+        # first step adds one for its k1.
         calls, projections = [0], [0]
         kernel = integrators.rhs
         fix = integrators.fix_up

@@ -133,6 +133,14 @@ class TestNormsAndOperators:
         assert broken.realness_residual() > 1e-3
         assert broken.symmetrized().realness_residual() < 1e-14
 
+    def test_real_grids_give_exactly_hermitian_coefficients(self):
+        """Each mirror pair is read from one bin, the k_last = 0 plane
+        included, so c(-k) = conj(c(k)) holds bit for bit."""
+        rng = np.random.default_rng(7)
+        for dim, n, pts in ((2, 8, 30), (2, 16, 64), (3, 5, 18)):
+            f = SpectralField.from_grid(rng.standard_normal((pts,) * dim), n)
+            assert f.realness_residual() == 0.0
+
 
 class TestRealSamples:
     def test_scalar_matches_physical_real(self):

@@ -263,6 +263,12 @@ def test_config_unknown_section():
         parse_config("[turbo]\n")
 
 
+def test_config_removed_key_is_unknown():
+    # the fix-up runs after every accepted step, so there is no cadence key
+    with pytest.raises(ValueError, match="line 2.*unknown key 'reproject_every'"):
+        parse_config("[integrator]\nreproject_every = 1\n")
+
+
 def test_config_key_in_wrong_section():
     with pytest.raises(ValueError, match="not in section"):
         parse_config("[model]\ndt = 0.1\n")

@@ -19,7 +19,6 @@ from kolmosim.system import (
     _flux_divergences,
     advective_diffusive_force,
     hypothesis_violations,
-    leray_project,
     member_rhs,
     pack,
     packed_rhs,
@@ -178,7 +177,7 @@ class TestStructure:
             state = divergence_free_random_state(seed + 100)
             force = advective_diffusive_force(state, PARAMS, PROFILE)
             grad_p = pressure_gradient(state, PARAMS, PROFILE)
-            a = leray_project(force)
+            a = force.leray_project()
             b = force - grad_p
             diff = a - b
             scale = max(force.hs_norm(0.0), 1e-30)
