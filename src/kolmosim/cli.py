@@ -205,6 +205,7 @@ def cmd_simulate(args) -> int:
             fh.write(f"status = {traj.status}\n")
             fh.write(f"steps = {traj.steps}\n")
             fh.write(f"rejected = {traj.rejected}\n")
+            fh.write(f"rhs_evaluations = {traj.evaluations}\n")
             fh.write(f"samples = {len(traj.states)}\n")
             fh.write(f"final_t = {traj.final.t!r}\n")
             fh.write(f"final_triple_sq = {traj.final.triple_norm_sq(config['s'])!r}\n")

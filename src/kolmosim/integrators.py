@@ -29,6 +29,19 @@ per attempted (h, nu_ref).  On the velocity rows of one mode L is a
 multiple of the identity, so it commutes with the Leray projection and the
 stages stay divergence-free.
 
+The rk45 step-size controller is elementary (Hairer, Norsett & Wanner,
+Solving ODEs I, II.4).  A step is accepted when the error ratio r (the RMS
+of the embedded error over the tolerance scale) is at most 1, and the next
+step is h 0.9 r^(-1/5), capped at 5h and floored at 0.2h.  A rejection
+shrinks h by 0.9 r^(-1/q) (floored at 0.2), where q is the order the error
+was observed to have: log(r_prev / r) / log(h_prev / h) between this attempt
+and the last rejected one at the same t, clamped to [1, 5], and 5 when there
+is none or the ratio did not fall.  At the start of a run the explicitly
+stepped spread of nubar makes the error fall only like h^1.1 on the stiff
+high modes (order reduction: Hairer & Wanner, Solving ODEs II, IV.15), and
+the order-5 shrink alone needs many tries to find the step.  Growth keeps
+the order-5 exponent.  A non-finite stage shrinks h by 0.2.
+
 `integrate_lockstep` advances several states of one layout together: the
 loop carries a leading member axis, and each RK stage is one kernel call
 (`system.member_rhs`) for every member.  The kernel owns its grid-sized
@@ -45,8 +58,9 @@ floating-point warnings silenced, so a diverging run ends as a clean
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -110,6 +124,7 @@ class Trajectory:
     message: str = ""
     steps: int = 0
     rejected: int = 0
+    evaluations: int = 0             # kernel calls the run made
 
     @property
     def times(self) -> np.ndarray:
@@ -184,8 +199,23 @@ def _error_ratio(err: np.ndarray, y0: np.ndarray, y1: np.ndarray,
     return float(np.sqrt(np.mean((np.abs(err[:, ball]) / scale) ** 2)))
 
 
-def _leave(traj: Trajectory, status: str, message: str, steps: int, rejected: int):
-    traj.status, traj.message, traj.steps, traj.rejected = status, message, steps, rejected
+def _shrink(h: float, ratio: float, previous: Optional[Tuple[float, float]]) -> float:
+    """The step to retry with after a step h was rejected at error ratio
+    ratio > 1.  previous is the (h, ratio) of the last rejected attempt at
+    the same t, or None; the shrink assumes the error scales like h^q with q
+    the order observed between the two attempts, clamped to [1, 5], and q = 5
+    without an earlier attempt or when the ratio did not fall."""
+    q = 5.0
+    if previous is not None and previous[1] > ratio:
+        h_prev, r_prev = previous
+        q = min(5.0, max(1.0, math.log(r_prev / ratio) / math.log(h_prev / h)))
+    return h * max(0.2, 0.9 * ratio ** (-1.0 / q))
+
+
+def _leave(traj: Trajectory, status: str, message: str, steps: int, rejected: int,
+           evaluations: int):
+    traj.status, traj.message = status, message
+    traj.steps, traj.rejected, traj.evaluations = steps, rejected, evaluations
 
 
 def _survivors(keep: np.ndarray, live: List[int], *stacks):
@@ -241,7 +271,8 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
     h = config.dt
     k1 = nu_ref = None             # rk45's FSAL stage F(t, y) and reference viscosities
     rates = _diffusion_rates(dim, cutoff)
-    steps = rejected = 0
+    steps = rejected = evaluations = 0
+    previous = None                # rk45's last rejected (h, ratio) at this t
     stopped = ""                   # why the members still running stopped early
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -249,12 +280,13 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
             h = min(h, config.t_end - t)
             if config.method == "rk4":
                 y_new = rk4_step(y, t, h, params, profile)
+                evaluations += 4
                 finite = np.isfinite(y_new).all(axis=tuple(range(1, y_new.ndim)))
                 if not finite.all():
                     for i in np.flatnonzero(~finite):
                         _leave(trajs[live[i]], "failed-nonfinite",
                                f"non-finite coefficients at t = {t + h:.6g}, h = {h:.3g}",
-                               steps, rejected)
+                               steps, rejected, evaluations)
                     live, y_new, ceiling = _survivors(finite, live, y_new, ceiling)
                     if not live:
                         break
@@ -263,6 +295,7 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
             else:
                 if k1 is None:
                     k1, nu = rhs(y, t, params, profile)
+                    evaluations += 1
                     nu_ref = _midrange(nu)
                 lin = nu_ref.reshape((-1,) + (1,) * (y.ndim - 1)) * rates
                 ef = {c: np.exp((c * h) * lin) for c in _IF_GAPS}    # E(c h)
@@ -274,6 +307,7 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
                     if not np.all(np.isfinite(yi)):
                         break
                     fi, nu = rhs(yi, t + ci * h, params, profile)
+                    evaluations += 1
                     ns.append(fi - lin * yi)
                 if len(ns) < 7 or not np.all(np.isfinite(fi)):
                     rejected += 1
@@ -289,13 +323,14 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
                             for rows in zip(err, y, y_new))
                 if ratio > 1.0:
                     rejected += 1
-                    h = max(h * max(0.2, 0.9 * ratio ** (-0.2)), MIN_DT)
+                    h, previous = max(_shrink(h, ratio, previous), MIN_DT), (h, ratio)
                     if h <= MIN_DT:
                         stopped = f"step size underflow at t = {t:.6g}, h = {h:.3g}"
                         break
                     continue
                 h_next = h * min(5.0, max(0.2, 0.9 * ratio ** (-0.2) if ratio > 0 else 5.0))
                 k1, nu_ref = fi, _midrange(nu)    # FSAL: last stage is F(t+h, y_new)
+                previous = None
 
             t = t + h
             steps += 1
@@ -314,13 +349,14 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
                     if not ok[i]:
                         _leave(trajs[member], "aborted-blowup",
                                f"triple norm^2 {x_now[i]:.6g} exceeded guard "
-                               f"{ceiling[i]:.6g} at t = {t:.6g}", steps, rejected)
+                               f"{ceiling[i]:.6g} at t = {t:.6g}", steps, rejected,
+                               evaluations)
                 if not ok.all():
                     live, y, k1, nu_ref, ceiling = _survivors(ok, live, y, k1, nu_ref, ceiling)
 
     for member in live:
         traj = trajs[member]
-        traj.steps, traj.rejected = steps, rejected
+        traj.steps, traj.rejected, traj.evaluations = steps, rejected, evaluations
         if stopped or t < config.t_end - 1e-14:
             traj.status = "failed-nonfinite"
             traj.message = stopped or f"{MAX_STEPS} steps exhausted"

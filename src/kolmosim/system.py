@@ -69,6 +69,10 @@ class ModelParams:
     def __post_init__(self):
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
+        if self.bounds.alpha != self.alpha:
+            # the kernel's reaction reads alpha, the envelopes bounds.alpha
+            raise ValueError(f"alpha {self.alpha!r} differs from bounds.alpha "
+                             f"{self.bounds.alpha!r}")
         if self.oversample < 2:
             raise ValueError("oversample must be >= 2 (alias-free quadratics)")
 

@@ -190,7 +190,11 @@ def test_criterion_03_maximum_principles(envelope_batch):
             worst_margin = min(worst_margin, min(mon.margins))
     elapsed = envelope_batch["elapsed"]
     assert elapsed < 300.0
-    report(3, f"{N_ENVELOPE_RUNS} runs to T={T_TARGET}, worst envelope "
+    trajs = [run["traj"] for run in envelope_batch["runs"]]
+    report(3, f"{N_ENVELOPE_RUNS} runs to T={T_TARGET}, "
+              f"{sum(tr.steps for tr in trajs)} accepted + "
+              f"{sum(tr.rejected for tr in trajs)} rejected steps, "
+              f"{sum(tr.evaluations for tr in trajs)} RHS evaluations, worst envelope "
               f"margin {worst_margin:.3e}, batch {elapsed:.0f}s")
 
 

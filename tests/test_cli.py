@@ -164,7 +164,8 @@ def test_simulate_taylor_green_divergence_free(tmp_path):
 
 def test_simulate_summary_reports_rejected_steps(tmp_path, monkeypatch):
     # a first step of 0.05 is too long for the tolerance, so the run
-    # rejects steps, and the summary says how many next to the accepted ones
+    # rejects steps, and the summary says how many next to the accepted ones,
+    # then how many kernel calls the run made
     runs = []
     integrate = cli.integrate
 
@@ -181,6 +182,7 @@ def test_simulate_summary_reports_rejected_steps(tmp_path, monkeypatch):
     traj, = runs
     assert traj.rejected >= 1
     assert (int(summary["steps"]), int(summary["rejected"])) == (traj.steps, traj.rejected)
+    assert int(summary["rhs_evaluations"]) == traj.evaluations > 6 * traj.steps
 
 
 def test_simulate_random_deterministic(tmp_path):

@@ -10,6 +10,7 @@ import pytest
 
 from kolmosim import integrators
 from kolmosim.cutoffs import CutoffProfile, InitialBounds
+from kolmosim.estimates import RandomFieldSpec, admissible_state
 from kolmosim.integrators import (IntegratorConfig, fix_up, integrate,
                                   integrate_lockstep, pack, step, unpack)
 from kolmosim.spectral import (FOUR_PI_SQ, SpectralField, VectorSpectralField, _geometry,
@@ -120,7 +121,7 @@ class TestStructuralDrift:
         traj = integrate(state, config, make_params(bounds=WIDE),
                          CutoffProfile(WIDE))
         assert traj.status == "completed"
-        assert traj.steps == 1000
+        assert traj.steps == 1000 and traj.evaluations == 4000
         assert traj.final.div_residual() <= 1e-9
         assert traj.final.realness_residual() <= 1e-11
 
@@ -294,6 +295,39 @@ class TestPacking:
         assert div_residual(projected[:2], 2, 6) < 1e-13
 
 
+class TestStepControl:
+    def test_shrink_without_history_assumes_order_five(self):
+        for ratio in (1.5, 9.09, 1e6):       # 1e6 hits the 0.2 floor
+            assert integrators._shrink(0.01, ratio, None) == \
+                0.01 * max(0.2, 0.9 * ratio ** -0.2)
+
+    def test_shrink_follows_a_first_order_error(self):
+        # halving h halved the ratio: the error scales like h, so 0.9 / r
+        assert integrators._shrink(0.01, 1.5, (0.02, 3.0)) == pytest.approx(0.006, rel=1e-12)
+        assert integrators._shrink(0.01, 9.0, (0.02, 18.0)) == pytest.approx(0.002, rel=1e-12)
+
+    def test_shrink_clamps_the_order_at_five(self):
+        # an h^7 pair is taken as order 5
+        assert integrators._shrink(0.01, 1.5, (0.02, 1.5 * 2 ** 7)) == \
+            pytest.approx(integrators._shrink(0.01, 1.5, None), rel=1e-12)
+
+    def test_shrink_keeps_order_five_when_the_ratio_did_not_fall(self):
+        for r_prev in (1.5, 1.2):
+            assert integrators._shrink(0.01, 1.5, (0.02, r_prev)) == \
+                integrators._shrink(0.01, 1.5, None)
+
+    def test_envelope_datum_finds_its_first_step_in_few_tries(self):
+        # criterion 03's datum: at t = 0 the error falls only like h^1.1, so
+        # from dt = 1e-3 the order-5 shrink alone would reject 7 attempts
+        spec = RandomFieldSpec(dim=2, cutoff=16, rho=2.5, seed=0)
+        state = admissible_state(spec, WIDE, index=0, v_scale=0.2)
+        config = IntegratorConfig(method="rk45", dt=1e-3, abs_tol=1e-7, rel_tol=1e-7,
+                                  t_end=0.005, monitor_every=20)
+        traj = integrate(state, config, make_params(bounds=WIDE), CutoffProfile(WIDE))
+        assert traj.status == "completed" and traj.final.t == pytest.approx(0.005)
+        assert traj.rejected <= 2
+
+
 class TestStageReuse:
     def test_fsal_stage_survives_the_mirror_average(self, monkeypatch):
         # fix_up runs after every accepted step; with no Leray re-projection
@@ -322,6 +356,7 @@ class TestStageReuse:
         assert traj.status == "completed"
         assert traj.rejected >= 1 and projections[0] == 0
         assert calls[0] == 6 * (traj.steps + traj.rejected) + 1
+        assert traj.evaluations == calls[0]
 
     def test_concurrent_integrations_match_serial(self):
         # Each thread keeps its own kernel buffers, so two threads at

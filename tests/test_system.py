@@ -4,6 +4,7 @@ The Taylor-Green pressure and the perturbed-diffusion coefficients were
 derived by hand from the definitions before being frozen here.
 """
 
+import dataclasses
 import threading
 
 import numpy as np
@@ -85,7 +86,8 @@ class TestConstantFields:
 
     def test_reaction_scaling_in_alpha(self):
         state = constant_state(2, 4, w0=1.5, b0=2.0)
-        params = ModelParams(alpha=2.0, s=2.0, bounds=BOUNDS, oversample=4)
+        params = ModelParams(alpha=2.0, s=2.0, bounds=dataclasses.replace(BOUNDS, alpha=2.0),
+                             oversample=4)
         _, dw, db = rhs(state, params, PROFILE)
         assert dw.mode((0, 0)) == pytest.approx(-2.0 * 1.5 ** 2, rel=1e-13)
         assert db.mode((0, 0)) == pytest.approx(-2.0 * 1.5, rel=1e-13)
@@ -224,6 +226,12 @@ class TestHypotheses:
             2, 8, {(0, 0): 5.0}), state.b)
         problems = hypothesis_violations(bad, s=2.0)
         assert any("omega_0" in p for p in problems)
+
+    def test_params_refuse_bounds_of_another_alpha(self):
+        # the reaction term reads params.alpha and the envelopes bounds.alpha:
+        # two values would describe two models
+        with pytest.raises(ValueError, match="alpha 1.0 differs from bounds.alpha 3.0"):
+            ModelParams(alpha=1.0, s=2.0, bounds=dataclasses.replace(BOUNDS, alpha=3.0))
 
 
 def in_new_thread(fn):
