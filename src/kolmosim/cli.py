@@ -271,6 +271,8 @@ def cmd_verify(args) -> int:
                            seed=args.seed)
     name = args.name
     if name == "decomposition":
+        if args.samples < 1:
+            raise ValueError(f"decomposition: need at least 1 sample, got {args.samples}")
         worst = 0.0
         for i in range(args.samples):
             rng = spec.rng(i)

@@ -82,8 +82,8 @@ def existence_time(initial_triple_sq: float, beta: float,
     """
     if beta <= 1.0:
         raise ValueError("beta must exceed 1")
-    if initial_triple_sq < 0:
-        raise ValueError("initial_triple_sq must be >= 0")
+    if not 0.0 <= initial_triple_sq < math.inf:
+        raise ValueError(f"initial_triple_sq must be finite and >= 0: {initial_triple_sq!r}")
     target = _budget(initial_triple_sq, beta) / (beta - 1.0)
 
     if cmodel.gamma == -1.0:

@@ -168,19 +168,18 @@ def _check_holder(p, parts):
 # -- commutator and its decomposition ----------------------------------------------
 
 
-def commutator(f: SpectralField, g: SpectralField, s: float,
-               product_mode: str = "oversampled") -> SpectralField:
-    """[J^s, f] g = J^s(fg) - f J^s g, exact on the doubled ball 2n-1.
+def commutator(f: SpectralField, g: SpectralField, s: float) -> SpectralField:
+    """[J^s, f] g = J^s(fg) - f J^s g of real fields, exact on the doubled ball 2n-1.
 
     Products of two cutoff-n fields live inside cutoff 2n-1, so computing
-    there loses nothing; the oversampled grid product is alias-free for
-    these quadratics and equals the direct convolution to roundoff.
+    there loses nothing; `spectral_product`'s 2x-oversampled grid product is
+    alias-free for these quadratics and equals the convolution to roundoff.
     """
     if (f.dim, f.cutoff) != (g.dim, g.cutoff):
         raise ValueError("operands must share layout")
     m = 2 * f.cutoff - 1
-    fg = spectral_product(f, g, mode=product_mode, out_cutoff=m)
-    f_jsg = spectral_product(f, g.bessel(s), mode=product_mode, out_cutoff=m)
+    fg = spectral_product(f, g, out_cutoff=m)
+    f_jsg = spectral_product(f, g.bessel(s), out_cutoff=m)
     return fg.bessel(s) - f_jsg
 
 
@@ -303,7 +302,7 @@ def verify_product_estimate(spec: RandomFieldSpec, s: float,
         rng = spec.rng(i)
         f = spec.draw(rng)
         g = spec.draw(rng)
-        fg = spectral_product(f, g, mode="oversampled", out_cutoff=m_for(f))
+        fg = spectral_product(f, g, out_cutoff=m_for(f))
         lhs = field_lp(fg.bessel(s), p)
         rhs = (field_lp(f.bessel(s), p1) * field_lp(g, q1)
                + field_lp(f, p2) * field_lp(g.bessel(s), q2))
@@ -406,6 +405,8 @@ def verify_interpolation_inequality(spec: RandomFieldSpec, s: float,
 
 def _collect(name: str, spec: RandomFieldSpec, one: Callable[[int], tuple],
              samples: int, extra_meta: Dict) -> EstimateReport:
+    if samples < 1:
+        raise ValueError(f"{name}: need at least 1 sample, got {samples}")
     results = [one(i) for i in range(samples)]
     pairs = [(l, r) for l, r in results if r > 0.0]
     skipped = len(results) - len(pairs)

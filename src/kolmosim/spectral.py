@@ -11,12 +11,11 @@ Conventions kept throughout the package:
   * d/dx_i multiplies by 2*pi*i*k_i.
   * Physical grids are uniform with N points per axis at x_j = j/N.
 
-There is one transform pair, on the real half spectrum:
-`coefficients_to_real_grid` samples conjugate-symmetric coefficients and
-`real_grid_to_coefficients` takes real samples back.  Complex samples are
-re + i*im, the half-spectrum samples of the real part symmetrize(c) and of
-the imaginary part (c - conj_flip(c)) / 2i (`coefficients_to_grid`,
-`grid_to_coefficients`).
+Fields are real: c(-k) = conj(c(k)).  There is one transform pair, on the
+real half spectrum: `coefficients_to_real_grid` samples conjugate-symmetric
+coefficients and `real_grid_to_coefficients` takes real samples back.
+`real_samples` samples a field's real part symmetrize(c), `from_grid` takes
+real samples only, and `spectral_product` refuses a field that is not real.
 """
 
 from __future__ import annotations
@@ -152,25 +151,6 @@ def symmetrize(coeffs: np.ndarray, dim: int) -> np.ndarray:
     return 0.5 * (coeffs + conj_flip(coeffs, dim))
 
 
-def coefficients_to_grid(coeffs: np.ndarray, cutoff: int, dim: int, points: int) -> np.ndarray:
-    """Complex samples of the trigonometric sum on the uniform grid x_j =
-    j/points: the real and imaginary parts' coefficients, symmetrize(c) and
-    (c - conj_flip(c)) / 2i, sampled in one half-spectrum transform."""
-    parts = np.stack((symmetrize(coeffs, dim), (coeffs - conj_flip(coeffs, dim)) / 2j))
-    grids = coefficients_to_real_grid(parts, cutoff, dim, points)
-    return grids[0] + 1j * grids[1]
-
-
-def grid_to_coefficients(grid: np.ndarray, cutoff: int, dim: int) -> np.ndarray:
-    """Spectral quadrature, exact for band-limited grids.  A real grid goes
-    through the half-spectrum transform as it is; a complex one as its real
-    and imaginary parts, in one batched call."""
-    if not np.iscomplexobj(grid):
-        return real_grid_to_coefficients(grid, cutoff, dim)
-    parts = real_grid_to_coefficients(np.stack((grid.real, grid.imag)), cutoff, dim)
-    return parts[0] + 1j * parts[1]
-
-
 def _k_dot(stack: np.ndarray, dim: int, geo: _ModeGeometry) -> np.ndarray:
     """k . c(k) of a velocity stack whose component axis precedes the dim
     spatial axes."""
@@ -234,8 +214,11 @@ class SpectralField:
 
     @classmethod
     def from_grid(cls, grid: np.ndarray, cutoff: int) -> "SpectralField":
+        """The field of real samples on a uniform grid (exact if band-limited)."""
+        if np.iscomplexobj(grid):
+            raise ValueError("from_grid takes real samples, got a complex grid")
         dim = grid.ndim
-        return cls(dim, cutoff, grid_to_coefficients(grid, cutoff, dim))
+        return cls(dim, cutoff, real_grid_to_coefficients(grid, cutoff, dim))
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -339,17 +322,9 @@ class SpectralField:
 
     # -- physical space -----------------------------------------------------------
 
-    def grid_points(self, oversample: int = 1) -> int:
-        return oversample * (2 * self.cutoff - 1)
-
-    def physical(self, oversample: int = 1, points: int | None = None) -> np.ndarray:
-        """Complex samples on the uniform grid (real fields: imag ~ roundoff)."""
-        n_pts = points if points is not None else self.grid_points(oversample)
-        return coefficients_to_grid(self.coeffs, self.cutoff, self.dim, n_pts)
-
     def real_samples(self, points: int) -> np.ndarray:
-        """physical(points=points).real through the half spectrum: samples of
-        the field's real part, at about half the cost."""
+        """Samples of the field's real part, the trigonometric sum of
+        symmetrize(c), on the uniform points^d grid (half spectrum)."""
         return coefficients_to_real_grid(symmetrize(self.coeffs, self.dim),
                                          self.cutoff, self.dim, points)
 
@@ -423,14 +398,9 @@ class VectorSpectralField:
     def realness_residual(self) -> float:
         return max(f.realness_residual() for f in self.components)
 
-    def physical(self, oversample: int = 1, points: int | None = None) -> np.ndarray:
-        """Complex samples of every component in one transform."""
-        n_pts = points if points is not None else self.components[0].grid_points(oversample)
-        return coefficients_to_grid(self.stack(), self.cutoff, self.dim, n_pts)
-
     def real_samples(self, points: int) -> np.ndarray:
-        """physical(points=points).real, all components in one half-spectrum
-        transform."""
+        """Samples of every component's real part, (dim,) + (points,)*dim,
+        in one half-spectrum transform."""
         return coefficients_to_real_grid(symmetrize(self.stack(), self.dim),
                                          self.cutoff, self.dim, points)
 
@@ -438,50 +408,27 @@ class VectorSpectralField:
 # -- products ---------------------------------------------------------------------
 
 
-def _direct_convolution(f: SpectralField, g: SpectralField, out_cutoff: int) -> SpectralField:
-    """Literal convolution sum over mode pairs; the oracle-grade path."""
-    kf, cf = f.modes_and_coefficients()
-    kg, cg = g.modes_and_coefficients()
-    geo = _geometry(f.dim, out_cutoff)
-    out = np.zeros((geo.side,) * f.dim, dtype=complex)
-    limit_sq = out_cutoff * out_cutoff
-    block = max(1, 2_000_000 // max(len(kg), 1))
-    for lo in range(0, len(kf), block):
-        kfb = kf[lo:lo + block]
-        cfb = cf[lo:lo + block]
-        ks = kfb[:, None, :] + kg[None, :, :]
-        prods = cfb[:, None] * cg[None, :]
-        keep = np.sum(ks.astype(np.int64) ** 2, axis=-1) < limit_sq
-        idx = ks[keep] + (out_cutoff - 1)
-        np.add.at(out, tuple(idx.T), prods[keep])
-    return SpectralField(f.dim, out_cutoff, out)
+def spectral_product(f: SpectralField, g: SpectralField, oversample: int = 2,
+                     out_cutoff: int | None = None) -> SpectralField:
+    """Projected pointwise product P_m(f g) of two real fields, m = out_cutoff
+    (default: the operands' cutoff n).
 
-
-def spectral_product(f: SpectralField, g: SpectralField, mode: str = "exact",
-                     oversample: int = 2, out_cutoff: int | None = None) -> SpectralField:
-    """Projected pointwise product P_m(f g).
-
-    mode "exact": full convolution truncated to the output ball, computed by
-    a direct sum over mode pairs.  mode "oversampled": multiply samples on a
-    grid of oversample*(2n-1) points per axis and transform back; alias-free
-    for quadratics once oversample >= 2.  Both operands are sampled in one
-    batched call: real ones (realness residual at most REAL_TOL) as real
-    samples, others as complex samples.
+    Both operands are sampled in one half-spectrum transform on a grid of
+    oversample*(2n-1) points per axis, multiplied, and transformed back;
+    alias-free for these quadratics once oversample >= 2.  An operand whose
+    realness residual exceeds REAL_TOL (or is NaN) raises ValueError.
     """
     if (f.dim, f.cutoff) != (g.dim, g.cutoff):
         raise ValueError("operands must share layout")
+    residual = np.max([f.realness_residual(), g.realness_residual()])
+    if not residual <= REAL_TOL:
+        raise ValueError(f"spectral_product takes real fields: realness residual {residual:.3e}")
     n_out = out_cutoff if out_cutoff is not None else f.cutoff
-    if mode == "exact":
-        return _direct_convolution(f, g, n_out)
-    if mode == "oversampled":
-        pts = oversample * (2 * f.cutoff - 1)
-        pair = np.stack((f.coeffs, g.coeffs))
-        if max(f.realness_residual(), g.realness_residual()) <= REAL_TOL:
-            grids = coefficients_to_real_grid(symmetrize(pair, f.dim), f.cutoff, f.dim, pts)
-        else:
-            grids = coefficients_to_grid(pair, f.cutoff, f.dim, pts)
-        return SpectralField(f.dim, n_out, grid_to_coefficients(grids[0] * grids[1], n_out, f.dim))
-    raise ValueError(f"unknown product mode: {mode}")
+    pts = oversample * (2 * f.cutoff - 1)
+    pair = symmetrize(np.stack((f.coeffs, g.coeffs)), f.dim)
+    grids = coefficients_to_real_grid(pair, f.cutoff, f.dim, pts)
+    return SpectralField(f.dim, n_out,
+                         real_grid_to_coefficients(grids[0] * grids[1], n_out, f.dim))
 
 
 # -- grid quadrature norms -----------------------------------------------------------

@@ -86,6 +86,8 @@ def load_snapshot(path: str, expect_dim: Optional[int] = None,
         raise SnapshotError(f"dimension mismatch: snapshot d={d}, run d={expect_dim}")
     if d < 2 or n < 1:
         raise SnapshotError(f"invalid layout d={d}, n={n}")
+    if not np.isfinite(t):
+        raise SnapshotError(f"non-finite time t = {t!r}")
 
     dtype = _record_dtype(d)
     fields = []
@@ -98,6 +100,8 @@ def load_snapshot(path: str, expect_dim: Optional[int] = None,
         if off + nbytes > len(raw):
             raise SnapshotError(f"truncated records at offset {off}")
         rec = np.frombuffer(raw, dtype=dtype, count=count, offset=off)
+        if not (np.isfinite(rec["re"]).all() and np.isfinite(rec["im"]).all()):
+            raise SnapshotError(f"non-finite coefficient in field {len(fields)} at offset {off}")
         off += nbytes
         f = SpectralField.zeros(d, n)
         if count:

@@ -145,6 +145,8 @@ def hypothesis_violations(state: SimState, s: float):
     """Checkable local-existence hypotheses; returns problem descriptions.
     The positivity checks sample on 4(2n-1) points per axis."""
     problems = []
+    if not np.all(np.isfinite(pack(state))):
+        problems.append("non-finite coefficients")
     if s <= state.dim / 2:
         problems.append(f"regularity s = {s} <= d/2 = {state.dim / 2}")
     if state.div_residual() > 1e-10:

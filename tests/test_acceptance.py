@@ -98,14 +98,14 @@ def low_viscosity_datum(seed):
     center = (spec.cutoff - 1,) * 2
     v = VectorSpectralField(tuple(spec.draw(rng) for _ in range(2)))
     v = v.leray_project()
-    sup = max(float(np.max(np.abs(c.physical(points=64).real)))
+    sup = max(float(np.max(np.abs(c.real_samples(64))))
               for c in v.components)
     v = v * (0.3 / sup)
     f = spec.draw(rng)
-    omega = f * (0.5 / float(np.max(np.abs(f.physical(points=64).real))))
+    omega = f * (0.5 / float(np.max(np.abs(f.real_samples(64)))))
     omega.coeffs[center] += 3.0
     g = spec.draw(rng)
-    b = g * (0.001 / float(np.max(np.abs(g.physical(points=64).real))))
+    b = g * (0.001 / float(np.max(np.abs(g.real_samples(64)))))
     b.coeffs[center] += 0.005
     state = SimState(v, omega, b, 0.0)
     assert not hypothesis_violations(state, S_RUN)

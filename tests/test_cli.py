@@ -8,6 +8,8 @@ import pytest
 
 from kolmosim import cli
 from kolmosim.cli import main
+from kolmosim.cutoffs import InitialBounds
+from kolmosim.estimates import RandomFieldSpec, admissible_state
 from kolmosim.spectral import SpectralField, VectorSpectralField
 from kolmosim.storage import (load_snapshot, parse_config, print_config,
                               read_diagnostics_csv, save_snapshot)
@@ -106,6 +108,24 @@ def test_simulate_negative_omega_snapshot_rejected(tmp_path, capsys):
     rc = run(*sim_args(out, kind="snapshot", snapshot=bad))
     assert rc == 1
     assert "min omega_0" in capsys.readouterr().err
+
+
+def nan_snapshot(tmp_path):
+    """An admissible state with one NaN coefficient in omega."""
+    spec = RandomFieldSpec(dim=2, cutoff=4, rho=2.0, seed=0)
+    bounds = InitialBounds(b_min0=0.5, omega_min0=0.5, omega_max0=2.0, alpha=1.0)
+    state = admissible_state(spec, bounds)
+    state.omega.coeffs[3, 4] = np.nan
+    path = str(tmp_path / "nan.kolm")
+    save_snapshot(state, path)
+    return path
+
+
+def test_simulate_non_finite_snapshot_refused_before_output(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert run(*sim_args(out, kind="snapshot", snapshot=nan_snapshot(tmp_path))) == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_simulate_snapshot_initial_data_roundtrip(tmp_path):
@@ -230,6 +250,15 @@ def test_existence_time_beta_override_and_inf(tmp_path, capsys):
     assert math.isinf(float(record["T"]))
 
 
+def test_existence_time_non_finite_snapshot_refused(tmp_path, capsys):
+    rc = run("existence-time", "--set", "kind=snapshot",
+             "--set", f"snapshot={nan_snapshot(tmp_path)}", "--set", "n=4")
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "non-finite" in captured.err
+    assert "X0" not in captured.out and "T =" not in captured.out
+
+
 # -- verify -------------------------------------------------------------------------
 
 
@@ -257,6 +286,17 @@ def test_verify_decomposition_passes(tmp_path, capsys, monkeypatch):
     rc = run("verify", "decomposition", "--samples", "2", "--cutoff", "4")
     assert rc == 0
     assert "pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["decomposition", "commutator"])
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_refuses_empty_campaign(tmp_path, capsys, monkeypatch, name, samples):
+    monkeypatch.chdir(tmp_path)
+    assert run("verify", name, "--samples", samples, "--cutoff", "4") == 1
+    captured = capsys.readouterr()
+    assert "at least 1 sample" in captured.err
+    assert "pass" not in captured.out
+    assert os.listdir(tmp_path) == []
 
 
 def test_verify_report_file_written(tmp_path):

@@ -95,6 +95,9 @@ class TestExistenceTime:
             existence_time(0.0, 1.0, ConstantModel(1.0, 0.0))
         with pytest.raises(ValueError):
             existence_time(-1.0, 2.0, ConstantModel(1.0, 0.0))
+        for x0 in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                existence_time(x0, 2.0, ConstantModel(1.0, 0.0))
         with pytest.raises(ValueError):
             ConstantModel(0.0, 0.0)
 

@@ -26,12 +26,16 @@ from kolmosim.integrators import IntegratorConfig
 from kolmosim.spectral import (SpectralField, VectorSpectralField,
                                fast_grid_size, lp_norm)
 from kolmosim.system import ModelParams
+from oracles import direct_convolution, trigonometric_sum
 
 WIDE = InitialBounds(b_min0=0.5, omega_min0=0.5, omega_max0=2.0, alpha=1.0)
 
 # sqrt(1 + 36 pi^2) - sqrt(1 + 16 pi^2), the single-mode commutator amplitude
 # for s = 1, xi0 = (1,0), eta0 = (2,0).
 COMMUTATOR_AMP = 6.269966550007176
+# sqrt(1 + 4 pi^2) - sqrt(1 + 16 pi^2), the amplitude for s = 1, xi0 = (-1,0),
+# eta0 = (2,0).
+COMMUTATOR_AMP_LOW = -6.243831425949187
 # 2 pi / ((0.5 (1+4pi^2)^2)^(1/4) (0.5 (1+4pi^2)^3)^(1/4)), the cosine
 # interpolation ratio at d = 2, s = 2, theta = 1/2.
 COS_INTERP_RATIO = 0.08702929350228393
@@ -73,8 +77,8 @@ class TestRandomFieldSpec:
         state.validate()
         # Containment must hold on grids the construction never saw.
         for pts in (64, 301):
-            w = state.omega.physical(points=pts).real
-            b = state.b.physical(points=pts).real
+            w = state.omega.real_samples(pts)
+            b = state.b.real_samples(pts)
             assert np.min(w) >= WIDE.omega_min0
             assert np.max(w) <= WIDE.omega_max0
             assert np.min(b) >= WIDE.b_min0
@@ -125,18 +129,24 @@ class TestCommutator:
         assert np.max(np.abs(out.coeffs)) < 1e-13
 
     def test_single_mode_oracle(self):
-        f = SpectralField.from_modes(2, 3, {(1, 0): 1.0})
-        g = SpectralField.from_modes(2, 3, {(2, 0): 1.0})
+        """f = cos 2 pi x1, g = cos 4 pi x1: each mode pair (xi, eta) puts
+        (J^1(xi+eta) - J^1(eta)) / 4 on xi + eta, and nothing else."""
+        f = SpectralField.from_modes(2, 3, {(1, 0): 0.5, (-1, 0): 0.5})
+        g = SpectralField.from_modes(2, 3, {(2, 0): 0.5, (-2, 0): 0.5})
         out = commutator(f, g, 1.0)
-        assert out.mode((3, 0)) == pytest.approx(COMMUTATOR_AMP, abs=1e-10)
         rest = out.coeffs.copy()
-        rest[out.cutoff - 1 + 3, out.cutoff - 1] = 0.0
+        for k, amp in (((3, 0), COMMUTATOR_AMP), ((-3, 0), COMMUTATOR_AMP),
+                       ((1, 0), COMMUTATOR_AMP_LOW), ((-1, 0), COMMUTATOR_AMP_LOW)):
+            assert 4.0 * out.mode(k) == pytest.approx(amp, abs=1e-10)
+            rest[out.cutoff - 1 + k[0], out.cutoff - 1] = 0.0
         assert np.max(np.abs(rest)) < 1e-12
 
     def test_product_modes_agree(self):
+        """The commutator's grid products equal the literal convolution."""
         f, g = random_pair(3, cutoff=5)
-        a = commutator(f, g, 1.5, product_mode="exact")
-        b = commutator(f, g, 1.5, product_mode="oversampled")
+        a = (direct_convolution(f, g, 9).bessel(1.5)
+             - direct_convolution(f, g.bessel(1.5), 9))
+        b = commutator(f, g, 1.5)
         assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-11
 
 
@@ -158,9 +168,10 @@ class TestCommutatorDecomposition:
             assert np.max(np.abs(part.coeffs)) < 1e-12
 
     def test_support_selection(self):
-        # (1+|xi|^2)/(1+|eta|^2) = 2/5 lies inside the comparable band.
-        f = SpectralField.from_modes(2, 4, {(1, 0): 1.0})
-        g = SpectralField.from_modes(2, 4, {(2, 0): 1.0})
+        # (1+|xi|^2)/(1+|eta|^2) = 2/5 lies inside the comparable band for
+        # every pair of f = cos 2 pi x1 and g = cos 4 pi x1.
+        f = SpectralField.from_modes(2, 4, {(1, 0): 0.5, (-1, 0): 0.5})
+        g = SpectralField.from_modes(2, 4, {(2, 0): 0.5, (-2, 0): 0.5})
         s1, s2, s3 = commutator_decomposition(f, g, 1.0)
         assert np.max(np.abs(s1.coeffs)) == 0.0
         assert np.max(np.abs(s3.coeffs)) == 0.0
@@ -206,7 +217,7 @@ class TestGridNorms:
 
     def test_half_spectrum_matches_complex_samples(self):
         """field_lp samples through the half spectrum; the norms equal those
-        of the complex samples' real parts, also for fields that are not real
+        of the literal sum's real part, also for fields that are not real
         (scalar, and a vector with one non-real component)."""
         for n in (8, 16):
             pts = fast_grid_size(4 * (2 * n - 1))
@@ -216,14 +227,13 @@ class TestGridNorms:
             c[n, n - 1] += 0.3 + 0.2j                   # breaks realness
             nonreal = SpectralField(2, n, c)
             v = VectorSpectralField((f, spec.draw(spec.rng(1)))).leray_project()
+            scalars = [(g, trigonometric_sum(g, pts).real) for g in (f, nonreal)]
+            vectors = [(w, np.sqrt(sum(trigonometric_sum(c, pts).real ** 2
+                                       for c in w.components)))
+                       for w in (v, f.gradient(), VectorSpectralField((nonreal, f)))]
             for p in (2.0, 3.0, np.inf):
-                for g in (f, nonreal):
-                    ref = lp_norm(g.physical(points=pts).real, p)
-                    assert field_lp(g, p) == pytest.approx(ref, rel=1e-13)
-                for w in (v, f.gradient(), VectorSpectralField((nonreal, f))):
-                    mag = np.sqrt(sum(c.physical(points=pts).real ** 2
-                                      for c in w.components))
-                    assert field_lp(w, p) == pytest.approx(lp_norm(mag, p), rel=1e-13)
+                for g, ref in scalars + vectors:
+                    assert field_lp(g, p) == pytest.approx(lp_norm(ref, p), rel=1e-13)
 
 
 class TestCampaigns:
@@ -235,6 +245,15 @@ class TestCampaigns:
         assert r1.max_ratio > 0.0 and math.isfinite(r1.max_ratio)
         assert r1.skipped == 0
         assert r1.samples == 12
+
+    def test_campaigns_refuse_empty_sample(self):
+        spec = RandomFieldSpec(dim=2, cutoff=4)
+        for campaign in (verify_commutator_estimate, verify_product_estimate,
+                         verify_composition_estimate,
+                         verify_interpolation_inequality):
+            for samples in (0, -1):
+                with pytest.raises(ValueError, match="at least 1 sample"):
+                    campaign(spec, 2.0, samples=samples)
 
     def test_commutator_exponent_validation(self):
         spec = RandomFieldSpec(dim=2, cutoff=4)
@@ -258,7 +277,7 @@ class TestCampaigns:
         f = spec.draw(spec.rng(0))
         one = SpectralField.from_modes(2, 5, {(0, 0): 1.0})
         from kolmosim.spectral import spectral_product
-        fg = spectral_product(f, one, mode="oversampled", out_cutoff=9)
+        fg = spectral_product(f, one, out_cutoff=9)
         lhs = field_lp(fg.bessel(2.0), 2.0)
         rhs = (field_lp(f.bessel(2.0), 2.0) * field_lp(one, np.inf)
                + field_lp(f, np.inf) * field_lp(one.bessel(2.0), 2.0))

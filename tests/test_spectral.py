@@ -11,10 +11,11 @@ from kolmosim.spectral import (
     SpectralField,
     VectorSpectralField,
     fast_grid_size,
-    grid_to_coefficients,
     lp_norm,
+    real_grid_to_coefficients,
     spectral_product,
 )
+from oracles import direct_convolution, trigonometric_sum
 
 
 def sample_complex_field(dim, cutoff, rho=1.5, seed=0):
@@ -66,7 +67,7 @@ class TestNormsAndOperators:
 
     def test_parseval(self):
         f = sample_real_field(2, 7, seed=11)
-        grid = f.physical()
+        grid = f.real_samples(13)
         quad = float(np.mean(np.abs(grid) ** 2))
         assert quad == pytest.approx(f.hs_norm_sq(0.0), rel=1e-12)
 
@@ -105,15 +106,20 @@ class TestNormsAndOperators:
 
     def test_grid_roundtrip(self):
         f = sample_real_field(2, 6, seed=9)
-        g = SpectralField.from_grid(f.physical(), f.cutoff)
+        g = SpectralField.from_grid(f.real_samples(11), f.cutoff)
         assert np.max(np.abs(g.coeffs - f.coeffs)) < 1e-13
 
+    def test_from_grid_refuses_complex_samples(self):
+        grid = sample_real_field(2, 6, seed=9).real_samples(11)
+        with pytest.raises(ValueError, match="real samples"):
+            SpectralField.from_grid(grid.astype(complex), 6)
+
     def test_real_halfspectrum_path_matches_complex(self):
-        """The rfft fast path agrees with the full complex transforms."""
-        from kolmosim.spectral import coefficients_to_real_grid, real_grid_to_coefficients
+        """The rfft transform pair agrees with the complex literal sum."""
+        from kolmosim.spectral import coefficients_to_real_grid
         for pts in (11, 12, 16, 25):
             f = sample_real_field(2, 6, seed=40 + pts)
-            a = f.physical(points=pts)
+            a = trigonometric_sum(f, pts)
             b = coefficients_to_real_grid(f.coeffs, 6, 2, pts)
             assert np.max(np.abs(a.imag)) < 1e-13
             assert np.max(np.abs(a.real - b)) < 1e-13
@@ -123,7 +129,7 @@ class TestNormsAndOperators:
     def test_realness_machinery(self):
         f = sample_real_field(2, 6, seed=1)
         assert f.realness_residual() < 1e-14
-        assert np.max(np.abs(f.physical(2).imag)) < 1e-13
+        assert np.max(np.abs(trigonometric_sum(f, 22).imag)) < 1e-13
         mirrored = f.conj_mirror()
         assert np.max(np.abs(mirrored.coeffs - f.coeffs)) < 1e-14
         # break the symmetry at mode (1,0) only, then symmetrize back
@@ -144,15 +150,15 @@ class TestNormsAndOperators:
 
 class TestRealSamples:
     def test_scalar_matches_physical_real(self):
-        """Half-spectrum samples equal the real part of the complex samples,
-        for a non-real field too."""
+        """Half-spectrum samples equal the real part of the literal sum, for
+        a non-real field too."""
         for n in (8, 16):
             for f in (sample_real_field(2, n, seed=n), sample_complex_field(2, n, seed=n)):
                 for pts in (2 * n - 1, fast_grid_size(4 * (2 * n - 1))):
-                    ref = f.physical(points=pts).real
+                    ref = trigonometric_sum(f, pts).real
                     assert rel_diff(f.real_samples(pts), ref) <= 1e-13
         f = sample_real_field(3, 4, seed=5)
-        assert rel_diff(f.real_samples(12), f.physical(points=12).real) <= 1e-13
+        assert rel_diff(f.real_samples(12), trigonometric_sum(f, 12).real) <= 1e-13
 
     def test_vector_matches_physical_real(self):
         """One batched transform, component by component; the component axis
@@ -164,16 +170,8 @@ class TestRealSamples:
             for w in (v, v.leray_project(), sample_real_field(2, n, seed=n).gradient()):
                 out = w.real_samples(pts)
                 assert out.shape == (2, pts, pts)
-                assert rel_diff(out, w.physical(points=pts).real) <= 1e-13
-
-
-def trigonometric_sum(f, points):
-    """sum_k c_k exp(2 pi i k.x) on the grid x_j = j/points, term by term."""
-    x = np.indices((points,) * f.dim) / points
-    out = np.zeros((points,) * f.dim, dtype=complex)
-    for k, c in zip(*f.modes_and_coefficients()):
-        out += c * np.exp(2j * np.pi * np.tensordot(k, x, axes=1))
-    return out
+                ref = np.stack([trigonometric_sum(c, pts).real for c in w.components])
+                assert rel_diff(out, ref) <= 1e-13
 
 
 ORACLE_SIZES = [(2, 4, 7), (2, 4, 8), (3, 3, 5), (3, 3, 6)]     # (d, n, points)
@@ -182,35 +180,45 @@ ORACLE_SIZES = [(2, 4, 7), (2, 4, 8), (3, 3, 5), (3, 3, 6)]     # (d, n, points)
 class TestTrigonometricSumOracle:
     @pytest.mark.parametrize("dim,n,pts", ORACLE_SIZES)
     def test_physical_matches_literal_sum(self, dim, n, pts):
-        for make in (sample_real_field, sample_complex_field):
-            f = make(dim, n, seed=pts)
-            assert rel_diff(f.physical(points=pts), trigonometric_sum(f, pts)) <= 1e-13
-            v = VectorSpectralField(tuple(make(dim, n, seed=10 * pts + a) for a in range(dim)))
-            ref = np.stack([trigonometric_sum(c, pts) for c in v.components])
-            assert rel_diff(v.physical(points=pts), ref) <= 1e-13
-
-    @pytest.mark.parametrize("dim,n,pts", ORACLE_SIZES)
-    def test_from_grid_recovers_nonreal_coefficients(self, dim, n, pts):
-        f = sample_complex_field(dim, n, seed=pts + 1)
-        back = SpectralField.from_grid(trigonometric_sum(f, pts), n)
-        assert rel_diff(back.coeffs, f.coeffs) <= 1e-13
+        """real_samples of real fields, scalar and vector, equal the literal
+        sum, whose imaginary part vanishes."""
+        f = sample_real_field(dim, n, seed=pts)
+        ref = trigonometric_sum(f, pts)
+        assert np.max(np.abs(ref.imag)) <= 1e-13 * np.max(np.abs(ref.real))
+        assert rel_diff(f.real_samples(pts), ref.real) <= 1e-13
+        v = VectorSpectralField(tuple(sample_real_field(dim, n, seed=10 * pts + a)
+                                      for a in range(dim)))
+        ref = np.stack([trigonometric_sum(c, pts).real for c in v.components])
+        assert rel_diff(v.real_samples(pts), ref) <= 1e-13
 
 
 class TestProducts:
     def test_single_mode_product(self):
-        f = SpectralField.from_modes(2, 4, {(1, 0): 2.0})
-        g = SpectralField.from_modes(2, 4, {(0, 1): 3.0})
-        h = spectral_product(f, g, mode="exact")
-        assert h.mode((1, 1)) == pytest.approx(6.0, rel=1e-15)
-        assert h.hs_norm(0.0) == pytest.approx(6.0, rel=1e-14)
+        """2 cos(2 pi x1) * 3 cos(2 pi x2) = 1.5 on each of the modes (+-1, +-1)."""
+        f = SpectralField.from_modes(2, 4, {(1, 0): 1.0, (-1, 0): 1.0})
+        g = SpectralField.from_modes(2, 4, {(0, 1): 1.5, (0, -1): 1.5})
+        h = spectral_product(f, g)
+        for k in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            assert h.mode(k) == pytest.approx(1.5, rel=1e-14)
+        assert h.hs_norm(0.0) == pytest.approx(3.0, rel=1e-14)
 
     def test_product_truncates_outside_ball(self):
-        f = SpectralField.from_modes(2, 2, {(1, 0): 1.0})
-        h = spectral_product(f, f, mode="exact")
-        assert np.max(np.abs(h.coeffs)) == 0.0
+        """cos(2 pi x1) sin(2 pi x1) = sin(4 pi x1) / 2 lies outside |k| < 2."""
+        f = SpectralField.from_modes(2, 2, {(1, 0): 0.5, (-1, 0): 0.5})
+        g = SpectralField.from_modes(2, 2, {(1, 0): -0.5j, (-1, 0): 0.5j})
+        h = spectral_product(f, g)
+        assert np.max(np.abs(h.coeffs)) < 1e-16
+
+    def test_refuses_nonreal_operand(self):
+        f = sample_real_field(2, 6, seed=50)
+        g = sample_complex_field(2, 6, seed=51)
+        assert g.realness_residual() > 1e-3
+        for a, b in ((f, g), (g, f)):
+            with pytest.raises(ValueError, match="real fields"):
+                spectral_product(a, b)
 
     def test_exact_matches_nested_loop_oracle(self):
-        """Direct convolution against a literal python triple loop at n = 3."""
+        """The product against a literal python double loop at n = 3."""
         f = sample_real_field(2, 3, seed=21)
         g = sample_real_field(2, 3, seed=22)
         out = {}
@@ -221,7 +229,7 @@ class TestProducts:
                 k = (int(k1[0] + k2[0]), int(k1[1] + k2[1]))
                 if k[0] ** 2 + k[1] ** 2 < 9:
                     out[k] = out.get(k, 0.0) + c1 * c2
-        h = spectral_product(f, g, mode="exact")
+        h = spectral_product(f, g)
         for k, v in out.items():
             assert h.mode(k) == pytest.approx(v, abs=1e-14)
         assert h.hs_norm(0.0) == pytest.approx(
@@ -231,40 +239,31 @@ class TestProducts:
         for seed in range(8):
             f = sample_real_field(2, 6, seed=100 + seed)
             g = sample_real_field(2, 6, seed=200 + seed)
-            a = spectral_product(f, g, mode="exact")
-            b = spectral_product(f, g, mode="oversampled", oversample=2)
-            c = spectral_product(f, g, mode="oversampled", oversample=4)
+            a = direct_convolution(f, g, 6)
+            b = spectral_product(f, g, oversample=2)
+            c = spectral_product(f, g, oversample=4)
             scale = max(a.hs_norm(0.0), 1e-30)
             assert np.max(np.abs(a.coeffs - b.coeffs)) / scale < 1e-12
             assert np.max(np.abs(a.coeffs - c.coeffs)) / scale < 1e-12
 
     def test_real_branch_matches_complex_transforms(self):
-        """Real operands take the half-spectrum transforms; the result equals
-        the product of the complex samples, transformed back."""
+        """The half-spectrum product equals the product of the literal sums'
+        samples, transformed back."""
         for n in (8, 16):
             f = sample_real_field(2, n, seed=300 + n)
             g = sample_real_field(2, n, seed=400 + n)
             pts = 2 * (2 * n - 1)
             m = 2 * n - 1
-            ref = grid_to_coefficients(f.physical(points=pts) * g.physical(points=pts), m, 2)
-            out = spectral_product(f, g, mode="oversampled", out_cutoff=m)
+            grid = trigonometric_sum(f, pts).real * trigonometric_sum(g, pts).real
+            ref = real_grid_to_coefficients(grid, m, 2)
+            out = spectral_product(f, g, out_cutoff=m)
             assert rel_diff(out.coeffs, ref) <= 1e-13
-
-    def test_nonreal_branch_matches_exact(self):
-        """Non-real operands keep the complex transforms; the product of their
-        real parts would not match the convolution."""
-        f = sample_complex_field(2, 6, seed=51)
-        g = sample_complex_field(2, 6, seed=52)
-        assert f.realness_residual() > 1e-3
-        a = spectral_product(f, g, mode="exact")
-        b = spectral_product(f, g, mode="oversampled", oversample=2)
-        assert np.max(np.abs(a.coeffs - b.coeffs)) / a.hs_norm(0.0) < 1e-12
 
     def test_undersampled_grid_aliases(self):
         """oversample = 1 folds the tail back in; the modes must disagree."""
         f = sample_real_field(2, 6, seed=31)
-        a = spectral_product(f, f, mode="exact")
-        b = spectral_product(f, f, mode="oversampled", oversample=1)
+        a = direct_convolution(f, f, 6)
+        b = spectral_product(f, f, oversample=1)
         assert np.max(np.abs(a.coeffs - b.coeffs)) / a.hs_norm(0.0) > 1e-6
 
 
@@ -296,7 +295,7 @@ class TestGridNorms:
     def test_lp_norms_of_cosine(self):
         """L^2 = sqrt(1/2), L^4 = (3/8)^(1/4), L^inf = 1 for cos(2 pi x1)."""
         f = SpectralField.from_modes(2, 2, {(1, 0): 0.5, (-1, 0): 0.5})
-        grid = f.physical(oversample=64).real
+        grid = f.real_samples(64 * 3)
         assert lp_norm(grid, 2) == pytest.approx(0.7071067811865476, rel=1e-6)
         assert lp_norm(grid, 4) == pytest.approx(0.375 ** 0.25, rel=1e-6)
         assert lp_norm(grid, np.inf) == pytest.approx(1.0, rel=1e-9)

@@ -162,6 +162,21 @@ def test_asymmetric_coefficients_need_flag(tmp_path):
     assert states_equal(state, loaded)
 
 
+@pytest.mark.parametrize("where", ["omega", "t"])
+def test_non_finite_snapshot_rejected(tmp_path, where):
+    state = random_state(cutoff=3)
+    if where == "t":
+        state = SimState(state.v, state.omega, state.b, math.inf)
+    else:
+        state.omega.coeffs[2, 2] = np.nan
+    path = str(tmp_path / "nan.kolm")
+    save_snapshot(state, path)
+    with pytest.raises(SnapshotError, match="non-finite"):
+        load_snapshot(path)
+    with pytest.raises(SnapshotError, match="non-finite"):
+        load_snapshot(path, allow_asymmetric=True)
+
+
 # -- diagnostics CSV ----------------------------------------------------------------
 
 

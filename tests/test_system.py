@@ -64,8 +64,8 @@ def taylor_green_state(cutoff=4, pts=32):
     xx, yy = np.meshgrid(x, x, indexing="ij")
     u = np.cos(2 * np.pi * xx) * np.sin(2 * np.pi * yy)
     w = -np.sin(2 * np.pi * xx) * np.cos(2 * np.pi * yy)
-    v = VectorSpectralField((SpectralField.from_grid(u.astype(complex), cutoff),
-                             SpectralField.from_grid(w.astype(complex), cutoff)))
+    v = VectorSpectralField((SpectralField.from_grid(u, cutoff),
+                             SpectralField.from_grid(w, cutoff)))
     omega = SpectralField.from_modes(2, cutoff, {(0, 0): 1.0})
     b = SpectralField.from_modes(2, cutoff, {(0, 0): 1.0})
     return SimState(v, omega, b, t=0.0)
@@ -121,8 +121,8 @@ class TestTaylorGreen:
         x = np.arange(pts) / pts
         xx, yy = np.meshgrid(x, x, indexing="ij")
         expected = VectorSpectralField((
-            SpectralField.from_grid(np.pi * np.sin(4 * np.pi * xx).astype(complex), 4),
-            SpectralField.from_grid(np.pi * np.sin(4 * np.pi * yy).astype(complex), 4)))
+            SpectralField.from_grid(np.pi * np.sin(4 * np.pi * xx), 4),
+            SpectralField.from_grid(np.pi * np.sin(4 * np.pi * yy), 4)))
         diff = grad_p - expected
         assert diff.hs_norm(0.0) < 1e-12
 
@@ -150,8 +150,8 @@ class TestTaylorGreen:
         wave = np.sin(2 * np.pi * (xx + 2 * yy))
         a = np.array([2.0, -1.0])  # orthogonal to k = (1, 2)
         v = VectorSpectralField((
-            SpectralField.from_grid((a[0] * wave).astype(complex), 4),
-            SpectralField.from_grid((a[1] * wave).astype(complex), 4)))
+            SpectralField.from_grid(a[0] * wave, 4),
+            SpectralField.from_grid(a[1] * wave, 4)))
         state = SimState(v, SpectralField.from_modes(2, 4, {(0, 0): 1.0}),
                          SpectralField.from_modes(2, 4, {(0, 0): 1.0}))
         grad_p = pressure_gradient(state, PARAMS, PROFILE)
@@ -226,6 +226,12 @@ class TestHypotheses:
             2, 8, {(0, 0): 5.0}), state.b)
         problems = hypothesis_violations(bad, s=2.0)
         assert any("omega_0" in p for p in problems)
+
+    def test_non_finite_coefficients_flagged(self):
+        state = divergence_free_random_state(10)
+        state.omega.coeffs[7, 8] = np.nan
+        problems = hypothesis_violations(state, s=2.0)
+        assert any("non-finite" in p for p in problems)
 
     def test_params_refuse_bounds_of_another_alpha(self):
         # the reaction term reads params.alpha and the envelopes bounds.alpha:
