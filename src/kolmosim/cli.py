@@ -111,7 +111,7 @@ def _taylor_green(cutoff: int, bounds: InitialBounds, scale: float) -> SimState:
     return SimState(v, omega, b, t=0.0)
 
 
-def initial_state(config: RunConfig) -> SimState:
+def _datum(config: RunConfig) -> SimState:
     d, n = config["d"], config["n"]
     bounds = config.validate().bounds
     kind = config["kind"]
@@ -133,18 +133,17 @@ def initial_state(config: RunConfig) -> SimState:
                 raise ValueError("taylor-green preset is two-dimensional")
             return _taylor_green(n, bounds, config["v_scale"])
         raise ValueError(f"unknown preset {name!r}")
-    if kind == "snapshot":
-        state = load_snapshot(config["snapshot"], expect_dim=d)
-        if state.cutoff != n:
-            state = state.project(n)
-        return state
-    raise ValueError(f"unknown initial-data kind {kind!r}")
+    state = load_snapshot(config["snapshot"], expect_dim=d)   # validate() left "snapshot"
+    return state if state.cutoff == n else state.project(n)
 
 
-def _check_hypotheses(state: SimState, config: RunConfig) -> None:
+def initial_state(config: RunConfig) -> SimState:
+    """The configured initial datum; ValueError when it violates a hypothesis."""
+    state = _datum(config)
     problems = hypothesis_violations(state, config["s"])
     if problems:
         raise ValueError("hypothesis violated: " + "; ".join(problems))
+    return state
 
 
 def _diagnostics_rows(traj: Trajectory, config: RunConfig, cm: ConstantModel,
@@ -190,7 +189,6 @@ def _diagnostics_rows(traj: Trajectory, config: RunConfig, cm: ConstantModel,
 def cmd_simulate(args) -> int:
     config, run = _load_run_config(args)
     state = initial_state(config)
-    _check_hypotheses(state, config)
     profile = CutoffProfile(run.bounds)
     out_dir = config["directory"]
     with OutputLock(out_dir):
@@ -226,7 +224,6 @@ def cmd_simulate(args) -> int:
 def cmd_existence_time(args) -> int:
     config, run = _load_run_config(args)
     state = initial_state(config)
-    _check_hypotheses(state, config)
     s, d = config["s"], config["d"]
     x0 = state.triple_norm_sq(s)
     beta = args.beta if args.beta is not None else beta_exponent(s, d)

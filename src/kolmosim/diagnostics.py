@@ -13,7 +13,7 @@ from typing import Callable, List, Sequence, Tuple
 import numpy as np
 
 from .cutoffs import CutoffProfile
-from .system import SimState, grid_extrema
+from .system import SimState, grid_extrema, pack, triple_sq
 
 
 @dataclass(frozen=True)
@@ -158,9 +158,9 @@ def energy_balance(trajectory, s: float, nu_lower: Callable[[float], float],
     if len(states) < 3:
         raise ValueError("need at least 3 trajectory samples")
     times = np.array([st.t for st in states])
-    triple = np.array([st.triple_norm_sq(s) for st in states])
-    hs1 = np.array([st.triple_norm_sq(s + 1.0) - st.triple_norm_sq(s)
-                    for st in states])
+    stack = np.stack([pack(st) for st in states])
+    triple = triple_sq(stack, s)
+    hs1 = triple_sq(stack, s + 1.0) - triple
     d_dt = np.gradient(1.0 + triple, times)
     nu = np.array([nu_lower(t) for t in times])
     lhs = d_dt + nu * hs1

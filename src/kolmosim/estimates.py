@@ -18,11 +18,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cutoffs import CutoffProfile, smooth_step
-from .integrators import IntegratorConfig, integrate_lockstep, pack
+from .integrators import IntegratorConfig, integrate_lockstep
 from .spectral import (FOUR_PI_SQ, SpectralField, VectorSpectralField,
                        _geometry, fast_grid_size, lp_norm,
                        real_grid_to_coefficients, spectral_product, symmetrize)
-from .system import ModelParams, SimState
+from .system import ModelParams, SimState, pack, triple_sq
 
 
 # -- random field plumbing ---------------------------------------------------------
@@ -465,9 +465,8 @@ def uniqueness_probe(state0: SimState, amplitude: float, params: ModelParams,
     partial = (base.status != "completed" or pert.status != "completed"
                or len(base.states) != len(pert.states))
     times = np.array([base.states[i].t for i in range(n_common)])
-    e = np.array([float(np.sum(np.abs(pack(base.states[i])
-                                      - pack(pert.states[i])) ** 2))
-                  for i in range(n_common)])
+    e = triple_sq(np.stack([pack(base.states[i]) - pack(pert.states[i])
+                            for i in range(n_common)]), 0.0)
 
     g_fit = 0.0
     g_env = 0.0

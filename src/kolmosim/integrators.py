@@ -68,7 +68,7 @@ from .cutoffs import CutoffProfile
 from .spectral import FOUR_PI_SQ, _geometry, div_residual, leray_coefficients, symmetrize
 # the member-stack kernel under the module-global name the loop looks up at
 # each call: one call per stage, for every member of the stack
-from .system import ModelParams, SimState, pack, unpack
+from .system import ModelParams, SimState, pack, triple_sq, unpack
 from .system import member_rhs as rhs
 
 MAX_STEPS = 2_000_000          # accepted steps before a run is failed
@@ -144,12 +144,6 @@ def fix_up(stack: np.ndarray, dim: int, cutoff: int):
         stack = stack.copy()
         stack[reproject, :dim] = leray_coefficients(stack[reproject, :dim], dim, cutoff)
     return stack, reproject
-
-
-def triple_sq(stack: np.ndarray, dim: int, cutoff: int, s: float) -> List[float]:
-    """The triple norm squared of each member of a stack."""
-    w = _geometry(dim, cutoff).bessel_weight(s)
-    return [float(np.sum(w * np.abs(arr) ** 2)) for arr in stack]
 
 
 def rk4_step(arr: np.ndarray, t: float, h: float, params: ModelParams,
@@ -267,7 +261,7 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
     # the loop keeps conjugate symmetry exactly, so it starts from the data's
     # real parts; on conjugate-symmetric data this changes no bit
     y = symmetrize(np.stack([pack(st) for st in states0]), dim)
-    ceiling = config.blowup_factor * (2.0 * np.array(triple_sq(y, dim, cutoff, s)) + 1.0)
+    ceiling = config.blowup_factor * (2.0 * triple_sq(y, s) + 1.0)
     h = config.dt
     k1 = nu_ref = None             # rk45's FSAL stage F(t, y) and reference viscosities
     rates = _diffusion_rates(dim, cutoff)
@@ -342,8 +336,8 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
 
             at_end = t >= config.t_end - 1e-14
             if steps % config.monitor_every == 0 or at_end:
-                x_now = triple_sq(y, dim, cutoff, s)
-                ok = np.array([bool(x <= c) for x, c in zip(x_now, ceiling)])
+                x_now = triple_sq(y, s)
+                ok = x_now <= ceiling
                 for i, member in enumerate(live):
                     trajs[member].states.append(unpack(y[i], dim, cutoff, t))
                     if not ok[i]:

@@ -151,6 +151,15 @@ def symmetrize(coeffs: np.ndarray, dim: int) -> np.ndarray:
     return 0.5 * (coeffs + conj_flip(coeffs, dim))
 
 
+def realness_residual(coeffs: np.ndarray, dim: int) -> float:
+    """Largest max_k |c(k) - conj(c(-k))| / max_k |c(k)| over the fields of a
+    stack (each field the trailing dim axes); NaN if any coefficient is NaN."""
+    axes = tuple(range(-dim, 0))
+    dev = np.max(np.abs(coeffs - conj_flip(coeffs, dim)), axis=axes)
+    scale = np.maximum(np.max(np.abs(coeffs), axis=axes), _TINY)
+    return float(np.max(dev / scale))
+
+
 def _k_dot(stack: np.ndarray, dim: int, geo: _ModeGeometry) -> np.ndarray:
     """k . c(k) of a velocity stack whose component axis precedes the dim
     spatial axes."""
@@ -313,9 +322,7 @@ class SpectralField:
         return SpectralField(self.dim, self.cutoff, conj_flip(self.coeffs, self.dim))
 
     def realness_residual(self) -> float:
-        scale = max(float(np.max(np.abs(self.coeffs))), _TINY)
-        dev = np.max(np.abs(self.coeffs - conj_flip(self.coeffs, self.dim)))
-        return float(dev) / scale
+        return realness_residual(self.coeffs, self.dim)
 
     def symmetrized(self) -> "SpectralField":
         return SpectralField(self.dim, self.cutoff, symmetrize(self.coeffs, self.dim))
@@ -396,7 +403,7 @@ class VectorSpectralField:
         return float(np.sqrt(self.hs_norm_sq(s)))
 
     def realness_residual(self) -> float:
-        return max(f.realness_residual() for f in self.components)
+        return realness_residual(self.stack(), self.dim)
 
     def real_samples(self, points: int) -> np.ndarray:
         """Samples of every component's real part, (dim,) + (points,)*dim,
@@ -420,13 +427,13 @@ def spectral_product(f: SpectralField, g: SpectralField, oversample: int = 2,
     """
     if (f.dim, f.cutoff) != (g.dim, g.cutoff):
         raise ValueError("operands must share layout")
-    residual = np.max([f.realness_residual(), g.realness_residual()])
+    pair = np.stack((f.coeffs, g.coeffs))
+    residual = realness_residual(pair, f.dim)
     if not residual <= REAL_TOL:
         raise ValueError(f"spectral_product takes real fields: realness residual {residual:.3e}")
     n_out = out_cutoff if out_cutoff is not None else f.cutoff
     pts = oversample * (2 * f.cutoff - 1)
-    pair = symmetrize(np.stack((f.coeffs, g.coeffs)), f.dim)
-    grids = coefficients_to_real_grid(pair, f.cutoff, f.dim, pts)
+    grids = coefficients_to_real_grid(symmetrize(pair, f.dim), f.cutoff, f.dim, pts)
     return SpectralField(f.dim, n_out,
                          real_grid_to_coefficients(grids[0] * grids[1], n_out, f.dim))
 
@@ -436,20 +443,7 @@ def spectral_product(f: SpectralField, g: SpectralField, oversample: int = 2,
 
 def fast_grid_size(minimum: int) -> int:
     """Smallest 2^a 3^b 5^c >= minimum; FFT-friendly sizes for quadrature grids."""
-    best = 1
-    while best < minimum:
-        best *= 2
-    p5 = 1
-    while p5 < best:
-        p3 = p5
-        while p3 < best:
-            p2 = p3
-            while p2 < minimum:
-                p2 *= 2
-            best = min(best, p2)
-            p3 *= 3
-        p5 *= 5
-    return best
+    return _fft.next_fast_len(minimum, real=True)
 
 
 def lp_norm(grid: np.ndarray, p: float) -> float:

@@ -25,8 +25,8 @@ import numpy as np
 from .cutoffs import InitialBounds
 from .diagnostics import ConstantModel
 from .integrators import IntegratorConfig
-from .spectral import REAL_TOL, SpectralField, VectorSpectralField, _geometry
-from .system import ModelParams, SimState
+from .spectral import SpectralField, VectorSpectralField, _geometry
+from .system import ModelParams, SimState, state_problems
 
 MAGIC = b"KOLM"
 VERSION = 1
@@ -68,8 +68,8 @@ def _record_dtype(d: int) -> np.dtype:
     return np.dtype([("k", "<i4", (d,)), ("re", "<f8"), ("im", "<f8")])
 
 
-def load_snapshot(path: str, expect_dim: Optional[int] = None,
-                  allow_asymmetric: bool = False) -> SimState:
+def load_snapshot(path: str, expect_dim: Optional[int] = None) -> SimState:
+    """The state a snapshot holds; SnapshotError if malformed or state_problems finds any."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != MAGIC:
@@ -86,8 +86,6 @@ def load_snapshot(path: str, expect_dim: Optional[int] = None,
         raise SnapshotError(f"dimension mismatch: snapshot d={d}, run d={expect_dim}")
     if d < 2 or n < 1:
         raise SnapshotError(f"invalid layout d={d}, n={n}")
-    if not np.isfinite(t):
-        raise SnapshotError(f"non-finite time t = {t!r}")
 
     dtype = _record_dtype(d)
     fields = []
@@ -100,8 +98,6 @@ def load_snapshot(path: str, expect_dim: Optional[int] = None,
         if off + nbytes > len(raw):
             raise SnapshotError(f"truncated records at offset {off}")
         rec = np.frombuffer(raw, dtype=dtype, count=count, offset=off)
-        if not (np.isfinite(rec["re"]).all() and np.isfinite(rec["im"]).all()):
-            raise SnapshotError(f"non-finite coefficient in field {len(fields)} at offset {off}")
         off += nbytes
         f = SpectralField.zeros(d, n)
         if count:
@@ -115,9 +111,9 @@ def load_snapshot(path: str, expect_dim: Optional[int] = None,
 
     state = SimState(VectorSpectralField(tuple(fields[:d])),
                      fields[d], fields[d + 1], t)
-    if not allow_asymmetric and state.realness_residual() > REAL_TOL:
-        raise SnapshotError("coefficients are not conjugate-symmetric "
-                            "(pass allow_asymmetric to load anyway)")
+    problems = state_problems(state)
+    if problems:
+        raise SnapshotError("; ".join(problems))
     return state
 
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 import functools
 import threading
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -55,6 +55,7 @@ from .spectral import (
     fast_grid_size,
     leray_coefficients,
     real_grid_to_coefficients,
+    realness_residual,
     symmetrize,
 )
 
@@ -115,22 +116,44 @@ class SimState:
         return list(self.v.components) + [self.omega, self.b]
 
     def triple_norm_sq(self, s: float) -> float:
-        return self.v.hs_norm_sq(s) + self.omega.hs_norm_sq(s) + self.b.hs_norm_sq(s)
+        return float(triple_sq(pack(self)[None], s)[0])
 
     def realness_residual(self) -> float:
-        return max(f.realness_residual() for f in self.fields())
+        return realness_residual(pack(self), self.dim)
 
     def div_residual(self) -> float:
         return self.v.div_residual()
 
-    def validate(self, div_tol: float = 1e-10, real_tol: float = REAL_TOL):
-        if self.t < 0:
-            raise ValueError("state time must be >= 0")
-        if self.div_residual() > div_tol:
-            raise ValueError(f"velocity not divergence-free: residual {self.div_residual():.3e}")
-        if self.realness_residual() > real_tol:
-            raise ValueError(f"coefficients not conjugate-symmetric: "
-                             f"residual {self.realness_residual():.3e}")
+    def validate(self):
+        """Raise ValueError with the first of state_problems(self)."""
+        problems = state_problems(self)
+        if problems:
+            raise ValueError(problems[0])
+
+
+def state_problems(state: SimState) -> List[str]:
+    """Why a state is no datum of the system: t not finite and >= 0, non-finite
+    coefficients, div v != 0 (residual > 1e-10), realness residual > REAL_TOL."""
+    problems = []
+    if not np.isfinite(state.t):
+        problems.append(f"non-finite time t = {state.t!r}")
+    elif state.t < 0:
+        problems.append(f"negative time t = {state.t!r}")
+    y = pack(state)
+    if not np.all(np.isfinite(y)):
+        return problems + ["non-finite coefficients"]    # every residual is NaN
+    if state.div_residual() > 1e-10:
+        problems.append(f"div v != 0: residual {state.div_residual():.3e}")
+    if realness_residual(y, state.dim) > REAL_TOL:
+        problems.append(f"coefficients not conjugate-symmetric: "
+                        f"residual {realness_residual(y, state.dim):.3e}")
+    return problems
+
+
+def triple_sq(stack: np.ndarray, s: float) -> np.ndarray:
+    """Squared H^s x H^s x H^s norm of each member of a (members, d+2) + cube stack."""
+    w = _geometry(stack.ndim - 2, (stack.shape[-1] + 1) // 2).bessel_weight(s)
+    return np.sum((w * np.abs(stack) ** 2).reshape(len(stack), -1), axis=1)
 
 
 def grid_extrema(state: SimState, points: int) -> Tuple[float, float, float]:
@@ -141,17 +164,13 @@ def grid_extrema(state: SimState, points: int) -> Tuple[float, float, float]:
     return float(np.min(w)), float(np.max(w)), float(np.min(b))
 
 
-def hypothesis_violations(state: SimState, s: float):
-    """Checkable local-existence hypotheses; returns problem descriptions.
-    The positivity checks sample on 4(2n-1) points per axis."""
-    problems = []
-    if not np.all(np.isfinite(pack(state))):
-        problems.append("non-finite coefficients")
+def hypothesis_violations(state: SimState, s: float) -> List[str]:
+    """state_problems, then the checkable local-existence hypotheses: s > d/2
+    and omega, b > 0 on the extrema monitor's fast_grid_size(4(2n-1)) grid."""
+    problems = state_problems(state)
     if s <= state.dim / 2:
         problems.append(f"regularity s = {s} <= d/2 = {state.dim / 2}")
-    if state.div_residual() > 1e-10:
-        problems.append(f"div v0 != 0 (residual {state.div_residual():.3e})")
-    w_min, _, b_min = grid_extrema(state, 4 * (2 * state.cutoff - 1))
+    w_min, _, b_min = grid_extrema(state, fast_grid_size(4 * (2 * state.cutoff - 1)))
     if w_min <= 0:
         problems.append(f"min omega_0 = {w_min:.3e} <= 0")
     if b_min <= 0:

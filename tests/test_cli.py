@@ -128,6 +128,23 @@ def test_simulate_non_finite_snapshot_refused_before_output(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def past_snapshot(tmp_path):
+    """An admissible state at t = -1, before the profiles' start."""
+    spec = RandomFieldSpec(dim=2, cutoff=4, rho=2.0, seed=0)
+    bounds = InitialBounds(b_min0=0.5, omega_min0=0.5, omega_max0=2.0, alpha=1.0)
+    state = admissible_state(spec, bounds)
+    path = str(tmp_path / "past.kolm")
+    save_snapshot(SimState(state.v, state.omega, state.b, -1.0), path)
+    return path
+
+
+def test_simulate_negative_time_snapshot_refused_before_output(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert run(*sim_args(out, kind="snapshot", snapshot=past_snapshot(tmp_path))) == 1
+    assert "negative time t = -1.0" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_simulate_snapshot_initial_data_roundtrip(tmp_path):
     out1 = str(tmp_path / "a")
     assert run(*sim_args(out1, t_end=0.02)) == 0
@@ -259,6 +276,18 @@ def test_existence_time_non_finite_snapshot_refused(tmp_path, capsys):
     assert "X0" not in captured.out and "T =" not in captured.out
 
 
+def test_existence_time_negative_time_snapshot_refused(tmp_path, capsys):
+    cert = str(tmp_path / "cert.csv")
+    rc = run("existence-time", "--set", "kind=snapshot",
+             "--set", f"snapshot={past_snapshot(tmp_path)}", "--set", "n=4",
+             "--out", cert)
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "negative time" in captured.err
+    assert "X0" not in captured.out and "T =" not in captured.out
+    assert not os.path.exists(cert)
+
+
 # -- verify -------------------------------------------------------------------------
 
 
@@ -338,6 +367,19 @@ def test_convergence_reports_gap(capsys):
                if " = " in line)
     gap = float(got["hs_prime_gap"])
     assert 0.0 < gap < 0.1
+
+
+def test_convergence_refuses_negative_omega_snapshot(tmp_path, capsys, monkeypatch):
+    omega = SpectralField.from_modes(2, 4, {(0, 0): -0.5})
+    b = SpectralField.from_modes(2, 4, {(0, 0): 1.0})
+    bad = str(tmp_path / "bad.kolm")
+    save_snapshot(SimState(VectorSpectralField.zeros(2, 4), omega, b, 0.0), bad)
+    monkeypatch.setattr(cli, "integrate", lambda *a, **k: pytest.fail("integrated"))
+    rc = run("convergence", "--set", "kind=snapshot", "--set", f"snapshot={bad}",
+             "--set", "n=4", "--set", "t_end=0.02")
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "min omega_0" in captured.err and "hs_prime_gap" not in captured.out
 
 
 def test_convergence_requires_lower_s_prime(capsys):

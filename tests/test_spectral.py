@@ -299,3 +299,18 @@ class TestGridNorms:
         assert lp_norm(grid, 2) == pytest.approx(0.7071067811865476, rel=1e-6)
         assert lp_norm(grid, 4) == pytest.approx(0.375 ** 0.25, rel=1e-6)
         assert lp_norm(grid, np.inf) == pytest.approx(1.0, rel=1e-9)
+
+    def test_fast_grid_size_is_smallest_five_smooth(self):
+        def smooth(m):
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+        expected, nxt = [], 4096
+        while not smooth(nxt):
+            nxt += 1
+        for m in range(4096, 0, -1):       # the smallest 5-smooth number >= m
+            if smooth(m):
+                nxt = m
+            expected.append(nxt)
+        assert [fast_grid_size(m) for m in range(1, 4097)] == expected[::-1]

@@ -158,8 +158,6 @@ def test_asymmetric_coefficients_need_flag(tmp_path):
     save_snapshot(state, path)
     with pytest.raises(SnapshotError, match="conjugate-symmetric"):
         load_snapshot(path)
-    loaded = load_snapshot(path, allow_asymmetric=True)
-    assert states_equal(state, loaded)
 
 
 @pytest.mark.parametrize("where", ["omega", "t"])
@@ -173,8 +171,24 @@ def test_non_finite_snapshot_rejected(tmp_path, where):
     save_snapshot(state, path)
     with pytest.raises(SnapshotError, match="non-finite"):
         load_snapshot(path)
-    with pytest.raises(SnapshotError, match="non-finite"):
-        load_snapshot(path, allow_asymmetric=True)
+
+
+def test_negative_time_snapshot_rejected(tmp_path):
+    state = random_state(cutoff=3, t=-1.0)
+    path = str(tmp_path / "past.kolm")
+    save_snapshot(state, path)
+    with pytest.raises(SnapshotError, match="negative time t = -1.0"):
+        load_snapshot(path)
+
+
+def test_non_solenoidal_snapshot_rejected(tmp_path):
+    state = random_state(cutoff=3)
+    state.v.components[0].coeffs[1, 2] += 0.25     # v_1 += cos(2 pi x_1) / 2
+    state.v.components[0].coeffs[3, 2] += 0.25
+    path = str(tmp_path / "div.kolm")
+    save_snapshot(state, path)
+    with pytest.raises(SnapshotError, match="div v != 0: residual"):
+        load_snapshot(path)
 
 
 # -- diagnostics CSV ----------------------------------------------------------------

@@ -25,7 +25,9 @@ from kolmosim.system import (
     packed_rhs,
     pressure_gradient,
     rhs,
+    state_problems,
     transport_terms,
+    triple_sq,
 )
 
 BOUNDS = InitialBounds(b_min0=0.5, omega_min0=0.5, omega_max0=2.0, alpha=1.0)
@@ -233,6 +235,13 @@ class TestHypotheses:
         problems = hypothesis_violations(state, s=2.0)
         assert any("non-finite" in p for p in problems)
 
+    def test_positivity_sampled_on_the_monitor_grid(self, monkeypatch):
+        points = []
+        monkeypatch.setattr(system, "grid_extrema",
+                            lambda state, n: points.append(n) or (1.0, 1.0, 1.0))
+        hypothesis_violations(divergence_free_random_state(11, cutoff=16), s=2.0)
+        assert points == [125]
+
     def test_params_refuse_bounds_of_another_alpha(self):
         # the reaction term reads params.alpha and the envelopes bounds.alpha:
         # two values would describe two models
@@ -335,3 +344,55 @@ class TestMemberStacks:
             expected = nu_bar_grid(b, w, 0.05, PROFILE).ravel()
             assert np.ptp(expected) > 0.1
             assert np.allclose(samples, expected, rtol=1e-13, atol=0.0)
+
+
+class TestStateChecks:
+    @pytest.mark.parametrize("defect, problem", [
+        (None, None),
+        ("t = -1", "negative time t = -1.0"),
+        ("t = inf", "non-finite time t = inf"),
+        ("t = nan", "non-finite time t = nan"),
+        ("nan", "non-finite coefficients"),
+        ("gradient", "div v != 0: residual"),
+        ("asymmetric", "coefficients not conjugate-symmetric: residual"),
+    ])
+    def test_state_problems_and_validate(self, defect, problem):
+        state = divergence_free_random_state(12)
+        if defect and defect.startswith("t = "):
+            state.t = float(defect[4:])
+        elif defect == "nan":
+            state.b.coeffs[7, 9] = np.nan
+        elif defect == "gradient":
+            state.v.components[0].coeffs[6, 7] += 0.25     # v_1 += cos(2 pi x_1) / 2
+            state.v.components[0].coeffs[8, 7] += 0.25
+        elif defect == "asymmetric":
+            state.omega.coeffs[7, 9] += 0.1j
+        problems = state_problems(state)
+        if problem is None:
+            assert problems == []
+            state.validate()
+        else:
+            assert len(problems) == 1 and problems[0].startswith(problem)
+            with pytest.raises(ValueError, match=problem):
+                state.validate()
+
+    @pytest.mark.parametrize("row", [1, 2, 3])      # v_2, omega, b: not the first field
+    def test_nan_coefficient_makes_realness_residual_nan(self, row):
+        state = divergence_free_random_state(13)
+        field = state.fields()[row]
+        field.coeffs[7, 9] = np.nan
+        assert np.isnan(field.realness_residual())
+        if row < state.dim:
+            assert np.isnan(state.v.realness_residual())
+        assert np.isnan(state.realness_residual())
+        with pytest.raises(ValueError, match="non-finite coefficients"):
+            state.validate()
+
+    @pytest.mark.parametrize("dim, cutoff", [(2, 4), (2, 16), (3, 5)])
+    def test_triple_norm_is_the_guards(self, dim, cutoff):
+        """SimState.triple_norm_sq and the blow-up guard's triple_sq over a
+        member stack agree bit for bit."""
+        states = [divergence_free_random_state(seed, dim=dim, cutoff=cutoff)
+                  for seed in range(3)]
+        guard = triple_sq(np.stack([pack(st) for st in states]), 2.0)
+        assert [st.triple_norm_sq(2.0) for st in states] == guard.tolist()
