@@ -7,10 +7,17 @@ Each campaign draws reproducible random trigonometric polynomials, evaluates
 both sides of one inequality per sample, and reports the ratio statistics.
 A bounded max ratio that is stable when the cutoff doubles is the empirical
 surrogate for a constant independent of the fields.
+
+L^2 and H^s norms are exact: they are read from the coefficients (Parseval)
+and sample no grid.  Other L^p norms are quadratures on an oversampled grid,
+and sup norms are grid maxima, lower bounds of the continuum sup.  The
+commutator takes one batched transform pair; the smooth maps' derivative
+bounds are looked up in tables built once per (map, order).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -19,9 +26,10 @@ import numpy as np
 
 from .cutoffs import CutoffProfile, smooth_step
 from .integrators import IntegratorConfig, integrate_lockstep
-from .spectral import (FOUR_PI_SQ, SpectralField, VectorSpectralField,
-                       _geometry, fast_grid_size, lp_norm,
-                       real_grid_to_coefficients, spectral_product, symmetrize)
+from .spectral import (FOUR_PI_SQ, REAL_TOL, SpectralField, VectorSpectralField,
+                       _geometry, coefficients_to_real_grid, fast_grid_size,
+                       lp_norm, real_grid_to_coefficients, realness_residual,
+                       spectral_product, symmetrize)
 from .system import ModelParams, SimState, pack, triple_sq
 
 
@@ -47,9 +55,8 @@ class RandomFieldSpec:
 
     def draw(self, rng: np.random.Generator, scale: float = 1.0,
              shift: float = 0.0) -> SpectralField:
-        geo = _geometry(self.dim, self.cutoff)
-        shape = geo.k_sq.shape
-        amp = (1.0 + np.sqrt(geo.k_sq)) ** (-self.rho)
+        amp = _damping(self.dim, self.cutoff, float(self.rho))
+        shape = amp.shape
         c = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * amp * scale
         c = symmetrize(c, self.dim)
         c[(self.cutoff - 1,) * self.dim] = shift
@@ -57,6 +64,14 @@ class RandomFieldSpec:
 
     def with_cutoff(self, cutoff: int) -> "RandomFieldSpec":
         return replace(self, cutoff=cutoff)
+
+
+@functools.lru_cache(maxsize=None)
+def _damping(dim: int, cutoff: int, rho: float) -> np.ndarray:
+    """(1+|k|)^(-rho) on the centered cube, built once per (dim, cutoff, rho)."""
+    amp = (1.0 + np.sqrt(_geometry(dim, cutoff).k_sq)) ** (-rho)
+    amp.setflags(write=False)
+    return amp
 
 
 def admissible_state(spec: RandomFieldSpec, bounds, index: int = 0,
@@ -144,14 +159,21 @@ def attach_stability(report: EstimateReport, doubled: EstimateReport) -> Estimat
     return report
 
 
-# -- grid norms --------------------------------------------------------------------
+# -- norms -------------------------------------------------------------------------
 
 
-def field_lp(f, p: float, oversample: int = 4) -> float:
-    """L^p norm of the field's real part by torus quadrature, sampled through
-    the half spectrum; vectors use the Euclidean magnitude."""
-    pts = fast_grid_size(oversample * (2 * f.cutoff - 1))
-    grid = f.real_samples(pts)
+def field_lp(f, p: float) -> float:
+    """L^p norm of the field's real part; vectors use the Euclidean magnitude.
+
+    p = 2 is exact by Parseval, sqrt(sum |symmetrize(c)|^2) over the
+    coefficients (and the components of a vector), and samples no grid.
+    Other p use torus quadrature on the fast_grid_size(4(2n-1)) grid through
+    the half spectrum; p = inf is the grid maximum, a lower bound.
+    """
+    if p == 2:
+        c = f.stack() if isinstance(f, VectorSpectralField) else f.coeffs
+        return math.sqrt(float(np.sum(np.abs(symmetrize(c, f.dim)) ** 2)))
+    grid = f.real_samples(fast_grid_size(4 * (2 * f.cutoff - 1)))
     if isinstance(f, VectorSpectralField):
         grid = np.sqrt(np.sum(grid ** 2, axis=0))
     return lp_norm(grid, p)
@@ -172,15 +194,24 @@ def commutator(f: SpectralField, g: SpectralField, s: float) -> SpectralField:
     """[J^s, f] g = J^s(fg) - f J^s g of real fields, exact on the doubled ball 2n-1.
 
     Products of two cutoff-n fields live inside cutoff 2n-1, so computing
-    there loses nothing; `spectral_product`'s 2x-oversampled grid product is
-    alias-free for these quadratics and equals the convolution to roundoff.
+    there loses nothing.  f, g and J^s g are sampled in one batched real
+    inverse transform on the 2(2n-1) grid, where the products f g and
+    f J^s g are alias-free, and both products come back in one forward
+    transform; the result equals the convolution to roundoff.  As in
+    `spectral_product`, an operand (f, g or J^s g) whose realness residual
+    exceeds REAL_TOL (or is NaN) raises ValueError.
     """
     if (f.dim, f.cutoff) != (g.dim, g.cutoff):
         raise ValueError("operands must share layout")
-    m = 2 * f.cutoff - 1
-    fg = spectral_product(f, g, out_cutoff=m)
-    f_jsg = spectral_product(f, g.bessel(s), out_cutoff=m)
-    return fg.bessel(s) - f_jsg
+    d, n = f.dim, f.cutoff
+    trio = np.stack((f.coeffs, g.coeffs, g.bessel(s).coeffs))
+    residual = realness_residual(trio, d)
+    if not residual <= REAL_TOL:
+        raise ValueError(f"commutator takes real fields: realness residual {residual:.3e}")
+    m = 2 * n - 1
+    grids = coefficients_to_real_grid(symmetrize(trio, d), n, d, 2 * m)
+    fg, f_jsg = real_grid_to_coefficients(grids[1:] * grids[0], m, d)
+    return SpectralField(d, m, fg).bessel(s) - SpectralField(d, m, f_jsg)
 
 
 @dataclass(frozen=True)
@@ -199,16 +230,14 @@ class PartitionOfUnity:
         fall = smooth_step((self.hi_edge - u) / (self.hi_edge - self.hi_top))
         return np.where(u < 1.0, rise, fall)
 
-    def phi1(self, u):
+    def split(self, u):
+        """(phi1(u), phi2(u), phi3(u)): phi1 = 1 - phi2 below lo_top and
+        phi3 = 1 - phi2 above hi_top, from one evaluation of phi2."""
         u = np.asarray(u, dtype=float)
-        return np.where(u < self.lo_top, 1.0 - self.phi2(u), 0.0)
-
-    def phi3(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.where(u > self.hi_top, 1.0 - self.phi2(u), 0.0)
-
-    def parts(self):
-        return (self.phi1, self.phi2, self.phi3)
+        mid = self.phi2(u)
+        rest = 1.0 - mid
+        return (np.where(u < self.lo_top, rest, 0.0), mid,
+                np.where(u > self.hi_top, rest, 0.0))
 
 
 def commutator_decomposition(f: SpectralField, g: SpectralField, s: float,
@@ -249,11 +278,26 @@ def commutator_decomposition(f: SpectralField, g: SpectralField, s: float,
     flat = np.ravel_multi_index(offsets, (side,) * d).ravel()
 
     fields = []
-    for phi in partition.parts():
+    for phi in partition.split(ratio):
         acc = np.zeros(side ** d, dtype=complex)
-        np.add.at(acc, flat, (weight * phi(ratio)).ravel())
+        np.add.at(acc, flat, (weight * phi).ravel())
         fields.append(SpectralField(d, out_cutoff, acc.reshape((side,) * d)))
     return tuple(fields)
+
+
+def decomposition_residual(f: SpectralField, g: SpectralField, s: float) -> float:
+    """L^2 distance between the sum of the three decomposition parts and the
+    commutator, relative to the commutator's L^2 norm (criterion 08).  Where
+    the commutator vanishes the residual is absolute: 0.0 if the distance is
+    at most 1e-12, inf otherwise."""
+    ref = commutator(f, g, s)
+    total = sum(commutator_decomposition(f, g, s),
+                SpectralField.zeros(f.dim, ref.cutoff))
+    err = (total - ref).hs_norm(0.0)
+    scale = ref.hs_norm(0.0)
+    if scale == 0.0:
+        return 0.0 if err <= 1e-12 else math.inf
+    return err / scale
 
 
 # -- inequality campaigns ----------------------------------------------------------
@@ -332,14 +376,46 @@ _SMOOTH_MAPS: Dict[str, List[Callable]] = {
 }
 
 
-def smooth_map_derivative_bound(name: str, order: int, radius: float,
-                                points: int = 20001) -> float:
-    """max over 1 <= j <= order of sup_{|y| <= radius} |G^(j)(y)|."""
+_TABLE_STEP = 2.0 ** -12           # node spacing of the derivative tables
+_TABLE_MAX_EXTENT = 2.0 ** 10      # largest radius a table grows to
+_DERIVATIVE_TABLES: Dict[Tuple[str, int], np.ndarray] = {}
+
+
+def _abs_derivatives(name: str, order: int, y: np.ndarray) -> np.ndarray:
+    """max over 1 <= j <= order of |G^(j)(y)|, pointwise."""
     derivs = _SMOOTH_MAPS[name]
-    if order >= len(derivs):
+    out = np.abs(derivs[1](y))
+    for j in range(2, order + 1):
+        np.maximum(out, np.abs(derivs[j](y)), out=out)
+    return out
+
+
+def smooth_map_derivative_bound(name: str, order: int, radius: float) -> float:
+    """max over 1 <= j <= order of sup_{|y| <= radius} |G^(j)(y)|.
+
+    Every |G^(j)| here is even, so the sup is over [0, radius]: the larger of
+    the exact value at the radius and a table's running maximum at the last
+    node i * 2^-12 <= radius.  One table per (map, order), rebuilt at doubled
+    extent when a larger radius arrives; node i's entry does not depend on
+    the extent, so no lookup depends on the radii asked before.  An interior
+    peak between nodes is read low by at most 2^-27 sup|G^(j+2)| (under 2e-7
+    relative for these maps at radii in [0.1, 10]).  The radius must lie in
+    [0, 1024].
+    """
+    if not 1 <= order < len(_SMOOTH_MAPS[name]):
         raise ValueError(f"{name}: derivative order {order} not tabulated")
-    y = np.linspace(-radius, radius, points)
-    return max(float(np.max(np.abs(derivs[j](y)))) for j in range(1, order + 1))
+    if not 0.0 <= radius <= _TABLE_MAX_EXTENT:
+        raise ValueError(f"radius {radius!r} outside [0, {_TABLE_MAX_EXTENT:g}]")
+    table = _DERIVATIVE_TABLES.get((name, order))
+    if table is None or (len(table) - 1) * _TABLE_STEP < radius:
+        extent = 1.0
+        while extent < radius:
+            extent *= 2.0
+        y = np.arange(int(extent / _TABLE_STEP) + 1) * _TABLE_STEP
+        table = np.maximum.accumulate(_abs_derivatives(name, order, y))
+        _DERIVATIVE_TABLES[(name, order)] = table
+    at_radius = _abs_derivatives(name, order, np.array([radius]))[0]
+    return float(max(table[int(radius / _TABLE_STEP)], at_radius))
 
 
 def verify_composition_estimate(spec: RandomFieldSpec, s: float,
@@ -440,7 +516,7 @@ def perturbation(state: SimState, amplitude: float, seed: int = 0) -> SimState:
         tuple(spec.draw(rng) for _ in range(state.dim))).leray_project()
     dw = spec.draw(rng)
     db = spec.draw(rng)
-    e_raw = dv.hs_norm_sq(0.0) + dw.hs_norm_sq(0.0) + db.hs_norm_sq(0.0)
+    e_raw = float(triple_sq(pack(SimState(dv, dw, db, state.t))[None], 0.0)[0])
     if amplitude == 0.0 or e_raw == 0.0:
         z = VectorSpectralField.zeros(state.dim, state.cutoff)
         zf = SpectralField.zeros(state.dim, state.cutoff)

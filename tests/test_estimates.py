@@ -11,12 +11,12 @@ import math
 import numpy as np
 import pytest
 
-from kolmosim import estimates
+from kolmosim import estimates, spectral
 from kolmosim.cutoffs import CutoffProfile, InitialBounds
 from kolmosim.estimates import (PartitionOfUnity, RandomFieldSpec,
                                 admissible_state, attach_stability,
                                 commutator, commutator_decomposition,
-                                field_lp, perturbation,
+                                decomposition_residual, field_lp, perturbation,
                                 smooth_map_derivative_bound, uniqueness_probe,
                                 verify_commutator_estimate,
                                 verify_composition_estimate,
@@ -24,7 +24,7 @@ from kolmosim.estimates import (PartitionOfUnity, RandomFieldSpec,
                                 verify_product_estimate)
 from kolmosim.integrators import IntegratorConfig
 from kolmosim.spectral import (SpectralField, VectorSpectralField,
-                               fast_grid_size, lp_norm)
+                               fast_grid_size, lp_norm, spectral_product)
 from kolmosim.system import ModelParams
 from oracles import direct_convolution, trigonometric_sum
 
@@ -93,19 +93,19 @@ class TestPartitionOfUnity:
     def test_sums_to_one_on_fine_grid(self):
         part = PartitionOfUnity()
         u = np.linspace(0.0, 100.0, 100_000)
-        total = part.phi1(u) + part.phi2(u) + part.phi3(u)
+        phi1, phi2, phi3 = part.split(u)
+        total = phi1 + phi2 + phi3
         assert np.max(np.abs(total - 1.0)) <= 1e-12
 
     def test_ranges_and_supports(self):
         part = PartitionOfUnity()
         u = np.linspace(0.0, 120.0, 50_000)
-        for phi in part.parts():
-            vals = phi(u)
+        for vals in part.split(u):
             assert np.all(vals >= -1e-15) and np.all(vals <= 1.0 + 1e-15)
-        assert np.all(part.phi1(u[u >= 1 / 9]) == 0.0)
+        assert np.all(part.split(u[u >= 1 / 9])[0] == 0.0)
         assert np.all(part.phi2(u[u <= 1 / 10]) == 0.0)
         assert np.all(part.phi2(u[u >= 10.0]) == 0.0)
-        assert np.all(part.phi3(u[u <= 9.0]) == 0.0)
+        assert np.all(part.split(u[u <= 9.0])[2] == 0.0)
         plateau = u[(u >= 1 / 9) & (u <= 9.0)]
         assert np.allclose(part.phi2(plateau), 1.0, atol=1e-15)
 
@@ -148,6 +148,29 @@ class TestCommutator:
              - direct_convolution(f, g.bessel(1.5), 9))
         b = commutator(f, g, 1.5)
         assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-11
+
+    def test_one_transform_pair_matches_two_products(self):
+        """The batched transform pair equals the two-spectral_product form."""
+        for n in (4, 8, 16):
+            f, g = random_pair(n, cutoff=n, rho=2.0)
+            m = 2 * n - 1
+            ref = (spectral_product(f, g, out_cutoff=m).bessel(2.0)
+                   - spectral_product(f, g.bessel(2.0), out_cutoff=m))
+            out = commutator(f, g, 2.0)
+            assert out.cutoff == m
+            scale = np.max(np.abs(ref.coeffs))
+            assert np.max(np.abs(out.coeffs - ref.coeffs)) <= 1e-14 * scale
+
+    def test_refuses_non_real_operand(self):
+        f, g = random_pair(7, cutoff=4)
+        c = g.coeffs.copy()
+        c[4, 3] += 0.3j                                  # breaks realness
+        nonreal = SpectralField(2, 4, c)
+        for pair in ((f, nonreal), (nonreal, f)):
+            with pytest.raises(ValueError, match="real fields"):
+                commutator(*pair, 1.5)
+            with pytest.raises(ValueError, match="real fields"):
+                spectral_product(*pair)
 
 
 class TestCommutatorDecomposition:
@@ -196,6 +219,34 @@ class TestCommutatorDecomposition:
         assert np.max(np.abs(s3.coeffs)) == 0.0
         assert np.max(np.abs(s1.coeffs)) > 0.0
 
+    def test_one_phi2_evaluation_bit_identical(self):
+        """Building phi1 and phi3 from one phi2 evaluation changes no bit
+        against evaluating the three bumps separately."""
+
+        class ThreePhi(PartitionOfUnity):
+            def split(self, u):
+                u = np.asarray(u, dtype=float)
+                return (np.where(u < self.lo_top, 1.0 - self.phi2(u), 0.0),
+                        self.phi2(u),
+                        np.where(u > self.hi_top, 1.0 - self.phi2(u), 0.0))
+
+        for s in (0.5, 1.5, 2.0):
+            f, g = random_pair(int(s * 10) + 1, cutoff=5)
+            for a, b in zip(commutator_decomposition(f, g, s),
+                            commutator_decomposition(f, g, s, ThreePhi())):
+                assert np.array_equal(a.coeffs, b.coeffs)
+
+    def test_residual(self):
+        """decomposition_residual is criterion 08's L2 relative residual, and
+        absolute where the commutator vanishes."""
+        f, g = random_pair(9, cutoff=4)
+        ref = commutator(f, g, 1.5)
+        total = sum(commutator_decomposition(f, g, 1.5),
+                    SpectralField.zeros(2, ref.cutoff))
+        expected = (total - ref).hs_norm(0.0) / ref.hs_norm(0.0)
+        assert decomposition_residual(f, g, 1.5) == expected <= 1e-10
+        assert decomposition_residual(f, SpectralField.zeros(2, 4), 1.5) == 0.0
+
     def test_pair_budget_guard(self):
         f, g = random_pair(6, cutoff=4)
         with pytest.raises(ValueError):
@@ -234,6 +285,17 @@ class TestGridNorms:
             for p in (2.0, 3.0, np.inf):
                 for g, ref in scalars + vectors:
                     assert field_lp(g, p) == pytest.approx(lp_norm(ref, p), rel=1e-13)
+
+    def test_l2_samples_no_grid(self, monkeypatch):
+        """L2 comes from the coefficients (Parseval), never from a grid."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("field_lp(p=2) sampled a grid")
+
+        monkeypatch.setattr(spectral, "coefficients_to_real_grid", refuse)
+        f, g = random_pair(10, cutoff=6)
+        assert field_lp(f, 2.0) == pytest.approx(f.hs_norm(0.0), rel=1e-14)
+        v = VectorSpectralField((f, g))
+        assert field_lp(v, 2.0) == pytest.approx(v.hs_norm(0.0), rel=1e-14)
 
 
 class TestCampaigns:
@@ -276,7 +338,6 @@ class TestCampaigns:
         spec = RandomFieldSpec(dim=2, cutoff=5, rho=2.0, seed=21)
         f = spec.draw(spec.rng(0))
         one = SpectralField.from_modes(2, 5, {(0, 0): 1.0})
-        from kolmosim.spectral import spectral_product
         fg = spectral_product(f, one, out_cutoff=9)
         lhs = field_lp(fg.bessel(2.0), 2.0)
         rhs = (field_lp(f.bessel(2.0), 2.0) * field_lp(one, np.inf)
@@ -309,6 +370,40 @@ class TestCampaigns:
         # rational: G'(0) = 1 is the global maximum of |G'|.
         assert smooth_map_derivative_bound("rational", 1, 4.0) == pytest.approx(1.0, abs=1e-9)
 
+    def test_derivative_table_not_below_dense_grid(self):
+        """The tabulated bound never reads below the 20001-point grid max
+        over [-r, r] by more than 1e-6 relative."""
+        radii = np.concatenate((np.linspace(0.1, 10.0, 40),
+                                np.random.default_rng(0).uniform(0.1, 10.0, 20)))
+        for name, derivs in estimates._SMOOTH_MAPS.items():
+            for order in range(1, len(derivs)):
+                for r in radii:
+                    y = np.linspace(-r, r, 20001)
+                    dense = max(float(np.max(np.abs(derivs[j](y))))
+                                for j in range(1, order + 1))
+                    bound = smooth_map_derivative_bound(name, order, r)
+                    assert bound >= dense * (1.0 - 1e-6), (name, order, r)
+
+    def test_derivative_table_lookup_independent_of_growth(self, monkeypatch):
+        monkeypatch.setattr(estimates, "_DERIVATIVE_TABLES", {})
+        before = [smooth_map_derivative_bound("rational", 4, r)
+                  for r in (0.05, 0.3, 0.7)]
+        assert len(estimates._DERIVATIVE_TABLES[("rational", 4)]) == 2 ** 12 + 1
+        smooth_map_derivative_bound("rational", 4, 9.0)   # grows to extent 16
+        assert len(estimates._DERIVATIVE_TABLES[("rational", 4)]) == 2 ** 16 + 1
+        after = [smooth_map_derivative_bound("rational", 4, r)
+                 for r in (0.05, 0.3, 0.7)]
+        assert before == after
+
+    def test_derivative_bound_rejects_bad_arguments(self):
+        with pytest.raises(ValueError, match="not tabulated"):
+            smooth_map_derivative_bound("sin", 6, 1.0)
+        with pytest.raises(ValueError, match="not tabulated"):
+            smooth_map_derivative_bound("sin", 0, 1.0)
+        for r in (-1.0, 2000.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="radius"):
+                smooth_map_derivative_bound("sin", 2, r)
+
     def test_interpolation_single_mode_oracle(self):
         f = SpectralField.from_modes(2, 2, {(1, 0): 0.5, (-1, 0): 0.5})
         lhs = field_lp(f.gradient(), np.inf)
@@ -327,13 +422,29 @@ class TestCampaigns:
         with pytest.raises(ValueError):
             verify_interpolation_inequality(spec, 1.0, samples=2)
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        spec = RandomFieldSpec(dim=2, cutoff=4, rho=2.0, seed=30)
-        monkeypatch.setenv("KOLMO_THREADS", "1")
-        serial = verify_product_estimate(spec, 2.0, samples=8)
-        monkeypatch.setenv("KOLMO_THREADS", "4")
-        threaded = verify_product_estimate(spec, 2.0, samples=8)
-        assert serial.ratios == threaded.ratios
+    def test_interleaved_cutoffs_share_no_cached_state(self, monkeypatch):
+        """Campaigns at n = 8, then 16, then 8 again in one process: the
+        damping and derivative-table caches must not carry state from one
+        cutoff to the next."""
+        monkeypatch.setattr(estimates, "_DERIVATIVE_TABLES", {})
+        estimates._damping.cache_clear()
+        spec = RandomFieldSpec(dim=2, cutoff=8, rho=0.5, seed=30)
+
+        def campaigns(sp):
+            reports = [fn(sp, 2.0, samples=6) for fn in (
+                verify_commutator_estimate, verify_product_estimate,
+                verify_interpolation_inequality)]
+            return reports + [verify_composition_estimate(sp, 2.0, g_name=name,
+                                                          samples=6)
+                              for name in sorted(estimates._SMOOTH_MAPS)]
+
+        first = campaigns(spec)
+        extent = len(estimates._DERIVATIVE_TABLES[("rational", 3)])
+        campaigns(spec.with_cutoff(16))
+        # the rougher n = 16 fields have larger sup norms: the table grew
+        assert len(estimates._DERIVATIVE_TABLES[("rational", 3)]) > extent
+        again = campaigns(spec)
+        assert first == again
 
 
 class TestUniquenessProbe:
