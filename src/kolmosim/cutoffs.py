@@ -109,33 +109,65 @@ def _ramp_up(out: np.ndarray, x: np.ndarray, c: float) -> None:
     out[band] = (1.0 - s) * c + s * xb
 
 
+def _phi(x: np.ndarray, b_lo: float, lo: float) -> np.ndarray:
+    """Phi on samples x whose minimum is lo (NaN if x holds a NaN, -inf to
+    build every piece): plateau b_lo/2, ramp, identity from b_lo on.  With no
+    sample below b_lo it is x itself, not a copy."""
+    if lo >= b_lo:
+        return x
+    out = np.where(x < 0.5 * b_lo, 0.5 * b_lo, x)
+    _ramp_up(out, x, 0.5 * b_lo)
+    return out
+
+
+def _psi(x: np.ndarray, w_lo: float, w_hi: float, lo: float, hi: float) -> np.ndarray:
+    """Psi on samples x with minimum lo and maximum hi (NaN if x holds a
+    NaN, -inf and inf to build every piece): plateau w_lo/2, ramp, identity on
+    [w_lo, w_hi], ramp, plateau 2 w_hi.  A side's plateau and ramp are built
+    only when a sample lies beyond that end of the identity band; with none
+    it is x itself, not a copy."""
+    out = x
+    if not lo >= w_lo:
+        out = np.where(x < 0.5 * w_lo, 0.5 * w_lo, x)
+        _ramp_up(out, x, 0.5 * w_lo)
+    if not hi <= w_hi:
+        out = np.where(x <= w_hi, out, 2.0 * w_hi)
+        band = (x > w_hi) & (x < 2.0 * w_hi)       # identity down to the upper plateau
+        xb = x[band]
+        s = smooth_step((xb - w_hi) / w_hi)
+        out[band] = (1.0 - s) * xb + s * (2.0 * w_hi)
+    return out
+
+
 def phi_b(x, t: float, profile: CutoffProfile):
     """Cutoff for b: plateau b_lower/2 below, identity above b_lower."""
     b_lo = time_profiles(profile.bounds, t).b_lower
-    x = np.asarray(x, dtype=float)
-    out = np.where(x < 0.5 * b_lo, 0.5 * b_lo, x)
-    _ramp_up(out, x, 0.5 * b_lo)
+    out = _phi(np.asarray(x, dtype=float), b_lo, -np.inf)
     return out if out.ndim else float(out)
 
 
 def psi_omega(x, t: float, profile: CutoffProfile):
     """Cutoff for omega: plateaus omega_lower/2 and 2*omega_upper, identity band between."""
     vals = time_profiles(profile.bounds, t)
-    w_lo, w_hi = vals.omega_lower, vals.omega_upper
-    x = np.asarray(x, dtype=float)
-    out = np.where(x < 0.5 * w_lo, 0.5 * w_lo, np.where(x <= w_hi, x, 2.0 * w_hi))
-    _ramp_up(out, x, 0.5 * w_lo)
-    band = (x > w_hi) & (x < 2.0 * w_hi)       # identity down to the upper plateau
-    xb = x[band]
-    s = smooth_step((xb - w_hi) / w_hi)
-    out[band] = (1.0 - s) * xb + s * (2.0 * w_hi)
+    out = _psi(np.asarray(x, dtype=float), vals.omega_lower, vals.omega_upper,
+               -np.inf, np.inf)
     return out if out.ndim else float(out)
 
 
 def nu_bar_grid(b_grid: np.ndarray, omega_grid: np.ndarray, t: float,
                 profile: CutoffProfile) -> np.ndarray:
-    """Pointwise regularized viscosity Phi_t(b)/Psi_t(omega) on a physical grid."""
-    return phi_b(b_grid, t, profile) / psi_omega(omega_grid, t, profile)
+    """Pointwise regularized viscosity Phi_t(b)/Psi_t(omega) on a physical grid.
+
+    It reads min b, min omega and max omega first and builds the pieces of
+    the cutoffs that samples can fall in, so with every sample in the
+    identity bands it is one divide, b/omega; bit for bit the composition
+    phi_b(b) / psi_omega(omega), NaN samples included.
+    """
+    vals = time_profiles(profile.bounds, t)
+    b = np.asarray(b_grid, dtype=float)
+    w = np.asarray(omega_grid, dtype=float)
+    return (_phi(b, vals.b_lower, np.min(b))
+            / _psi(w, vals.omega_lower, vals.omega_upper, np.min(w), np.max(w)))
 
 
 def nu_bar(b_n: SpectralField, omega_n: SpectralField, t: float, n_grid: int,

@@ -6,9 +6,8 @@ integrating-factor form (Lawson 1967, SIAM J. Numer. Anal. 4:372).  After
 each accepted step the integrator re-projects the velocity when its
 divergence has drifted past a threshold, and runs the blow-up guard against
 the a-priori norm ceiling.  Conjugate symmetry needs no fix-up: the run
-starts from the data's real parts, the transform returns exactly Hermitian
-coefficients, and every operation of the loop is real-linear per mode with
-factors even in k, so every stage and state is exactly conjugate-symmetric.
+starts from the data's real parts and carries one mode of each mirror pair,
+whose mirror is its conjugate whenever a state is expanded to the cube.
 
 rk45 splits each member's right-hand side F into a diagonal linear part
 L = -nu_ref 4 pi^2 |k|^2 (half that on the velocity rows, whose flux is nubar
@@ -25,13 +24,16 @@ member's midrange of its nubar grid at the step's start, which the kernel
 returns with every right-hand side.  The FSAL stage is kept as the full
 F(y_new), and the next step subtracts its own L from it: a diagonal
 correction, no extra kernel call.  The factors are real arrays, formed once
-per attempted (h, nu_ref).  On the velocity rows of one mode L is a
+per attempted (h, nu_ref): L has two rate classes, the velocity rows and
+the scalar rows, so each E(c h) is exponentiated once per (member, class)
+and expanded to the rows by index.  On the velocity rows of one mode L is a
 multiple of the identity, so it commutes with the Leray projection and the
 stages stay divergence-free.
 
 The rk45 step-size controller is elementary (Hairer, Norsett & Wanner,
 Solving ODEs I, II.4).  A step is accepted when the error ratio r (the RMS
-of the embedded error over the tolerance scale) is at most 1, and the next
+of the embedded error over the tolerance scale, over the ball's modes of
+every row) is at most 1, and the next
 step is h 0.9 r^(-1/5), capped at 5h and floored at 0.2h.  A rejection
 shrinks h by 0.9 r^(-1/q) (floored at 0.2), where q is the order the error
 was observed to have: log(r_prev / r) / log(h_prev / h) between this attempt
@@ -44,15 +46,22 @@ the order-5 exponent.  A non-finite stage shrinks h by 0.2.
 
 `integrate_lockstep` advances several states of one layout together: the
 loop carries a leading member axis, and each RK stage is one kernel call
-(`system.member_rhs`) for every member.  The kernel owns its grid-sized
-buffers: each thread caches one set for the last stack size it stepped, so
-a run reuses them at every stage and a member leaving the run resizes them
-once; the thread keeps them until it calls at another size or exits.
-Fix-ups, guard and samples stay per member; a member that fails or aborts
-leaves the run with its own status, message and states, and the others go
-on.  `integrate` is the one-member case.  The stages run with
-floating-point warnings silenced, so a diverging run ends as a clean
-`failed-nonfinite`.
+(`system.member_rhs`) for every member.  The loop runs on the canonical
+half (`spectral.cube_to_half`: one mode of each mirror pair {k, -k}, and
+k = 0), 2.4x fewer numbers than the cube at d = 2, n = 16: it converts the
+states once at entry, and back to the cube (`spectral.half_to_cube`) only
+at monitor samples, for the guard's triple norm and the stored states.
+Stage algebra, integrating factors and fix-ups act on each mode alone, so
+on the half they give the cube layout's numbers bit for bit; the error
+ratio counts each pair's mode twice and k = 0 once, the cube's ball RMS up
+to roundoff.  The kernel owns its grid-sized buffers: each thread caches
+one set for the last stack size it stepped, so a run reuses them at every
+stage and a member leaving the run resizes them once; the thread keeps
+them until it calls at another size or exits.  Fix-ups, guard and samples
+stay per member; a member that fails or aborts leaves the run with its own
+status, message and states, and the others go on.  `integrate` is the
+one-member case.  The stages run with floating-point warnings silenced, so
+a diverging run ends as a clean `failed-nonfinite`.
 """
 
 from __future__ import annotations
@@ -65,7 +74,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .cutoffs import CutoffProfile
-from .spectral import FOUR_PI_SQ, _geometry, div_residual, leray_coefficients, symmetrize
+from .spectral import (FOUR_PI_SQ, _geometry, cube_to_half, div_residual, half_to_cube,
+                       leray_coefficients, symmetrize)
 # the member-stack kernel under the module-global name the loop looks up at
 # each call: one call per stage, for every member of the stack
 from .system import ModelParams, SimState, pack, triple_sq, unpack
@@ -136,35 +146,42 @@ class Trajectory:
 
 
 def fix_up(stack: np.ndarray, dim: int, cutoff: int):
-    """Re-project the velocity of the members of a stack whose div v drifted
-    past DIV_DRIFT_TOL.  Returns the stack (a new one if any member was
-    re-projected) and which members were."""
-    reproject = div_residual(stack[:, :dim], dim, cutoff) > DIV_DRIFT_TOL
+    """Re-project the velocity of the members of a (members, d+2, n_half)
+    stack whose div v drifted past DIV_DRIFT_TOL.  Returns the stack (a new
+    one if any member was re-projected) and which members were."""
+    reproject = div_residual(stack[:, :dim], dim, cutoff, canonical=True) > DIV_DRIFT_TOL
     if reproject.any():
         stack = stack.copy()
-        stack[reproject, :dim] = leray_coefficients(stack[reproject, :dim], dim, cutoff)
+        stack[reproject, :dim] = leray_coefficients(stack[reproject, :dim], dim, cutoff,
+                                                    canonical=True)
     return stack, reproject
 
 
-def rk4_step(arr: np.ndarray, t: float, h: float, params: ModelParams,
+def rk4_step(arr: np.ndarray, cutoff: int, t: float, h: float, params: ModelParams,
              profile: CutoffProfile) -> np.ndarray:
-    k1 = rhs(arr, t, params, profile)[0]
-    k2 = rhs(arr + 0.5 * h * k1, t + 0.5 * h, params, profile)[0]
-    k3 = rhs(arr + 0.5 * h * k2, t + 0.5 * h, params, profile)[0]
-    k4 = rhs(arr + h * k3, t + h, params, profile)[0]
+    k1 = rhs(arr, cutoff, t, params, profile)[0]
+    k2 = rhs(arr + 0.5 * h * k1, cutoff, t + 0.5 * h, params, profile)[0]
+    k3 = rhs(arr + 0.5 * h * k2, cutoff, t + 0.5 * h, params, profile)[0]
+    k4 = rhs(arr + h * k3, cutoff, t + h, params, profile)[0]
     return arr + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 @functools.lru_cache(maxsize=None)
 def _diffusion_rates(dim: int, cutoff: int) -> np.ndarray:
-    """The linear rates at unit viscosity, -4 pi^2 |k|^2 on the omega and b
-    rows and half that on the velocity rows (the flux takes nubar times the
-    symmetric gradient, whose divergence is Laplacian/2 when div v = 0),
-    shaped (d+2) + cube."""
-    rates = -FOUR_PI_SQ * _geometry(dim, cutoff).k_sq * np.ones((dim + 2,) + (1,) * dim)
-    rates[:dim] *= 0.5
+    """The linear rates at unit viscosity on the canonical half, one row per
+    rate class: the velocity rows' -2 pi^2 |k|^2 (the flux takes nubar times
+    the symmetric gradient, whose divergence is Laplacian/2 when div v = 0),
+    then the omega and b rows' -4 pi^2 |k|^2.  _rate_class maps rows to them."""
+    geo = _geometry(dim, cutoff)
+    rates = -FOUR_PI_SQ * geo.k_sq.ravel()[geo.half] * np.ones((2, 1))
+    rates[0] *= 0.5
     rates.setflags(write=False)
     return rates
+
+
+def _rate_class(dim: int) -> List[int]:
+    """The _diffusion_rates row of each state row: v_1..v_d, omega, b."""
+    return [0] * dim + [1, 1]
 
 
 def step(state: SimState, h: float, params: ModelParams,
@@ -172,11 +189,11 @@ def step(state: SimState, h: float, params: ModelParams,
     """Single classical RK4 step with the structural fix-ups applied."""
     if h <= 0:
         raise ValueError("step size must be positive")
-    arr = rk4_step(pack(state)[None], state.t, h, params, profile)
+    d, n = state.dim, state.cutoff
+    arr = rk4_step(cube_to_half(pack(state), d)[None], n, state.t, h, params, profile)
     if not np.all(np.isfinite(arr)):
         raise FloatingPointError("non-finite coefficients after step")
-    return unpack(fix_up(arr, state.dim, state.cutoff)[0][0],
-                  state.dim, state.cutoff, state.t + h)
+    return unpack(half_to_cube(fix_up(arr, d, n)[0][0], d, n), d, n, state.t + h)
 
 
 def _midrange(nu: np.ndarray) -> np.ndarray:
@@ -185,12 +202,15 @@ def _midrange(nu: np.ndarray) -> np.ndarray:
 
 
 def _error_ratio(err: np.ndarray, y0: np.ndarray, y1: np.ndarray,
-                 abs_tol: float, rel_tol: float) -> float:
+                 abs_tol: float, rel_tol: float, weight: np.ndarray) -> float:
     """RMS of err / (abs_tol + rel_tol max(|y0|, |y1|)) over the ball's modes
-    of every row of one packed state; the cube's corners are not unknowns."""
-    ball = _geometry(err.ndim - 1, (err.shape[-1] + 1) // 2).ball
-    scale = abs_tol + rel_tol * np.maximum(np.abs(y0[:, ball]), np.abs(y1[:, ball]))
-    return float(np.sqrt(np.mean((np.abs(err[:, ball]) / scale) ** 2)))
+    of every row of one packed state (the cube's corners are not unknowns),
+    read from the canonical half rows of conjugate-symmetric stacks: weight
+    counts the ball modes each half mode stands for, 2 for a pair {k, -k}
+    and 1 for k = 0."""
+    scale = abs_tol + rel_tol * np.maximum(np.abs(y0), np.abs(y1))
+    sq = (np.abs(err) / scale) ** 2
+    return float(np.sqrt(np.sum(weight * sq) / (len(err) * np.sum(weight))))
 
 
 def _shrink(h: float, ratio: float, previous: Optional[Tuple[float, float]]) -> float:
@@ -259,12 +279,15 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
 
     live = list(range(len(states0)))          # members still stepping, in row order
     # the loop keeps conjugate symmetry exactly, so it starts from the data's
-    # real parts; on conjugate-symmetric data this changes no bit
+    # real parts (on conjugate-symmetric data this changes no bit) and
+    # carries their canonical halves
     y = symmetrize(np.stack([pack(st) for st in states0]), dim)
     ceiling = config.blowup_factor * (2.0 * triple_sq(y, s) + 1.0)
+    y = cube_to_half(y, dim)
     h = config.dt
     k1 = nu_ref = None             # rk45's FSAL stage F(t, y) and reference viscosities
-    rates = _diffusion_rates(dim, cutoff)
+    rates, classes = _diffusion_rates(dim, cutoff), _rate_class(dim)
+    weight = _geometry(dim, cutoff).half_weight
     steps = rejected = evaluations = 0
     previous = None                # rk45's last rejected (h, ratio) at this t
     stopped = ""                   # why the members still running stopped early
@@ -273,7 +296,7 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
         while live and t < config.t_end - 1e-14 and steps < MAX_STEPS:
             h = min(h, config.t_end - t)
             if config.method == "rk4":
-                y_new = rk4_step(y, t, h, params, profile)
+                y_new = rk4_step(y, cutoff, t, h, params, profile)
                 evaluations += 4
                 finite = np.isfinite(y_new).all(axis=tuple(range(1, y_new.ndim)))
                 if not finite.all():
@@ -288,11 +311,12 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
                 k1 = None
             else:
                 if k1 is None:
-                    k1, nu = rhs(y, t, params, profile)
+                    k1, nu = rhs(y, cutoff, t, params, profile)
                     evaluations += 1
                     nu_ref = _midrange(nu)
-                lin = nu_ref.reshape((-1,) + (1,) * (y.ndim - 1)) * rates
-                ef = {c: np.exp((c * h) * lin) for c in _IF_GAPS}    # E(c h)
+                lin = nu_ref[:, None, None] * rates          # per (member, rate class)
+                ef = {c: np.exp((c * h) * lin)[:, classes] for c in _IF_GAPS}    # E(c h)
+                lin = lin[:, classes]
                 ns = [k1 - lin * y]     # the full F is kept: N depends on this step's L
                 for i in range(1, 7):
                     ci = _DP_C[i]
@@ -300,7 +324,7 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
                                               in zip(_DP_A[i], _DP_C, ns) if a)
                     if not np.all(np.isfinite(yi)):
                         break
-                    fi, nu = rhs(yi, t + ci * h, params, profile)
+                    fi, nu = rhs(yi, cutoff, t + ci * h, params, profile)
                     evaluations += 1
                     ns.append(fi - lin * yi)
                 if len(ns) < 7 or not np.all(np.isfinite(fi)):
@@ -313,7 +337,7 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
                 y_new = yi             # the last stage is the update
                 err = h * sum((b5 - b4) * ef[1.0 - cj] * nj for b5, b4, cj, nj
                               in zip(_DP_B5, _DP_B4, _DP_C, ns) if b5 != b4)
-                ratio = max(_error_ratio(*rows, config.abs_tol, config.rel_tol)
+                ratio = max(_error_ratio(*rows, config.abs_tol, config.rel_tol, weight)
                             for rows in zip(err, y, y_new))
                 if ratio > 1.0:
                     rejected += 1
@@ -336,10 +360,11 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
 
             at_end = t >= config.t_end - 1e-14
             if steps % config.monitor_every == 0 or at_end:
-                x_now = triple_sq(y, s)
+                cube = half_to_cube(y, dim, cutoff)
+                x_now = triple_sq(cube, s)
                 ok = x_now <= ceiling
                 for i, member in enumerate(live):
-                    trajs[member].states.append(unpack(y[i], dim, cutoff, t))
+                    trajs[member].states.append(unpack(cube[i], dim, cutoff, t))
                     if not ok[i]:
                         _leave(trajs[member], "aborted-blowup",
                                f"triple norm^2 {x_now[i]:.6g} exceeded guard "

@@ -11,9 +11,15 @@ Conventions kept throughout the package:
   * d/dx_i multiplies by 2*pi*i*k_i.
   * Physical grids are uniform with N points per axis at x_j = j/N.
 
-Fields are real: c(-k) = conj(c(k)).  There is one transform pair, on the
+Fields are real: c(-k) = conj(c(k)).  So one mode of each mirror pair
+{k, -k} determines the other, and the canonical half (the ball's modes whose
+last nonzero component is positive, and k = 0) holds every real field's
+degrees of freedom, 397 modes against the cube's 961 at d = 2, n = 16.
+`cube_to_half` and `half_to_cube` convert between the two layouts; the
+time-stepping loop runs on the half.  There is one transform pair, on the
 real half spectrum: `coefficients_to_real_grid` samples conjugate-symmetric
-coefficients and `real_grid_to_coefficients` takes real samples back.
+coefficients and `real_grid_to_coefficients` takes real samples back, both
+on cube stacks or, with canonical=True, on canonical half stacks.
 `real_samples` samples a field's real part symmetrize(c), `from_grid` takes
 real samples only, and `spectral_product` refuses a field that is not real.
 """
@@ -53,12 +59,19 @@ class _ModeGeometry:
         self.ball_k = np.stack([ax[self.ball_index] for ax in self.k], axis=-1)
         self.grad = 2j * np.pi * self.k                  # d/dx_a multiplies by row a
         self.leray_denom = np.where(self.k_sq == 0, 1, self.k_sq)
-        self.upper = np.flatnonzero(self.k[-1] >= 0)    # flat indices with k_last >= 0
         # the modes whose last nonzero component is negative: one of each
         # mirror pair {k, -k}, k = 0 excluded
-        self.lower = np.zeros(self.k_sq.shape, dtype=bool)
+        lower = np.zeros(self.k_sq.shape, dtype=bool)
         for ka in self.k:
-            self.lower = np.where(ka != 0, ka < 0, self.lower)
+            lower = np.where(ka != 0, ka < 0, lower)
+        # the canonical half, as flat cube indices in lexicographic order; in
+        # C order the mirror -k of flat index f is size - 1 - f
+        self.half = np.flatnonzero(self.ball & ~lower)
+        # the ball modes each one stands for: k = 0 is its own mirror
+        self.half_weight = np.where(self.half == self.k_sq.size // 2, 1.0, 2.0)
+        self.half_k = self.k.reshape(dim, -1)[:, self.half]
+        self.half_grad = self.grad.reshape(dim, -1)[:, self.half]
+        self.half_denom = self.leray_denom.ravel()[self.half]
         self._weights: Dict[float, np.ndarray] = {}
 
     def bessel_weight(self, s: float) -> np.ndarray:
@@ -77,67 +90,87 @@ def _geometry(dim: int, cutoff: int) -> _ModeGeometry:
 
 
 @functools.lru_cache(maxsize=None)
-def _half_bins(dim: int, cutoff: int, points: int, upper: bool = False):
-    """Index (one array per axis) of each centered-cube mode in the first
-    `cutoff` columns of an rfftn half spectrum on a points^dim grid, built once
-    per size.  A `lower` mode (every k_last < 0 mode and half the k_last = 0
-    plane) is given the bin of -k, which holds conj(c(k)) for real samples;
-    upper=True keeps only the modes with k_last >= 0, each at its own bin."""
+def _half_bins(dim: int, cutoff: int, points: int):
+    """Where the canonical half lives in the first `cutoff` columns of an
+    rfftn half spectrum on a points^dim grid, built once per size: each
+    mode's bin k mod points (one array per axis), then the half's positions
+    of its modes on the k_last = 0 plane (k = 0 excepted) and the bins of
+    their mirrors -k, which that plane of the half spectrum holds too."""
     if points < 2 * cutoff - 1:
         raise ValueError("grid too coarse for the mode cube")
     geo = _geometry(dim, cutoff)
-    k = geo.k.reshape(dim, -1)
-    if upper:
-        k = k[:, geo.upper] % points
-    else:
-        k = np.where(geo.lower.ravel(), -k, k) % points
-    k.setflags(write=False)
-    return tuple(k)
+    plane = np.flatnonzero((geo.half_k[-1] == 0) & geo.half_k.any(axis=0))
+    bins, mirrors = geo.half_k % points, -geo.half_k[:, plane] % points
+    for arr in (bins, plane, mirrors):
+        arr.setflags(write=False)
+    return tuple(bins), plane, tuple(mirrors)
+
+
+def cube_to_half(stack: np.ndarray, dim: int) -> np.ndarray:
+    """The canonical half of a stack of conjugate-symmetric centered cubes:
+    batch + (side,)*dim -> batch + (n_half,), a new array."""
+    geo = _geometry(dim, (stack.shape[-1] + 1) // 2)
+    return stack.reshape(stack.shape[:-dim] + (-1,))[..., geo.half]
+
+
+def half_to_cube(half: np.ndarray, dim: int, cutoff: int) -> np.ndarray:
+    """The centered cubes of a stack of canonical halves: each mirror -k holds
+    conj(c(k)) and the modes outside the ball hold 0, so the result is
+    exactly conjugate-symmetric."""
+    geo = _geometry(dim, cutoff)
+    batch = half.shape[:-1]
+    cube = np.zeros(batch + (geo.k_sq.size,), dtype=complex)
+    cube[..., geo.k_sq.size - 1 - geo.half] = np.conj(half)    # k = 0 is rewritten next
+    cube[..., geo.half] = half
+    return cube.reshape(batch + geo.k_sq.shape)
 
 
 def coefficients_to_real_grid(coeffs: np.ndarray, cutoff: int, dim: int,
                               points: int, out: np.ndarray | None = None,
-                              half: np.ndarray | None = None) -> np.ndarray:
+                              half: np.ndarray | None = None,
+                              canonical: bool = False) -> np.ndarray:
     """Real samples of conjugate-symmetric coefficients (half-spectrum path).
 
-    Requires c(-k) = conj(c(k)); any asymmetric part is silently discarded,
-    so callers must hold the realness invariant.  Only the first `cutoff`
-    columns of the half spectrum can be nonzero, so the complex passes run on
-    those alone and the real pass pads the rest with zeros.  `out` (the grid
-    stack) and `half` (complex, batch + (points,)*(dim-1) + (cutoff,),
-    overwritten) are optional buffers for callers that repeat the transform.
+    coeffs is a stack of centered cubes, or with canonical=True of canonical
+    halves.  A cube must hold c(-k) = conj(c(k)): only its canonical half is
+    read, so an asymmetric part is silently discarded.  The half's modes go
+    straight into their bins, the k_last = 0 plane's mirrors as conjugates;
+    only the first `cutoff` columns of the half spectrum can be nonzero, so
+    the complex passes run on those alone and the real pass pads the rest
+    with zeros.  `out` (the grid stack) and `half` (complex, batch +
+    (points,)*(dim-1) + (cutoff,), overwritten) are optional buffers for
+    callers that repeat the transform.
     """
-    upper = _geometry(dim, cutoff).upper          # the modes rfftn keeps
-    batch = coeffs.shape[:-dim]
+    if not canonical:
+        coeffs = cube_to_half(coeffs, dim)
+    batch = coeffs.shape[:-1]
+    bins, plane, mirrors = _half_bins(dim, cutoff, points)
     if half is None:
         half = np.zeros(batch + (points,) * (dim - 1) + (cutoff,), dtype=complex)
     else:
         half.fill(0.0)
-    half[(Ellipsis,) + _half_bins(dim, cutoff, points, upper=True)] = \
-        coeffs.reshape(batch + (-1,))[..., upper]
+    half[(Ellipsis,) + bins] = coeffs
+    half[(Ellipsis,) + mirrors] = np.conj(coeffs[..., plane])
     half = _fft.ifftn(half, axes=tuple(range(-dim, -1)), norm="forward", overwrite_x=True)
     return np.fft.irfft(half, n=points, axis=-1, norm="forward", out=out)
 
 
 def real_grid_to_coefficients(grid: np.ndarray, cutoff: int, dim: int,
-                              half: np.ndarray | None = None) -> np.ndarray:
-    """Centered-cube coefficients of real grid samples via the half-spectrum.
+                              half: np.ndarray | None = None,
+                              canonical: bool = False) -> np.ndarray:
+    """Coefficients of real grid samples via the half-spectrum: the canonical
+    half's bins, as canonical halves (canonical=True) or expanded to centered
+    cubes by half_to_cube, exactly conjugate-symmetric either way.
 
     The complex passes run only on the first `cutoff` columns, the ones that
-    hold modes.  Each `lower` mode is read as the conjugate of its mirror's
-    coefficient, so the result is exactly conjugate-symmetric: c(-k) =
-    conj(c(k)) holds bit for bit, not up to roundoff.  `half` is an optional
-    buffer of the real pass's output shape (overwritten).
+    hold modes.  `half` is an optional buffer of the real pass's output shape
+    (overwritten).
     """
-    geo = _geometry(dim, cutoff)
     half = np.fft.rfft(grid, axis=-1, norm="forward", out=half)
     cols = _fft.fftn(half[..., :cutoff], axes=tuple(range(-dim, -1)), norm="forward",
                      overwrite_x=True)
-    vals = cols[(Ellipsis,) + _half_bins(dim, cutoff, grid.shape[-1])]
-    vals = vals.reshape(grid.shape[:-dim] + geo.k_sq.shape)
-    np.conjugate(vals, out=vals, where=geo.lower)
-    vals[..., ~geo.ball] = 0.0
-    return vals
+    vals = cols[(Ellipsis,) + _half_bins(dim, cutoff, grid.shape[-1])[0]]
+    return vals if canonical else half_to_cube(vals, dim, cutoff)
 
 
 def conj_flip(coeffs: np.ndarray, dim: int) -> np.ndarray:
@@ -160,28 +193,38 @@ def realness_residual(coeffs: np.ndarray, dim: int) -> float:
     return float(np.max(dev / scale))
 
 
-def _k_dot(stack: np.ndarray, dim: int, geo: _ModeGeometry) -> np.ndarray:
-    """k . c(k) of a velocity stack whose component axis precedes the dim
-    spatial axes."""
-    cube = (slice(None),) * dim
-    return sum(geo.k[a] * stack[(Ellipsis, a) + cube] for a in range(dim))
-
-
-def leray_coefficients(stack: np.ndarray, dim: int, cutoff: int) -> np.ndarray:
-    """Leray projection of a (..., dim) + side^dim velocity stack (leading
-    axes are a batch): c(k) -= k (k.c(k)) / |k|^2 for k != 0."""
+def _modes(dim: int, cutoff: int, canonical: bool):
+    """k, |k|^2 with 0 read as 1, and the number of trailing mode axes, of
+    the centered cube (dim axes) or of the canonical half (one axis)."""
     geo = _geometry(dim, cutoff)
-    k_dot = _k_dot(stack, dim, geo)[(Ellipsis, None) + (slice(None),) * dim]
-    return stack - geo.k * k_dot / geo.leray_denom
+    return (geo.half_k, geo.half_denom, 1) if canonical else (geo.k, geo.leray_denom, dim)
 
 
-def div_residual(stack: np.ndarray, dim: int, cutoff: int):
-    """max_k |k . c(k)| of a (..., dim) + side^dim velocity stack, relative to
-    its largest coefficient magnitude: a float for one stack, an array of one
-    value per batch index otherwise."""
-    geo = _geometry(dim, cutoff)
-    acc = np.max(np.abs(_k_dot(stack, dim, geo)), axis=tuple(range(-dim, 0)))
-    scale = np.max(np.abs(stack), axis=tuple(range(-dim - 1, 0)))
+def _k_dot(stack: np.ndarray, k: np.ndarray, axes: int) -> np.ndarray:
+    """k . c(k) of a velocity stack whose component axis precedes its
+    trailing mode axes."""
+    modes = (slice(None),) * axes
+    return sum(k[a] * stack[(Ellipsis, a) + modes] for a in range(len(k)))
+
+
+def leray_coefficients(stack: np.ndarray, dim: int, cutoff: int,
+                       canonical: bool = False) -> np.ndarray:
+    """Leray projection of a (..., dim) + modes velocity stack, the modes a
+    centered cube or (canonical=True) a canonical half; leading axes are a
+    batch: c(k) -= k (k.c(k)) / |k|^2 for k != 0."""
+    k, denom, axes = _modes(dim, cutoff, canonical)
+    k_dot = _k_dot(stack, k, axes)[(Ellipsis, None) + (slice(None),) * axes]
+    return stack - k * k_dot / denom
+
+
+def div_residual(stack: np.ndarray, dim: int, cutoff: int, canonical: bool = False):
+    """max_k |k . c(k)| of a (..., dim) + modes velocity stack (modes as in
+    leray_coefficients), relative to its largest coefficient magnitude: a
+    float for one stack, an array of one value per batch index otherwise.
+    A conjugate-symmetric cube and its canonical half give the same value."""
+    k, _, axes = _modes(dim, cutoff, canonical)
+    acc = np.max(np.abs(_k_dot(stack, k, axes)), axis=tuple(range(-axes, 0)))
+    scale = np.max(np.abs(stack), axis=tuple(range(-axes - 1, 0)))
     res = acc / np.maximum(scale, _TINY)
     return float(res) if np.ndim(res) == 0 else res
 

@@ -13,17 +13,22 @@ Quadratic products are evaluated on an oversampled grid (alias-free for
 oversample >= 2); only the composed viscosity nubar = Phi(b)/Psi(omega) is a
 genuine quadrature, whose residual the oversampling controls.
 
-The time-stepping loop works on member stacks: a leading member axis over
-packed states (v_1..v_d, omega, b) of centered-cube coefficients
-(`pack`/`unpack`), shaped (members, d+2) + cube, through `member_rhs`, one
-call per RK stage for every member.  Members share t, the parameters and
-the profile; each member's row equals its one-state result bit for bit.
+A state packs into (v_1..v_d, omega, b) rows of centered-cube coefficients
+(`pack`/`unpack`).  The time-stepping loop works on member stacks of their
+canonical halves (`spectral.cube_to_half`): a leading member axis over
+packed states, shaped (members, d+2, n_half), through `member_rhs`, one
+call per RK stage for every member.  The kernel forms gradients, fluxes,
+divergences and the Leray projection on the half, scatters it straight into
+the transform's half-spectrum bins and gathers only the half's bins back.
+Members share t, the parameters and the profile; each member's row equals
+its one-state result bit for bit, and expanded to the cube
+(`spectral.half_to_cube`) the result is the cube layout's right-hand side.
 With the stack it returns each member's nubar samples on the quadrature
 grid, from which the integrator takes its reference viscosity.
-`packed_rhs` is the one-member case on a single (d+2) + cube stack; it,
-`rhs`, `pressure_gradient`, `advective_diffusive_force` and
-`transport_terms` are field-level views of the same kernel, without the
-nubar samples.
+`packed_rhs` is the one-member case on a single (d+2) + cube stack, cube in
+and cube out; it, `rhs`, `pressure_gradient`, `advective_diffusive_force`
+and `transport_terms` are field-level views of the same kernel, without
+the nubar samples.
 
 The kernel's grid-sized arrays live in an `RhsWorkspace`, which the kernel
 owns: each thread keeps one, for the last (dim, cutoff, points, members) it
@@ -52,7 +57,9 @@ from .spectral import (
     VectorSpectralField,
     _geometry,
     coefficients_to_real_grid,
+    cube_to_half,
     fast_grid_size,
+    half_to_cube,
     leray_coefficients,
     real_grid_to_coefficients,
     realness_residual,
@@ -204,7 +211,7 @@ def _pair_layout(dim: int):
     pairs = _upper_pairs(dim)
     m = len(pairs)
     pi, pj = (np.array(ix) for ix in zip(*pairs))
-    weight = np.where(pi == pj, 1.0, 2.0).reshape((m,) + (1,) * dim)
+    weight = np.where(pi == pj, 1.0, 2.0)
     row = {}
     for p, (i, j) in enumerate(pairs):
         row[i, j] = row[j, i] = p
@@ -230,13 +237,13 @@ def _advective_fluxes(g: np.ndarray, dim: int, out: np.ndarray | None = None) ->
 
 
 def _flux_divergences(c: np.ndarray, dim: int, cutoff: int) -> np.ndarray:
-    """Divergences of fluxes laid out as _advective_fluxes writes them: the
-    symmetric tensor's rows (d rows of a vector), then the two vector fluxes
-    (one scalar each).  Axes between the row axis and the spatial axes are a
-    batch."""
+    """Divergences of fluxes laid out as _advective_fluxes writes them, on
+    canonical halves: the symmetric tensor's rows (d rows of a vector), then
+    the two vector fluxes (one scalar each).  Axes between the row axis and
+    the mode axis are a batch."""
     rows = _pair_layout(dim)[3]
-    grad = _geometry(dim, cutoff).grad
-    grad = grad.reshape(grad.shape[:1] + (1,) * (c.ndim - 1 - dim) + grad.shape[1:])
+    grad = _geometry(dim, cutoff).half_grad
+    grad = grad.reshape(grad.shape[:1] + (1,) * (c.ndim - 2) + grad.shape[1:])
     return np.sum(c[rows] * grad, axis=1)
 
 
@@ -255,12 +262,14 @@ class RhsWorkspace:
 
     Allocated anew, these arrays cost every call about 5 MB per member of
     freshly page-faulted memory at d=2, n=16, oversample 4.  Every call
-    overwrites them; they hold nothing between calls.  Two pairs share memory
-    (2.8 MB per member in all at that size): the inverse transform's half
-    spectrum is dead before the fluxes are written, and the grids are dead
-    before the forward transform's half spectrum is.  Rows lead and members
-    follow, (rows, members) + cube, so one row of every member is one
-    contiguous block.  A one-member workspace has no member axis: on small
+    overwrites them; they hold nothing between calls.  `rows` is the
+    spectral side: the state's rows and the gradients the fluxes need, on
+    the canonical half.  Two pairs share memory (2.8 MB per member in all at
+    that size): the inverse transform's half spectrum is dead before the
+    fluxes are written, and the grids are dead before the forward
+    transform's half spectrum is.  Rows lead and members follow, (rows,
+    members) + modes or grid, so one row of every member is one contiguous
+    block.  A one-member workspace has no member axis: on small
     grids every numpy call of the kernel pays for an extra axis (about 4% of
     a call at n = 6), and most runs have one member.
     """
@@ -271,7 +280,7 @@ class RhsWorkspace:
         lead = (members,) if members > 1 else ()
         grids, fluxes = (3 * dim + 2 + m,) + lead, (2 * dim + m + 3,) + lead
         cube = (points,) * dim
-        self.coeffs = np.empty(grids + (2 * cutoff - 1,) * dim, dtype=complex)
+        self.rows = np.empty(grids + _geometry(dim, cutoff).half.shape, dtype=complex)
         self.half_in, self.flux = _shared((grids + cube[:-1] + (cutoff,), complex),
                                           (fluxes + cube, float))
         self.grids, self.half_out = _shared(
@@ -292,10 +301,11 @@ def _workspace(size) -> RhsWorkspace:
     return ws
 
 
-def member_rhs(ys: np.ndarray, t: float, params: ModelParams, profile: CutoffProfile,
-               project: bool = True) -> np.ndarray:
-    """Right-hand side of every member of a stack ys shaped (members, d+2) +
-    cube, each member a packed state (v_1..v_d, omega, b) at time t.
+def member_rhs(ys: np.ndarray, cutoff: int, t: float, params: ModelParams,
+               profile: CutoffProfile, project: bool = True) -> np.ndarray:
+    """Right-hand side of every member of a stack ys shaped (members, d+2,
+    n_half), each member the canonical half of a packed state (v_1..v_d,
+    omega, b) at this cutoff and time t.
 
     Flux form: with M_ij = v_i v_j - nubar D_ij, F_w = v w - nubar grad w
     and F_b = v b - nubar grad b,
@@ -308,28 +318,27 @@ def member_rhs(ys: np.ndarray, t: float, params: ModelParams, profile: CutoffPro
     are alias-free at oversample >= 2.  D_ij is formed on the spectral side;
     a 2-D RHS takes 11 inverse and 10 forward transforms per member, batched
     over the members in one call each.  Each member's row equals its
-    one-state packed_rhs bit for bit.  project=False leaves the velocity rows
+    one-state call bit for bit.  project=False leaves the velocity rows
     as the force -P_n(v.grad v) + div P_n(nubar Dv) before the pressure
     correction.  The grid-sized arrays are this thread's cached workspace;
     the result is always a new array.
 
-    Returns the stack of right-hand sides and each member's nubar on the
-    quadrature grid, flattened to (members, points^d) (a new array too),
-    from whose extremes the integrator takes its reference viscosity.
+    Returns the stack of right-hand sides, on the canonical half, and each
+    member's nubar on the quadrature grid, flattened to (members, points^d)
+    (a new array too), from whose extremes the integrator takes its
+    reference viscosity.
     """
-    members, d = ys.shape[0], ys.shape[1] - 2
-    n = (ys.shape[-1] + 1) // 2
+    members, d, n = ys.shape[0], ys.shape[1] - 2, cutoff
     points = params.grid_points(n)
     ws = _workspace((d, n, points, members))
-    c = ws.coeffs
-    per_row = (slice(None),) + (None,) * (c.ndim - 1 - d)     # broadcast over members
-    mult = _geometry(d, n).grad[per_row]
+    c = ws.rows
+    per_row = (slice(None),) + (None,) * (c.ndim - 2)     # broadcast over members
+    mult = _geometry(d, n).half_grad[per_row]
     pi, pj, weight, _ = _pair_layout(d)
     m = len(pi)
     # spectral rows: v, omega, b, then the gradients the viscous fluxes need,
     # in the flux layout: D_ij (i <= j), grad omega, grad b; each row holds
-    # every member (the workspace layout).  States hold the realness
-    # invariant, so the half-spectrum path applies.
+    # every member (the workspace layout)
     y = c[:d + 2]
     y[...] = ys.swapaxes(0, 1).reshape(y.shape)
     deform = c[d + 2:d + 2 + m]
@@ -337,14 +346,15 @@ def member_rhs(ys: np.ndarray, t: float, params: ModelParams, profile: CutoffPro
     deform += mult[pi] * y[pj]
     deform *= 0.5
     np.multiply(mult, y[d:d + 2, None], out=c[d + 2 + m:].reshape((2, d) + y.shape[1:]))
-    g = coefficients_to_real_grid(c, n, d, points, out=ws.grids, half=ws.half_in)
+    g = coefficients_to_real_grid(c, n, d, points, out=ws.grids, half=ws.half_in,
+                                  canonical=True)
     w_g, b_g = g[d], g[d + 1]
     nu_g = nu_bar_grid(b_g, w_g, t, profile)
     flux = ws.flux
     # nubar |Dv|^2 first: the momentum rows hold the squares D_ij^2 until
     # the fluxes overwrite them, and the gradient rows are scaled in place
     def_sq = np.square(g[d + 2:d + 2 + m], out=flux[:m])
-    def_sq *= weight[per_row]
+    def_sq *= weight.reshape((m,) + (1,) * (g.ndim - 1))
     np.sum(def_sq, axis=0, out=flux[-1])
     flux[-1] *= nu_g
     _advective_fluxes(g, d, out=flux)
@@ -353,12 +363,12 @@ def member_rhs(ys: np.ndarray, t: float, params: ModelParams, profile: CutoffPro
     flux[:-3] -= viscous
     np.multiply(w_g, w_g, out=flux[-3])
     np.multiply(b_g, w_g, out=flux[-2])
-    coef = real_grid_to_coefficients(flux, n, d, half=ws.half_out)
+    coef = real_grid_to_coefficients(flux, n, d, half=ws.half_out, canonical=True)
 
     div = _flux_divergences(coef, d, n)
     force = div[:d].reshape((d, members) + ys.shape[2:]).swapaxes(0, 1)   # members lead
     out = np.empty_like(ys)
-    out[:, :d] = leray_coefficients(-force, d, n) if project else -force
+    out[:, :d] = leray_coefficients(-force, d, n, canonical=True) if project else -force
     out[:, d] = -div[d] - params.alpha * coef[-3]
     out[:, d + 1] = -div[d + 1] - coef[-2] + coef[-1]
     return out, nu_g.reshape(members, -1)
@@ -366,9 +376,12 @@ def member_rhs(ys: np.ndarray, t: float, params: ModelParams, profile: CutoffPro
 
 def packed_rhs(y: np.ndarray, t: float, params: ModelParams, profile: CutoffProfile,
                project: bool = True) -> np.ndarray:
-    """Right-hand side on one packed stack y = (v_1..v_d, omega, b): the
-    one-member case of member_rhs, without the nubar samples."""
-    return member_rhs(y[None], t, params, profile, project)[0][0]
+    """Right-hand side on one packed cube stack y = (v_1..v_d, omega, b) of a
+    real state: the one-member case of member_rhs, from and back to the
+    cube, without the nubar samples."""
+    d, n = y.shape[0] - 2, (y.shape[-1] + 1) // 2
+    half = member_rhs(cube_to_half(y, d)[None], n, t, params, profile, project)[0][0]
+    return half_to_cube(half, d, n)
 
 
 def _vector(stack: np.ndarray, dim: int, cutoff: int) -> VectorSpectralField:
@@ -408,5 +421,6 @@ def transport_terms(state: SimState, oversample: int = 4):
     d, n = state.dim, state.cutoff
     g = coefficients_to_real_grid(pack(state), n, d,
                                   fast_grid_size(oversample * (2 * n - 1)))
-    div = _flux_divergences(real_grid_to_coefficients(_advective_fluxes(g, d), n, d), d, n)
+    coef = real_grid_to_coefficients(_advective_fluxes(g, d), n, d, canonical=True)
+    div = half_to_cube(_flux_divergences(coef, d, n), d, n)
     return _vector(div[:d], d, n), SpectralField(d, n, div[d]), SpectralField(d, n, div[d + 1])

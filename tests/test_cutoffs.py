@@ -4,6 +4,7 @@ derivative-bound scaling, and the pointwise viscosity floor."""
 import numpy as np
 import pytest
 
+from kolmosim import cutoffs
 from kolmosim.cutoffs import (
     CutoffProfile,
     InitialBounds,
@@ -124,3 +125,42 @@ class TestNuBar:
             nu_lo = time_profiles(BOUNDS, t).nu_lower
             grid = nu_bar_grid(b_grid, w_grid, t, PROFILE)
             assert np.min(grid) >= nu_lo - 1e-15
+
+    def test_grid_is_the_band_masked_composition(self, monkeypatch):
+        """nu_bar_grid builds only the cutoff pieces its samples reach; bit
+        for bit it is phi_b(b) / psi_omega(w), which builds them all."""
+        rng = np.random.default_rng(7)
+        t = 0.3
+        vals = time_profiles(BOUNDS, t)
+        b_lo, w_lo, w_hi = vals.b_lower, vals.omega_lower, vals.omega_upper
+        u = lambda: rng.random(64)
+        # plateau, ramp, identity for b; plateau, ramp up, identity, ramp
+        # down, plateau for omega
+        b_pieces = [0.5 * b_lo * u(), 0.5 * b_lo * (1.0 + u()), b_lo * (1.0 + 3.0 * u())]
+        w_pieces = [0.5 * w_lo * u(), 0.5 * w_lo * (1.0 + u()),
+                    w_lo + (w_hi - w_lo) * u(), w_hi * (1.0 + u()), 2.0 * w_hi * (1.0 + u())]
+        b_id, w_id = b_pieces[2], w_pieces[2]
+        b_id[:2] = b_lo                                # band ends are identity
+        w_id[:2] = w_lo, w_hi
+        grids = [(b, w_id) for b in b_pieces] + [(b_id, w) for w in w_pieces]
+        mixed = (rng.permutation(np.concatenate(b_pieces + b_pieces[:2])),
+                 rng.permutation(np.concatenate(w_pieces)))
+        grids.append(mixed)
+        for bad in (np.nan, np.inf, -np.inf):
+            for at in (0, 1):
+                pair = [b_id.copy(), w_id.copy()]
+                pair[at][5] = bad
+                grids.append(tuple(pair))
+        grids.append((np.where(u() < 0.2, np.nan, b_id), np.where(u() < 0.2, np.nan, w_id)))
+        grids.append((np.where(u() < 0.2, np.nan, mixed[0][:64]),
+                      np.where(u() < 0.2, np.nan, mixed[1][:64])))
+        for b, w in grids:
+            expected = phi_b(b, t, PROFILE) / psi_omega(w, t, PROFILE)
+            got = nu_bar_grid(b.reshape(8, -1), w.reshape(8, -1), t, PROFILE)
+            assert np.array_equal(got.ravel(), expected, equal_nan=True)
+
+        def refuse(u):
+            raise AssertionError("smooth_step called inside the identity bands")
+
+        monkeypatch.setattr(cutoffs, "smooth_step", refuse)
+        assert np.array_equal(nu_bar_grid(b_id, w_id, t, PROFILE), b_id / w_id)

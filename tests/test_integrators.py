@@ -14,7 +14,7 @@ from kolmosim.estimates import RandomFieldSpec, admissible_state
 from kolmosim.integrators import (IntegratorConfig, fix_up, integrate,
                                   integrate_lockstep, pack, step, unpack)
 from kolmosim.spectral import (FOUR_PI_SQ, SpectralField, VectorSpectralField, _geometry,
-                               div_residual)
+                               cube_to_half, div_residual, half_to_cube, symmetrize)
 from kolmosim.system import ModelParams, SimState
 
 TIGHT = InitialBounds(b_min0=1.0, omega_min0=1.0, omega_max0=1.0, alpha=1.0)
@@ -250,8 +250,10 @@ class TestIntegratingFactor:
         state.omega = state.omega + mode(kw, eps)
         state.b = state.b + mode(kb, eps)
         y = pack(state)
-        f = integrators.rhs(y[None], 0.0, make_params(bounds=WIDE), CutoffProfile(WIDE))[0][0]
-        rates = integrators._diffusion_rates(2, n)
+        f = half_to_cube(integrators.rhs(cube_to_half(y, 2)[None], n, 0.0, make_params(bounds=WIDE),
+                                         CutoffProfile(WIDE))[0][0], 2, n)
+        rates = half_to_cube(integrators._diffusion_rates(2, n)[integrators._rate_class(2)],
+                             2, n).real
         for row, k, reaction in ((0, kv, 0.0), (1, kv, 0.0), (2, kw, -2.0), (3, kb, -1.0)):
             at = (row, n - 1 + k[0], n - 1 + k[1])
             assert f[at].real / y[at].real == pytest.approx(rates[at] + reaction, rel=1e-6)
@@ -263,15 +265,27 @@ class TestErrorNorm:
         # the cube's corners outside the ball hold no unknowns: averaging
         # them in would scale the ratio by sqrt(ball/cube), 0.91 at d=2,
         # n=16 and 0.82 at d=3, n=6
+        # the loop reads it from canonical halves, each pair {k, -k} counted
+        # twice and k = 0 once: on a conjugate-symmetric error of any
+        # magnitudes it is the ball RMS of the expanded cube
         rng = np.random.default_rng(5)
         for dim, cutoff in ((2, 16), (3, 6)):
-            ball = _geometry(dim, cutoff).ball
+            geo = _geometry(dim, cutoff)
+            ball = geo.ball
             err = np.zeros((dim + 2,) + ball.shape, dtype=complex)
             y = np.zeros_like(err)
             err[:, ball] = 3e-8 * np.exp(2j * np.pi * rng.random((dim + 2, ball.sum())))
             y[:, ball] = 2.0
-            ratio = integrators._error_ratio(err, y, 0.5 * y, 1e-8, 1e-8)
+            y_half = cube_to_half(y, dim)
+            ratio = integrators._error_ratio(cube_to_half(err, dim), y_half, 0.5 * y_half,
+                                             1e-8, 1e-8, geo.half_weight)
             assert ratio == pytest.approx(1.0, rel=1e-12)   # |err| / (1e-8 + 2e-8)
+            sym = symmetrize(err * rng.random(err.shape), dim)
+            cube_rms = np.sqrt(np.mean((np.abs(sym[:, ball]) / 3e-8) ** 2))
+            ratio = integrators._error_ratio(cube_to_half(sym, dim), y_half, 0.5 * y_half,
+                                             1e-8, 1e-8, geo.half_weight)
+            assert 0.3 < cube_rms < 0.9
+            assert ratio == pytest.approx(cube_rms, rel=1e-12)
 
 
 class TestPacking:
@@ -285,8 +299,8 @@ class TestPacking:
         state = divergence_free_random_state(13, dim=2, cutoff=6)
         arr = pack(state)
         arr[0] += 0.01 * arr[1]        # break the divergence-free property
-        stack, reprojected = fix_up(arr[None], 2, 6)
-        projected = stack[0]
+        stack, reprojected = fix_up(cube_to_half(arr, 2)[None], 2, 6)
+        projected = half_to_cube(stack[0], 2, 6)
         v = VectorSpectralField(tuple(SpectralField(2, 6, arr[i].copy())
                                       for i in range(2))).leray_project()
         expected = np.stack([c.coeffs for c in v.components])
@@ -369,6 +383,27 @@ class TestStageReuse:
         # between threads would be overwritten by the other thread's stages
         assert_threads_match_serial([(divergence_free_random_state(33, dim=2, cutoff=8), 2),
                                      (divergence_free_random_state(34, dim=2, cutoff=8), 2)])
+
+
+class TestHalfLayout:
+    def test_rk45_expands_to_the_cube_once_per_sample(self, monkeypatch):
+        # the loop carries canonical halves and expands a member stack to
+        # cubes only where the guard and the stored states need them
+        calls = [0]
+        expand = integrators.half_to_cube
+
+        def counting_half_to_cube(*args):
+            calls[0] += 1
+            return expand(*args)
+
+        monkeypatch.setattr(integrators, "half_to_cube", counting_half_to_cube)
+        config = IntegratorConfig(method="rk45", dt=1e-3, abs_tol=1e-7, rel_tol=1e-7,
+                                  t_end=0.01, monitor_every=2)
+        states = [divergence_free_random_state(81, cutoff=6), constant_state(cutoff=6)]
+        runs = integrate_lockstep(states, config, make_params(bounds=WIDE), CutoffProfile(WIDE))
+        assert [r.status for r in runs] == ["completed", "completed"]
+        assert runs[0].steps >= 4 and len(runs[0].states) == len(runs[1].states) >= 3
+        assert calls[0] == len(runs[0].states) - 1
 
 
 def assert_threads_match_serial(runs):

@@ -10,10 +10,15 @@ import pytest
 from kolmosim.spectral import (
     SpectralField,
     VectorSpectralField,
+    _geometry,
+    cube_to_half,
     fast_grid_size,
+    half_to_cube,
     lp_norm,
     real_grid_to_coefficients,
+    realness_residual,
     spectral_product,
+    symmetrize,
 )
 from oracles import direct_convolution, trigonometric_sum
 
@@ -172,6 +177,33 @@ class TestRealSamples:
                 assert out.shape == (2, pts, pts)
                 ref = np.stack([trigonometric_sum(c, pts).real for c in w.components])
                 assert rel_diff(out, ref) <= 1e-13
+
+
+class TestHalfLayout:
+    @pytest.mark.parametrize("dim, cutoff", [(2, 1), (2, 2), (2, 5), (2, 16), (3, 1),
+                                             (3, 3), (3, 6)])
+    def test_cube_half_cube_round_trip_is_exact(self, dim, cutoff):
+        """A stack of real fields keeps one mode of each mirror pair, and
+        k = 0, and gets every bit back."""
+        rng = np.random.default_rng(10 * dim + cutoff)
+        geo = _geometry(dim, cutoff)
+        raw = rng.normal(size=(3,) + geo.k_sq.shape) + 1j * rng.normal(size=(3,) + geo.k_sq.shape)
+        cube = symmetrize(np.where(geo.ball, raw, 0.0), dim)
+        half = cube_to_half(cube, dim)
+        assert half.shape == (3, (int(geo.ball.sum()) + 1) // 2)
+        assert np.array_equal(half_to_cube(half, dim, cutoff), cube)
+        assert np.array_equal(cube_to_half(half_to_cube(half, dim, cutoff), dim), half)
+
+    def test_expanded_cube_is_exactly_real(self):
+        # any half with a real k = 0 coefficient expands to a real field
+        for dim, cutoff in ((2, 16), (3, 4)):
+            rng = np.random.default_rng(dim)
+            weight = _geometry(dim, cutoff).half_weight
+            half = rng.normal(size=(2, weight.size)) + 1j * rng.normal(size=(2, weight.size))
+            half[:, weight == 1.0] = 0.75
+            cube = half_to_cube(half, dim, cutoff)
+            assert realness_residual(cube, dim) == 0.0
+        assert _geometry(2, 16).half.size == 397
 
 
 ORACLE_SIZES = [(2, 4, 7), (2, 4, 8), (3, 3, 5), (3, 3, 6)]     # (d, n, points)

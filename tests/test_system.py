@@ -13,7 +13,7 @@ import pytest
 from kolmosim import system
 from kolmosim.cutoffs import CutoffProfile, InitialBounds, nu_bar_grid
 from kolmosim.spectral import (SpectralField, VectorSpectralField, _geometry,
-                               coefficients_to_real_grid)
+                               coefficients_to_real_grid, cube_to_half, half_to_cube)
 from kolmosim.system import (
     ModelParams,
     SimState,
@@ -314,8 +314,8 @@ class TestWorkspace:
                     vec[j] += grad[i] * c[p]
             w = sum(grad[a] * c[m + a] for a in range(dim))
             b = sum(grad[a] * c[m + dim + a] for a in range(dim))
-            got = _flux_divergences(c, dim, cutoff)
-            assert np.array_equal(got, np.concatenate([vec, [w, b]]))
+            got = _flux_divergences(cube_to_half(c, dim), dim, cutoff)
+            assert np.array_equal(got, cube_to_half(np.concatenate([vec, [w, b]]), dim))
 
 
 
@@ -326,19 +326,21 @@ class TestMemberStacks:
         for dim, cutoff, members in ((2, 8, 3), (3, 3, 2)):
             ys = np.stack([pack(divergence_free_random_state(50 + i, dim=dim, cutoff=cutoff))
                            for i in range(members)])
+            hs = cube_to_half(ys, dim)
             for project in (True, False):
-                stack, nu = member_rhs(ys, 0.05, PARAMS, PROFILE, project)
-                assert stack.shape == ys.shape
+                stack, nu = member_rhs(hs, cutoff, 0.05, PARAMS, PROFILE, project)
+                assert stack.shape == hs.shape
                 assert nu.shape == (members, PARAMS.grid_points(cutoff) ** dim)
-                for y, row, samples in zip(ys, stack, nu):
-                    assert np.array_equal(row, packed_rhs(y, 0.05, PARAMS, PROFILE, project))
-                    assert np.array_equal(samples, member_rhs(y[None], 0.05, PARAMS, PROFILE,
-                                                              project)[1][0])
+                for y, h, row, samples in zip(ys, hs, stack, nu):
+                    assert np.array_equal(half_to_cube(row, dim, cutoff),
+                                          packed_rhs(y, 0.05, PARAMS, PROFILE, project))
+                    assert np.array_equal(samples, member_rhs(h[None], cutoff, 0.05, PARAMS,
+                                                              PROFILE, project)[1][0])
 
     def test_nubar_samples_are_the_quadrature_grid_values(self):
         # the integrator's reference viscosity is the midrange of these
         ys = np.stack([pack(divergence_free_random_state(60 + i)) for i in range(2)])
-        _, nu = member_rhs(ys, 0.05, PARAMS, PROFILE)
+        _, nu = member_rhs(cube_to_half(ys, 2), 8, 0.05, PARAMS, PROFILE)
         for y, samples in zip(ys, nu):
             w, b = coefficients_to_real_grid(y[2:], 8, 2, PARAMS.grid_points(8))
             expected = nu_bar_grid(b, w, 0.05, PROFILE).ravel()
