@@ -11,8 +11,10 @@ surrogate for a constant independent of the fields.
 L^2 and H^s norms are exact: they are read from the coefficients (Parseval)
 and sample no grid.  Other L^p norms are quadratures on an oversampled grid,
 and sup norms are grid maxima, lower bounds of the continuum sup.  The
-commutator takes one batched transform pair; the smooth maps' derivative
-bounds are looked up in tables built once per (map, order).
+commutator takes one batched transform pair, and a sample's right-hand
+side norms that need a grid share one batched transform (`field_lps`); the
+smooth maps' derivative bounds are looked up in tables built once per (map,
+order).
 """
 
 from __future__ import annotations
@@ -170,13 +172,31 @@ def field_lp(f, p: float) -> float:
     Other p use torus quadrature on the fast_grid_size(4(2n-1)) grid through
     the half spectrum; p = inf is the grid maximum, a lower bound.
     """
-    if p == 2:
-        c = f.stack() if isinstance(f, VectorSpectralField) else f.coeffs
-        return math.sqrt(float(np.sum(np.abs(symmetrize(c, f.dim)) ** 2)))
-    grid = f.real_samples(fast_grid_size(4 * (2 * f.cutoff - 1)))
-    if isinstance(f, VectorSpectralField):
-        grid = np.sqrt(np.sum(grid ** 2, axis=0))
-    return lp_norm(grid, p)
+    return field_lps((f,), (p,))[0]
+
+
+def field_lps(fields: Sequence, ps: Sequence[float]) -> List[float]:
+    """field_lp(f, p) of each field at its exponent, bit for bit, with every
+    field that needs a grid (p != 2) sampled in one batched transform; those
+    fields must share dim and cutoff."""
+    gridded = [f for f, p in zip(fields, ps) if p != 2]
+    if gridded:
+        d, n = gridded[0].dim, gridded[0].cutoff
+        rows = [f.stack() if isinstance(f, VectorSpectralField) else f.coeffs[None]
+                for f in gridded]
+        grids = coefficients_to_real_grid(symmetrize(np.concatenate(rows), d), n, d,
+                                          fast_grid_size(4 * (2 * n - 1)))
+        grids = iter(np.split(grids, np.cumsum([len(r) for r in rows[:-1]])))
+    norms = []
+    for f, p in zip(fields, ps):
+        vector = isinstance(f, VectorSpectralField)
+        if p == 2:
+            c = f.stack() if vector else f.coeffs
+            norms.append(math.sqrt(float(np.sum(np.abs(symmetrize(c, f.dim)) ** 2))))
+        else:
+            grid = next(grids)
+            norms.append(lp_norm(np.sqrt(np.sum(grid ** 2, axis=0)) if vector else grid[0], p))
+    return norms
 
 
 def _check_holder(p, parts):
@@ -326,9 +346,9 @@ def verify_commutator_estimate(spec: RandomFieldSpec, s: float, p: float = 2.0,
         f = spec.draw(rng)
         g = spec.draw(rng)
         lhs = field_lp(commutator(f, g, s), p)
-        rhs = (field_lp(f.gradient(), p1) * field_lp(g.bessel(s - 1.0), p2)
-               + field_lp(g, p3) * field_lp(f.bessel(s), p4))
-        return lhs, rhs
+        grad_f, jg, g_p3, jsf = field_lps((f.gradient(), g.bessel(s - 1.0), g, f.bessel(s)),
+                                          (p1, p2, p3, p4))
+        return lhs, grad_f * jg + g_p3 * jsf
 
     return _collect("commutator", spec, one, samples,
                     dict(s=s, exponents=(p, p1, p2, p3, p4)))
@@ -348,9 +368,8 @@ def verify_product_estimate(spec: RandomFieldSpec, s: float,
         g = spec.draw(rng)
         fg = spectral_product(f, g, out_cutoff=m_for(f))
         lhs = field_lp(fg.bessel(s), p)
-        rhs = (field_lp(f.bessel(s), p1) * field_lp(g, q1)
-               + field_lp(f, p2) * field_lp(g.bessel(s), q2))
-        return lhs, rhs
+        jsf, g_q1, f_p2, jsg = field_lps((f.bessel(s), g, f, g.bessel(s)), (p1, q1, p2, q2))
+        return lhs, jsf * g_q1 + f_p2 * jsg
 
     return _collect("product", spec, one, samples,
                     dict(s=s, exponents=exponents))

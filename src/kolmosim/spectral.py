@@ -19,7 +19,11 @@ degrees of freedom, 397 modes against the cube's 961 at d = 2, n = 16.
 time-stepping loop runs on the half.  There is one transform pair, on the
 real half spectrum: `coefficients_to_real_grid` samples conjugate-symmetric
 coefficients and `real_grid_to_coefficients` takes real samples back, both
-on cube stacks or, with canonical=True, on canonical half stacks.
+on cube stacks or, with canonical=True, on canonical half stacks.  Only the
+first `cutoff` bins of the last axis can hold a mode, so the pair runs its
+complex passes (scipy's FFT) on those columns alone and the last axis's
+real pass as a product with a matrix cached per (cutoff, points)
+(`_real_pass`), one BLAS call per 2-D slice; numpy's FFTs are not used.
 `real_samples` samples a field's real part symmetrize(c), `from_grid` takes
 real samples only, and `spectral_product` refuses a field that is not real.
 """
@@ -125,6 +129,35 @@ def half_to_cube(half: np.ndarray, dim: int, cutoff: int) -> np.ndarray:
     return cube.reshape(batch + geo.k_sq.shape)
 
 
+@functools.lru_cache(maxsize=None)
+def _real_pass(cutoff: int, points: int):
+    """The last axis's real pass as two read-only matrices, built once per
+    (cutoff, points) from the phases 2 pi (k x mod N) / N, k < cutoff:
+
+      INV (2 cutoff, points): rows 2k, 2k+1 are w_k cos and -w_k sin, w_0 = 1
+          and w_k = 2, so interleaved (re, im) bins times INV are the samples
+          irfft gives (bin 0's imaginary part is dropped, as irfft does);
+      FWD (points, 2 cutoff): columns 2k, 2k+1 are cos / N and -sin / N, so
+          samples times FWD are the first `cutoff` bins of rfft(norm="forward"),
+          interleaved.
+
+    points >= 2 cutoff - 1 keeps the Nyquist bin out of reach.  The stacks
+    are multiplied as they are: numpy's matmul makes one BLAS call per 2-D
+    slice, each slice the same shape, so a field's result does not depend on
+    the fields beside it.  Flattened into one tall product it could: BLAS
+    may round a row differently at another row count."""
+    phase = (2.0 * np.pi / points) * (np.outer(np.arange(cutoff), np.arange(points)) % points)
+    cos, sin = np.cos(phase), np.sin(phase)
+    inv = np.stack((cos, -sin), axis=1)
+    inv[1:] *= 2.0
+    inv[0, 1] = 0.0
+    fwd = np.stack((cos.T, -sin.T), axis=-1) / points
+    inv, fwd = inv.reshape(2 * cutoff, points), fwd.reshape(points, 2 * cutoff)
+    for arr in (inv, fwd):
+        arr.setflags(write=False)
+    return inv, fwd
+
+
 def coefficients_to_real_grid(coeffs: np.ndarray, cutoff: int, dim: int,
                               points: int, out: np.ndarray | None = None,
                               half: np.ndarray | None = None,
@@ -136,10 +169,11 @@ def coefficients_to_real_grid(coeffs: np.ndarray, cutoff: int, dim: int,
     read, so an asymmetric part is silently discarded.  The half's modes go
     straight into their bins, the k_last = 0 plane's mirrors as conjugates;
     only the first `cutoff` columns of the half spectrum can be nonzero, so
-    the complex passes run on those alone and the real pass pads the rest
-    with zeros.  `out` (the grid stack) and `half` (complex, batch +
-    (points,)*(dim-1) + (cutoff,), overwritten) are optional buffers for
-    callers that repeat the transform.
+    the complex passes (scipy) run on those alone, and the real pass is a
+    product of those columns with a cached matrix (`_real_pass`); every
+    field's samples are bit for bit its own transform's.  `out` (the grid
+    stack) and `half` (complex, batch + (points,)*(dim-1) + (cutoff,),
+    overwritten) are optional buffers for callers that repeat the transform.
     """
     if not canonical:
         coeffs = cube_to_half(coeffs, dim)
@@ -152,23 +186,36 @@ def coefficients_to_real_grid(coeffs: np.ndarray, cutoff: int, dim: int,
     half[(Ellipsis,) + bins] = coeffs
     half[(Ellipsis,) + mirrors] = np.conj(coeffs[..., plane])
     half = _fft.ifftn(half, axes=tuple(range(-dim, -1)), norm="forward", overwrite_x=True)
-    return np.fft.irfft(half, n=points, axis=-1, norm="forward", out=out)
+    return np.matmul(half.view(float), _real_pass(cutoff, points)[0], out=out)
 
 
 def real_grid_to_coefficients(grid: np.ndarray, cutoff: int, dim: int,
                               half: np.ndarray | None = None,
-                              canonical: bool = False) -> np.ndarray:
+                              canonical: bool = False,
+                              overwrite: bool = False) -> np.ndarray:
     """Coefficients of real grid samples via the half-spectrum: the canonical
     half's bins, as canonical halves (canonical=True) or expanded to centered
     cubes by half_to_cube, exactly conjugate-symmetric either way.
 
-    The complex passes run only on the first `cutoff` columns, the ones that
-    hold modes.  `half` is an optional buffer of the real pass's output shape
-    (overwritten).
+    The real pass is a product with a cached matrix (`_real_pass`) that
+    yields only the first `cutoff` bins, the ones that hold modes; the
+    complex passes (scipy) run on those, and every field's coefficients are
+    bit for bit its own transform's.  Each line is shifted by its first
+    sample before the product and the shift is added back to bin 0, so a
+    constant line gives exactly 0 at k >= 1.  overwrite=True shifts `grid`
+    in place (its samples are then lost); otherwise the shift makes one
+    grid-sized copy.  `half` is an optional complex buffer of the real
+    pass's output shape, batch + (points,)*(dim-1) + (cutoff,) (overwritten).
     """
-    half = np.fft.rfft(grid, axis=-1, norm="forward", out=half)
-    cols = _fft.fftn(half[..., :cutoff], axes=tuple(range(-dim, -1)), norm="forward",
-                     overwrite_x=True)
+    first = grid[..., :1].copy()
+    if overwrite:
+        grid -= first
+    else:
+        grid = grid - first
+    spec = np.matmul(grid, _real_pass(cutoff, grid.shape[-1])[1],
+                     out=None if half is None else half.view(float)).view(complex)
+    spec[..., 0] += first[..., 0]
+    cols = _fft.fftn(spec, axes=tuple(range(-dim, -1)), norm="forward", overwrite_x=True)
     vals = cols[(Ellipsis,) + _half_bins(dim, cutoff, grid.shape[-1])[0]]
     return vals if canonical else half_to_cube(vals, dim, cutoff)
 
@@ -485,7 +532,9 @@ def spectral_product(f: SpectralField, g: SpectralField, oversample: int = 2,
 
 
 def fast_grid_size(minimum: int) -> int:
-    """Smallest 2^a 3^b 5^c >= minimum; FFT-friendly sizes for quadrature grids."""
+    """Smallest 2^a 3^b 5^c >= minimum: the quadrature grids' sizes, fast for
+    the complex axes' FFTs (the real axis is a matrix product, whose cost
+    grows with the size itself)."""
     return _fft.next_fast_len(minimum, real=True)
 
 

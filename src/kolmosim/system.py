@@ -264,14 +264,16 @@ class RhsWorkspace:
     freshly page-faulted memory at d=2, n=16, oversample 4.  Every call
     overwrites them; they hold nothing between calls.  `rows` is the
     spectral side: the state's rows and the gradients the fluxes need, on
-    the canonical half.  Two pairs share memory (2.8 MB per member in all at
+    the canonical half.  Two pairs share memory (2.7 MB per member in all at
     that size): the inverse transform's half spectrum is dead before the
     fluxes are written, and the grids are dead before the forward
-    transform's half spectrum is.  Rows lead and members follow, (rows,
-    members) + modes or grid, so one row of every member is one contiguous
-    block.  A one-member workspace has no member axis: on small
-    grids every numpy call of the kernel pays for an extra axis (about 4% of
-    a call at n = 6), and most runs have one member.
+    transform's output is.  Both half spectra hold only the first `cutoff`
+    bins of the last axis, the ones the transforms' real pass reads or
+    writes.  Rows lead and members follow, (rows, members) + modes or grid,
+    so one row of every member is one contiguous block.  A one-member
+    workspace has no member axis: on small grids every numpy call of the
+    kernel pays for an extra axis (about 4% of a call at n = 6), and most
+    runs have one member.
     """
 
     def __init__(self, dim: int, cutoff: int, points: int, members: int = 1):
@@ -285,7 +287,7 @@ class RhsWorkspace:
                                           (fluxes + cube, float))
         self.grids, self.half_out = _shared(
             (grids + cube, float),
-            (fluxes + cube[:-1] + (points // 2 + 1,), complex))
+            (fluxes + cube[:-1] + (cutoff,), complex))
 
 
 _local = threading.local()
@@ -317,8 +319,10 @@ def member_rhs(ys: np.ndarray, cutoff: int, t: float, params: ModelParams,
     This is the advective form exactly, because div v = 0 and the quadratics
     are alias-free at oversample >= 2.  D_ij is formed on the spectral side;
     a 2-D RHS takes 11 inverse and 10 forward transforms per member, batched
-    over the members in one call each.  Each member's row equals its
-    one-state call bit for bit.  project=False leaves the velocity rows
+    over the members in one call each, whose real passes are matrix
+    products (`spectral._real_pass`).  The forward transform shifts the flux
+    grids in place, as they are dead after it.  Each member's row equals
+    its one-state call bit for bit.  project=False leaves the velocity rows
     as the force -P_n(v.grad v) + div P_n(nubar Dv) before the pressure
     correction.  The grid-sized arrays are this thread's cached workspace;
     the result is always a new array.
@@ -363,7 +367,8 @@ def member_rhs(ys: np.ndarray, cutoff: int, t: float, params: ModelParams,
     flux[:-3] -= viscous
     np.multiply(w_g, w_g, out=flux[-3])
     np.multiply(b_g, w_g, out=flux[-2])
-    coef = real_grid_to_coefficients(flux, n, d, half=ws.half_out, canonical=True)
+    coef = real_grid_to_coefficients(flux, n, d, half=ws.half_out, canonical=True,
+                                     overwrite=True)
 
     div = _flux_divergences(coef, d, n)
     force = div[:d].reshape((d, members) + ys.shape[2:]).swapaxes(0, 1)   # members lead

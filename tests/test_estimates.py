@@ -16,7 +16,8 @@ from kolmosim.cutoffs import CutoffProfile, InitialBounds
 from kolmosim.estimates import (PartitionOfUnity, RandomFieldSpec,
                                 admissible_state, attach_stability,
                                 commutator, commutator_decomposition,
-                                decomposition_residual, field_lp, perturbation,
+                                decomposition_residual, field_lp, field_lps,
+                                perturbation,
                                 smooth_map_derivative_bound, uniqueness_probe,
                                 verify_commutator_estimate,
                                 verify_composition_estimate,
@@ -286,12 +287,48 @@ class TestGridNorms:
                 for g, ref in scalars + vectors:
                     assert field_lp(g, p) == pytest.approx(lp_norm(ref, p), rel=1e-13)
 
+    def test_batched_norms_equal_one_field_calls(self):
+        """field_lps samples every p != 2 field in one transform, and each
+        norm is bit for bit the one-field sampling's."""
+        spec = RandomFieldSpec(dim=2, cutoff=6, rho=2.0, seed=4)
+        f, g = spec.draw(spec.rng(0)), spec.draw(spec.rng(1))
+        pts = fast_grid_size(4 * (2 * 6 - 1))
+        fields = (f.gradient(), g.bessel(1.0), g, f.bessel(2.0), f)
+        ps = (np.inf, 2.0, np.inf, 3.0, 2.0)
+        expected = []
+        for h, p in zip(fields, ps):
+            if p == 2:
+                expected.append(field_lp(h, p))
+            elif isinstance(h, VectorSpectralField):
+                expected.append(lp_norm(np.sqrt(np.sum(h.real_samples(pts) ** 2, axis=0)), p))
+            else:
+                expected.append(lp_norm(h.real_samples(pts), p))
+        assert field_lps(fields, ps) == expected
+        assert [field_lp(h, p) for h, p in zip(fields, ps)] == expected
+
+    def test_campaign_samples_take_one_sup_norm_transform(self, monkeypatch):
+        calls = []
+        sample = estimates.coefficients_to_real_grid
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape[0])
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(estimates, "coefficients_to_real_grid", counted)
+        spec = RandomFieldSpec(dim=2, cutoff=4, rho=2.0, seed=5)
+        verify_commutator_estimate(spec, 2.0, samples=1)
+        assert calls == [3, 3]               # f, g, J^s g; then grad f and g
+        calls.clear()
+        verify_product_estimate(spec, 2.0, samples=1)
+        assert calls == [2]                  # g and f
+
     def test_l2_samples_no_grid(self, monkeypatch):
         """L2 comes from the coefficients (Parseval), never from a grid."""
         def refuse(*args, **kwargs):
             raise AssertionError("field_lp(p=2) sampled a grid")
 
         monkeypatch.setattr(spectral, "coefficients_to_real_grid", refuse)
+        monkeypatch.setattr(estimates, "coefficients_to_real_grid", refuse)
         f, g = random_pair(10, cutoff=6)
         assert field_lp(f, 2.0) == pytest.approx(f.hs_norm(0.0), rel=1e-14)
         v = VectorSpectralField((f, g))

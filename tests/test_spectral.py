@@ -11,6 +11,7 @@ from kolmosim.spectral import (
     SpectralField,
     VectorSpectralField,
     _geometry,
+    coefficients_to_real_grid,
     cube_to_half,
     fast_grid_size,
     half_to_cube,
@@ -177,6 +178,80 @@ class TestRealSamples:
                 assert out.shape == (2, pts, pts)
                 ref = np.stack([trigonometric_sum(c, pts).real for c in w.components])
                 assert rel_diff(out, ref) <= 1e-13
+
+
+def numpy_fft_samples(cube, cutoff, dim, points):
+    """Samples of a conjugate-symmetric cube through numpy's irfftn: each
+    mode with k_last >= 0 in its bin k mod points."""
+    geo = _geometry(dim, cutoff)
+    spec = np.zeros((points,) * (dim - 1) + (points // 2 + 1,), dtype=complex)
+    keep = geo.ball & (geo.k[-1] >= 0)
+    spec[tuple(ka[keep] % points for ka in geo.k)] = cube[keep]
+    return np.fft.irfftn(spec, s=(points,) * dim, axes=tuple(range(dim)), norm="forward")
+
+
+def numpy_fft_coefficients(grid, cutoff, dim):
+    """The centered cube of real samples through numpy's rfftn; modes with
+    k_last < 0 are the conjugates of their mirrors' bins."""
+    geo, points = _geometry(dim, cutoff), grid.shape[-1]
+    spec = np.fft.rfftn(grid, norm="forward")
+    upper = geo.k[-1] >= 0
+    k = np.where(upper, geo.k, -geo.k)
+    vals = spec[tuple(ka % points for ka in k)]
+    return np.where(geo.ball, np.where(upper, vals, np.conj(vals)), 0.0)
+
+
+class TestRealPass:
+    """The last axis's real pass is a product with a cached matrix; the
+    complex axes stay on scipy's FFT."""
+
+    @pytest.mark.parametrize("dim, cutoff, points, fields", [(2, 6, 24, 210), (3, 3, 8, 12)])
+    def test_stack_equals_each_fields_own_transform(self, dim, cutoff, points, fields):
+        # 210 fields of 24 lines: flattened into one product, the stack
+        # would be 5040 rows, where BLAS may round a row differently
+        rng = np.random.default_rng(dim)
+        geo = _geometry(dim, cutoff)
+        raw = rng.normal(size=(fields,) + geo.k_sq.shape) + 1j * rng.normal(
+            size=(fields,) + geo.k_sq.shape)
+        cubes = symmetrize(np.where(geo.ball, raw, 0.0), dim)
+        grids = coefficients_to_real_grid(cubes, cutoff, dim, points)
+        assert all(np.array_equal(g, coefficients_to_real_grid(c, cutoff, dim, points))
+                   for g, c in zip(grids, cubes))
+        samples = rng.normal(size=(fields,) + (points,) * dim)
+        coeffs = real_grid_to_coefficients(samples, cutoff, dim)
+        assert all(np.array_equal(c, real_grid_to_coefficients(g, cutoff, dim))
+                   for c, g in zip(coeffs, samples))
+
+    @pytest.mark.parametrize("points", [11, 24, 60, 64, 125])
+    def test_agrees_with_numpy_fft(self, points):
+        cutoff = 6                                       # 11 = 2n - 1
+        f = sample_real_field(2, cutoff, seed=points)
+        grid = coefficients_to_real_grid(f.coeffs, cutoff, 2, points)
+        ref = numpy_fft_samples(f.coeffs, cutoff, 2, points)
+        assert rel_diff(grid, ref) <= 1e-14
+        samples = np.random.default_rng(points).normal(size=(points, points))
+        ref = numpy_fft_coefficients(samples, cutoff, 2)
+        assert rel_diff(real_grid_to_coefficients(samples, cutoff, 2), ref) <= 1e-14
+
+    @pytest.mark.parametrize("points", [11, 24, 60, 64, 125])
+    def test_constant_lines_have_no_higher_modes(self, points):
+        # every line along the last axis constant: only k_last = 0 survives,
+        # exactly, also where rfft leaves roundoff (at 125 points); the
+        # complex pass may leave roundoff within that plane
+        cutoff = 6
+        geo = _geometry(2, cutoff)
+        rows = np.random.default_rng(points).normal(size=(points, 1)) + 3.0
+        for grid in (np.broadcast_to(rows, (points, points)), np.full((points, points), 2.5)):
+            c = real_grid_to_coefficients(grid, cutoff, 2)
+            assert np.all(c[geo.k[-1] != 0] == 0.0)
+
+    def test_shift_in_place_only_when_asked(self):
+        grid = sample_real_field(2, 6, seed=3).real_samples(24)
+        kept = grid.copy()
+        copied = real_grid_to_coefficients(grid, 6, 2)
+        assert np.array_equal(grid, kept)
+        assert np.array_equal(real_grid_to_coefficients(grid, 6, 2, overwrite=True), copied)
+        assert np.array_equal(grid, kept - kept[:, :1])
 
 
 class TestHalfLayout:

@@ -5,6 +5,9 @@ derived by hand from the definitions before being frozen here.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -346,6 +349,39 @@ class TestMemberStacks:
             expected = nu_bar_grid(b, w, 0.05, PROFILE).ravel()
             assert np.ptp(expected) > 0.1
             assert np.allclose(samples, expected, rtol=1e-13, atol=0.0)
+
+
+# One d=3, n=8 kernel call and one d=2, n=16, oversample 4 transform pair,
+# written to stdout as raw bytes.
+_BLAS_RUN = """
+import sys
+import numpy as np
+from kolmosim.cutoffs import CutoffProfile, InitialBounds
+from kolmosim.estimates import RandomFieldSpec, admissible_state
+from kolmosim.spectral import coefficients_to_real_grid, cube_to_half, real_grid_to_coefficients
+from kolmosim.system import ModelParams, member_rhs, pack
+bounds = InitialBounds(b_min0=0.5, omega_min0=0.5, omega_max0=2.0, alpha=1.0)
+params = ModelParams(alpha=1.0, s=2.0, bounds=bounds, oversample=4)
+y = pack(admissible_state(RandomFieldSpec(dim=3, cutoff=8, rho=2.0, seed=1), bounds))
+out, nu = member_rhs(cube_to_half(y, 3)[None], 8, 0.05, params, CutoffProfile(bounds))
+y = pack(admissible_state(RandomFieldSpec(dim=2, cutoff=16, rho=2.0, seed=2), bounds))
+grid = coefficients_to_real_grid(y, 16, 2, params.grid_points(16))
+for arr in (out, nu, grid, real_grid_to_coefficients(grid, 16, 2)):
+    sys.stdout.buffer.write(arr.tobytes())
+"""
+
+
+def test_results_do_not_depend_on_blas_threads():
+    # the real pass is a BLAS product; one and two BLAS threads must give
+    # the same bits
+    src = os.path.dirname(os.path.dirname(system.__file__))
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        runs.append(subprocess.run([sys.executable, "-c", _BLAS_RUN], env=env,
+                                   capture_output=True, check=True, timeout=60).stdout)
+    assert len(runs[0]) > 0 and runs[0] == runs[1]
 
 
 class TestStateChecks:
