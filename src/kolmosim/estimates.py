@@ -11,10 +11,19 @@ surrogate for a constant independent of the fields.
 L^2 and H^s norms are exact: they are read from the coefficients (Parseval)
 and sample no grid.  Other L^p norms are quadratures on an oversampled grid,
 and sup norms are grid maxima, lower bounds of the continuum sup.  The
-commutator takes one batched transform pair, and a sample's right-hand
-side norms that need a grid share one batched transform (`field_lps`); the
 smooth maps' derivative bounds are looked up in tables built once per (map,
-order).
+order), and the decomposition's symbol tables once per (dim, cutoff, s,
+partition).
+
+A campaign evaluates its samples in stacks: as many samples as fit their
+largest quadrature grid in _STACK_BYTES (256 KiB), at least one.  Sample i
+still draws its fields from its own stream, but the stack's fields are
+coefficient arrays, (samples, fields) + cube, and each operand group takes
+one transform call per stack: the commutator's f, g and J^s g, its
+products, the grid norms of one inequality's side (`_lp_norms`).  Every
+value is bit for bit the one-sample evaluation's, and the public
+one-field functions (`commutator`, `field_lp`, `field_lps`) are the
+one-sample case of the same stacked helpers.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from .integrators import IntegratorConfig, integrate_lockstep
 from .spectral import (FOUR_PI_SQ, REAL_TOL, SpectralField, VectorSpectralField,
                        _geometry, coefficients_to_real_grid, fast_grid_size,
                        lp_norm, real_grid_to_coefficients, realness_residual,
-                       spectral_product, symmetrize)
+                       spectral_product, spectral_products, symmetrize)
 from .system import ModelParams, SimState, pack, triple_sq
 
 
@@ -57,12 +66,32 @@ class RandomFieldSpec:
 
     def draw(self, rng: np.random.Generator, scale: float = 1.0,
              shift: float = 0.0) -> SpectralField:
-        amp = _damping(self.dim, self.cutoff, float(self.rho))
-        shape = amp.shape
-        c = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * amp * scale
-        c = symmetrize(c, self.dim)
-        c[(self.cutoff - 1,) * self.dim] = shift
-        return SpectralField(self.dim, self.cutoff, c)
+        return SpectralField(self.dim, self.cutoff,
+                             self._fields(self._normals(rng), scale, shift))
+
+    def draws(self, indices: Sequence[int], count: int) -> np.ndarray:
+        """(len(indices), count) + cube: the coefficients of the first `count`
+        fields sample i draws from rng(i), bit for bit those of draw."""
+        out = np.empty((len(indices), count) + (2 * self.cutoff - 1,) * self.dim,
+                       dtype=complex)
+        for j, i in enumerate(indices):
+            rng = self.rng(i)
+            for a in range(count):
+                out[j, a] = self._normals(rng)
+        return self._fields(out)
+
+    def _normals(self, rng: np.random.Generator) -> np.ndarray:
+        shape = (2 * self.cutoff - 1,) * self.dim
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    def _fields(self, normals: np.ndarray, scale: float = 1.0,
+                shift: float = 0.0) -> np.ndarray:
+        """Damped, scaled, conjugate-symmetrized normals (a stack of cubes),
+        mean set to shift, masked to the ball."""
+        c = symmetrize(normals * _damping(self.dim, self.cutoff, float(self.rho)) * scale,
+                       self.dim)
+        c[(Ellipsis,) + (self.cutoff - 1,) * self.dim] = shift
+        return np.where(_geometry(self.dim, self.cutoff).ball, c, 0.0)
 
     def with_cutoff(self, cutoff: int) -> "RandomFieldSpec":
         return replace(self, cutoff=cutoff)
@@ -176,27 +205,63 @@ def field_lp(f, p: float) -> float:
 
 
 def field_lps(fields: Sequence, ps: Sequence[float]) -> List[float]:
-    """field_lp(f, p) of each field at its exponent, bit for bit, with every
-    field that needs a grid (p != 2) sampled in one batched transform; those
-    fields must share dim and cutoff."""
-    gridded = [f for f, p in zip(fields, ps) if p != 2]
+    """field_lp(f, p) of each field at its exponent: the one-sample case of
+    `_lp_norms`, so every field that needs a grid (p != 2) is sampled in
+    one batched transform; those fields must share dim and cutoff."""
+    operands = [(f.stack() if isinstance(f, VectorSpectralField) else f.coeffs[None])[None]
+                for f in fields]
+    return [float(norms[0]) for norms in _lp_norms(fields[0].dim, operands, ps)]
+
+
+def _lp_norms(dim: int, operands: Sequence[np.ndarray],
+              ps: Sequence[float]) -> List[np.ndarray]:
+    """field_lps on stacks of samples.  Operand j is a (samples, rows) + cube
+    coefficient stack, one scalar field per sample (rows = 1) or the
+    components of a vector (rows = dim, normed by the Euclidean magnitude),
+    and its norms at ps[j] come back as one array of a value per sample,
+    each bit for bit the one-sample call's.  The operands with p != 2 share
+    one transform call, so they must share the cube."""
+    gridded = [c for c, p in zip(operands, ps) if p != 2]
     if gridded:
-        d, n = gridded[0].dim, gridded[0].cutoff
-        rows = [f.stack() if isinstance(f, VectorSpectralField) else f.coeffs[None]
-                for f in gridded]
-        grids = coefficients_to_real_grid(symmetrize(np.concatenate(rows), d), n, d,
-                                          fast_grid_size(4 * (2 * n - 1)))
-        grids = iter(np.split(grids, np.cumsum([len(r) for r in rows[:-1]])))
+        stack = np.concatenate(gridded, axis=1)
+        n = (stack.shape[-1] + 1) // 2
+        grids = coefficients_to_real_grid(
+            symmetrize(stack.reshape((-1,) + stack.shape[2:]), dim), n, dim, _norm_points(n))
+        grids = grids.reshape(stack.shape[:2] + grids.shape[1:])
+        grids = iter(np.split(grids, np.cumsum([c.shape[1] for c in gridded[:-1]]), axis=1))
     norms = []
-    for f, p in zip(fields, ps):
-        vector = isinstance(f, VectorSpectralField)
+    for c, p in zip(operands, ps):
         if p == 2:
-            c = f.stack() if vector else f.coeffs
-            norms.append(math.sqrt(float(np.sum(np.abs(symmetrize(c, f.dim)) ** 2))))
+            sq = np.abs(symmetrize(c, dim)) ** 2
+            norms.append(np.sqrt(np.sum(sq.reshape(len(c), -1), axis=1)))
+            continue
+        grid = next(grids)              # the call's own output: overwritten in place
+        if grid.shape[1] > 1:           # a vector: the Euclidean magnitude
+            mags = np.sum(np.square(grid, out=grid), axis=1)
+            np.sqrt(mags, out=mags)
         else:
-            grid = next(grids)
-            norms.append(lp_norm(np.sqrt(np.sum(grid ** 2, axis=0)) if vector else grid[0], p))
+            mags = np.abs(grid[:, 0], out=grid[:, 0])
+        if math.isinf(p):
+            norms.append(np.max(mags, axis=tuple(range(1, dim + 1))))
+        else:       # one mean per sample: a mean over the stack could sum in another order
+            norms.append(np.array([lp_norm(m, p) for m in mags]))
     return norms
+
+
+def _hs_norms(coeffs: np.ndarray, s: float, dim: int) -> np.ndarray:
+    """SpectralField.hs_norm(s) of each cube of a (samples,) + cube stack."""
+    w = _geometry(dim, (coeffs.shape[-1] + 1) // 2).bessel_weight(float(s))
+    return np.sqrt(np.sum((w * np.abs(coeffs) ** 2).reshape(len(coeffs), -1), axis=1))
+
+
+def _bessel(coeffs: np.ndarray, s: float, dim: int) -> np.ndarray:
+    """J^s of a stack of cubes, as SpectralField.bessel."""
+    return coeffs * _geometry(dim, (coeffs.shape[-1] + 1) // 2).bessel_weight(s / 2.0)
+
+
+def _norm_points(cutoff: int) -> int:
+    """Points per axis of the quadrature grid of a cutoff's L^p norms."""
+    return fast_grid_size(4 * (2 * cutoff - 1))
 
 
 def _check_holder(p, parts):
@@ -211,27 +276,38 @@ def _check_holder(p, parts):
 
 
 def commutator(f: SpectralField, g: SpectralField, s: float) -> SpectralField:
-    """[J^s, f] g = J^s(fg) - f J^s g of real fields, exact on the doubled ball 2n-1.
-
-    Products of two cutoff-n fields live inside cutoff 2n-1, so computing
-    there loses nothing.  f, g and J^s g are sampled in one batched real
-    inverse transform on the 2(2n-1) grid, where the products f g and
-    f J^s g are alias-free, and both products come back in one forward
-    transform; the result equals the convolution to roundoff.  As in
-    `spectral_product`, an operand (f, g or J^s g) whose realness residual
-    exceeds REAL_TOL (or is NaN) raises ValueError.
-    """
+    """[J^s, f] g = J^s(fg) - f J^s g of real fields, exact on the doubled ball
+    2n-1: the one-sample case of `_commutators`."""
     if (f.dim, f.cutoff) != (g.dim, g.cutoff):
         raise ValueError("operands must share layout")
-    d, n = f.dim, f.cutoff
-    trio = np.stack((f.coeffs, g.coeffs, g.bessel(s).coeffs))
-    residual = realness_residual(trio, d)
+    return SpectralField(f.dim, 2 * f.cutoff - 1,
+                         _commutators(f.coeffs, g.coeffs, s, f.dim))
+
+
+def _commutators(f: np.ndarray, g: np.ndarray, s: float, dim: int) -> np.ndarray:
+    """[J^s, f] g of stacks of real fields (batch + cube), as batch + the
+    cube of the doubled ball 2n-1.
+
+    Products of two cutoff-n fields live inside cutoff 2n-1, so computing
+    there loses nothing.  The stack's f, g and J^s g are sampled in one
+    real inverse transform call on the 2(2n-1) grid, where the products
+    f g and f J^s g are alias-free, and all products come back in one
+    forward call; each result equals the convolution to roundoff and is bit
+    for bit its one-sample call's.  As in `spectral_product`, an operand
+    (f, g or J^s g) whose realness residual exceeds REAL_TOL (or is NaN)
+    raises ValueError.
+    """
+    n = (f.shape[-1] + 1) // 2
+    m = 2 * n - 1
+    trio = np.stack((f, g, _bessel(g, s, dim)), axis=-dim - 1)
+    residual = realness_residual(trio, dim)
     if not residual <= REAL_TOL:
         raise ValueError(f"commutator takes real fields: realness residual {residual:.3e}")
-    m = 2 * n - 1
-    grids = coefficients_to_real_grid(symmetrize(trio, d), n, d, 2 * m)
-    fg, f_jsg = real_grid_to_coefficients(grids[1:] * grids[0], m, d)
-    return SpectralField(d, m, fg).bessel(s) - SpectralField(d, m, f_jsg)
+    grids = coefficients_to_real_grid(symmetrize(trio, dim).reshape((-1,) + f.shape[-dim:]),
+                                      n, dim, 2 * m)
+    grids = np.moveaxis(grids.reshape(trio.shape[:-dim] + grids.shape[1:]), -dim - 1, 0)
+    fg, f_jsg = real_grid_to_coefficients(grids[1:] * grids[0], m, dim)
+    return _bessel(fg, s, dim) - f_jsg
 
 
 @dataclass(frozen=True)
@@ -273,36 +349,48 @@ def commutator_decomposition(f: SpectralField, g: SpectralField, s: float,
         raise ValueError("operands must share layout")
     partition = partition or PartitionOfUnity()
     d, n = f.dim, f.cutoff
-    geo = _geometry(d, n)
-    ball = geo.ball
-    xi = geo.k[:, ball].T.astype(np.int64)         # (m, d)
-    eta = xi
-    fa = f.coeffs[ball]
-    ga = g.coeffs[ball]
-    m = xi.shape[0]
+    ball = _geometry(d, n).ball
+    m = int(np.count_nonzero(ball))
     if m * m > max_pairs:
         raise ValueError(f"cutoff too large for the exact double sum "
                          f"({m * m} mode pairs > {max_pairs})")
+    flat, bessel_diff, phis = _decomposition_tables(d, n, s, partition)
+    weight = bessel_diff * f.coeffs[ball][:, None] * g.coeffs[ball][None, :]
 
+    out_cutoff = 2 * n - 1
+    side = 2 * out_cutoff - 1
+    fields = []
+    for phi in phis:
+        acc = np.zeros(side ** d, dtype=complex)
+        np.add.at(acc, flat, (weight * phi).ravel())
+        fields.append(SpectralField(d, out_cutoff, acc.reshape((side,) * d)))
+    return tuple(fields)
+
+
+@functools.lru_cache(maxsize=3)
+def _decomposition_tables(dim: int, cutoff: int, s: float,
+                          partition: PartitionOfUnity):
+    """What commutator_decomposition needs besides the coefficients, built
+    once per (dim, cutoff, s, partition), read-only: each mode pair's flat
+    index on the doubled ball's cube, its symbol's Bessel difference, and
+    its three partition weights.  The three most recent keys are kept (the
+    three s of criterion 08), about 40 bytes per mode pair each."""
+    geo = _geometry(dim, cutoff)
+    xi = geo.k[:, geo.ball].T.astype(np.int64)     # (m, d)
+    eta = xi
     xi_sq = np.sum(xi ** 2, axis=1).astype(float)
     pair_sq = np.sum((xi[:, None, :] + eta[None, :, :]) ** 2, axis=2).astype(float)
     bessel_diff = ((1.0 + FOUR_PI_SQ * pair_sq) ** (s / 2.0)
                    - (1.0 + FOUR_PI_SQ * xi_sq[None, :]) ** (s / 2.0))
     ratio = (1.0 + xi_sq[:, None]) / (1.0 + xi_sq[None, :])
-    weight = bessel_diff * fa[:, None] * ga[None, :]
-
-    out_cutoff = 2 * n - 1
-    side = 2 * out_cutoff - 1
+    out_cutoff = 2 * cutoff - 1
     offsets = tuple((xi[:, a, None] + eta[None, :, a]) + (out_cutoff - 1)
-                    for a in range(d))
-    flat = np.ravel_multi_index(offsets, (side,) * d).ravel()
-
-    fields = []
-    for phi in partition.split(ratio):
-        acc = np.zeros(side ** d, dtype=complex)
-        np.add.at(acc, flat, (weight * phi).ravel())
-        fields.append(SpectralField(d, out_cutoff, acc.reshape((side,) * d)))
-    return tuple(fields)
+                    for a in range(dim))
+    flat = np.ravel_multi_index(offsets, (2 * out_cutoff - 1,) * dim).ravel()
+    phis = partition.split(ratio)
+    for arr in (flat, bessel_diff) + tuple(phis):
+        arr.setflags(write=False)
+    return flat, bessel_diff, phis
 
 
 def decomposition_residual(f: SpectralField, g: SpectralField, s: float) -> float:
@@ -340,17 +428,21 @@ def verify_commutator_estimate(spec: RandomFieldSpec, s: float, p: float = 2.0,
         if not (1.0 < q):
             raise ValueError("p1, p3 must lie in (1, inf]")
     _check_holder(p, [(p1, p2), (p3, p4)])
+    d, n = spec.dim, spec.cutoff
+    m = 2 * n - 1
+    grad = _geometry(d, n).grad
 
-    def one(i: int):
-        rng = spec.rng(i)
-        f = spec.draw(rng)
-        g = spec.draw(rng)
-        lhs = field_lp(commutator(f, g, s), p)
-        grad_f, jg, g_p3, jsf = field_lps((f.gradient(), g.bessel(s - 1.0), g, f.bessel(s)),
-                                          (p1, p2, p3, p4))
-        return lhs, grad_f * jg + g_p3 * jsf
+    def stack(indices):
+        f, g = np.moveaxis(spec.draws(indices, 2), 1, 0)
+        lhs = _lp_norms(d, [_commutators(f, g, s, d)[:, None]], (p,))[0]
+        grad_f, jg, g_p3, jsf = (x.tolist() for x in _lp_norms(
+            d, [f[:, None] * grad, _bessel(g, s - 1.0, d)[:, None], g[:, None],
+                _bessel(f, s, d)[:, None]], (p1, p2, p3, p4)))
+        return lhs.tolist(), [a * b + c * e for a, b, c, e in zip(grad_f, jg, g_p3, jsf)]
 
-    return _collect("commutator", spec, one, samples,
+    norm_rows = sum(rows for rows, q in zip((d, 1, 1, 1), (p1, p2, p3, p4)) if q != 2)
+    grids = [(2 * m, 3), (_norm_points(n), norm_rows), (_norm_points(m), int(p != 2))]
+    return _collect("commutator", spec, samples, grids, stack,
                     dict(s=s, exponents=(p, p1, p2, p3, p4)))
 
 
@@ -360,18 +452,22 @@ def verify_product_estimate(spec: RandomFieldSpec, s: float,
     """ratio = |J^s(fg)|_p / (|J^s f|_p1 |g|_q1 + |f|_p2 |J^s g|_q2)."""
     p, p1, q1, p2, q2 = exponents
     _check_holder(p, [(p1, q1), (p2, q2)])
-    m_for = lambda f: 2 * f.cutoff - 1
+    d, n = spec.dim, spec.cutoff
+    m = 2 * n - 1
 
-    def one(i: int):
-        rng = spec.rng(i)
-        f = spec.draw(rng)
-        g = spec.draw(rng)
-        fg = spectral_product(f, g, out_cutoff=m_for(f))
-        lhs = field_lp(fg.bessel(s), p)
-        jsf, g_q1, f_p2, jsg = field_lps((f.bessel(s), g, f, g.bessel(s)), (p1, q1, p2, q2))
-        return lhs, jsf * g_q1 + f_p2 * jsg
+    def stack(indices):
+        pairs = spec.draws(indices, 2)
+        f, g = np.moveaxis(pairs, 1, 0)
+        fg = spectral_products(pairs, d, out_cutoff=m)
+        lhs = _lp_norms(d, [_bessel(fg, s, d)[:, None]], (p,))[0]
+        jsf, g_q1, f_p2, jsg = (x.tolist() for x in _lp_norms(
+            d, [_bessel(f, s, d)[:, None], g[:, None], f[:, None],
+                _bessel(g, s, d)[:, None]], (p1, q1, p2, q2)))
+        return lhs.tolist(), [a * b + c * e for a, b, c, e in zip(jsf, g_q1, f_p2, jsg)]
 
-    return _collect("product", spec, one, samples,
+    grids = [(2 * m, 2), (_norm_points(n), sum(q != 2 for q in (p1, q1, p2, q2))),
+             (_norm_points(m), int(p != 2))]
+    return _collect("product", spec, samples, grids, stack,
                     dict(s=s, exponents=exponents))
 
 
@@ -449,25 +545,23 @@ def verify_composition_estimate(spec: RandomFieldSpec, s: float,
         raise ValueError(f"unknown smooth map {g_name!r}; "
                          f"choose from {sorted(_SMOOTH_MAPS)}")
     ceil_s = math.ceil(s)
+    d, n = spec.dim, spec.cutoff
+    points = _norm_points(n)
 
-    def one(i: int):
-        rng = spec.rng(i)
-        f = spec.draw(rng)
-        pts = fast_grid_size(4 * (2 * f.cutoff - 1))
-        grid = f.real_samples(pts)
-        f_inf = float(np.max(np.abs(grid)))
-        if f_inf == 0.0:
-            return 0.0, 0.0                       # skipped: 0/0
-        gf = _SMOOTH_MAPS[g_name][0](grid)
-        out_cutoff = 2 * f.cutoff - 1
-        gf_field = SpectralField(f.dim, out_cutoff,
-                                 real_grid_to_coefficients(gf, out_cutoff, f.dim))
-        lhs = gf_field.hs_norm(s)
-        g_bound = smooth_map_derivative_bound(g_name, ceil_s + 1, f_inf)
-        rhs = g_bound * (1.0 + f_inf) ** ceil_s * f.hs_norm(s)
-        return lhs, rhs
+    def stack(indices):
+        f = spec.draws(indices, 1)[:, 0]
+        grids = coefficients_to_real_grid(symmetrize(f, d), n, d, points)
+        f_inf = np.max(np.abs(grids), axis=tuple(range(1, d + 1))).tolist()
+        grids = _SMOOTH_MAPS[g_name][0](grids)     # f's samples freed before the forward
+        gf = real_grid_to_coefficients(grids, 2 * n - 1, d, overwrite=True)
+        rhs = [0.0 if r == 0.0                    # skipped: 0/0
+               else smooth_map_derivative_bound(g_name, ceil_s + 1, r)
+               * (1.0 + r) ** ceil_s * hs
+               for r, hs in zip(f_inf, _hs_norms(f, s, d).tolist())]
+        return _hs_norms(gf, s, d).tolist(), rhs
 
-    return _collect(f"composition[{g_name}]", spec, one, samples, dict(s=s, G=g_name))
+    return _collect(f"composition[{g_name}]", spec, samples, [(points, 1)], stack,
+                    dict(s=s, G=g_name))
 
 
 def verify_interpolation_inequality(spec: RandomFieldSpec, s: float,
@@ -480,34 +574,50 @@ def verify_interpolation_inequality(spec: RandomFieldSpec, s: float,
         raise ValueError("need s > d/2")
     on_branch = s <= d / 2 + 1.0
     theta = 0.5 * (s - d / 2) if on_branch else None
+    grad = _geometry(d, spec.cutoff).grad
 
-    def one(i: int):
-        rng = spec.rng(i)
-        f = spec.draw(rng)
-        lhs = field_lp(f.gradient(), np.inf)
-        hs = f.hs_norm(s)
-        if hs == 0.0:
-            return 0.0, 0.0
-        if on_branch:
-            rhs = hs ** theta * f.hs_norm(s + 1.0) ** (1.0 - theta)
-        else:
-            rhs = hs
-        return lhs, rhs
+    def stack(indices):
+        f = spec.draws(indices, 1)[:, 0]
+        lhs = _lp_norms(d, [f[:, None] * grad], (np.inf,))[0]
+        hs, hs_up = _hs_norms(f, s, d).tolist(), _hs_norms(f, s + 1.0, d).tolist()
+        rhs = [0.0 if a == 0.0 else a ** theta * b ** (1.0 - theta) if on_branch else a
+               for a, b in zip(hs, hs_up)]
+        return lhs.tolist(), rhs
 
-    return _collect("interpolation", spec, one, samples,
+    return _collect("interpolation", spec, samples, [(_norm_points(spec.cutoff), d)], stack,
                     dict(s=s, theta=theta, boundary=s == d / 2 + 1.0))
 
 
-def _collect(name: str, spec: RandomFieldSpec, one: Callable[[int], tuple],
-             samples: int, extra_meta: Dict) -> EstimateReport:
+# Quadrature grid bytes one stack of samples may hold.  Larger stacks save
+# little more and cost memory: at 1 MiB a campaign pass faulted in ~30k fresh
+# heap pages, against none at this size.
+_STACK_BYTES = 256 * 1024
+
+
+def _collect(name: str, spec: RandomFieldSpec, samples: int,
+             grids: Sequence[Tuple[int, int]],
+             stack: Callable[[range], Tuple[List[float], List[float]]],
+             extra_meta: Dict) -> EstimateReport:
+    """Evaluate samples 0..samples-1 in stacks and report their ratios.
+
+    `grids` lists the (points per axis, fields) of each grid one sample
+    needs; a stack holds as many samples as fit their largest grid in
+    _STACK_BYTES, and at least one.  `stack(indices)` returns the lhs and
+    rhs of those samples; a sample whose rhs is not positive is skipped.
+    """
     if samples < 1:
         raise ValueError(f"{name}: need at least 1 sample, got {samples}")
-    results = [one(i) for i in range(samples)]
-    pairs = [(l, r) for l, r in results if r > 0.0]
-    skipped = len(results) - len(pairs)
+    largest = max(8 * fields * points ** spec.dim for points, fields in grids)   # float64
+    size = max(1, _STACK_BYTES // largest)
+    lhs, rhs = [], []
+    for lo in range(0, samples, size):
+        a, b = stack(range(lo, min(lo + size, samples)))
+        lhs += a
+        rhs += b
+    pairs = [(a, b) for a, b in zip(lhs, rhs) if b > 0.0]
     meta = dict(dim=spec.dim, cutoff=spec.cutoff, rho=spec.rho,
                 seed=spec.seed, **extra_meta)
-    return EstimateReport.from_pairs(name, pairs, skipped, meta)
+    return EstimateReport.from_pairs(name, pairs, len(lhs) - len(pairs), meta)
 
 
 # -- uniqueness probe --------------------------------------------------------------

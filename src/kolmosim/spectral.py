@@ -25,7 +25,8 @@ complex passes (scipy's FFT) on those columns alone and the last axis's
 real pass as a product with a matrix cached per (cutoff, points)
 (`_real_pass`), one BLAS call per 2-D slice; numpy's FFTs are not used.
 `real_samples` samples a field's real part symmetrize(c), `from_grid` takes
-real samples only, and `spectral_product` refuses a field that is not real.
+real samples only, and `spectral_product` (like `spectral_products`, its
+form on stacks of pairs) refuses a field that is not real.
 """
 
 from __future__ import annotations
@@ -223,7 +224,7 @@ def real_grid_to_coefficients(grid: np.ndarray, cutoff: int, dim: int,
 def conj_flip(coeffs: np.ndarray, dim: int) -> np.ndarray:
     """conj(c(-k)) on the trailing dim axes; leading axes are a batch and are
     not flipped.  Fixed points are the coefficients of real fields."""
-    return np.conj(np.flip(coeffs, axis=tuple(range(-dim, 0))))
+    return np.conj(coeffs[(Ellipsis,) + (slice(None, None, -1),) * dim])
 
 
 def symmetrize(coeffs: np.ndarray, dim: int) -> np.ndarray:
@@ -508,7 +509,8 @@ class VectorSpectralField:
 def spectral_product(f: SpectralField, g: SpectralField, oversample: int = 2,
                      out_cutoff: int | None = None) -> SpectralField:
     """Projected pointwise product P_m(f g) of two real fields, m = out_cutoff
-    (default: the operands' cutoff n).
+    (default: the operands' cutoff n): the one-pair case of
+    `spectral_products`.
 
     Both operands are sampled in one half-spectrum transform on a grid of
     oversample*(2n-1) points per axis, multiplied, and transformed back;
@@ -517,15 +519,30 @@ def spectral_product(f: SpectralField, g: SpectralField, oversample: int = 2,
     """
     if (f.dim, f.cutoff) != (g.dim, g.cutoff):
         raise ValueError("operands must share layout")
-    pair = np.stack((f.coeffs, g.coeffs))
-    residual = realness_residual(pair, f.dim)
+    n_out = out_cutoff if out_cutoff is not None else f.cutoff
+    return SpectralField(f.dim, n_out, spectral_products(np.stack((f.coeffs, g.coeffs)),
+                                                         f.dim, oversample, n_out))
+
+
+def spectral_products(pairs: np.ndarray, dim: int, oversample: int = 2,
+                      out_cutoff: int | None = None) -> np.ndarray:
+    """P_m(f g) of a stack of real field pairs: pairs is batch + (2,) + cube,
+    the result batch + the cube of cutoff m (default: the operands' cutoff).
+
+    The whole stack takes one inverse and one forward transform call, and
+    each product is bit for bit its one-pair call's.  A stack holding an
+    operand whose realness residual exceeds REAL_TOL (or is NaN) raises
+    ValueError.
+    """
+    residual = realness_residual(pairs, dim)
     if not residual <= REAL_TOL:
         raise ValueError(f"spectral_product takes real fields: realness residual {residual:.3e}")
-    n_out = out_cutoff if out_cutoff is not None else f.cutoff
-    pts = oversample * (2 * f.cutoff - 1)
-    grids = coefficients_to_real_grid(symmetrize(pair, f.dim), f.cutoff, f.dim, pts)
-    return SpectralField(f.dim, n_out,
-                         real_grid_to_coefficients(grids[0] * grids[1], n_out, f.dim))
+    cutoff = (pairs.shape[-1] + 1) // 2
+    n_out = out_cutoff if out_cutoff is not None else cutoff
+    grids = coefficients_to_real_grid(symmetrize(pairs, dim), cutoff, dim,
+                                      oversample * (2 * cutoff - 1))
+    f, g = np.moveaxis(grids, -dim - 1, 0)
+    return real_grid_to_coefficients(f * g, n_out, dim)
 
 
 # -- grid quadrature norms -----------------------------------------------------------

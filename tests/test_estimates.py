@@ -27,7 +27,8 @@ from kolmosim.integrators import IntegratorConfig
 from kolmosim.spectral import (SpectralField, VectorSpectralField,
                                fast_grid_size, lp_norm, spectral_product)
 from kolmosim.system import ModelParams
-from oracles import direct_convolution, trigonometric_sum
+from oracles import (commutator_sample, composition_sample, direct_convolution,
+                     interpolation_sample, product_sample, trigonometric_sum)
 
 WIDE = InitialBounds(b_min0=0.5, omega_min0=0.5, omega_max0=2.0, alpha=1.0)
 
@@ -482,6 +483,91 @@ class TestCampaigns:
         assert len(estimates._DERIVATIVE_TABLES[("rational", 3)]) > extent
         again = campaigns(spec)
         assert first == again
+
+
+def expected_report(pairs):
+    """ratios, lhs, rhs and skipped of per-sample (lhs, rhs) pairs, as a
+    campaign reports them."""
+    kept = [(a, b) for a, b in pairs if b > 0.0]
+    return ([a / b for a, b in kept], [a for a, _ in kept], [b for _, b in kept],
+            len(pairs) - len(kept))
+
+
+# each campaign, its per-sample oracle, and their shared arguments
+STACKED_CAMPAIGNS = (
+    (verify_commutator_estimate, commutator_sample, dict()),
+    (verify_commutator_estimate, commutator_sample,
+     dict(p=3.0, p1=6.0, p2=6.0, p3=6.0, p4=6.0)),
+    (verify_product_estimate, product_sample, dict()),
+    (verify_product_estimate, product_sample,
+     dict(exponents=(3.0, 6.0, 6.0, 6.0, 6.0))),
+    (verify_composition_estimate, composition_sample, dict(g_name="sin")),
+    (verify_composition_estimate, composition_sample, dict(g_name="rational")),
+    (verify_interpolation_inequality, interpolation_sample, dict()),
+)
+
+
+class TestStackedCampaigns:
+    @pytest.mark.parametrize("budget", [1, None, 2 ** 40],
+                             ids=["one-per-stack", "default", "one-stack"])
+    def test_stacked_equals_per_sample(self, monkeypatch, budget):
+        """Every campaign reports exactly (==) what evaluating its samples one
+        at a time on field objects gives, at 1, 7 and 10 samples (at n = 8
+        the default stacks hold 3, 4, 9 or 4 samples), with stacks of one
+        sample, of the default budget, and of all samples."""
+        if budget is not None:
+            monkeypatch.setattr(estimates, "_STACK_BYTES", budget)
+        spec = RandomFieldSpec(dim=2, cutoff=8, rho=1.5, seed=17)
+        for campaign, oracle, kwargs in STACKED_CAMPAIGNS:
+            per_sample = [oracle(spec, i, 2.0, **kwargs) for i in range(10)]
+            for samples in (1, 7, 10):
+                report = campaign(spec, 2.0, samples=samples, **kwargs)
+                got = (report.ratios, report.lhs, report.rhs, report.skipped)
+                assert got == expected_report(per_sample[:samples]), (campaign, kwargs)
+                assert report.samples == samples
+
+    def test_one_stack_takes_one_transform_per_operand_group(self, monkeypatch):
+        calls = []
+        sample = estimates.coefficients_to_real_grid
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape[0])
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(estimates, "coefficients_to_real_grid", counted)
+        monkeypatch.setattr(estimates, "_STACK_BYTES", 2 ** 40)
+        spec = RandomFieldSpec(dim=2, cutoff=4, rho=2.0, seed=5)
+        verify_commutator_estimate(spec, 2.0, samples=7)
+        assert calls == [21, 21]             # f, g, J^s g; grad f and g
+        calls.clear()
+        verify_interpolation_inequality(spec, 2.0, samples=7)
+        assert calls == [14]                 # grad f
+
+    def test_stacks_respect_the_grid_budget(self, monkeypatch):
+        """No campaign transform returns more grid bytes than the stack
+        budget, unless one sample's grid alone exceeds it."""
+        returned = []
+
+        def wrap(module):
+            sample = module.coefficients_to_real_grid
+
+            def measured(*args, **kwargs):
+                out = sample(*args, **kwargs)
+                returned.append(out.nbytes)
+                return out
+            monkeypatch.setattr(module, "coefficients_to_real_grid", measured)
+
+        wrap(estimates)
+        wrap(spectral)
+        for n in (8, 16):
+            spec = RandomFieldSpec(dim=2, cutoff=n, rho=2.0, seed=2)
+            for campaign, _, kwargs in STACKED_CAMPAIGNS:
+                returned.clear()
+                campaign(spec, 2.0, samples=1, **kwargs)
+                bound = max(estimates._STACK_BYTES, max(returned))
+                returned.clear()
+                campaign(spec, 2.0, samples=9, **kwargs)
+                assert max(returned) <= bound, (n, campaign, kwargs)
 
 
 class TestUniquenessProbe:
