@@ -19,7 +19,7 @@ import numpy as np
 from .cutoffs import CutoffProfile, InitialBounds
 from .diagnostics import (ConstantModel, beta_exponent, beta_formula_extended,
                           energy_balance, existence_time, extrema_monitor,
-                          uniform_bound)
+                          nu_bar_aliasing, uniform_bound)
 from .estimates import (RandomFieldSpec, admissible_state, attach_stability,
                         decomposition_residual, verify_commutator_estimate,
                         verify_composition_estimate,
@@ -198,17 +198,27 @@ def cmd_simulate(args) -> int:
             save_snapshot(st, os.path.join(out_dir, f"snapshot_{i:06d}.kolm"))
         rows, first_violation = _diagnostics_rows(traj, config, run.constants, profile)
         write_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"), rows)
+        # after the outputs the run itself needs, and not counted as its RHS
+        # evaluations: each sample's nubar quadrature error on this grid
+        aliasing = float(np.max(nu_bar_aliasing(traj.states, run.model, profile)))
+        points = run.model.grid_points(state.cutoff)
         with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
             fh.write(f"status = {traj.status}\n")
             fh.write(f"steps = {traj.steps}\n")
             fh.write(f"rejected = {traj.rejected}\n")
             fh.write(f"rhs_evaluations = {traj.evaluations}\n")
+            fh.write(f"grid_points = {points}\n")
+            fh.write(f"nu_bar_aliasing = {aliasing!r}\n")
             fh.write(f"samples = {len(traj.states)}\n")
             fh.write(f"final_t = {traj.final.t!r}\n")
             fh.write(f"final_triple_sq = {traj.final.triple_norm_sq(config['s'])!r}\n")
             if traj.message:
                 fh.write(f"message = {traj.message}\n")
 
+    if aliasing > run.integrator.rel_tol:
+        print(f"warning: nu_bar aliasing {aliasing:.3g} on the {points}-point grid "
+              f"exceeds rel_tol = {run.integrator.rel_tol!r}; raise oversample",
+              file=sys.stderr)
     if traj.status != "completed":
         print(f"monitor abort: {traj.status}: {traj.message}", file=sys.stderr)
         return MONITOR_ABORT

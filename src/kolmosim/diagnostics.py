@@ -1,19 +1,21 @@
 """Quantities the local-existence argument tracks: the norm-growth exponent
 beta(s), the guaranteed existence time and uniform norm ceiling, per-sample
-energy-inequality residuals over a trajectory, and pointwise extrema checks
-against the comparison-ODE envelopes.
+energy-inequality residuals over a trajectory, pointwise extrema checks
+against the comparison-ODE envelopes, and the quadrature grid's aliasing of
+the composed viscosity nubar.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
 from .cutoffs import CutoffProfile
-from .system import SimState, grid_extrema, pack, triple_sq
+from .spectral import cube_to_half
+from .system import ModelParams, SimState, grid_extrema, member_rhs, pack, triple_sq
 
 
 @dataclass(frozen=True)
@@ -207,3 +209,24 @@ def extrema_monitor(state: SimState, profile: CutoffProfile, grid: int,
     passed = (min_w >= lo_w) and (max_w <= hi_w) and (min_b >= lo_b)
     return ExtremaReport(min_w, max_w, min_b, passed,
                          margins=(min_w - lo_w, hi_w - max_w, min_b - lo_b))
+
+
+def nu_bar_aliasing(states: Sequence[SimState], params: ModelParams,
+                    profile: CutoffProfile) -> np.ndarray:
+    """Each state's max|f - f_fine| / max|f_fine|, with f its right-hand side
+    on the quadrature grid of `params` and f_fine on the grid of oversample + 1.
+
+    The quadratic fluxes are exact on either grid, so the difference is the
+    quadrature error of nubar = Phi(b)/Psi(omega).  All calls on the run's
+    grid come first, so the kernel's workspace changes size once.
+    """
+    finer = replace(params, oversample=params.oversample + 1)
+    halves = [cube_to_half(pack(st), st.dim)[None] for st in states]
+    coarse = [member_rhs(y, st.cutoff, st.t, params, profile)[0]
+              for y, st in zip(halves, states)]
+    out = np.empty(len(states))
+    for i, (y, st, f) in enumerate(zip(halves, states, coarse)):
+        fine = member_rhs(y, st.cutoff, st.t, finer, profile)[0]
+        err, scale = np.max(np.abs(f - fine)), np.max(np.abs(fine))
+        out[i] = err / scale if scale > 0 else err
+    return out

@@ -72,7 +72,7 @@ class ModelParams:
     alpha: float
     s: float
     bounds: InitialBounds
-    oversample: int = 4
+    oversample: int
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -298,7 +298,7 @@ def _workspace(size) -> RhsWorkspace:
     replaced when a call arrives at another size."""
     ws = getattr(_local, "workspace", None)
     if ws is None or ws.size != size:
-        _local.workspace = None               # free the old buffers first
+        ws = _local.workspace = None          # free the old buffers first
         ws = _local.workspace = RhsWorkspace(*size)
     return ws
 

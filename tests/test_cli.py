@@ -9,6 +9,7 @@ import pytest
 from kolmosim import cli
 from kolmosim.cli import main
 from kolmosim.cutoffs import InitialBounds
+from kolmosim.diagnostics import nu_bar_aliasing
 from kolmosim.estimates import RandomFieldSpec, admissible_state
 from kolmosim.spectral import SpectralField, VectorSpectralField
 from kolmosim.storage import (load_snapshot, parse_config, print_config,
@@ -220,6 +221,44 @@ def test_simulate_summary_reports_rejected_steps(tmp_path, monkeypatch):
     assert traj.rejected >= 1
     assert (int(summary["steps"]), int(summary["rejected"])) == (traj.steps, traj.rejected)
     assert int(summary["rhs_evaluations"]) == traj.evaluations > 6 * traj.steps
+
+
+def test_simulate_summary_reports_grid_and_aliasing(tmp_path, monkeypatch, capsys):
+    # the summary names the quadrature grid and its nubar aliasing, whose
+    # kernel calls are not the run's evaluations; above rel_tol (the
+    # default 1e-8) the run warns once and still exits 0
+    runs = []
+    integrate = cli.integrate
+
+    def recording_integrate(*args):
+        runs.append((args, integrate(*args)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(cli, "integrate", recording_integrate)
+    out = str(tmp_path / "run")
+    assert run(*sim_args(out, kind="random", n=4, seed=9, method="rk45",
+                         t_end=0.01)) == 0
+    with open(os.path.join(out, "summary.txt")) as fh:
+        summary = dict(line.split(" = ", 1) for line in fh.read().splitlines())
+    (args, traj), = runs
+    _, _, params, profile = args
+    assert int(summary["grid_points"]) == params.grid_points(4)
+    assert int(summary["rhs_evaluations"]) == traj.evaluations
+    aliasing = float(summary["nu_bar_aliasing"])
+    assert aliasing == max(nu_bar_aliasing(traj.states, params, profile))
+    assert aliasing > 1e-8
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning:")]
+    assert len(warnings) == 1
+
+
+def test_simulate_without_aliasing_does_not_warn(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert run(*sim_args(out)) == 0
+    with open(os.path.join(out, "summary.txt")) as fh:
+        summary = dict(line.split(" = ", 1) for line in fh.read().splitlines())
+    assert float(summary["nu_bar_aliasing"]) <= 1e-15     # constant nubar: roundoff
+    assert "warning:" not in capsys.readouterr().err
 
 
 def test_simulate_random_deterministic(tmp_path):

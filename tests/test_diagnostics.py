@@ -1,18 +1,22 @@
 """Diagnostics: frozen exponent values, existence-time closed forms against
-bisection, norm-ceiling and envelope monitors on short trajectories."""
+bisection, norm-ceiling and envelope monitors on short trajectories, and the
+nubar aliasing indicator that sizes the default quadrature grid."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from kolmosim import cli
 from kolmosim.cutoffs import CutoffProfile, InitialBounds
 from kolmosim.diagnostics import (ConstantModel, beta_exponent,
                                   beta_formula_extended, energy_balance,
-                                  existence_time, extrema_monitor, p_k,
-                                  uniform_bound)
+                                  existence_time, extrema_monitor,
+                                  nu_bar_aliasing, p_k, uniform_bound)
 from kolmosim.integrators import IntegratorConfig, integrate
 from kolmosim.spectral import SpectralField, VectorSpectralField
+from kolmosim.storage import RunConfig
 from kolmosim.system import ModelParams, SimState
 
 WIDE = InitialBounds(b_min0=0.5, omega_min0=0.5, omega_max0=2.0, alpha=1.0)
@@ -253,3 +257,31 @@ class TestTrajectoryCeiling:
         assert traj.status == "completed"
         ceiling = uniform_bound(state.triple_norm_sq(2.0))
         assert all(st.triple_norm_sq(2.0) <= ceiling for st in traj.states)
+
+
+class TestNuBarAliasing:
+    def test_default_oversample_is_the_smallest_within_rel_tol(self):
+        # the default datum's extrema sit on the envelope bounds at t = 0,
+        # where the cutoffs act and nubar aliases most
+        config = RunConfig()
+        run = config.validate()
+        state = cli.initial_state(config)
+        profile = CutoffProfile(run.bounds)
+
+        def indicator(oversample):
+            params = dataclasses.replace(run.model, oversample=oversample)
+            value, = nu_bar_aliasing([state], params, profile)
+            return value
+
+        default, tol = config["oversample"], run.integrator.rel_tol
+        assert indicator(default) <= tol
+        assert indicator(default - 1) > tol
+
+    def test_constant_viscosity_does_not_alias(self):
+        # constant omega and b make nubar constant: nothing is left for
+        # the finer grid to resolve
+        states = [constant_state(w0=1.5, b0=1.0), constant_state(w0=0.8, b0=0.7)]
+        params = ModelParams(alpha=1.0, s=2.0, bounds=WIDE, oversample=2)
+        got = nu_bar_aliasing(states, params, CutoffProfile(WIDE))
+        assert got.shape == (2,)
+        assert np.all(got <= 1e-15)

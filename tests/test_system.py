@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -249,7 +250,8 @@ class TestHypotheses:
         # the reaction term reads params.alpha and the envelopes bounds.alpha:
         # two values would describe two models
         with pytest.raises(ValueError, match="alpha 1.0 differs from bounds.alpha 3.0"):
-            ModelParams(alpha=1.0, s=2.0, bounds=dataclasses.replace(BOUNDS, alpha=3.0))
+            ModelParams(alpha=1.0, s=2.0, bounds=dataclasses.replace(BOUNDS, alpha=3.0),
+                        oversample=4)
 
 
 def in_new_thread(fn):
@@ -301,6 +303,22 @@ class TestWorkspace:
         assert size == (2, 6, PARAMS.grid_points(6), 1)
         assert not any(np.shares_memory(a, b) for a in old for b in new)
         assert np.array_equal(packed_rhs(y, 0.05, PARAMS, PROFILE), first)
+
+    def test_old_buffers_are_freed_before_new_ones_are_built(self, monkeypatch):
+        # two workspaces alive at once would raise the peak memory of every
+        # size switch by the old workspace's size
+        packed_rhs(pack(divergence_free_random_state(47)), 0.05, PARAMS, PROFILE)
+        old = weakref.ref(system._local.workspace)
+        alive = []
+        init = system.RhsWorkspace.__init__
+
+        def spy(self, *args):
+            alive.append(old() is not None)
+            init(self, *args)
+
+        monkeypatch.setattr(system.RhsWorkspace, "__init__", spy)
+        packed_rhs(pack(divergence_free_random_state(48, cutoff=6)), 0.05, PARAMS, PROFILE)
+        assert alive == [False]
 
     def test_flux_divergences_match_the_loop(self):
         # the batched contraction against the explicit sum over flux rows
