@@ -21,9 +21,10 @@ real half spectrum: `coefficients_to_real_grid` samples conjugate-symmetric
 coefficients and `real_grid_to_coefficients` takes real samples back, both
 on cube stacks or, with canonical=True, on canonical half stacks.  Only the
 first `cutoff` bins of the last axis can hold a mode, so the pair runs its
-complex passes (scipy's FFT) on those columns alone and the last axis's
-real pass as a product with a matrix cached per (cutoff, points)
-(`_real_pass`), one BLAS call per 2-D slice; numpy's FFTs are not used.
+complex passes on those columns alone, scipy's 1-D FFT once per leading
+axis, and the last axis's real pass as a product with a matrix cached per
+(cutoff, points) (`_real_pass`), one BLAS call per 2-D slice; numpy's FFTs
+are not used.  The half's bins are flat indices cached per size.
 `real_samples` samples a field's real part symmetrize(c), `from_grid` takes
 real samples only, and `spectral_product` (like `spectral_products`, its
 form on stacks of pairs) refuses a field that is not real.
@@ -98,24 +99,27 @@ def _geometry(dim: int, cutoff: int) -> _ModeGeometry:
 def _half_bins(dim: int, cutoff: int, points: int):
     """Where the canonical half lives in the first `cutoff` columns of an
     rfftn half spectrum on a points^dim grid, built once per size: each
-    mode's bin k mod points (one array per axis), then the half's positions
-    of its modes on the k_last = 0 plane (k = 0 excepted) and the bins of
-    their mirrors -k, which that plane of the half spectrum holds too."""
+    mode's bin k mod points (a flat index into those columns), then the
+    half's positions of its modes on the k_last = 0 plane (k = 0 excepted)
+    and the bins of their mirrors -k, which that plane holds too."""
     if points < 2 * cutoff - 1:
         raise ValueError("grid too coarse for the mode cube")
     geo = _geometry(dim, cutoff)
+    shape = (points,) * (dim - 1) + (cutoff,)
     plane = np.flatnonzero((geo.half_k[-1] == 0) & geo.half_k.any(axis=0))
-    bins, mirrors = geo.half_k % points, -geo.half_k[:, plane] % points
+    bins = np.ravel_multi_index(tuple(geo.half_k % points), shape)
+    mirrors = np.ravel_multi_index(tuple(-geo.half_k[:, plane] % points), shape)
     for arr in (bins, plane, mirrors):
         arr.setflags(write=False)
-    return tuple(bins), plane, tuple(mirrors)
+    return bins, plane, mirrors
 
 
 def cube_to_half(stack: np.ndarray, dim: int) -> np.ndarray:
     """The canonical half of a stack of conjugate-symmetric centered cubes:
-    batch + (side,)*dim -> batch + (n_half,), a new array."""
+    batch + (side,)*dim -> batch + (n_half,), a new C-ordered array, so
+    contractions over a row axis read contiguous modes."""
     geo = _geometry(dim, (stack.shape[-1] + 1) // 2)
-    return stack.reshape(stack.shape[:-dim] + (-1,))[..., geo.half]
+    return np.take(stack.reshape(stack.shape[:-dim] + (-1,)), geo.half, axis=-1)
 
 
 def half_to_cube(half: np.ndarray, dim: int, cutoff: int) -> np.ndarray:
@@ -173,8 +177,8 @@ def coefficients_to_real_grid(coeffs: np.ndarray, cutoff: int, dim: int,
     the complex passes (scipy) run on those alone, and the real pass is a
     product of those columns with a cached matrix (`_real_pass`); every
     field's samples are bit for bit its own transform's.  `out` (the grid
-    stack) and `half` (complex, batch + (points,)*(dim-1) + (cutoff,),
-    overwritten) are optional buffers for callers that repeat the transform.
+    stack) and `half` (complex and contiguous, batch + (points,)*(dim-1) +
+    (cutoff,), overwritten) are optional buffers for repeated transforms.
     """
     if not canonical:
         coeffs = cube_to_half(coeffs, dim)
@@ -184,16 +188,19 @@ def coefficients_to_real_grid(coeffs: np.ndarray, cutoff: int, dim: int,
         half = np.zeros(batch + (points,) * (dim - 1) + (cutoff,), dtype=complex)
     else:
         half.fill(0.0)
-    half[(Ellipsis,) + bins] = coeffs
-    half[(Ellipsis,) + mirrors] = np.conj(coeffs[..., plane])
-    half = _fft.ifftn(half, axes=tuple(range(-dim, -1)), norm="forward", overwrite_x=True)
+    flat = half.reshape(batch + (-1,))          # a view: `half` is contiguous
+    flat[..., bins] = coeffs
+    flat[..., mirrors] = np.conj(coeffs[..., plane])
+    for axis in range(-dim, -1):
+        half = _fft.ifft(half, axis=axis, norm="forward", overwrite_x=True)
     return np.matmul(half.view(float), _real_pass(cutoff, points)[0], out=out)
 
 
 def real_grid_to_coefficients(grid: np.ndarray, cutoff: int, dim: int,
                               half: np.ndarray | None = None,
                               canonical: bool = False,
-                              overwrite: bool = False) -> np.ndarray:
+                              overwrite: bool = False,
+                              out: np.ndarray | None = None) -> np.ndarray:
     """Coefficients of real grid samples via the half-spectrum: the canonical
     half's bins, as canonical halves (canonical=True) or expanded to centered
     cubes by half_to_cube, exactly conjugate-symmetric either way.
@@ -205,8 +212,9 @@ def real_grid_to_coefficients(grid: np.ndarray, cutoff: int, dim: int,
     sample before the product and the shift is added back to bin 0, so a
     constant line gives exactly 0 at k >= 1.  overwrite=True shifts `grid`
     in place (its samples are then lost); otherwise the shift makes one
-    grid-sized copy.  `half` is an optional complex buffer of the real
-    pass's output shape, batch + (points,)*(dim-1) + (cutoff,) (overwritten).
+    grid-sized copy.  `half` (complex and contiguous, the real pass's output
+    shape batch + (points,)*(dim-1) + (cutoff,)) and, with canonical=True,
+    `out` (batch + (n_half,)) are optional buffers (overwritten).
     """
     first = grid[..., :1].copy()
     if overwrite:
@@ -216,8 +224,11 @@ def real_grid_to_coefficients(grid: np.ndarray, cutoff: int, dim: int,
     spec = np.matmul(grid, _real_pass(cutoff, grid.shape[-1])[1],
                      out=None if half is None else half.view(float)).view(complex)
     spec[..., 0] += first[..., 0]
-    cols = _fft.fftn(spec, axes=tuple(range(-dim, -1)), norm="forward", overwrite_x=True)
-    vals = cols[(Ellipsis,) + _half_bins(dim, cutoff, grid.shape[-1])[0]]
+    for axis in range(-dim, -1):
+        spec = _fft.fft(spec, axis=axis, norm="forward", overwrite_x=True)
+    # the indices are in range; mode="clip" lets np.take write `out` unbuffered
+    vals = np.take(spec.reshape(spec.shape[:-dim] + (-1,)),
+                   _half_bins(dim, cutoff, grid.shape[-1])[0], axis=-1, out=out, mode="clip")
     return vals if canonical else half_to_cube(vals, dim, cutoff)
 
 
@@ -250,9 +261,9 @@ def _modes(dim: int, cutoff: int, canonical: bool):
 
 def _k_dot(stack: np.ndarray, k: np.ndarray, axes: int) -> np.ndarray:
     """k . c(k) of a velocity stack whose component axis precedes its
-    trailing mode axes."""
-    modes = (slice(None),) * axes
-    return sum(k[a] * stack[(Ellipsis, a) + modes] for a in range(len(k)))
+    trailing mode axes: one contraction with the real k, its terms summed
+    in component order."""
+    return (k * stack).sum(axis=-axes - 1)
 
 
 def leray_coefficients(stack: np.ndarray, dim: int, cutoff: int,
@@ -271,8 +282,8 @@ def div_residual(stack: np.ndarray, dim: int, cutoff: int, canonical: bool = Fal
     float for one stack, an array of one value per batch index otherwise.
     A conjugate-symmetric cube and its canonical half give the same value."""
     k, _, axes = _modes(dim, cutoff, canonical)
-    acc = np.max(np.abs(_k_dot(stack, k, axes)), axis=tuple(range(-axes, 0)))
-    scale = np.max(np.abs(stack), axis=tuple(range(-axes - 1, 0)))
+    acc = np.abs(_k_dot(stack, k, axes)).max(axis=tuple(range(-axes, 0)))
+    scale = np.abs(stack).max(axis=tuple(range(-axes - 1, 0)))
     res = acc / np.maximum(scale, _TINY)
     return float(res) if np.ndim(res) == 0 else res
 

@@ -17,12 +17,16 @@ A state packs into (v_1..v_d, omega, b) rows of centered-cube coefficients
 (`pack`/`unpack`).  The time-stepping loop works on member stacks of their
 canonical halves (`spectral.cube_to_half`): a leading member axis over
 packed states, shaped (members, d+2, n_half), through `member_rhs`, one
-call per RK stage for every member.  The kernel forms gradients, fluxes,
-divergences and the Leray projection on the half, scatters it straight into
-the transform's half-spectrum bins and gathers only the half's bins back.
-Members share t, the parameters and the profile; each member's row equals
-its one-state result bit for bit, and expanded to the cube
-(`spectral.half_to_cube`) the result is the cube layout's right-hand side.
+call per RK stage for every member.  The kernel's spectral side is two
+linear maps per mode on the half, built once per size: the in-map takes the
+state rows to D_ij, grad omega and grad b (`_in_map`), and the out-map
+takes the flux coefficients to the right-hand side, divergences, Leray
+projection and reactions included (`_out_map`).  The transform pair
+scatters the half straight into its half-spectrum bins and gathers only the
+half's bins back.  Members share t, the parameters and the profile; each
+member's row equals its one-state result bit for bit, and expanded to the
+cube (`spectral.half_to_cube`) the result is the cube layout's right-hand
+side.
 With the stack it returns each member's nubar samples on the quadrature
 grid, from which the integrator takes its reference viscosity.
 `packed_rhs` is the one-member case on a single (d+2) + cube stack, cube in
@@ -204,22 +208,20 @@ def _upper_pairs(dim: int):
 
 @functools.lru_cache(maxsize=None)
 def _pair_layout(dim: int):
-    """Index arrays of the pairs' i and j, each pair's weight in the
-    contraction D:D (1 on the diagonal, 2 off it), and the flux rows whose
-    divergences _flux_divergences takes: row i of the symmetric tensor, then
-    the two vector fluxes."""
+    """Each pair's weight in the contraction D:D (1 on the diagonal, 2 off
+    it), and the flux rows whose divergences _flux_divergences takes: row i
+    of the symmetric tensor, then the two vector fluxes."""
     pairs = _upper_pairs(dim)
     m = len(pairs)
-    pi, pj = (np.array(ix) for ix in zip(*pairs))
-    weight = np.where(pi == pj, 1.0, 2.0)
+    weight = np.array([1.0 if i == j else 2.0 for i, j in pairs])
     row = {}
     for p, (i, j) in enumerate(pairs):
         row[i, j] = row[j, i] = p
     div_rows = np.array([[row[i, j] for j in range(dim)] for i in range(dim)]
                         + [[m + j for j in range(dim)], [m + dim + j for j in range(dim)]])
-    for arr in (pi, pj, weight, div_rows):
+    for arr in (weight, div_rows):
         arr.setflags(write=False)             # shared by every caller
-    return pi, pj, weight, div_rows
+    return weight, div_rows
 
 
 def _advective_fluxes(g: np.ndarray, dim: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -241,10 +243,70 @@ def _flux_divergences(c: np.ndarray, dim: int, cutoff: int) -> np.ndarray:
     canonical halves: the symmetric tensor's rows (d rows of a vector), then
     the two vector fluxes (one scalar each).  Axes between the row axis and
     the mode axis are a batch."""
-    rows = _pair_layout(dim)[3]
+    rows = _pair_layout(dim)[1]
     grad = _geometry(dim, cutoff).half_grad
     grad = grad.reshape(grad.shape[:1] + (1,) * (c.ndim - 2) + grad.shape[1:])
     return np.sum(c[rows] * grad, axis=1)
+
+
+@functools.lru_cache(maxsize=None)
+def _deform_map(dim: int, cutoff: int) -> np.ndarray:
+    """(m, d, n_half), read-only: D_ij = sum_a table[p, a] v_a at each mode
+    of the canonical half, p = (i, j) in _upper_pairs order."""
+    grad = _geometry(dim, cutoff).half_grad
+    table = np.zeros((len(_upper_pairs(dim)), dim) + grad.shape[1:], dtype=complex)
+    for p, (i, j) in enumerate(_upper_pairs(dim)):
+        table[p, i] += 0.5 * grad[j]
+        table[p, j] += 0.5 * grad[i]
+    table.setflags(write=False)
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def _momentum_map(dim: int, cutoff: int, project: bool) -> np.ndarray:
+    """(d, m, n_half), read-only: (div M)_i = sum_p table[i, p] M_p at each
+    mode for a symmetric tensor in _upper_pairs rows, Leray-projected when
+    project.  The divergence is the deformation's transpose with each
+    off-diagonal pair counted twice."""
+    div = _deform_map(dim, cutoff).swapaxes(0, 1) * _pair_layout(dim)[0][:, None]
+    if project:
+        geo = _geometry(dim, cutoff)
+        k = geo.half_k[:, None]
+        div = div - k * np.sum(k * div, axis=0) / geo.half_denom
+    div.setflags(write=False)
+    return div
+
+
+def _in_map(y: np.ndarray, dim: int, cutoff: int, out: np.ndarray,
+            prod: np.ndarray | None = None) -> np.ndarray:
+    """The rows D_ij (i <= j), grad omega, grad b of state rows y = (v_1..v_d,
+    omega, b) + batch + (n_half,), into the contiguous out; the tables
+    broadcast over the batch.  prod is an optional buffer for the
+    deformation's product, (m, d) + y.shape[1:]."""
+    m, ix = len(_upper_pairs(dim)), (Ellipsis,) + (None,) * (y.ndim - 2) + (slice(None),)
+    np.add.reduce(np.multiply(_deform_map(dim, cutoff)[ix], y[:dim], out=prod), axis=1,
+                  out=out[:m])
+    np.multiply(_geometry(dim, cutoff).half_grad[ix], y[dim:dim + 2, None],
+                out=out[m:].reshape((2, dim) + y.shape[1:]))
+    return out
+
+
+def _out_map(coef: np.ndarray, dim: int, cutoff: int, project: bool, out: np.ndarray,
+             momentum: np.ndarray | None = None,
+             scalar: np.ndarray | None = None) -> np.ndarray:
+    """The right-hand side rows from the coefficients of member_rhs's flux
+    rows -M, -F_w, -F_b, R_w = -alpha w^2, R_b = nubar |Dv|^2 - b w, into
+    out: dv = P div(-M) (no P unless project), dw = div(-F_w) + R_w and
+    db = div(-F_b) + R_b.  momentum and scalar are optional buffers for the
+    products, (d, m) and (2, d) + coef.shape[1:]."""
+    m, ix = len(_upper_pairs(dim)), (Ellipsis,) + (None,) * (coef.ndim - 2) + (slice(None),)
+    np.add.reduce(np.multiply(_momentum_map(dim, cutoff, project)[ix], coef[:m], out=momentum),
+                  axis=1, out=out[:dim])
+    np.add.reduce(np.multiply(_geometry(dim, cutoff).half_grad[ix],
+                              coef[m:m + 2 * dim].reshape((2, dim) + coef.shape[1:]),
+                              out=scalar), axis=1, out=out[dim:])
+    out[dim:] += coef[-2:]
+    return out
 
 
 def _shared(*specs):
@@ -260,33 +322,37 @@ class RhsWorkspace:
     """The grid-sized arrays of member_rhs for stacks of `members` states at
     one (dim, cutoff, points).
 
-    Allocated anew, these arrays cost every call about 5 MB per member of
-    freshly page-faulted memory at d=2, n=16, oversample 4.  Every call
-    overwrites them; they hold nothing between calls.  `rows` is the
-    spectral side: the state's rows and the gradients the fluxes need, on
-    the canonical half.  Two pairs share memory (2.7 MB per member in all at
-    that size): the inverse transform's half spectrum is dead before the
-    fluxes are written, and the grids are dead before the forward
-    transform's output is.  Both half spectra hold only the first `cutoff`
-    bins of the last axis, the ones the transforms' real pass reads or
-    writes.  Rows lead and members follow, (rows, members) + modes or grid,
-    so one row of every member is one contiguous block.  A one-member
-    workspace has no member axis: on small grids every numpy call of the
-    kernel pays for an extra axis (about 4% of a call at n = 6), and most
-    runs have one member.
+    Allocated anew, these arrays would cost every call about 2.1 MB per
+    member of freshly page-faulted memory at d=2, n=16, oversample 3 (96^2
+    grids).  Every call overwrites them; they hold nothing between calls.
+    `rows` is the spectral side: the state's rows and the in-map's rows on
+    the canonical half, then the flux coefficients the out-map reads.  Two
+    groups share memory (1.5 MB per member in all at that size): the
+    inverse transform's half spectrum is dead before the fluxes are written,
+    and those before the out-map's products (`momentum`, `scalar`); the
+    in-map's product (`deform`) is dead before the grids are written, and
+    the grids before the forward transform's output.  Both half spectra
+    hold only the first `cutoff` bins of the last axis, the ones the
+    transforms' real pass reads or writes.  Rows lead and members follow,
+    (rows, members) + modes or grid, so one row of every member is one
+    contiguous block.  A one-member workspace has no member axis: on small
+    grids every numpy call of the kernel pays for an extra axis (about 4%
+    of a call at n = 6), and most runs have one member.
     """
 
     def __init__(self, dim: int, cutoff: int, points: int, members: int = 1):
         self.size = (dim, cutoff, points, members)
         m = len(_upper_pairs(dim))
         lead = (members,) if members > 1 else ()
-        grids, fluxes = (3 * dim + 2 + m,) + lead, (2 * dim + m + 3,) + lead
+        grids, fluxes = (3 * dim + 2 + m,) + lead, (2 * dim + m + 2,) + lead
         cube = (points,) * dim
-        self.rows = np.empty(grids + _geometry(dim, cutoff).half.shape, dtype=complex)
-        self.half_in, self.flux = _shared((grids + cube[:-1] + (cutoff,), complex),
-                                          (fluxes + cube, float))
-        self.grids, self.half_out = _shared(
-            (grids + cube, float),
+        modes = lead + _geometry(dim, cutoff).half.shape
+        self.rows = np.empty(grids + modes[-1:], dtype=complex)
+        self.half_in, self.flux, self.momentum, self.scalar = _shared(
+            (grids + cube[:-1] + (cutoff,), complex), (fluxes + cube, float),
+            ((dim, m) + modes, complex), ((2, dim) + modes, complex))
+        self.deform, self.grids, self.half_out = _shared(
+            ((m, dim) + modes, complex), (grids + cube, float),
             (fluxes + cube[:-1] + (cutoff,), complex))
 
 
@@ -317,11 +383,14 @@ def member_rhs(ys: np.ndarray, cutoff: int, t: float, params: ModelParams,
         db = -div P_n F_b - P_n(b w) + P_n(nubar |Dv|^2).
 
     This is the advective form exactly, because div v = 0 and the quadratics
-    are alias-free at oversample >= 2.  D_ij is formed on the spectral side;
-    a 2-D RHS takes 11 inverse and 10 forward transforms per member, batched
-    over the members in one call each, whose real passes are matrix
-    products (`spectral._real_pass`).  The forward transform shifts the flux
-    grids in place, as they are dead after it.  Each member's row equals
+    are alias-free at oversample >= 2.  The in-map forms D_ij and the
+    gradients on the spectral side; the grid side forms the negated fluxes
+    and the reactions -alpha w^2 and nubar |Dv|^2 - b w; the out-map takes
+    their coefficients to the rows above, Leray projection included.  A 2-D
+    RHS takes 11 inverse and 9 forward transforms per member, batched over
+    the members in one call each, whose real passes are matrix products
+    (`spectral._real_pass`).  The forward transform shifts the flux grids
+    in place, as they are dead after it.  Each member's row equals
     its one-state call bit for bit.  project=False leaves the velocity rows
     as the force -P_n(v.grad v) + div P_n(nubar Dv) before the pressure
     correction.  The grid-sized arrays are this thread's cached workspace;
@@ -336,46 +405,38 @@ def member_rhs(ys: np.ndarray, cutoff: int, t: float, params: ModelParams,
     points = params.grid_points(n)
     ws = _workspace((d, n, points, members))
     c = ws.rows
-    per_row = (slice(None),) + (None,) * (c.ndim - 2)     # broadcast over members
-    mult = _geometry(d, n).half_grad[per_row]
-    pi, pj, weight, _ = _pair_layout(d)
-    m = len(pi)
-    # spectral rows: v, omega, b, then the gradients the viscous fluxes need,
-    # in the flux layout: D_ij (i <= j), grad omega, grad b; each row holds
+    m = len(_upper_pairs(d))
+    # spectral rows: v, omega, b, then the in-map's rows; each row holds
     # every member (the workspace layout)
     y = c[:d + 2]
     y[...] = ys.swapaxes(0, 1).reshape(y.shape)
-    deform = c[d + 2:d + 2 + m]
-    np.multiply(mult[pj], y[pi], out=deform)
-    deform += mult[pi] * y[pj]
-    deform *= 0.5
-    np.multiply(mult, y[d:d + 2, None], out=c[d + 2 + m:].reshape((2, d) + y.shape[1:]))
+    _in_map(y, d, n, out=c[d + 2:], prod=ws.deform)
     g = coefficients_to_real_grid(c, n, d, points, out=ws.grids, half=ws.half_in,
                                   canonical=True)
     w_g, b_g = g[d], g[d + 1]
     nu_g = nu_bar_grid(b_g, w_g, t, profile)
+    # the negated fluxes -M, -F_w, -F_b, then the reactions -alpha w^2 and
+    # nubar |Dv|^2 - b w; nubar |Dv|^2 first: the momentum rows hold the
+    # squares D_ij^2 until the fluxes overwrite them, and the gradient rows
+    # are scaled in place
     flux = ws.flux
-    # nubar |Dv|^2 first: the momentum rows hold the squares D_ij^2 until
-    # the fluxes overwrite them, and the gradient rows are scaled in place
     def_sq = np.square(g[d + 2:d + 2 + m], out=flux[:m])
-    def_sq *= weight.reshape((m,) + (1,) * (g.ndim - 1))
-    np.sum(def_sq, axis=0, out=flux[-1])
+    def_sq *= _pair_layout(d)[0].reshape((m,) + (1,) * (g.ndim - 1))
+    np.add.reduce(def_sq, axis=0, out=flux[-1])
     flux[-1] *= nu_g
+    np.multiply(b_g, w_g, out=flux[-2])
+    flux[-1] -= flux[-2]
+    np.square(w_g, out=flux[-2])
+    flux[-2] *= -params.alpha
     _advective_fluxes(g, d, out=flux)
     viscous = g[d + 2:]
     viscous *= nu_g
-    flux[:-3] -= viscous
-    np.multiply(w_g, w_g, out=flux[-3])
-    np.multiply(b_g, w_g, out=flux[-2])
+    np.subtract(viscous, flux[:-2], out=flux[:-2])
     coef = real_grid_to_coefficients(flux, n, d, half=ws.half_out, canonical=True,
-                                     overwrite=True)
-
-    div = _flux_divergences(coef, d, n)
-    force = div[:d].reshape((d, members) + ys.shape[2:]).swapaxes(0, 1)   # members lead
+                                     overwrite=True, out=c[:len(flux)])
     out = np.empty_like(ys)
-    out[:, :d] = leray_coefficients(-force, d, n, canonical=True) if project else -force
-    out[:, d] = -div[d] - params.alpha * coef[-3]
-    out[:, d + 1] = -div[d + 1] - coef[-2] + coef[-1]
+    _out_map(coef, d, n, project, out=out.swapaxes(0, 1).reshape(y.shape),   # a view of out
+             momentum=ws.momentum, scalar=ws.scalar)
     return out, nu_g.reshape(members, -1)
 
 

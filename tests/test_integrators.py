@@ -466,6 +466,21 @@ class TestLockstep:
                 assert got.status == "completed" and got.steps == 10
                 assert_same_run(got, ref)
 
+    def test_identical_members_stay_identical(self):
+        # the uniqueness probe's zero perturbation: two copies of one state
+        # in one stack must give the same bits at every sample, so e stays
+        # exactly 0 (20 probe-size rk4 steps)
+        state = admissible_state(RandomFieldSpec(dim=2, cutoff=6, rho=2.5, seed=0), WIDE,
+                                 index=0, v_scale=0.25)
+        config = IntegratorConfig(method="rk4", dt=1.25e-4, t_end=20 * 1.25e-4,
+                                  monitor_every=5)
+        runs = integrate_lockstep([state, state], config, make_params(bounds=WIDE),
+                                  CutoffProfile(WIDE))
+        assert [(r.status, r.steps) for r in runs] == [("completed", 20)] * 2
+        assert len(runs[0].states) == 5
+        for a, b in zip(runs[0].states, runs[1].states):
+            assert a.t == b.t and np.array_equal(pack(a), pack(b))
+
     def test_drifting_member_is_reprojected(self, monkeypatch):
         # the re-projection decision is per member: one row, once
         rows = []

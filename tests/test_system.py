@@ -16,12 +16,18 @@ import pytest
 
 from kolmosim import system
 from kolmosim.cutoffs import CutoffProfile, InitialBounds, nu_bar_grid
-from kolmosim.spectral import (SpectralField, VectorSpectralField, _geometry,
-                               coefficients_to_real_grid, cube_to_half, half_to_cube)
+from kolmosim.spectral import (SpectralField, VectorSpectralField, _geometry, _half_bins,
+                               _real_pass, coefficients_to_real_grid, cube_to_half,
+                               half_to_cube, leray_coefficients)
 from kolmosim.system import (
     ModelParams,
     SimState,
+    _deform_map,
     _flux_divergences,
+    _in_map,
+    _momentum_map,
+    _out_map,
+    _pair_layout,
     advective_diffusive_force,
     hypothesis_violations,
     member_rhs,
@@ -338,6 +344,53 @@ class TestWorkspace:
             got = _flux_divergences(cube_to_half(c, dim), dim, cutoff)
             assert np.array_equal(got, cube_to_half(np.concatenate([vec, [w, b]]), dim))
 
+
+
+class TestSpectralMaps:
+    @pytest.mark.parametrize("dim, cutoff", [(2, 5), (3, 3)])
+    def test_maps_match_the_explicit_steps(self, dim, cutoff):
+        # the in-map against D_ij and the gradients built by loop; the
+        # out-map against divergences, Leray projection and reaction rows,
+        # on a batch axis (a member stack) and without one
+        grad = _geometry(dim, cutoff).half_grad
+        nh, m = grad.shape[1], dim * (dim + 1) // 2
+        pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
+        rng = np.random.default_rng(dim)
+
+        def rel(got, expected):          # the worst row's relative difference
+            axes = tuple(range(1, got.ndim))
+            return np.max(np.max(np.abs(got - expected), axis=axes)
+                          / np.max(np.abs(expected), axis=axes))
+
+        def draw(shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        for batch in ((), (3,)):
+            y = draw((dim + 2,) + batch + (nh,))
+            expected = np.stack([0.5 * (grad[j] * y[i] + grad[i] * y[j]) for i, j in pairs]
+                                + [grad[a] * y[dim + s] for s in (0, 1) for a in range(dim)])
+            got = _in_map(y, dim, cutoff, out=np.empty(expected.shape, dtype=complex))
+            assert rel(got, expected) <= 1e-14
+
+            # the kernel's flux rows: -M, -F_w, -F_b, then the reaction rows
+            coef = draw((m + 2 * dim + 2,) + batch + (nh,))
+            div = _flux_divergences(coef, dim, cutoff)
+            for project in (True, False):
+                dv = np.moveaxis(div[:dim], 0, -2)
+                if project:
+                    dv = leray_coefficients(dv, dim, cutoff, canonical=True)
+                expected = np.concatenate([np.moveaxis(dv, -2, 0), div[dim:] + coef[-2:]])
+                got = _out_map(coef, dim, cutoff, project,
+                               out=np.empty(expected.shape, dtype=complex))
+                assert rel(got, expected) <= 1e-14
+
+    @pytest.mark.parametrize("dim, cutoff", [(2, 5), (3, 3)])
+    def test_cached_tables_are_read_only(self, dim, cutoff):
+        points = PARAMS.grid_points(cutoff)
+        tables = [_deform_map(dim, cutoff), _momentum_map(dim, cutoff, True),
+                  _momentum_map(dim, cutoff, False), *_pair_layout(dim),
+                  *_half_bins(dim, cutoff, points), *_real_pass(cutoff, points)]
+        assert not any(table.flags.writeable for table in tables)
 
 
 class TestMemberStacks:
