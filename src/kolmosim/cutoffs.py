@@ -4,19 +4,21 @@ regularize the turbulent viscosity.
 The lower/upper envelopes solve the comparison ODEs w' = -alpha*w^2 and
 b' = -b*omega_upper; the cutoffs Phi (for b) and Psi (for omega) are C-infinity
 monotone piecewise blends built from the classical exp(-1/u) step, so every
-finite derivative-bound requirement is met by one construction.
+finite derivative-bound requirement is met by one construction.  The
+kernel composes nubar on its quadrature grid (`nu_bar_grid`); `nu_bar` is
+the same composition on field objects, converting their cubes to canonical
+halves for the transform pair and back.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .spectral import (SpectralField, coefficients_to_real_grid, real_grid_to_coefficients,
-                       symmetrize)
+from .spectral import (SpectralField, coefficients_to_real_grid, cube_to_half, half_to_cube,
+                       real_grid_to_coefficients, symmetrize)
 
 
 @dataclass(frozen=True)
@@ -77,27 +79,13 @@ def smooth_step(u):
 
 @dataclass(frozen=True)
 class CutoffProfile:
-    """Immutable cutoff construction for one run.
-
-    smoothness_order is ceil(s)+1, the number of derivatives whose bounds the
-    estimates consume; the exp-bump construction is C-infinity so the order
-    only matters for the recorded derivative constant.
-    """
+    """Immutable cutoff construction for one run.  The exp-bump
+    construction is C-infinity, so it takes no smoothness order."""
 
     bounds: InitialBounds
-    smoothness_order: int = 3
-
-    def __post_init__(self):
-        if self.smoothness_order < 1:
-            raise ValueError("smoothness_order must be >= 1")
 
     def values(self, t: float) -> ProfileValues:
         return time_profiles(self.bounds, t)
-
-    @functools.cached_property
-    def derivative_constant(self) -> float:
-        """Measured c0 with |Phi^(k)| <= c0*b_lower^(1-k), |Psi^(k)| <= c0*omega_lower^(1-k)."""
-        return measure_derivative_constant(self, self.smoothness_order)
 
 
 def _ramp_up(out: np.ndarray, x: np.ndarray, c: float) -> None:
@@ -179,35 +167,8 @@ def nu_bar(b_n: SpectralField, omega_n: SpectralField, t: float, n_grid: int,
     """
     if (b_n.dim, b_n.cutoff) != (omega_n.dim, omega_n.cutoff):
         raise ValueError("fields must share layout")
-    pair = symmetrize(np.stack((b_n.coeffs, omega_n.coeffs)), b_n.dim)
-    b_grid, w_grid = coefficients_to_real_grid(pair, b_n.cutoff, b_n.dim, n_grid)
+    d, n = b_n.dim, b_n.cutoff
+    pair = symmetrize(np.stack((b_n.coeffs, omega_n.coeffs)), d)
+    b_grid, w_grid = coefficients_to_real_grid(cube_to_half(pair, d), n, d, n_grid)
     grid = nu_bar_grid(b_grid, w_grid, t, profile)
-    return SpectralField(b_n.dim, b_n.cutoff,
-                         real_grid_to_coefficients(grid, b_n.cutoff, b_n.dim))
-
-
-def _max_derivatives(fn, lo: float, hi: float, order: int, points: int = 4001):
-    """sup |f^(k)| for k = 1..order by repeated second-order differencing."""
-    xs = np.linspace(lo, hi, points)
-    ys = fn(xs)
-    sups = []
-    for _ in range(order):
-        ys = np.gradient(ys, xs)
-        sups.append(float(np.max(np.abs(ys))))
-    return sups
-
-
-def measure_derivative_constant(profile: CutoffProfile, order: int,
-                                t_values=(0.0, 1.0, 10.0)) -> float:
-    """Empirical c0 over the sampled times; recorded, not asserted a priori."""
-    c0 = 0.0
-    for t in t_values:
-        vals = time_profiles(profile.bounds, t)
-        b_lo, w_lo, w_hi = vals.b_lower, vals.omega_lower, vals.omega_upper
-        sups = _max_derivatives(lambda x: phi_b(x, t, profile), 0.0, 2.0 * b_lo, order)
-        for k, sup in enumerate(sups, start=1):
-            c0 = max(c0, sup * b_lo ** (k - 1))
-        sups = _max_derivatives(lambda x: psi_omega(x, t, profile), 0.0, 3.0 * w_hi, order)
-        for k, sup in enumerate(sups, start=1):
-            c0 = max(c0, sup * w_lo ** (k - 1))
-    return c0
+    return SpectralField(d, n, half_to_cube(real_grid_to_coefficients(grid, n, d), d, n))

@@ -136,7 +136,6 @@ class EnergyReport:
     norms: Tuple[float, float, float]        # (|v|_Hs, |omega|_Hs, |b|_Hs)
     triple_sq: float
     hs1_triple_sq: float
-    p_values: dict
     lhs: float
     rhs_bound: float
 
@@ -146,8 +145,7 @@ class EnergyReport:
 
 
 def energy_balance(trajectory, s: float, nu_lower: Callable[[float], float],
-                   beta: float, cmodel: ConstantModel,
-                   p_orders: Sequence[float] = ()) -> Tuple[List[EnergyReport], float]:
+                   beta: float, cmodel: ConstantModel) -> Tuple[List[EnergyReport], float]:
     """Evaluate the integrated energy inequality along a trajectory.
 
     lhs(t) = d/dt (1 + triple_sq) + nu_lower(t) * hs1_triple_sq, with the
@@ -177,7 +175,6 @@ def energy_balance(trajectory, s: float, nu_lower: Callable[[float], float],
             norms=(st.v.hs_norm(s), st.omega.hs_norm(s), st.b.hs_norm(s)),
             triple_sq=float(triple[i]),
             hs1_triple_sq=float(hs1[i]),
-            p_values={k: float(p_k(triple[i], k)) for k in p_orders},
             lhs=float(lhs[i]),
             rhs_bound=float(rhs[i]),
         ))

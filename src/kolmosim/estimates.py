@@ -38,8 +38,8 @@ import numpy as np
 from .cutoffs import CutoffProfile, smooth_step
 from .integrators import IntegratorConfig, integrate_lockstep
 from .spectral import (FOUR_PI_SQ, REAL_TOL, SpectralField, VectorSpectralField,
-                       _geometry, coefficients_to_real_grid, fast_grid_size,
-                       lp_norm, real_grid_to_coefficients, realness_residual,
+                       _geometry, coefficients_to_real_grid, cube_to_half, fast_grid_size,
+                       half_to_cube, lp_norm, real_grid_to_coefficients, realness_residual,
                        spectral_product, spectral_products, symmetrize)
 from .system import ModelParams, SimState, pack, triple_sq
 
@@ -226,7 +226,8 @@ def _lp_norms(dim: int, operands: Sequence[np.ndarray],
         stack = np.concatenate(gridded, axis=1)
         n = (stack.shape[-1] + 1) // 2
         grids = coefficients_to_real_grid(
-            symmetrize(stack.reshape((-1,) + stack.shape[2:]), dim), n, dim, _norm_points(n))
+            cube_to_half(symmetrize(stack.reshape((-1,) + stack.shape[2:]), dim), dim), n, dim,
+            _norm_points(n))
         grids = grids.reshape(stack.shape[:2] + grids.shape[1:])
         grids = iter(np.split(grids, np.cumsum([c.shape[1] for c in gridded[:-1]]), axis=1))
     norms = []
@@ -246,12 +247,6 @@ def _lp_norms(dim: int, operands: Sequence[np.ndarray],
         else:       # one mean per sample: a mean over the stack could sum in another order
             norms.append(np.array([lp_norm(m, p) for m in mags]))
     return norms
-
-
-def _hs_norms(coeffs: np.ndarray, s: float, dim: int) -> np.ndarray:
-    """SpectralField.hs_norm(s) of each cube of a (samples,) + cube stack."""
-    w = _geometry(dim, (coeffs.shape[-1] + 1) // 2).bessel_weight(float(s))
-    return np.sqrt(np.sum((w * np.abs(coeffs) ** 2).reshape(len(coeffs), -1), axis=1))
 
 
 def _bessel(coeffs: np.ndarray, s: float, dim: int) -> np.ndarray:
@@ -303,10 +298,10 @@ def _commutators(f: np.ndarray, g: np.ndarray, s: float, dim: int) -> np.ndarray
     residual = realness_residual(trio, dim)
     if not residual <= REAL_TOL:
         raise ValueError(f"commutator takes real fields: realness residual {residual:.3e}")
-    grids = coefficients_to_real_grid(symmetrize(trio, dim).reshape((-1,) + f.shape[-dim:]),
-                                      n, dim, 2 * m)
+    grids = coefficients_to_real_grid(
+        cube_to_half(symmetrize(trio, dim).reshape((-1,) + f.shape[-dim:]), dim), n, dim, 2 * m)
     grids = np.moveaxis(grids.reshape(trio.shape[:-dim] + grids.shape[1:]), -dim - 1, 0)
-    fg, f_jsg = real_grid_to_coefficients(grids[1:] * grids[0], m, dim)
+    fg, f_jsg = half_to_cube(real_grid_to_coefficients(grids[1:] * grids[0], m, dim), dim, m)
     return _bessel(fg, s, dim) - f_jsg
 
 
@@ -550,15 +545,16 @@ def verify_composition_estimate(spec: RandomFieldSpec, s: float,
 
     def stack(indices):
         f = spec.draws(indices, 1)[:, 0]
-        grids = coefficients_to_real_grid(symmetrize(f, d), n, d, points)
+        grids = coefficients_to_real_grid(cube_to_half(symmetrize(f, d), d), n, d, points)
         f_inf = np.max(np.abs(grids), axis=tuple(range(1, d + 1))).tolist()
         grids = _SMOOTH_MAPS[g_name][0](grids)     # f's samples freed before the forward
-        gf = real_grid_to_coefficients(grids, 2 * n - 1, d, overwrite=True)
+        gf = half_to_cube(real_grid_to_coefficients(grids, 2 * n - 1, d, overwrite=True),
+                          d, 2 * n - 1)
         rhs = [0.0 if r == 0.0                    # skipped: 0/0
                else smooth_map_derivative_bound(g_name, ceil_s + 1, r)
                * (1.0 + r) ** ceil_s * hs
-               for r, hs in zip(f_inf, _hs_norms(f, s, d).tolist())]
-        return _hs_norms(gf, s, d).tolist(), rhs
+               for r, hs in zip(f_inf, np.sqrt(triple_sq(f[:, None], s)).tolist())]
+        return np.sqrt(triple_sq(gf[:, None], s)).tolist(), rhs
 
     return _collect(f"composition[{g_name}]", spec, samples, [(points, 1)], stack,
                     dict(s=s, G=g_name))
@@ -579,7 +575,7 @@ def verify_interpolation_inequality(spec: RandomFieldSpec, s: float,
     def stack(indices):
         f = spec.draws(indices, 1)[:, 0]
         lhs = _lp_norms(d, [f[:, None] * grad], (np.inf,))[0]
-        hs, hs_up = _hs_norms(f, s, d).tolist(), _hs_norms(f, s + 1.0, d).tolist()
+        hs, hs_up = (np.sqrt(triple_sq(f[:, None], q)).tolist() for q in (s, s + 1.0))
         rhs = [0.0 if a == 0.0 else a ** theta * b ** (1.0 - theta) if on_branch else a
                for a, b in zip(hs, hs_up)]
         return lhs.tolist(), rhs

@@ -51,17 +51,19 @@ half (`spectral.cube_to_half`: one mode of each mirror pair {k, -k}, and
 k = 0), 2.4x fewer numbers than the cube at d = 2, n = 16: it converts the
 states once at entry, and back to the cube (`spectral.half_to_cube`) only
 at monitor samples, for the guard's triple norm and the stored states.
-Stage algebra, integrating factors and fix-ups act on each mode alone, so
-on the half they give the cube layout's numbers bit for bit; the error
-ratio counts each pair's mode twice and k = 0 once, the cube's ball RMS up
-to roundoff.  The kernel owns its grid-sized buffers: each thread caches
-one set for the last stack size it stepped, so a run reuses them at every
-stage and a member leaving the run resizes them once; the thread keeps
-them until it calls at another size or exits.  Fix-ups, guard and samples
-stay per member; a member that fails or aborts leaves the run with its own
-status, message and states, and the others go on.  `integrate` is the
-one-member case.  The stages run with floating-point warnings silenced, so
-a diverging run ends as a clean `failed-nonfinite`.
+Stage algebra, integrating factors and fix-ups act on each mode alone (the
+fix-up's Leray projection and divergence residual take halves, like every
+operation below the field algebra), so on the half they give the cube
+layout's numbers bit for bit; the error ratio counts each pair's mode twice
+and k = 0 once, the cube's ball RMS up to roundoff.  The kernel owns its
+grid-sized buffers: each thread caches one set for the last stack size it
+stepped, so a run reuses them at every stage and a member leaving the run
+resizes them once; the thread keeps them until it calls at another size or
+exits.  Fix-ups, guard and samples stay per member; a member that fails or
+aborts leaves the run with its own status, message and states, and the
+others go on.  `integrate` is the one-member case.  The stages run with
+floating-point warnings silenced, so a diverging run ends as a clean
+`failed-nonfinite`.
 """
 
 from __future__ import annotations
@@ -149,11 +151,10 @@ def fix_up(stack: np.ndarray, dim: int, cutoff: int):
     """Re-project the velocity of the members of a (members, d+2, n_half)
     stack whose div v drifted past DIV_DRIFT_TOL.  Returns the stack (a new
     one if any member was re-projected) and which members were."""
-    reproject = div_residual(stack[:, :dim], dim, cutoff, canonical=True) > DIV_DRIFT_TOL
+    reproject = div_residual(stack[:, :dim], dim, cutoff) > DIV_DRIFT_TOL
     if reproject.any():
         stack = stack.copy()
-        stack[reproject, :dim] = leray_coefficients(stack[reproject, :dim], dim, cutoff,
-                                                    canonical=True)
+        stack[reproject, :dim] = leray_coefficients(stack[reproject, :dim], dim, cutoff)
     return stack, reproject
 
 
@@ -182,18 +183,6 @@ def _diffusion_rates(dim: int, cutoff: int) -> np.ndarray:
 def _rate_class(dim: int) -> List[int]:
     """The _diffusion_rates row of each state row: v_1..v_d, omega, b."""
     return [0] * dim + [1, 1]
-
-
-def step(state: SimState, h: float, params: ModelParams,
-         profile: CutoffProfile) -> SimState:
-    """Single classical RK4 step with the structural fix-ups applied."""
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    d, n = state.dim, state.cutoff
-    arr = rk4_step(cube_to_half(pack(state), d)[None], n, state.t, h, params, profile)
-    if not np.all(np.isfinite(arr)):
-        raise FloatingPointError("non-finite coefficients after step")
-    return unpack(half_to_cube(fix_up(arr, d, n)[0][0], d, n), d, n, state.t + h)
 
 
 def _midrange(nu: np.ndarray) -> np.ndarray:

@@ -15,16 +15,20 @@ Fields are real: c(-k) = conj(c(k)).  So one mode of each mirror pair
 {k, -k} determines the other, and the canonical half (the ball's modes whose
 last nonzero component is positive, and k = 0) holds every real field's
 degrees of freedom, 397 modes against the cube's 961 at d = 2, n = 16.
-`cube_to_half` and `half_to_cube` convert between the two layouts; the
-time-stepping loop runs on the half.  There is one transform pair, on the
-real half spectrum: `coefficients_to_real_grid` samples conjugate-symmetric
-coefficients and `real_grid_to_coefficients` takes real samples back, both
-on cube stacks or, with canonical=True, on canonical half stacks.  Only the
-first `cutoff` bins of the last axis can hold a mode, so the pair runs its
-complex passes on those columns alone, scipy's 1-D FFT once per leading
-axis, and the last axis's real pass as a product with a matrix cached per
-(cutoff, points) (`_real_pass`), one BLAS call per 2-D slice; numpy's FFTs
-are not used.  The half's bins are flat indices cached per size.
+`cube_to_half` and `half_to_cube` convert between the two layouts.  The
+half is the only layout below the field algebra: the time-stepping loop,
+the transform pair, `leray_coefficients` and `div_residual` take canonical
+half stacks, and the cube holders (`SpectralField`, `VectorSpectralField`
+and the stacked products) convert at their own boundary, with
+cube_to_half(symmetrize(c)) in and half_to_cube out.  There is one
+transform pair, on the real half spectrum: `coefficients_to_real_grid`
+samples canonical halves and `real_grid_to_coefficients` takes real samples
+back to them.  Only the first `cutoff` bins of the last axis can hold a
+mode, so the pair runs its complex passes on those columns alone, scipy's
+1-D FFT once per leading axis, and the last axis's real pass as a product
+with a matrix cached per (cutoff, points) (`_real_pass`), one BLAS call per
+2-D slice; numpy's FFTs are not used.  The half's bins are flat indices
+cached per size.
 `real_samples` samples a field's real part symmetrize(c), `from_grid` takes
 real samples only, and `spectral_product` (like `spectral_products`, its
 form on stacks of pairs) refuses a field that is not real.
@@ -60,11 +64,7 @@ class _ModeGeometry:
         self.k = np.indices((side,) * dim) - (cutoff - 1)
         self.k_sq = np.sum(self.k.astype(np.int64) ** 2, axis=0)
         self.ball = self.k_sq < cutoff * cutoff
-        # C-order iteration of the centered cube is lexicographic in k.
-        self.ball_index = np.nonzero(self.ball)
-        self.ball_k = np.stack([ax[self.ball_index] for ax in self.k], axis=-1)
         self.grad = 2j * np.pi * self.k                  # d/dx_a multiplies by row a
-        self.leray_denom = np.where(self.k_sq == 0, 1, self.k_sq)
         # the modes whose last nonzero component is negative: one of each
         # mirror pair {k, -k}, k = 0 excluded
         lower = np.zeros(self.k_sq.shape, dtype=bool)
@@ -77,7 +77,8 @@ class _ModeGeometry:
         self.half_weight = np.where(self.half == self.k_sq.size // 2, 1.0, 2.0)
         self.half_k = self.k.reshape(dim, -1)[:, self.half]
         self.half_grad = self.grad.reshape(dim, -1)[:, self.half]
-        self.half_denom = self.leray_denom.ravel()[self.half]
+        half_sq = self.k_sq.ravel()[self.half]
+        self.half_denom = np.where(half_sq == 0, 1, half_sq)     # |k|^2, 0 read as 1
         self._weights: Dict[float, np.ndarray] = {}
 
     def bessel_weight(self, s: float) -> np.ndarray:
@@ -165,23 +166,19 @@ def _real_pass(cutoff: int, points: int):
 
 def coefficients_to_real_grid(coeffs: np.ndarray, cutoff: int, dim: int,
                               points: int, out: np.ndarray | None = None,
-                              half: np.ndarray | None = None,
-                              canonical: bool = False) -> np.ndarray:
-    """Real samples of conjugate-symmetric coefficients (half-spectrum path).
+                              half: np.ndarray | None = None) -> np.ndarray:
+    """Real samples of a stack of canonical halves, batch + (n_half,), each
+    standing for the real field whose mirror modes are its conjugates.
 
-    coeffs is a stack of centered cubes, or with canonical=True of canonical
-    halves.  A cube must hold c(-k) = conj(c(k)): only its canonical half is
-    read, so an asymmetric part is silently discarded.  The half's modes go
-    straight into their bins, the k_last = 0 plane's mirrors as conjugates;
-    only the first `cutoff` columns of the half spectrum can be nonzero, so
-    the complex passes (scipy) run on those alone, and the real pass is a
-    product of those columns with a cached matrix (`_real_pass`); every
-    field's samples are bit for bit its own transform's.  `out` (the grid
+    The half's modes go straight into their bins, the k_last = 0 plane's
+    mirrors as conjugates; only the first `cutoff` columns of the half
+    spectrum can be nonzero, so the complex passes (scipy) run on those
+    alone, and the real pass is a product of those columns with a cached
+    matrix (`_real_pass`); every field's samples are bit for bit its own
+    transform's.  `out` (the grid
     stack) and `half` (complex and contiguous, batch + (points,)*(dim-1) +
     (cutoff,), overwritten) are optional buffers for repeated transforms.
     """
-    if not canonical:
-        coeffs = cube_to_half(coeffs, dim)
     batch = coeffs.shape[:-1]
     bins, plane, mirrors = _half_bins(dim, cutoff, points)
     if half is None:
@@ -198,12 +195,10 @@ def coefficients_to_real_grid(coeffs: np.ndarray, cutoff: int, dim: int,
 
 def real_grid_to_coefficients(grid: np.ndarray, cutoff: int, dim: int,
                               half: np.ndarray | None = None,
-                              canonical: bool = False,
                               overwrite: bool = False,
                               out: np.ndarray | None = None) -> np.ndarray:
-    """Coefficients of real grid samples via the half-spectrum: the canonical
-    half's bins, as canonical halves (canonical=True) or expanded to centered
-    cubes by half_to_cube, exactly conjugate-symmetric either way.
+    """Coefficients of real grid samples via the half-spectrum, as canonical
+    halves: the canonical half's bins, batch + (n_half,).
 
     The real pass is a product with a cached matrix (`_real_pass`) that
     yields only the first `cutoff` bins, the ones that hold modes; the
@@ -213,8 +208,8 @@ def real_grid_to_coefficients(grid: np.ndarray, cutoff: int, dim: int,
     constant line gives exactly 0 at k >= 1.  overwrite=True shifts `grid`
     in place (its samples are then lost); otherwise the shift makes one
     grid-sized copy.  `half` (complex and contiguous, the real pass's output
-    shape batch + (points,)*(dim-1) + (cutoff,)) and, with canonical=True,
-    `out` (batch + (n_half,)) are optional buffers (overwritten).
+    shape batch + (points,)*(dim-1) + (cutoff,)) and `out` (batch +
+    (n_half,)) are optional buffers (overwritten).
     """
     first = grid[..., :1].copy()
     if overwrite:
@@ -227,9 +222,8 @@ def real_grid_to_coefficients(grid: np.ndarray, cutoff: int, dim: int,
     for axis in range(-dim, -1):
         spec = _fft.fft(spec, axis=axis, norm="forward", overwrite_x=True)
     # the indices are in range; mode="clip" lets np.take write `out` unbuffered
-    vals = np.take(spec.reshape(spec.shape[:-dim] + (-1,)),
+    return np.take(spec.reshape(spec.shape[:-dim] + (-1,)),
                    _half_bins(dim, cutoff, grid.shape[-1])[0], axis=-1, out=out, mode="clip")
-    return vals if canonical else half_to_cube(vals, dim, cutoff)
 
 
 def conj_flip(coeffs: np.ndarray, dim: int) -> np.ndarray:
@@ -252,39 +246,22 @@ def realness_residual(coeffs: np.ndarray, dim: int) -> float:
     return float(np.max(dev / scale))
 
 
-def _modes(dim: int, cutoff: int, canonical: bool):
-    """k, |k|^2 with 0 read as 1, and the number of trailing mode axes, of
-    the centered cube (dim axes) or of the canonical half (one axis)."""
+def leray_coefficients(stack: np.ndarray, dim: int, cutoff: int) -> np.ndarray:
+    """Leray projection of a (..., dim, n_half) stack of velocity halves;
+    leading axes are a batch: c(k) -= k (k.c(k)) / |k|^2 for k != 0, the
+    terms of k.c(k) summed in component order."""
     geo = _geometry(dim, cutoff)
-    return (geo.half_k, geo.half_denom, 1) if canonical else (geo.k, geo.leray_denom, dim)
+    k_dot = (geo.half_k * stack).sum(axis=-2)[..., None, :]
+    return stack - geo.half_k * k_dot / geo.half_denom
 
 
-def _k_dot(stack: np.ndarray, k: np.ndarray, axes: int) -> np.ndarray:
-    """k . c(k) of a velocity stack whose component axis precedes its
-    trailing mode axes: one contraction with the real k, its terms summed
-    in component order."""
-    return (k * stack).sum(axis=-axes - 1)
-
-
-def leray_coefficients(stack: np.ndarray, dim: int, cutoff: int,
-                       canonical: bool = False) -> np.ndarray:
-    """Leray projection of a (..., dim) + modes velocity stack, the modes a
-    centered cube or (canonical=True) a canonical half; leading axes are a
-    batch: c(k) -= k (k.c(k)) / |k|^2 for k != 0."""
-    k, denom, axes = _modes(dim, cutoff, canonical)
-    k_dot = _k_dot(stack, k, axes)[(Ellipsis, None) + (slice(None),) * axes]
-    return stack - k * k_dot / denom
-
-
-def div_residual(stack: np.ndarray, dim: int, cutoff: int, canonical: bool = False):
-    """max_k |k . c(k)| of a (..., dim) + modes velocity stack (modes as in
-    leray_coefficients), relative to its largest coefficient magnitude: a
-    float for one stack, an array of one value per batch index otherwise.
-    A conjugate-symmetric cube and its canonical half give the same value."""
-    k, _, axes = _modes(dim, cutoff, canonical)
-    acc = np.abs(_k_dot(stack, k, axes)).max(axis=tuple(range(-axes, 0)))
-    scale = np.abs(stack).max(axis=tuple(range(-axes - 1, 0)))
-    res = acc / np.maximum(scale, _TINY)
+def div_residual(stack: np.ndarray, dim: int, cutoff: int):
+    """max_k |k . c(k)| of a (..., dim, n_half) stack of velocity halves,
+    relative to its largest coefficient magnitude: a float for one stack,
+    an array of one value per batch index otherwise.  It is the value of the
+    conjugate-symmetric cube the half stands for."""
+    acc = np.abs((_geometry(dim, cutoff).half_k * stack).sum(axis=-2)).max(axis=-1)
+    res = acc / np.maximum(np.abs(stack).max(axis=(-2, -1)), _TINY)
     return float(res) if np.ndim(res) == 0 else res
 
 
@@ -329,7 +306,8 @@ class SpectralField:
         if np.iscomplexobj(grid):
             raise ValueError("from_grid takes real samples, got a complex grid")
         dim = grid.ndim
-        return cls(dim, cutoff, real_grid_to_coefficients(grid, cutoff, dim))
+        return cls(dim, cutoff, half_to_cube(real_grid_to_coefficients(grid, cutoff, dim),
+                                             dim, cutoff))
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -343,11 +321,6 @@ class SpectralField:
     def mode(self, k) -> complex:
         idx = tuple(int(ki) + self.cutoff - 1 for ki in k)
         return complex(self.coeffs[idx])
-
-    def modes_and_coefficients(self):
-        """All ball modes (lexicographic) with their coefficients."""
-        geo = self.geometry
-        return geo.ball_k, self.coeffs[geo.ball_index]
 
     # -- algebra -------------------------------------------------------------
 
@@ -403,10 +376,6 @@ class SpectralField:
     def gradient(self) -> "VectorSpectralField":
         return VectorSpectralField(tuple(self.diff(a) for a in range(self.dim)))
 
-    def laplacian(self) -> "SpectralField":
-        k_sq = self.geometry.k_sq
-        return SpectralField(self.dim, self.cutoff, self.coeffs * (-FOUR_PI_SQ * k_sq))
-
     # -- norms and symmetries ---------------------------------------------------
 
     def hs_norm_sq(self, s: float) -> float:
@@ -419,10 +388,6 @@ class SpectralField:
     def mean(self) -> complex:
         return self.mode((0,) * self.dim)
 
-    def conj_mirror(self) -> "SpectralField":
-        """Field with coefficients conj(c(-k)); fixed points are real fields."""
-        return SpectralField(self.dim, self.cutoff, conj_flip(self.coeffs, self.dim))
-
     def realness_residual(self) -> float:
         return realness_residual(self.coeffs, self.dim)
 
@@ -434,8 +399,8 @@ class SpectralField:
     def real_samples(self, points: int) -> np.ndarray:
         """Samples of the field's real part, the trigonometric sum of
         symmetrize(c), on the uniform points^d grid (half spectrum)."""
-        return coefficients_to_real_grid(symmetrize(self.coeffs, self.dim),
-                                         self.cutoff, self.dim, points)
+        half = cube_to_half(symmetrize(self.coeffs, self.dim), self.dim)
+        return coefficients_to_real_grid(half, self.cutoff, self.dim, points)
 
 
 @dataclass
@@ -490,12 +455,16 @@ class VectorSpectralField:
         return np.stack([f.coeffs for f in self.components])
 
     def div_residual(self) -> float:
-        """max_k |k . c(k)| relative to the largest coefficient magnitude."""
-        return div_residual(self.stack(), self.dim, self.cutoff)
+        """max_k |k . c(k)| of the real part, relative to its largest
+        coefficient magnitude."""
+        half = cube_to_half(symmetrize(self.stack(), self.dim), self.dim)
+        return div_residual(half, self.dim, self.cutoff)
 
     def leray_project(self) -> "VectorSpectralField":
-        """Remove the gradient part: c(k) -= k (k.c(k)) / |k|^2 for k != 0."""
-        out = leray_coefficients(self.stack(), self.dim, self.cutoff)
+        """Remove the real part's gradient part: c(k) -= k (k.c(k)) / |k|^2
+        for k != 0."""
+        half = cube_to_half(symmetrize(self.stack(), self.dim), self.dim)
+        out = half_to_cube(leray_coefficients(half, self.dim, self.cutoff), self.dim, self.cutoff)
         return VectorSpectralField(tuple(SpectralField(self.dim, self.cutoff, c) for c in out))
 
     def hs_norm_sq(self, s: float) -> float:
@@ -510,8 +479,8 @@ class VectorSpectralField:
     def real_samples(self, points: int) -> np.ndarray:
         """Samples of every component's real part, (dim,) + (points,)*dim,
         in one half-spectrum transform."""
-        return coefficients_to_real_grid(symmetrize(self.stack(), self.dim),
-                                         self.cutoff, self.dim, points)
+        half = cube_to_half(symmetrize(self.stack(), self.dim), self.dim)
+        return coefficients_to_real_grid(half, self.cutoff, self.dim, points)
 
 
 # -- products ---------------------------------------------------------------------
@@ -550,10 +519,10 @@ def spectral_products(pairs: np.ndarray, dim: int, oversample: int = 2,
         raise ValueError(f"spectral_product takes real fields: realness residual {residual:.3e}")
     cutoff = (pairs.shape[-1] + 1) // 2
     n_out = out_cutoff if out_cutoff is not None else cutoff
-    grids = coefficients_to_real_grid(symmetrize(pairs, dim), cutoff, dim,
+    grids = coefficients_to_real_grid(cube_to_half(symmetrize(pairs, dim), dim), cutoff, dim,
                                       oversample * (2 * cutoff - 1))
     f, g = np.moveaxis(grids, -dim - 1, 0)
-    return real_grid_to_coefficients(f * g, n_out, dim)
+    return half_to_cube(real_grid_to_coefficients(f * g, n_out, dim), dim, n_out)
 
 
 # -- grid quadrature norms -----------------------------------------------------------

@@ -14,10 +14,10 @@ oversample >= 2); only the composed viscosity nubar = Phi(b)/Psi(omega) is a
 genuine quadrature, whose residual the oversampling controls.
 
 A state packs into (v_1..v_d, omega, b) rows of centered-cube coefficients
-(`pack`/`unpack`).  The time-stepping loop works on member stacks of their
-canonical halves (`spectral.cube_to_half`): a leading member axis over
-packed states, shaped (members, d+2, n_half), through `member_rhs`, one
-call per RK stage for every member.  The kernel's spectral side is two
+(`pack`/`unpack`).  The kernel works on member stacks of their canonical
+halves (`spectral.cube_to_half`), the one layout below the field algebra:
+a leading member axis over packed states, shaped (members, d+2, n_half),
+through `member_rhs`, one call per RK stage for every member.  The kernel's spectral side is two
 linear maps per mode on the half, built once per size: the in-map takes the
 state rows to D_ij, grad omega and grad b (`_in_map`), and the out-map
 takes the flux coefficients to the right-hand side, divergences, Leray
@@ -28,18 +28,16 @@ member's row equals its one-state result bit for bit, and expanded to the
 cube (`spectral.half_to_cube`) the result is the cube layout's right-hand
 side.
 With the stack it returns each member's nubar samples on the quadrature
-grid, from which the integrator takes its reference viscosity.
-`packed_rhs` is the one-member case on a single (d+2) + cube stack, cube in
-and cube out; it, `rhs`, `pressure_gradient`, `advective_diffusive_force`
-and `transport_terms` are field-level views of the same kernel, without
-the nubar samples.
+grid, from which the integrator takes its reference viscosity.  `rhs` is
+the one-state case on field objects, cube in and cube out, without the
+nubar samples.
 
 The kernel's grid-sized arrays live in an `RhsWorkspace`, which the kernel
 owns: each thread keeps one, for the last (dim, cutoff, points, members) it
-called at, and every caller (integrations, the field-level views,
-`integrators.step`) reuses it.  A call at another size replaces it, so a
-lockstep run that loses a member rebuilds it on its next call; a thread
-keeps its last-size buffers until it calls at another size or exits.
+called at, and every caller (integrations, `rhs`, the aliasing indicator)
+reuses it.  A call at another size replaces it, so a lockstep run that
+loses a member rebuilds it on its next call; a thread keeps its last-size
+buffers until it calls at another size or exits.
 Threads never share buffers.  The kernel always returns a new array, never
 a view of the workspace, so results held across calls (the RK stages) stay
 valid.
@@ -162,7 +160,9 @@ def state_problems(state: SimState) -> List[str]:
 
 
 def triple_sq(stack: np.ndarray, s: float) -> np.ndarray:
-    """Squared H^s x H^s x H^s norm of each member of a (members, d+2) + cube stack."""
+    """Squared H^s norm, summed over the rows, of each member of a (members,
+    rows) + cube stack: with rows (v_1..v_d, omega, b) the H^s x H^s x H^s
+    triple norm."""
     w = _geometry(stack.ndim - 2, (stack.shape[-1] + 1) // 2).bessel_weight(s)
     return np.sum((w * np.abs(stack) ** 2).reshape(len(stack), -1), axis=1)
 
@@ -171,7 +171,8 @@ def grid_extrema(state: SimState, points: int) -> Tuple[float, float, float]:
     """(min omega, max omega, min b) of the real samples of omega and b on a
     points^d grid, both fields in one half-spectrum transform."""
     pair = symmetrize(np.stack((state.omega.coeffs, state.b.coeffs)), state.dim)
-    w, b = coefficients_to_real_grid(pair, state.cutoff, state.dim, points)
+    w, b = coefficients_to_real_grid(cube_to_half(pair, state.dim), state.cutoff, state.dim,
+                                     points)
     return float(np.min(w)), float(np.max(w)), float(np.min(b))
 
 
@@ -207,21 +208,11 @@ def _upper_pairs(dim: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _pair_layout(dim: int):
-    """Each pair's weight in the contraction D:D (1 on the diagonal, 2 off
-    it), and the flux rows whose divergences _flux_divergences takes: row i
-    of the symmetric tensor, then the two vector fluxes."""
-    pairs = _upper_pairs(dim)
-    m = len(pairs)
-    weight = np.array([1.0 if i == j else 2.0 for i, j in pairs])
-    row = {}
-    for p, (i, j) in enumerate(pairs):
-        row[i, j] = row[j, i] = p
-    div_rows = np.array([[row[i, j] for j in range(dim)] for i in range(dim)]
-                        + [[m + j for j in range(dim)], [m + dim + j for j in range(dim)]])
-    for arr in (weight, div_rows):
-        arr.setflags(write=False)             # shared by every caller
-    return weight, div_rows
+def _pair_layout(dim: int) -> np.ndarray:
+    """Each pair's weight in the contraction D:D: 1 on the diagonal, 2 off it."""
+    weight = np.array([1.0 if i == j else 2.0 for i, j in _upper_pairs(dim)])
+    weight.setflags(write=False)              # shared by every caller
+    return weight
 
 
 def _advective_fluxes(g: np.ndarray, dim: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -236,17 +227,6 @@ def _advective_fluxes(g: np.ndarray, dim: int, out: np.ndarray | None = None) ->
         np.multiply(g[i], g[j], out=out[p])
     np.multiply(g[:dim], g[dim:dim + 2, None], out=out[m:m + 2 * dim].reshape((2,) + g[:dim].shape))
     return out
-
-
-def _flux_divergences(c: np.ndarray, dim: int, cutoff: int) -> np.ndarray:
-    """Divergences of fluxes laid out as _advective_fluxes writes them, on
-    canonical halves: the symmetric tensor's rows (d rows of a vector), then
-    the two vector fluxes (one scalar each).  Axes between the row axis and
-    the mode axis are a batch."""
-    rows = _pair_layout(dim)[1]
-    grad = _geometry(dim, cutoff).half_grad
-    grad = grad.reshape(grad.shape[:1] + (1,) * (c.ndim - 2) + grad.shape[1:])
-    return np.sum(c[rows] * grad, axis=1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -268,11 +248,9 @@ def _momentum_map(dim: int, cutoff: int, project: bool) -> np.ndarray:
     mode for a symmetric tensor in _upper_pairs rows, Leray-projected when
     project.  The divergence is the deformation's transpose with each
     off-diagonal pair counted twice."""
-    div = _deform_map(dim, cutoff).swapaxes(0, 1) * _pair_layout(dim)[0][:, None]
+    div = _deform_map(dim, cutoff).swapaxes(0, 1) * _pair_layout(dim)[:, None]
     if project:
-        geo = _geometry(dim, cutoff)
-        k = geo.half_k[:, None]
-        div = div - k * np.sum(k * div, axis=0) / geo.half_denom
+        div = np.moveaxis(leray_coefficients(np.moveaxis(div, 0, -2), dim, cutoff), -2, 0)
     div.setflags(write=False)
     return div
 
@@ -411,8 +389,7 @@ def member_rhs(ys: np.ndarray, cutoff: int, t: float, params: ModelParams,
     y = c[:d + 2]
     y[...] = ys.swapaxes(0, 1).reshape(y.shape)
     _in_map(y, d, n, out=c[d + 2:], prod=ws.deform)
-    g = coefficients_to_real_grid(c, n, d, points, out=ws.grids, half=ws.half_in,
-                                  canonical=True)
+    g = coefficients_to_real_grid(c, n, d, points, out=ws.grids, half=ws.half_in)
     w_g, b_g = g[d], g[d + 1]
     nu_g = nu_bar_grid(b_g, w_g, t, profile)
     # the negated fluxes -M, -F_w, -F_b, then the reactions -alpha w^2 and
@@ -421,7 +398,7 @@ def member_rhs(ys: np.ndarray, cutoff: int, t: float, params: ModelParams,
     # are scaled in place
     flux = ws.flux
     def_sq = np.square(g[d + 2:d + 2 + m], out=flux[:m])
-    def_sq *= _pair_layout(d)[0].reshape((m,) + (1,) * (g.ndim - 1))
+    def_sq *= _pair_layout(d).reshape((m,) + (1,) * (g.ndim - 1))
     np.add.reduce(def_sq, axis=0, out=flux[-1])
     flux[-1] *= nu_g
     np.multiply(b_g, w_g, out=flux[-2])
@@ -432,61 +409,19 @@ def member_rhs(ys: np.ndarray, cutoff: int, t: float, params: ModelParams,
     viscous = g[d + 2:]
     viscous *= nu_g
     np.subtract(viscous, flux[:-2], out=flux[:-2])
-    coef = real_grid_to_coefficients(flux, n, d, half=ws.half_out, canonical=True,
-                                     overwrite=True, out=c[:len(flux)])
+    coef = real_grid_to_coefficients(flux, n, d, half=ws.half_out, overwrite=True,
+                                     out=c[:len(flux)])
     out = np.empty_like(ys)
     _out_map(coef, d, n, project, out=out.swapaxes(0, 1).reshape(y.shape),   # a view of out
              momentum=ws.momentum, scalar=ws.scalar)
     return out, nu_g.reshape(members, -1)
 
 
-def packed_rhs(y: np.ndarray, t: float, params: ModelParams, profile: CutoffProfile,
-               project: bool = True) -> np.ndarray:
-    """Right-hand side on one packed cube stack y = (v_1..v_d, omega, b) of a
-    real state: the one-member case of member_rhs, from and back to the
-    cube, without the nubar samples."""
-    d, n = y.shape[0] - 2, (y.shape[-1] + 1) // 2
-    half = member_rhs(cube_to_half(y, d)[None], n, t, params, profile, project)[0][0]
-    return half_to_cube(half, d, n)
-
-
-def _vector(stack: np.ndarray, dim: int, cutoff: int) -> VectorSpectralField:
-    return VectorSpectralField(tuple(SpectralField(dim, cutoff, c) for c in stack))
-
-
-def pressure_gradient(state: SimState, params: ModelParams,
-                      profile: CutoffProfile) -> VectorSpectralField:
-    """grad p with -lap p = div[P_n(v.grad v) - div P_n(nubar Dv)], zero mean."""
-    d, n = state.dim, state.cutoff
-    force = packed_rhs(pack(state), state.t, params, profile, project=False)[:d]
-    return _vector(force - leray_coefficients(force, d, n), d, n)
-
-
 def rhs(state: SimState, params: ModelParams,
         profile: CutoffProfile) -> Tuple[VectorSpectralField, SpectralField, SpectralField]:
-    out = unpack(packed_rhs(pack(state), state.t, params, profile),
-                 state.dim, state.cutoff, state.t)
-    return out.v, out.omega, out.b
-
-
-def advective_diffusive_force(state: SimState, params: ModelParams,
-                              profile: CutoffProfile) -> VectorSpectralField:
-    """-P_n(v.grad v) + div P_n(nubar Dv), before pressure correction."""
-    force = packed_rhs(pack(state), state.t, params, profile, project=False)
-    return _vector(force[:state.dim], state.dim, state.cutoff)
-
-
-def transport_terms(state: SimState, oversample: int = 4):
-    """Truncated advection products (P_n(v.grad v), P_n(v.grad w), P_n(v.grad b)).
-
-    Exposed separately so the exact-convolution consistency of the quadratic
-    terms across cutoffs can be checked in isolation.  They are the
-    divergences of the kernel's advective fluxes, so v must be
-    divergence-free, as every state of the system is.
-    """
+    """The right-hand side (dv, dw, db) of one state: member_rhs's
+    one-member case, from and back to the cube."""
     d, n = state.dim, state.cutoff
-    g = coefficients_to_real_grid(pack(state), n, d,
-                                  fast_grid_size(oversample * (2 * n - 1)))
-    coef = real_grid_to_coefficients(_advective_fluxes(g, d), n, d, canonical=True)
-    div = half_to_cube(_flux_divergences(coef, d, n), d, n)
-    return _vector(div[:d], d, n), SpectralField(d, n, div[d]), SpectralField(d, n, div[d + 1])
+    half = member_rhs(cube_to_half(pack(state), d)[None], n, state.t, params, profile)[0][0]
+    out = unpack(half_to_cube(half, d, n), d, n, state.t)
+    return out.v, out.omega, out.b

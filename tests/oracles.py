@@ -1,24 +1,28 @@
 """Literal oracles for the spectral transforms and products: term-by-term
-sums over modes, independent of the FFT paths they check; and the estimate
-campaigns' samples evaluated one at a time on field objects, through the
-public one-field functions, which the stacked campaigns must match bit for
-bit."""
+sums over modes, independent of the FFT paths they check; the Leray
+projection and divergence residual by the cube formula, and the kernel's
+flux divergences row by row; the cutoffs' derivative constant measured by
+finite differences; and the estimate campaigns' samples evaluated one at a
+time on field objects, through the public one-field functions, which the
+stacked campaigns must match bit for bit."""
 
 import math
 
 import numpy as np
 
+from kolmosim.cutoffs import phi_b, psi_omega, time_profiles
 from kolmosim.estimates import (_SMOOTH_MAPS, commutator, field_lp,
                                 smooth_map_derivative_bound)
-from kolmosim.spectral import (SpectralField, _geometry, fast_grid_size,
+from kolmosim.spectral import (SpectralField, _geometry, fast_grid_size, half_to_cube,
                                real_grid_to_coefficients, spectral_product)
+from kolmosim.storage import _field_records
 
 
 def trigonometric_sum(f, points):
     """sum_k c_k exp(2 pi i k.x) on the grid x_j = j/points, term by term."""
     x = np.indices((points,) * f.dim) / points
     out = np.zeros((points,) * f.dim, dtype=complex)
-    for k, c in zip(*f.modes_and_coefficients()):
+    for k, c in zip(*_field_records(f)):
         out += c * np.exp(2j * np.pi * np.tensordot(k, x, axes=1))
     return out
 
@@ -26,8 +30,8 @@ def trigonometric_sum(f, points):
 def direct_convolution(f, g, out_cutoff):
     """P_m(f g) as the literal convolution sum over mode pairs, for fields
     that need not be real."""
-    kf, cf = f.modes_and_coefficients()
-    kg, cg = g.modes_and_coefficients()
+    kf, cf = _field_records(f)
+    kg, cg = _field_records(g)
     geo = _geometry(f.dim, out_cutoff)
     out = np.zeros((geo.side,) * f.dim, dtype=complex)
     limit_sq = out_cutoff * out_cutoff
@@ -39,6 +43,71 @@ def direct_convolution(f, g, out_cutoff):
         idx = ks[keep] + (out_cutoff - 1)
         np.add.at(out, tuple(idx.T), prods[keep])
     return SpectralField(f.dim, out_cutoff, out)
+
+
+# -- the cube formulas the half layout replaced -----------------------------------
+
+
+def cube_leray(stack, dim, cutoff):
+    """Leray projection of a (dim,) + cube velocity stack, every mode of the
+    cube on its own: c(k) -= k (k.c(k)) / |k|^2 for k != 0."""
+    geo = _geometry(dim, cutoff)
+    k_dot = (geo.k * stack).sum(axis=0)
+    return stack - geo.k * k_dot / np.where(geo.k_sq == 0, 1, geo.k_sq)
+
+
+def cube_div_residual(stack, dim, cutoff):
+    """max_k |k . c(k)| over the cube of a (dim,) + cube velocity stack,
+    relative to its largest coefficient magnitude."""
+    k_dot = (_geometry(dim, cutoff).k * stack).sum(axis=0)
+    return float(np.abs(k_dot).max() / max(np.abs(stack).max(), 1e-300))
+
+
+def flux_divergences(c, dim, cutoff):
+    """Divergences of flux rows laid out as the kernel writes them, on
+    canonical halves: the symmetric tensor's rows (d rows of a vector), then
+    the two vector fluxes (one scalar each).  Axes between the row axis and
+    the mode axis are a batch."""
+    pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
+    m = len(pairs)
+    row = {}
+    for p, (i, j) in enumerate(pairs):
+        row[i, j] = row[j, i] = p
+    rows = np.array([[row[i, j] for j in range(dim)] for i in range(dim)]
+                    + [[m + j for j in range(dim)], [m + dim + j for j in range(dim)]])
+    grad = _geometry(dim, cutoff).half_grad
+    grad = grad.reshape(grad.shape[:1] + (1,) * (c.ndim - 2) + grad.shape[1:])
+    return np.sum(c[rows] * grad, axis=1)
+
+
+# -- the cutoffs' derivative constant ----------------------------------------------
+
+
+def _max_derivatives(fn, lo: float, hi: float, order: int, points: int = 4001):
+    """sup |f^(k)| for k = 1..order by repeated second-order differencing."""
+    xs = np.linspace(lo, hi, points)
+    ys = fn(xs)
+    sups = []
+    for _ in range(order):
+        ys = np.gradient(ys, xs)
+        sups.append(float(np.max(np.abs(ys))))
+    return sups
+
+
+def measure_derivative_constant(profile, order: int, t_values=(0.0, 1.0, 10.0)) -> float:
+    """Empirical c0 with |Phi^(k)| <= c0*b_lower^(1-k), |Psi^(k)| <=
+    c0*omega_lower^(1-k), k = 1..order, over the sampled times."""
+    c0 = 0.0
+    for t in t_values:
+        vals = time_profiles(profile.bounds, t)
+        b_lo, w_lo, w_hi = vals.b_lower, vals.omega_lower, vals.omega_upper
+        sups = _max_derivatives(lambda x: phi_b(x, t, profile), 0.0, 2.0 * b_lo, order)
+        for k, sup in enumerate(sups, start=1):
+            c0 = max(c0, sup * b_lo ** (k - 1))
+        sups = _max_derivatives(lambda x: psi_omega(x, t, profile), 0.0, 3.0 * w_hi, order)
+        for k, sup in enumerate(sups, start=1):
+            c0 = max(c0, sup * w_lo ** (k - 1))
+    return c0
 
 
 # -- the estimate campaigns one sample at a time ------------------------------------
@@ -71,7 +140,8 @@ def composition_sample(spec, i, s, g_name="sin"):
     if f_inf == 0.0:
         return 0.0, 0.0
     m = 2 * f.cutoff - 1
-    gf = SpectralField(f.dim, m, real_grid_to_coefficients(_SMOOTH_MAPS[g_name][0](grid), m, f.dim))
+    gf = SpectralField(f.dim, m, half_to_cube(
+        real_grid_to_coefficients(_SMOOTH_MAPS[g_name][0](grid), m, f.dim), f.dim, m))
     bound = smooth_map_derivative_bound(g_name, math.ceil(s) + 1, f_inf)
     return gf.hs_norm(s), bound * (1.0 + f_inf) ** math.ceil(s) * f.hs_norm(s)
 

@@ -8,7 +8,6 @@ from kolmosim import cutoffs
 from kolmosim.cutoffs import (
     CutoffProfile,
     InitialBounds,
-    measure_derivative_constant,
     nu_bar,
     nu_bar_grid,
     phi_b,
@@ -17,10 +16,11 @@ from kolmosim.cutoffs import (
     time_profiles,
 )
 from kolmosim.spectral import SpectralField
+from oracles import measure_derivative_constant
 
 
 BOUNDS = InitialBounds(b_min0=1.0, omega_min0=0.5, omega_max0=2.0, alpha=1.0)
-PROFILE = CutoffProfile(bounds=BOUNDS, smoothness_order=3)
+PROFILE = CutoffProfile(bounds=BOUNDS)
 
 
 class TestTimeProfiles:
@@ -92,7 +92,7 @@ class TestCutoffShapes:
     def test_derivative_constant_recorded_and_stable(self):
         """c0 is measured (not assumed); the scaling construction keeps the
         per-time constants within a narrow band across t."""
-        c0 = PROFILE.derivative_constant
+        c0 = measure_derivative_constant(PROFILE, 3)
         assert np.isfinite(c0) and c0 >= 1.0
         per_t = [measure_derivative_constant(PROFILE, 3, t_values=(t,))
                  for t in (0.0, 1.0, 10.0)]

@@ -194,14 +194,6 @@ class TestEnergyBalance:
             energy_balance(short, 2.0, lambda t: 0.25, 2.0,
                            ConstantModel(1.0, 0.0))
 
-    def test_p_orders_recorded(self):
-        traj, profile = short_trajectory()
-        reports, _ = energy_balance(traj, 2.0, lambda t: 0.0, 15.0,
-                                    ConstantModel(1.0, 0.0), p_orders=(2.0, 30.0))
-        r = reports[0]
-        assert set(r.p_values) == {2.0, 30.0}
-        assert r.p_values[30.0] >= r.p_values[2.0]
-
 
 class TestExtremaMonitor:
     def test_constant_admissible_data_passes(self):

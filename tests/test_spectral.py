@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from kolmosim.spectral import (
+    FOUR_PI_SQ,
     SpectralField,
     VectorSpectralField,
     _geometry,
     coefficients_to_real_grid,
+    conj_flip,
     cube_to_half,
     fast_grid_size,
     half_to_cube,
@@ -21,7 +23,8 @@ from kolmosim.spectral import (
     spectral_product,
     symmetrize,
 )
-from oracles import direct_convolution, trigonometric_sum
+from kolmosim.storage import _field_records
+from oracles import cube_div_residual, cube_leray, direct_convolution, trigonometric_sum
 
 
 def sample_complex_field(dim, cutoff, rho=1.5, seed=0):
@@ -85,7 +88,8 @@ class TestNormsAndOperators:
     def test_laplacian_is_divergence_of_gradient(self):
         f = sample_real_field(2, 6, seed=5)
         g = f.gradient().divergence()
-        assert np.max(np.abs(g.coeffs - f.laplacian().coeffs)) < 1e-10
+        laplacian = f.coeffs * (-FOUR_PI_SQ * _geometry(2, 6).k_sq)
+        assert np.max(np.abs(g.coeffs - laplacian)) < 1e-10
 
     def test_projection_euclidean_ball(self):
         """|k| < n is a Euclidean ball: (3,3) dies at n = 4, (3,0) survives."""
@@ -126,17 +130,17 @@ class TestNormsAndOperators:
         for pts in (11, 12, 16, 25):
             f = sample_real_field(2, 6, seed=40 + pts)
             a = trigonometric_sum(f, pts)
-            b = coefficients_to_real_grid(f.coeffs, 6, 2, pts)
+            b = coefficients_to_real_grid(cube_to_half(f.coeffs, 2), 6, 2, pts)
             assert np.max(np.abs(a.imag)) < 1e-13
             assert np.max(np.abs(a.real - b)) < 1e-13
-            back = real_grid_to_coefficients(b, 6, 2)
+            back = half_to_cube(real_grid_to_coefficients(b, 6, 2), 2, 6)
             assert np.max(np.abs(back - f.coeffs)) < 1e-13
 
     def test_realness_machinery(self):
         f = sample_real_field(2, 6, seed=1)
         assert f.realness_residual() < 1e-14
         assert np.max(np.abs(trigonometric_sum(f, 22).imag)) < 1e-13
-        mirrored = f.conj_mirror()
+        mirrored = SpectralField(2, 6, conj_flip(f.coeffs, 2))
         assert np.max(np.abs(mirrored.coeffs - f.coeffs)) < 1e-14
         # break the symmetry at mode (1,0) only, then symmetrize back
         c = f.coeffs.copy()
@@ -213,10 +217,10 @@ class TestRealPass:
         geo = _geometry(dim, cutoff)
         raw = rng.normal(size=(fields,) + geo.k_sq.shape) + 1j * rng.normal(
             size=(fields,) + geo.k_sq.shape)
-        cubes = symmetrize(np.where(geo.ball, raw, 0.0), dim)
-        grids = coefficients_to_real_grid(cubes, cutoff, dim, points)
+        halves = cube_to_half(symmetrize(np.where(geo.ball, raw, 0.0), dim), dim)
+        grids = coefficients_to_real_grid(halves, cutoff, dim, points)
         assert all(np.array_equal(g, coefficients_to_real_grid(c, cutoff, dim, points))
-                   for g, c in zip(grids, cubes))
+                   for g, c in zip(grids, halves))
         samples = rng.normal(size=(fields,) + (points,) * dim)
         coeffs = real_grid_to_coefficients(samples, cutoff, dim)
         assert all(np.array_equal(c, real_grid_to_coefficients(g, cutoff, dim))
@@ -226,12 +230,13 @@ class TestRealPass:
     def test_agrees_with_numpy_fft(self, points):
         cutoff = 6                                       # 11 = 2n - 1
         f = sample_real_field(2, cutoff, seed=points)
-        grid = coefficients_to_real_grid(f.coeffs, cutoff, 2, points)
+        grid = coefficients_to_real_grid(cube_to_half(f.coeffs, 2), cutoff, 2, points)
         ref = numpy_fft_samples(f.coeffs, cutoff, 2, points)
         assert rel_diff(grid, ref) <= 1e-14
         samples = np.random.default_rng(points).normal(size=(points, points))
         ref = numpy_fft_coefficients(samples, cutoff, 2)
-        assert rel_diff(real_grid_to_coefficients(samples, cutoff, 2), ref) <= 1e-14
+        assert rel_diff(half_to_cube(real_grid_to_coefficients(samples, cutoff, 2), 2, cutoff),
+                        ref) <= 1e-14
 
     @pytest.mark.parametrize("points", [11, 24, 60, 64, 125])
     def test_constant_lines_have_no_higher_modes(self, points):
@@ -242,7 +247,7 @@ class TestRealPass:
         geo = _geometry(2, cutoff)
         rows = np.random.default_rng(points).normal(size=(points, 1)) + 3.0
         for grid in (np.broadcast_to(rows, (points, points)), np.full((points, points), 2.5)):
-            c = real_grid_to_coefficients(grid, cutoff, 2)
+            c = half_to_cube(real_grid_to_coefficients(grid, cutoff, 2), 2, cutoff)
             assert np.all(c[geo.k[-1] != 0] == 0.0)
 
     def test_shift_in_place_only_when_asked(self):
@@ -329,8 +334,8 @@ class TestProducts:
         f = sample_real_field(2, 3, seed=21)
         g = sample_real_field(2, 3, seed=22)
         out = {}
-        kf, cf = f.modes_and_coefficients()
-        kg, cg = g.modes_and_coefficients()
+        kf, cf = _field_records(f)
+        kg, cg = _field_records(g)
         for (k1, c1) in zip(kf, cf):
             for (k2, c2) in zip(kg, cg):
                 k = (int(k1[0] + k2[0]), int(k1[1] + k2[1]))
@@ -362,7 +367,7 @@ class TestProducts:
             pts = 2 * (2 * n - 1)
             m = 2 * n - 1
             grid = trigonometric_sum(f, pts).real * trigonometric_sum(g, pts).real
-            ref = real_grid_to_coefficients(grid, m, 2)
+            ref = half_to_cube(real_grid_to_coefficients(grid, m, 2), 2, m)
             out = spectral_product(f, g, out_cutoff=m)
             assert rel_diff(out.coeffs, ref) <= 1e-13
 
@@ -385,6 +390,17 @@ class TestVectorFields:
             for a in range(2):
                 assert np.max(np.abs(again.components[a].coeffs - w.components[a].coeffs)) < 1e-13
             assert w.realness_residual() < 1e-12
+
+    @pytest.mark.parametrize("dim, cutoff", [(2, 8), (3, 4)])
+    def test_half_layout_matches_the_cube_formula(self, dim, cutoff):
+        """leray_project and div_residual run on the canonical half; on real
+        fields they equal the cube formula at every mode, mirrors included."""
+        for seed in range(3):
+            v = VectorSpectralField(tuple(sample_real_field(dim, cutoff, seed=20 * seed + a)
+                                          for a in range(dim)))
+            for w in (v, v.leray_project()):
+                assert w.div_residual() == cube_div_residual(w.stack(), dim, cutoff)
+            assert np.array_equal(v.leray_project().stack(), cube_leray(v.stack(), dim, cutoff))
 
     def test_div_residual_flags_gradients(self):
         f = sample_real_field(2, 8, seed=4)

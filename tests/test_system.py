@@ -23,25 +23,21 @@ from kolmosim.system import (
     ModelParams,
     SimState,
     _deform_map,
-    _flux_divergences,
     _in_map,
     _momentum_map,
     _out_map,
     _pair_layout,
-    advective_diffusive_force,
     hypothesis_violations,
     member_rhs,
     pack,
-    packed_rhs,
-    pressure_gradient,
     rhs,
     state_problems,
-    transport_terms,
     triple_sq,
 )
+from oracles import flux_divergences
 
 BOUNDS = InitialBounds(b_min0=0.5, omega_min0=0.5, omega_max0=2.0, alpha=1.0)
-PROFILE = CutoffProfile(bounds=BOUNDS, smoothness_order=3)
+PROFILE = CutoffProfile(bounds=BOUNDS)
 PARAMS = ModelParams(alpha=1.0, s=2.0, bounds=BOUNDS, oversample=4)
 
 
@@ -81,6 +77,16 @@ def taylor_green_state(cutoff=4, pts=32):
     omega = SpectralField.from_modes(2, cutoff, {(0, 0): 1.0})
     b = SpectralField.from_modes(2, cutoff, {(0, 0): 1.0})
     return SimState(v, omega, b, t=0.0)
+
+
+def velocity_rhs(state, project):
+    """The velocity rows of member_rhs for one state: the force
+    -P_n(v.grad v) + div P_n(nubar Dv) without project, its Leray projection
+    with it, so grad p is the first minus the second."""
+    d, n = state.dim, state.cutoff
+    rows = member_rhs(cube_to_half(pack(state), d)[None], n, state.t, PARAMS, PROFILE,
+                      project)[0][0, :d]
+    return VectorSpectralField(tuple(SpectralField(d, n, c) for c in half_to_cube(rows, d, n)))
 
 
 class TestConstantFields:
@@ -128,7 +134,7 @@ class TestTaylorGreen:
     def test_pressure_matches_hand_derivation(self):
         """p = -(cos(4 pi x1) + cos(4 pi x2))/4 for the Taylor-Green vortex."""
         state = taylor_green_state()
-        grad_p = pressure_gradient(state, PARAMS, PROFILE)
+        grad_p = velocity_rhs(state, False) - velocity_rhs(state, True)
         pts = 32
         x = np.arange(pts) / pts
         xx, yy = np.meshgrid(x, x, indexing="ij")
@@ -151,7 +157,7 @@ class TestTaylorGreen:
 
     def test_zero_velocity_gives_zero_pressure(self):
         state = constant_state(2, 4)
-        grad_p = pressure_gradient(state, PARAMS, PROFILE)
+        grad_p = velocity_rhs(state, False) - velocity_rhs(state, True)
         assert grad_p.hs_norm(0.0) < 1e-14
 
     def test_single_mode_orthogonal_velocity_zero_pressure(self):
@@ -166,7 +172,7 @@ class TestTaylorGreen:
             SpectralField.from_grid(a[1] * wave, 4)))
         state = SimState(v, SpectralField.from_modes(2, 4, {(0, 0): 1.0}),
                          SpectralField.from_modes(2, 4, {(0, 0): 1.0}))
-        grad_p = pressure_gradient(state, PARAMS, PROFILE)
+        grad_p = velocity_rhs(state, False) - velocity_rhs(state, True)
         assert grad_p.hs_norm(0.0) < 1e-12
 
 
@@ -189,8 +195,8 @@ class TestStructure:
         """Projecting the advective-diffusive force equals subtracting grad p."""
         for seed in range(5):
             state = divergence_free_random_state(seed + 100)
-            force = advective_diffusive_force(state, PARAMS, PROFILE)
-            grad_p = pressure_gradient(state, PARAMS, PROFILE)
+            force = velocity_rhs(state, False)
+            grad_p = force - velocity_rhs(state, True)
             a = force.leray_project()
             b = force - grad_p
             diff = a - b
@@ -206,14 +212,17 @@ class TestStructure:
             assert abs(dw.mode((0, 0)).imag) < 1e-12
 
     def test_transport_consistency_across_cutoffs(self):
-        """Padding to n' >= 2n-1 leaves the quadratic transport terms exact."""
+        """Padding to n' >= 2n-1 leaves the right-hand side exact when every
+        term is a polynomial: with omega constant nubar = b, so each term has
+        degree <= 3, which both quadrature grids resolve."""
         for seed, n in ((1, 4), (2, 5), (3, 6)):
             state = divergence_free_random_state(seed + 300, cutoff=n)
+            state.omega = SpectralField.from_modes(2, n, {(0, 0): 1.0})
             big = SimState(state.v.project(2 * n - 1),
                            state.omega.project(2 * n - 1),
                            state.b.project(2 * n - 1), state.t)
-            small = transport_terms(state)
-            large = transport_terms(big)
+            small = rhs(state, PARAMS, PROFILE)
+            large = rhs(big, PARAMS, PROFILE)
             pairs = list(zip(small[0].components, large[0].components)) + [
                 (small[1], large[1]), (small[2], large[2])]
             for sm, lg in pairs:
@@ -278,12 +287,12 @@ def cached_buffers():
 
 class TestWorkspace:
     def test_result_survives_later_calls(self):
-        a = pack(divergence_free_random_state(41))
-        b = pack(divergence_free_random_state(42))
-        first = packed_rhs(a, 0.0, PARAMS, PROFILE)
+        a = cube_to_half(pack(divergence_free_random_state(41)), 2)[None]
+        b = cube_to_half(pack(divergence_free_random_state(42)), 2)[None]
+        first = member_rhs(a, 8, 0.0, PARAMS, PROFILE)[0]
         kept = first.copy()
-        packed_rhs(b, 0.1, PARAMS, PROFILE)
-        packed_rhs(b, 0.2, PARAMS, PROFILE, project=False)
+        member_rhs(b, 8, 0.1, PARAMS, PROFILE)
+        member_rhs(b, 8, 0.2, PARAMS, PROFILE, project=False)
         assert np.array_equal(first, kept)
         size, buffers = cached_buffers()
         assert size == (2, 8, PARAMS.grid_points(8), 1)
@@ -292,28 +301,31 @@ class TestWorkspace:
     def test_reused_workspace_matches_fresh(self):
         # this thread's buffers, dirty from the calls before, against a new
         # thread's freshly built ones
-        packed_rhs(pack(divergence_free_random_state(42)), 0.3, PARAMS, PROFILE)
+        member_rhs(cube_to_half(pack(divergence_free_random_state(42)), 2)[None], 8, 0.3,
+                   PARAMS, PROFILE)
         for seed in (43, 44):
-            y = pack(divergence_free_random_state(seed))
+            y = cube_to_half(pack(divergence_free_random_state(seed)), 2)[None]
             for project in (True, False):
                 assert np.array_equal(
-                    packed_rhs(y, 0.05, PARAMS, PROFILE, project),
-                    in_new_thread(lambda: packed_rhs(y, 0.05, PARAMS, PROFILE, project)))
+                    member_rhs(y, 8, 0.05, PARAMS, PROFILE, project)[0],
+                    in_new_thread(lambda: member_rhs(y, 8, 0.05, PARAMS, PROFILE, project)[0]))
 
     def test_call_at_another_size_replaces_the_buffers(self):
-        y = pack(divergence_free_random_state(45))
-        first = packed_rhs(y, 0.05, PARAMS, PROFILE)
+        y = cube_to_half(pack(divergence_free_random_state(45)), 2)[None]
+        first = member_rhs(y, 8, 0.05, PARAMS, PROFILE)[0]
         _, old = cached_buffers()
-        packed_rhs(pack(divergence_free_random_state(46, cutoff=6)), 0.05, PARAMS, PROFILE)
+        member_rhs(cube_to_half(pack(divergence_free_random_state(46, cutoff=6)), 2)[None], 6,
+                   0.05, PARAMS, PROFILE)
         size, new = cached_buffers()
         assert size == (2, 6, PARAMS.grid_points(6), 1)
         assert not any(np.shares_memory(a, b) for a in old for b in new)
-        assert np.array_equal(packed_rhs(y, 0.05, PARAMS, PROFILE), first)
+        assert np.array_equal(member_rhs(y, 8, 0.05, PARAMS, PROFILE)[0], first)
 
     def test_old_buffers_are_freed_before_new_ones_are_built(self, monkeypatch):
         # two workspaces alive at once would raise the peak memory of every
         # size switch by the old workspace's size
-        packed_rhs(pack(divergence_free_random_state(47)), 0.05, PARAMS, PROFILE)
+        member_rhs(cube_to_half(pack(divergence_free_random_state(47)), 2)[None], 8, 0.05,
+                   PARAMS, PROFILE)
         old = weakref.ref(system._local.workspace)
         alive = []
         init = system.RhsWorkspace.__init__
@@ -323,7 +335,8 @@ class TestWorkspace:
             init(self, *args)
 
         monkeypatch.setattr(system.RhsWorkspace, "__init__", spy)
-        packed_rhs(pack(divergence_free_random_state(48, cutoff=6)), 0.05, PARAMS, PROFILE)
+        member_rhs(cube_to_half(pack(divergence_free_random_state(48, cutoff=6)), 2)[None], 6,
+                   0.05, PARAMS, PROFILE)
         assert alive == [False]
 
     def test_flux_divergences_match_the_loop(self):
@@ -341,7 +354,7 @@ class TestWorkspace:
                     vec[j] += grad[i] * c[p]
             w = sum(grad[a] * c[m + a] for a in range(dim))
             b = sum(grad[a] * c[m + dim + a] for a in range(dim))
-            got = _flux_divergences(cube_to_half(c, dim), dim, cutoff)
+            got = flux_divergences(cube_to_half(c, dim), dim, cutoff)
             assert np.array_equal(got, cube_to_half(np.concatenate([vec, [w, b]]), dim))
 
 
@@ -374,11 +387,11 @@ class TestSpectralMaps:
 
             # the kernel's flux rows: -M, -F_w, -F_b, then the reaction rows
             coef = draw((m + 2 * dim + 2,) + batch + (nh,))
-            div = _flux_divergences(coef, dim, cutoff)
+            div = flux_divergences(coef, dim, cutoff)
             for project in (True, False):
                 dv = np.moveaxis(div[:dim], 0, -2)
                 if project:
-                    dv = leray_coefficients(dv, dim, cutoff, canonical=True)
+                    dv = leray_coefficients(dv, dim, cutoff)
                 expected = np.concatenate([np.moveaxis(dv, -2, 0), div[dim:] + coef[-2:]])
                 got = _out_map(coef, dim, cutoff, project,
                                out=np.empty(expected.shape, dtype=complex))
@@ -388,7 +401,7 @@ class TestSpectralMaps:
     def test_cached_tables_are_read_only(self, dim, cutoff):
         points = PARAMS.grid_points(cutoff)
         tables = [_deform_map(dim, cutoff), _momentum_map(dim, cutoff, True),
-                  _momentum_map(dim, cutoff, False), *_pair_layout(dim),
+                  _momentum_map(dim, cutoff, False), _pair_layout(dim),
                   *_half_bins(dim, cutoff, points), *_real_pass(cutoff, points)]
         assert not any(table.flags.writeable for table in tables)
 
@@ -405,18 +418,18 @@ class TestMemberStacks:
                 stack, nu = member_rhs(hs, cutoff, 0.05, PARAMS, PROFILE, project)
                 assert stack.shape == hs.shape
                 assert nu.shape == (members, PARAMS.grid_points(cutoff) ** dim)
-                for y, h, row, samples in zip(ys, hs, stack, nu):
-                    assert np.array_equal(half_to_cube(row, dim, cutoff),
-                                          packed_rhs(y, 0.05, PARAMS, PROFILE, project))
-                    assert np.array_equal(samples, member_rhs(h[None], cutoff, 0.05, PARAMS,
-                                                              PROFILE, project)[1][0])
+                for h, row, samples in zip(hs, stack, nu):
+                    solo, solo_nu = member_rhs(h[None], cutoff, 0.05, PARAMS, PROFILE, project)
+                    assert np.array_equal(row, solo[0])
+                    assert np.array_equal(samples, solo_nu[0])
 
     def test_nubar_samples_are_the_quadrature_grid_values(self):
         # the integrator's reference viscosity is the midrange of these
         ys = np.stack([pack(divergence_free_random_state(60 + i)) for i in range(2)])
-        _, nu = member_rhs(cube_to_half(ys, 2), 8, 0.05, PARAMS, PROFILE)
-        for y, samples in zip(ys, nu):
-            w, b = coefficients_to_real_grid(y[2:], 8, 2, PARAMS.grid_points(8))
+        hs = cube_to_half(ys, 2)
+        _, nu = member_rhs(hs, 8, 0.05, PARAMS, PROFILE)
+        for h, samples in zip(hs, nu):
+            w, b = coefficients_to_real_grid(h[2:], 8, 2, PARAMS.grid_points(8))
             expected = nu_bar_grid(b, w, 0.05, PROFILE).ravel()
             assert np.ptp(expected) > 0.1
             assert np.allclose(samples, expected, rtol=1e-13, atol=0.0)
@@ -436,7 +449,7 @@ params = ModelParams(alpha=1.0, s=2.0, bounds=bounds, oversample=4)
 y = pack(admissible_state(RandomFieldSpec(dim=3, cutoff=8, rho=2.0, seed=1), bounds))
 out, nu = member_rhs(cube_to_half(y, 3)[None], 8, 0.05, params, CutoffProfile(bounds))
 y = pack(admissible_state(RandomFieldSpec(dim=2, cutoff=16, rho=2.0, seed=2), bounds))
-grid = coefficients_to_real_grid(y, 16, 2, params.grid_points(16))
+grid = coefficients_to_real_grid(cube_to_half(y, 2), 16, 2, params.grid_points(16))
 for arr in (out, nu, grid, real_grid_to_coefficients(grid, 16, 2)):
     sys.stdout.buffer.write(arr.tobytes())
 """
