@@ -2,6 +2,13 @@
 certificates, drive estimate campaigns, inspect snapshots, and compare
 refinement levels.
 
+`simulate` writes config.txt, then each snapshot the moment the integrator
+takes the sample (through its on_sample hook), and checks that sample's
+omega/b extrema against their envelopes: the run stops at the first sample
+that leaves them.  The diagnostics CSV, the nubar aliasing indicator and
+summary.txt follow the run.  A run killed outright (SIGKILL) leaves the
+output directory's lock file behind; it must be deleted by hand.
+
 Exit codes: 0 success, 1 usage/config/I-O error, 2 monitor abort.
 """
 
@@ -17,9 +24,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .cutoffs import CutoffProfile, InitialBounds
-from .diagnostics import (ConstantModel, beta_exponent, beta_formula_extended,
-                          energy_balance, existence_time, extrema_monitor,
-                          nu_bar_aliasing, uniform_bound)
+from .diagnostics import (ConstantModel, ExtremaReport, beta_exponent,
+                          beta_formula_extended, energy_balance, existence_time,
+                          extrema_monitor, nu_bar_aliasing, uniform_bound)
 from .estimates import (RandomFieldSpec, admissible_state, attach_stability,
                         decomposition_residual, verify_commutator_estimate,
                         verify_composition_estimate,
@@ -145,10 +152,10 @@ def initial_state(config: RunConfig) -> SimState:
     return state
 
 
-def _diagnostics_rows(traj: Trajectory, config: RunConfig, cm: ConstantModel,
-                      profile: CutoffProfile):
-    """Per-sample CSV rows plus the first time (or None) at which the
-    omega/b extrema left their envelopes."""
+def _diagnostics_rows(traj: Trajectory, extrema: List[ExtremaReport], config: RunConfig,
+                      cm: ConstantModel, profile: CutoffProfile) -> List[dict]:
+    """Per-sample CSV rows, with each sample's extrema report as the run
+    took it."""
     s = config["s"]
     beta = beta_exponent(s, config["d"])
     states = traj.states
@@ -161,28 +168,21 @@ def _diagnostics_rows(traj: Trajectory, config: RunConfig, cm: ConstantModel,
     else:
         lhs = [math.nan] * len(states)
         rhs = [math.nan] * len(states)
-    rows, first_violation = [], None
-    for i, st in enumerate(states):
-        mon = extrema_monitor(st, profile,
-                              grid=fast_grid_size(4 * (2 * st.cutoff - 1)))
-        if not mon.passed and first_violation is None:
-            first_violation = st.t
-        rows.append({
-            "t": st.t,
-            "hs_v": st.v.hs_norm(s),
-            "hs_omega": st.omega.hs_norm(s),
-            "hs_b": st.b.hs_norm(s),
-            "triple_sq": st.triple_norm_sq(s),
-            "min_omega": mon.min_omega,
-            "max_omega": mon.max_omega,
-            "min_b": mon.min_b,
-            "nu_min": profile.values(st.t).nu_lower,
-            "energy_lhs": lhs[i],
-            "energy_rhs_bound": rhs[i],
-            "div_residual": st.div_residual(),
-            "realness_residual": st.realness_residual(),
-        })
-    return rows, first_violation
+    return [{
+        "t": st.t,
+        "hs_v": st.v.hs_norm(s),
+        "hs_omega": st.omega.hs_norm(s),
+        "hs_b": st.b.hs_norm(s),
+        "triple_sq": st.triple_norm_sq(s),
+        "min_omega": mon.min_omega,
+        "max_omega": mon.max_omega,
+        "min_b": mon.min_b,
+        "nu_min": profile.values(st.t).nu_lower,
+        "energy_lhs": lhs[i],
+        "energy_rhs_bound": rhs[i],
+        "div_residual": st.div_residual(),
+        "realness_residual": st.realness_residual(),
+    } for i, (st, mon) in enumerate(zip(states, extrema))]
 
 
 def cmd_simulate(args) -> int:
@@ -190,13 +190,21 @@ def cmd_simulate(args) -> int:
     state = initial_state(config)
     profile = CutoffProfile(run.bounds)
     out_dir = config["directory"]
+    grid = fast_grid_size(4 * (2 * state.cutoff - 1))
+    extrema: List[ExtremaReport] = []
+
+    def on_sample(_, st: SimState) -> Optional[str]:
+        # each sample is on disk before the run goes on; the first one that
+        # leaves the omega/b envelopes ends the run there
+        save_snapshot(st, os.path.join(out_dir, f"snapshot_{len(extrema):06d}.kolm"))
+        extrema.append(extrema_monitor(st, profile, grid=grid))
+        return None if extrema[-1].passed else f"extrema monitor failed at t = {st.t:.6g}"
+
     with OutputLock(out_dir):
-        traj = integrate(state, run.integrator, run.model, profile)
         with open(os.path.join(out_dir, "config.txt"), "w") as fh:
             fh.write(print_config(config))
-        for i, st in enumerate(traj.states):
-            save_snapshot(st, os.path.join(out_dir, f"snapshot_{i:06d}.kolm"))
-        rows, first_violation = _diagnostics_rows(traj, config, run.constants, profile)
+        traj = integrate(state, run.integrator, run.model, profile, on_sample=on_sample)
+        rows = _diagnostics_rows(traj, extrema, config, run.constants, profile)
         write_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"), rows)
         # after the outputs the run itself needs, and not counted as its RHS
         # evaluations: each sample's nubar quadrature error on this grid
@@ -219,12 +227,11 @@ def cmd_simulate(args) -> int:
         print(f"warning: nu_bar aliasing {aliasing:.3g} on the {points}-point grid "
               f"exceeds rel_tol = {run.integrator.rel_tol!r}; raise oversample",
               file=sys.stderr)
+    if traj.status == "aborted-monitor":
+        print(traj.message, file=sys.stderr)
+        return MONITOR_ABORT
     if traj.status != "completed":
         print(f"monitor abort: {traj.status}: {traj.message}", file=sys.stderr)
-        return MONITOR_ABORT
-    if first_violation is not None:
-        print(f"extrema monitor failed at t = {first_violation:.6g}",
-              file=sys.stderr)
         return MONITOR_ABORT
     print(f"completed: {len(traj.states)} samples in {out_dir}")
     return 0

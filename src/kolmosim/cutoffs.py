@@ -154,8 +154,8 @@ def nu_bar_grid(b_grid: np.ndarray, omega_grid: np.ndarray, t: float,
     vals = time_profiles(profile.bounds, t)
     b = np.asarray(b_grid, dtype=float)
     w = np.asarray(omega_grid, dtype=float)
-    return (_phi(b, vals.b_lower, np.min(b))
-            / _psi(w, vals.omega_lower, vals.omega_upper, np.min(w), np.max(w)))
+    return (_phi(b, vals.b_lower, b.min())
+            / _psi(w, vals.omega_lower, vals.omega_upper, w.min(), w.max()))
 
 
 def nu_bar(b_n: SpectralField, omega_n: SpectralField, t: float, n_grid: int,

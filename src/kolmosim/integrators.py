@@ -64,6 +64,12 @@ aborts leaves the run with its own status, message and states, and the
 others go on.  `integrate` is the one-member case.  The stages run with
 floating-point warnings silenced, so a diverging run ends as a clean
 `failed-nonfinite`.
+
+An optional `on_sample(member, state)` hook sees each sample the moment the
+loop takes it, the datum first: a caller can write it out at once and check
+it, and a message it returns ends that member as `aborted-monitor` at that
+sample, through the same exit as the guard.  The loop keeps every sample in
+its trajectory either way.
 """
 
 from __future__ import annotations
@@ -71,7 +77,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -105,6 +111,9 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
 # the last stage is the update, so 1 - c_j is among them
 _IF_GAPS = sorted({ci - cj for i, ci in enumerate(_DP_C) for cj in _DP_C[:i + 1]})
 
+# on_sample(member, state): None to go on, or why the member stops
+SampleHook = Callable[[int, SimState], Optional[str]]
+
 
 @dataclass
 class IntegratorConfig:
@@ -132,7 +141,8 @@ class IntegratorConfig:
 @dataclass
 class Trajectory:
     states: List[SimState]
-    status: str = "completed"        # completed | aborted-blowup | failed-nonfinite
+    # completed | aborted-blowup | aborted-monitor | failed-nonfinite
+    status: str = "completed"
     message: str = ""
     steps: int = 0
     rejected: int = 0
@@ -227,8 +237,25 @@ def _survivors(keep: np.ndarray, live: List[int], *stacks):
             *(None if a is None else a[keep] for a in stacks))
 
 
+def _sampled(trajs: List[Trajectory], live: List[int], ok: np.ndarray,
+             on_sample: Optional[SampleHook], steps: int, rejected: int,
+             evaluations: int) -> np.ndarray:
+    """Hand each live member's newest state to on_sample; ok, with False where
+    the hook stopped a member that the guard had not (it leaves with status
+    aborted-monitor and the hook's message)."""
+    if on_sample is None:
+        return ok
+    for i, member in enumerate(live):
+        message = on_sample(member, trajs[member].states[-1])
+        if message is not None and ok[i]:
+            ok[i] = False
+            _leave(trajs[member], "aborted-monitor", message, steps, rejected, evaluations)
+    return ok
+
+
 def integrate(state0: SimState, config: IntegratorConfig, params: ModelParams,
-              profile: CutoffProfile, norm_s: Optional[float] = None) -> Trajectory:
+              profile: CutoffProfile, norm_s: Optional[float] = None,
+              on_sample: Optional[SampleHook] = None) -> Trajectory:
     """Advance to config.t_end, sampling every monitor_every accepted steps:
     the one-member case of integrate_lockstep.
 
@@ -236,18 +263,24 @@ def integrate(state0: SimState, config: IntegratorConfig, params: ModelParams,
     params.s); the guard aborts when the triple norm squared exceeds
     blowup_factor * (2*X0 + 1).
     """
-    return integrate_lockstep([state0], config, params, profile, norm_s)[0]
+    return integrate_lockstep([state0], config, params, profile, norm_s, on_sample)[0]
 
 
 def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
                        params: ModelParams, profile: CutoffProfile,
-                       norm_s: Optional[float] = None) -> List[Trajectory]:
+                       norm_s: Optional[float] = None,
+                       on_sample: Optional[SampleHook] = None) -> List[Trajectory]:
     """Advance states of one layout and start time together to config.t_end,
     one kernel call per stage for all of them; one trajectory per state.
 
     Each member has its own re-projection decision, blow-up guard (against
     its own X0) and samples.  A member that goes non-finite or trips the
     guard leaves with its own status, message and states; the others go on.
+    on_sample(member, state), when given, is called for every state appended
+    to a trajectory, in order: sample 0 (the datum) before the first kernel
+    call, also when t_end <= t.  It returns None to go on, or a message that
+    ends the member with status aborted-monitor (a guard trip at the same
+    sample takes precedence).  It changes no number of the run.
     Fixed-step rk4 members, failed and aborted ones included, are
     bit-identical to their solo integrate runs.  rk45 members share one
     step, controlled by the largest member error ratio, so their samples have
@@ -263,16 +296,19 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
         raise ValueError("lockstep states must share dim, cutoff and start time")
     s = params.s if norm_s is None else norm_s
     trajs = [Trajectory(states=[st.copy()]) for st in states0]
+    live = list(range(len(states0)))          # members still stepping, in row order
+    ok = _sampled(trajs, live, np.ones(len(live), dtype=bool), on_sample, 0, 0, 0)
     if config.t_end <= t:
         return trajs
 
-    live = list(range(len(states0)))          # members still stepping, in row order
     # the loop keeps conjugate symmetry exactly, so it starts from the data's
     # real parts (on conjugate-symmetric data this changes no bit) and
     # carries their canonical halves
     y = symmetrize(np.stack([pack(st) for st in states0]), dim)
     ceiling = config.blowup_factor * (2.0 * triple_sq(y, s) + 1.0)
     y = cube_to_half(y, dim)
+    if not ok.all():
+        live, y, ceiling = _survivors(ok, live, y, ceiling)
     h = config.dt
     k1 = nu_ref = None             # rk45's FSAL stage F(t, y) and reference viscosities
     rates, classes = _diffusion_rates(dim, cutoff), _rate_class(dim)
@@ -359,6 +395,7 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
                                f"triple norm^2 {x_now[i]:.6g} exceeded guard "
                                f"{ceiling[i]:.6g} at t = {t:.6g}", steps, rejected,
                                evaluations)
+                ok = _sampled(trajs, live, ok, on_sample, steps, rejected, evaluations)
                 if not ok.all():
                     live, y, k1, nu_ref, ceiling = _survivors(ok, live, y, k1, nu_ref, ceiling)
 

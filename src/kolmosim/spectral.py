@@ -221,9 +221,9 @@ def real_grid_to_coefficients(grid: np.ndarray, cutoff: int, dim: int,
     spec[..., 0] += first[..., 0]
     for axis in range(-dim, -1):
         spec = _fft.fft(spec, axis=axis, norm="forward", overwrite_x=True)
-    # the indices are in range; mode="clip" lets np.take write `out` unbuffered
-    return np.take(spec.reshape(spec.shape[:-dim] + (-1,)),
-                   _half_bins(dim, cutoff, grid.shape[-1])[0], axis=-1, out=out, mode="clip")
+    # the indices are in range; mode="clip" lets take write `out` unbuffered
+    return spec.reshape(spec.shape[:-dim] + (-1,)).take(
+        _half_bins(dim, cutoff, grid.shape[-1])[0], axis=-1, out=out, mode="clip")
 
 
 def conj_flip(coeffs: np.ndarray, dim: int) -> np.ndarray:

@@ -246,7 +246,10 @@ def load_config(path: str) -> RunConfig:
 
 
 class OutputLock:
-    """A lock file marking single-command ownership of an output directory."""
+    """A lock file marking single-command ownership of an output directory.
+
+    It is removed on every exit a process survives; a process killed outright
+    (SIGKILL) leaves it behind, and it must then be deleted by hand."""
 
     def __init__(self, directory: str):
         self.directory = directory
@@ -260,7 +263,8 @@ class OutputLock:
         except FileExistsError:
             raise RuntimeError(
                 f"output directory {self.directory!r} is owned by another "
-                f"run (lock file {self.path} exists)") from None
+                f"run (lock file {self.path} exists; if no run is using the "
+                f"directory, one was killed: delete the lock file by hand)") from None
         os.write(self._fd, str(os.getpid()).encode())
         return self
 

@@ -2,11 +2,15 @@
 
 import math
 import os
+import subprocess
+import sys
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from kolmosim import cli
+from kolmosim import cli, integrators
 from kolmosim.cli import main
 from kolmosim.cutoffs import InitialBounds
 from kolmosim.diagnostics import nu_bar_aliasing
@@ -190,6 +194,101 @@ def test_simulate_lock_taken_before_integrating(tmp_path, capsys, monkeypatch):
     assert "owned by another" in capsys.readouterr().err
 
 
+def test_simulate_writes_the_datum_before_the_first_step(tmp_path, monkeypatch):
+    # the first artifact is on disk before the run's first kernel call
+    seen = []
+    kernel = integrators.rhs
+    out = str(tmp_path / "run")
+
+    def recording_rhs(*args, **kwargs):
+        if not seen:
+            seen.append(sorted(os.listdir(out)))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(integrators, "rhs", recording_rhs)
+    assert run(*sim_args(out)) == 0
+    assert seen == [[".kolmosim-lock", "config.txt", "snapshot_000000.kolm"]]
+
+
+def test_simulate_failed_write_keeps_the_samples_so_far(tmp_path, monkeypatch, capsys):
+    calls = []
+    save = cli.save_snapshot
+
+    def failing_third_save(*args, **kwargs):
+        calls.append(args[1])
+        if len(calls) == 3:
+            raise OSError("no space left on device")
+        save(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "save_snapshot", failing_third_save)
+    out = str(tmp_path / "run")
+    assert run(*sim_args(out)) == 1
+    assert "no space left" in capsys.readouterr().err
+    assert sorted(n for n in os.listdir(out) if n.endswith(".kolm")) == \
+        ["snapshot_000000.kolm", "snapshot_000001.kolm"]
+    for i, t in enumerate((0.0, 0.01)):
+        state = load_snapshot(os.path.join(out, f"snapshot_{i:06d}.kolm"))
+        assert state.t == pytest.approx(t, abs=1e-15)
+    assert not os.path.exists(os.path.join(out, ".kolmosim-lock"))
+
+
+def test_simulate_killed_run_keeps_loadable_snapshots(tmp_path, capsys):
+    # a SIGKILL mid-run: every snapshot on disk loads, the stale lock refuses
+    # the directory until it is deleted by hand, and then a run retakes it
+    out = str(tmp_path / "run")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    argv = sim_args(out, kind="random", n=8, dt=1e-4, t_end=1.0, monitor_every=1)
+    proc = subprocess.Popen([sys.executable, "-m", "kolmosim.cli", *argv], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 2.5
+        while not os.path.exists(os.path.join(out, "snapshot_000001.kolm")):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.005)
+    finally:
+        proc.kill()
+        proc.wait()
+    snaps = sorted(n for n in os.listdir(out) if n.endswith(".kolm"))
+    assert snaps[:2] == ["snapshot_000000.kolm", "snapshot_000001.kolm"]
+    for name in snaps:
+        load_snapshot(os.path.join(out, name))
+    assert run(*sim_args(out)) == 1
+    err = capsys.readouterr().err
+    assert "owned by another" in err and "by hand" in err
+    os.remove(os.path.join(out, ".kolmosim-lock"))
+    assert run(*sim_args(out, t_end=0.01)) == 0
+
+
+def test_simulate_stops_at_the_first_extrema_violation(tmp_path, monkeypatch, capsys):
+    # from its third sample on, every sample fails the envelope check: the
+    # run ends there, with 3 snapshots and fewer kernel calls than in full
+    def summary(out):
+        with open(os.path.join(out, "summary.txt")) as fh:
+            return dict(line.split(" = ", 1) for line in fh.read().splitlines())
+
+    full = str(tmp_path / "full")
+    assert run(*sim_args(full)) == 0
+    calls = []
+    monitor = cli.extrema_monitor
+
+    def failing_from_the_third(*args, **kwargs):
+        calls.append(1)
+        report = monitor(*args, **kwargs)
+        return report if len(calls) < 3 else replace(report, passed=False)
+
+    monkeypatch.setattr(cli, "extrema_monitor", failing_from_the_third)
+    out = str(tmp_path / "run")
+    capsys.readouterr()
+    assert run(*sim_args(out)) == 2
+    assert "extrema monitor failed at t = 0.02" in capsys.readouterr().err.splitlines()
+    assert sorted(n for n in os.listdir(out) if n.endswith(".kolm")) == \
+        [f"snapshot_{i:06d}.kolm" for i in range(3)]
+    got = summary(out)
+    assert got["status"] == "aborted-monitor" and got["samples"] == "3"
+    assert int(got["rhs_evaluations"]) < int(summary(full)["rhs_evaluations"])
+    assert len(read_diagnostics_csv(os.path.join(out, "diagnostics.csv"))) == 3
+
+
 def test_simulate_taylor_green_divergence_free(tmp_path):
     out = str(tmp_path / "run")
     rc = run(*sim_args(out, preset="taylor-green", v_scale=0.1, t_end=0.01,
@@ -207,8 +306,8 @@ def test_simulate_summary_reports_rejected_steps(tmp_path, monkeypatch):
     runs = []
     integrate = cli.integrate
 
-    def recording_integrate(*args):
-        runs.append(integrate(*args))
+    def recording_integrate(*args, **kwargs):
+        runs.append(integrate(*args, **kwargs))
         return runs[-1]
 
     monkeypatch.setattr(cli, "integrate", recording_integrate)
@@ -230,8 +329,8 @@ def test_simulate_summary_reports_grid_and_aliasing(tmp_path, monkeypatch, capsy
     runs = []
     integrate = cli.integrate
 
-    def recording_integrate(*args):
-        runs.append((args, integrate(*args)))
+    def recording_integrate(*args, **kwargs):
+        runs.append((args, integrate(*args, **kwargs)))
         return runs[-1][1]
 
     monkeypatch.setattr(cli, "integrate", recording_integrate)

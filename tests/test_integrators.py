@@ -555,3 +555,102 @@ class TestLockstep:
             with pytest.raises(ValueError, match="share"):
                 integrate_lockstep([divergence_free_random_state(75, cutoff=6), other],
                                    config, make_params(bounds=WIDE), CutoffProfile(WIDE))
+
+
+class TestSampleHook:
+    @staticmethod
+    def recorder(seen):
+        def on_sample(member, state):
+            seen.append((member, state))
+        return on_sample
+
+    def test_hook_changes_no_number_of_the_run(self):
+        # rk4, rk45 (with rejections) and a two-member lockstep: the same
+        # states, steps, rejected steps and evaluations with and without the
+        # hook, and the hook sees each member's states in order
+        params = make_params(bounds=WIDE)
+        rk4 = IntegratorConfig(method="rk4", dt=1e-3, t_end=0.01, monitor_every=3)
+        rk45 = IntegratorConfig(method="rk45", dt=0.05, abs_tol=1e-7, rel_tol=1e-7,
+                                t_end=0.01, monitor_every=2)
+        cases = [(rk4, [divergence_free_random_state(81, cutoff=6)]),
+                 (rk45, [divergence_free_random_state(82, cutoff=6)]),
+                 (rk4, [drifting_state(83), constant_state(cutoff=6)])]
+        for config, states in cases:
+            plain = integrate_lockstep(states, config, params, CutoffProfile(WIDE))
+            seen = []
+            hooked = integrate_lockstep(states, config, params, CutoffProfile(WIDE),
+                                        on_sample=self.recorder(seen))
+            for member, (got, ref) in enumerate(zip(hooked, plain)):
+                assert got.status == "completed"
+                assert (got.steps, got.rejected, got.evaluations) == \
+                    (ref.steps, ref.rejected, ref.evaluations)
+                assert_same_run(got, ref)
+                mine = [st for m, st in seen if m == member]
+                assert [id(st) for st in mine] == [id(st) for st in got.states]
+            assert (hooked[0].rejected >= 1) == (config is rk45)
+
+    def test_datum_is_sampled_before_the_first_kernel_call(self, monkeypatch):
+        events = []
+        kernel = integrators.rhs
+
+        def recording_rhs(*args, **kwargs):
+            events.append("rhs")
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(integrators, "rhs", recording_rhs)
+        state = divergence_free_random_state(84, cutoff=6)
+        for method in ("rk4", "rk45"):
+            events.clear()
+            config = IntegratorConfig(method=method, dt=1e-3, t_end=0.002, monitor_every=1)
+            integrate(state, config, make_params(bounds=WIDE), CutoffProfile(WIDE),
+                      on_sample=lambda m, st: events.append(("sample", st.t)))
+            assert events[0] == ("sample", 0.0) and events[1] == "rhs"
+            assert [e for e in events if e != "rhs"] == \
+                [("sample", 0.0), ("sample", 0.001), ("sample", 0.002)]
+        # with nothing to step, the datum is still sampled, and a message ends it
+        events.clear()
+        config = IntegratorConfig(method="rk4", dt=1e-3, t_end=0.0)
+        traj = integrate(state, config, make_params(bounds=WIDE), CutoffProfile(WIDE),
+                         on_sample=lambda m, st: events.append(st.t) or "stop")
+        assert events == [0.0]
+        assert (traj.status, traj.message, traj.steps, len(traj.states)) == \
+            ("aborted-monitor", "stop", 0, 1)
+
+    def test_hook_stop_leaves_with_its_solo_prefix(self):
+        # the hook stops member 0 at its second sample (t = 1e-3); member 1
+        # runs on to its full solo run
+        stopped = divergence_free_random_state(85, dim=2, cutoff=8)
+        steady = divergence_free_random_state(3, dim=2, cutoff=8)
+        config = IntegratorConfig(method="rk4", dt=1e-4, t_end=0.002, monitor_every=10)
+        params = make_params(bounds=WIDE)
+        solo = [integrate(st, config, params, CutoffProfile(WIDE))
+                for st in (stopped, steady)]
+        counts = [0, 0]
+
+        def stop_member_0_at_its_second_sample(member, state):
+            counts[member] += 1
+            return "enough" if member == 0 and counts[0] == 2 else None
+
+        runs = integrate_lockstep([stopped, steady], config, params, CutoffProfile(WIDE),
+                                  on_sample=stop_member_0_at_its_second_sample)
+        assert counts == [2, 3]
+        assert (runs[0].status, runs[0].message, runs[0].steps) == ("aborted-monitor",
+                                                                    "enough", 10)
+        assert runs[0].evaluations == 40 and len(runs[0].states) == 2
+        for got, ref in zip(runs[0].states, solo[0].states):
+            assert got.t == ref.t and np.array_equal(pack(got), pack(ref))
+        assert runs[1].status == "completed" and runs[1].steps == 20
+        assert_same_run(runs[1], solo[1])
+
+    def test_guard_trip_takes_precedence_over_the_hook(self):
+        # test_guard_trip_leaves_with_its_solo_run's constant state trips the
+        # guard at its first sample; a hook stopping it there too is
+        # still called, but the member leaves as aborted-blowup
+        config = IntegratorConfig(method="rk4", dt=1e-4, t_end=0.002,
+                                  monitor_every=10, blowup_factor=0.3)
+        seen = []
+        traj = integrate(constant_state(cutoff=8), config, make_params(bounds=WIDE),
+                         CutoffProfile(WIDE),
+                         on_sample=lambda m, st: seen.append(st.t) or
+                         (None if st.t == 0.0 else "stop"))
+        assert len(seen) == 2 and traj.status == "aborted-blowup" and traj.steps == 10
