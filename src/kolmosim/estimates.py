@@ -18,12 +18,13 @@ partition).
 A campaign evaluates its samples in stacks: as many samples as fit their
 largest quadrature grid in _STACK_BYTES (256 KiB), at least one.  Sample i
 still draws its fields from its own stream, but the stack's fields are
-coefficient arrays, (samples, fields) + cube, and each operand group takes
+canonical halves, (samples, fields, n_half), and each operand group takes
 one transform call per stack: the commutator's f, g and J^s g, its
-products, the grid norms of one inequality's side (`_lp_norms`).  Every
-value is bit for bit the one-sample evaluation's, and the public
-one-field functions (`commutator`, `field_lp`, `field_lps`) are the
-one-sample case of the same stacked helpers.
+products, the grid norms of one inequality's side (`_lp_norms`).  A half
+can only describe a real field, so the stacked helpers convert no layout
+and check nothing.  The public one-field functions (`commutator`,
+`field_lp`, `field_lps`) are their one-sample case, and every value is bit
+for bit the one-sample evaluation's.
 """
 
 from __future__ import annotations
@@ -37,10 +38,10 @@ import numpy as np
 
 from .cutoffs import CutoffProfile, smooth_step
 from .integrators import IntegratorConfig, integrate_lockstep
-from .spectral import (FOUR_PI_SQ, REAL_TOL, SpectralField, VectorSpectralField,
-                       _geometry, coefficients_to_real_grid, cube_to_half, fast_grid_size,
-                       half_to_cube, lp_norm, real_grid_to_coefficients, realness_residual,
-                       spectral_product, spectral_products, symmetrize)
+from .spectral import (FOUR_PI_SQ, SpectralField, VectorSpectralField, _geometry,
+                       coefficients_to_real_grid, cube_to_half, fast_grid_size, half_to_cube,
+                       lp_norm, real_grid_to_coefficients, real_halves, spectral_product,
+                       spectral_products, symmetrize)
 from .system import ModelParams, SimState, pack, triple_sq
 
 
@@ -58,40 +59,41 @@ class RandomFieldSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dim < 2 or self.cutoff < 1 or self.rho < 0:
-            raise ValueError("need dim >= 2, cutoff >= 1, rho >= 0")
+        if self.dim < 2 or self.cutoff < 1:
+            raise ValueError("need dim >= 2, cutoff >= 1")
+        if not 0.0 <= self.rho < math.inf:
+            raise ValueError(f"rho must be finite and >= 0, got {self.rho!r}")
 
     def rng(self, index: int) -> np.random.Generator:
         return np.random.default_rng((self.seed, index))
 
     def draw(self, rng: np.random.Generator, scale: float = 1.0,
              shift: float = 0.0) -> SpectralField:
-        return SpectralField(self.dim, self.cutoff,
-                             self._fields(self._normals(rng), scale, shift))
+        return SpectralField(self.dim, self.cutoff, half_to_cube(
+            self._halves(self._normals(rng), scale, shift), self.dim, self.cutoff))
 
     def draws(self, indices: Sequence[int], count: int) -> np.ndarray:
-        """(len(indices), count) + cube: the coefficients of the first `count`
-        fields sample i draws from rng(i), bit for bit those of draw."""
-        out = np.empty((len(indices), count) + (2 * self.cutoff - 1,) * self.dim,
-                       dtype=complex)
-        for j, i in enumerate(indices):
-            rng = self.rng(i)
-            for a in range(count):
-                out[j, a] = self._normals(rng)
-        return self._fields(out)
+        """(len(indices), count, n_half): the canonical halves of the first
+        `count` fields sample i draws from rng(i), bit for bit those of draw."""
+        normals = [self._normals(rng) for rng in map(self.rng, indices) for _ in range(count)]
+        return self._halves(np.stack(normals)).reshape(len(indices), count, -1)
 
     def _normals(self, rng: np.random.Generator) -> np.ndarray:
-        shape = (2 * self.cutoff - 1,) * self.dim
-        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        size = (2 * self.cutoff - 1) ** self.dim
+        return rng.normal(size=size) + 1j * rng.normal(size=size)
 
-    def _fields(self, normals: np.ndarray, scale: float = 1.0,
+    def _halves(self, normals: np.ndarray, scale: float = 1.0,
                 shift: float = 0.0) -> np.ndarray:
-        """Damped, scaled, conjugate-symmetrized normals (a stack of cubes),
-        mean set to shift, masked to the ball."""
-        c = symmetrize(normals * _damping(self.dim, self.cutoff, float(self.rho)) * scale,
-                       self.dim)
-        c[(Ellipsis,) + (self.cutoff - 1,) * self.dim] = shift
-        return np.where(_geometry(self.dim, self.cutoff).ball, c, 0.0)
+        """Canonical halves 0.5 (N(k) d + conj(N(-k) d)) of a stack of flat
+        normal cubes N, d = (1+|k|)^(-rho) scale, the mean set to shift."""
+        geo = _geometry(self.dim, self.cutoff)
+        damping = _damping(self.dim, self.cutoff, float(self.rho))
+        # take keeps the halves C-ordered: each sample's sums run as draw's do
+        half = 0.5 * (normals.take(geo.half, axis=-1) * damping * scale
+                      + np.conj(normals.take(geo.k_sq.size - 1 - geo.half, axis=-1)
+                                * damping * scale))
+        half[..., geo.half_weight == 1.0] = shift
+        return half
 
     def with_cutoff(self, cutoff: int) -> "RandomFieldSpec":
         return replace(self, cutoff=cutoff)
@@ -99,8 +101,9 @@ class RandomFieldSpec:
 
 @functools.lru_cache(maxsize=None)
 def _damping(dim: int, cutoff: int, rho: float) -> np.ndarray:
-    """(1+|k|)^(-rho) on the centered cube, built once per (dim, cutoff, rho)."""
-    amp = (1.0 + np.sqrt(_geometry(dim, cutoff).k_sq)) ** (-rho)
+    """(1+|k|)^(-rho) at the half's modes, built once per (dim, cutoff, rho)."""
+    geo = _geometry(dim, cutoff)
+    amp = ((1.0 + np.sqrt(geo.k_sq)) ** (-rho)).ravel()[geo.half]
     amp.setflags(write=False)
     return amp
 
@@ -165,20 +168,6 @@ class EstimateReport:
     meta: Dict
     stability: Optional[Dict] = None
 
-    @classmethod
-    def from_pairs(cls, name: str, pairs: Sequence[Tuple[float, float]],
-                   skipped: int, meta: Dict) -> "EstimateReport":
-        lhs = [a for a, _ in pairs]
-        rhs = [b for _, b in pairs]
-        ratios = [a / b for a, b in pairs]
-        if any(not math.isfinite(r) for r in ratios):
-            raise FloatingPointError(f"{name}: non-finite ratio encountered")
-        return cls(name=name, samples=len(pairs) + skipped, lhs=lhs, rhs=rhs,
-                   ratios=ratios,
-                   max_ratio=max(ratios) if ratios else 0.0,
-                   median_ratio=float(np.median(ratios)) if ratios else 0.0,
-                   skipped=skipped, meta=meta)
-
 
 def attach_stability(report: EstimateReport, doubled: EstimateReport) -> EstimateReport:
     lo = max(report.max_ratio, 1e-300)
@@ -196,7 +185,7 @@ def attach_stability(report: EstimateReport, doubled: EstimateReport) -> Estimat
 def field_lp(f, p: float) -> float:
     """L^p norm of the field's real part; vectors use the Euclidean magnitude.
 
-    p = 2 is exact by Parseval, sqrt(sum |symmetrize(c)|^2) over the
+    p = 2 is exact by Parseval, sqrt(sum |c|^2) over the real part's
     coefficients (and the components of a vector), and samples no grid.
     Other p use torus quadrature on the fast_grid_size(4(2n-1)) grid through
     the half spectrum; p = inf is the grid maximum, a lower bound.
@@ -206,34 +195,34 @@ def field_lp(f, p: float) -> float:
 
 def field_lps(fields: Sequence, ps: Sequence[float]) -> List[float]:
     """field_lp(f, p) of each field at its exponent: the one-sample case of
-    `_lp_norms`, so every field that needs a grid (p != 2) is sampled in
-    one batched transform; those fields must share dim and cutoff."""
-    operands = [(f.stack() if isinstance(f, VectorSpectralField) else f.coeffs[None])[None]
-                for f in fields]
-    return [float(norms[0]) for norms in _lp_norms(fields[0].dim, operands, ps)]
+    `_lp_norms` on each field's real part, cube_to_half(symmetrize(c)), so
+    every field that needs a grid (p != 2) is sampled in one batched
+    transform; those fields must share dim and cutoff."""
+    dim, cutoff = fields[0].dim, fields[0].cutoff
+    cubes = [f.stack() if isinstance(f, VectorSpectralField) else f.coeffs[None] for f in fields]
+    operands = [cube_to_half(symmetrize(c, dim), dim)[None] for c in cubes]
+    return [float(norms[0]) for norms in _lp_norms(operands, ps, cutoff, dim)]
 
 
-def _lp_norms(dim: int, operands: Sequence[np.ndarray],
-              ps: Sequence[float]) -> List[np.ndarray]:
-    """field_lps on stacks of samples.  Operand j is a (samples, rows) + cube
-    coefficient stack, one scalar field per sample (rows = 1) or the
-    components of a vector (rows = dim, normed by the Euclidean magnitude),
-    and its norms at ps[j] come back as one array of a value per sample,
-    each bit for bit the one-sample call's.  The operands with p != 2 share
-    one transform call, so they must share the cube."""
+def _lp_norms(operands: Sequence[np.ndarray], ps: Sequence[float], cutoff: int,
+              dim: int) -> List[np.ndarray]:
+    """field_lps on stacks of samples.  Operand j is a (samples, rows, n_half)
+    stack of canonical halves, a scalar field per sample (rows = 1) or a
+    vector's components (rows = dim, normed by the Euclidean magnitude); its
+    norms at ps[j] come back as an array of one value per sample, each bit
+    for bit the one-sample call's.  p = 2 sums half_weight |c|^2 (Parseval);
+    the operands with p != 2 share one transform call."""
     gridded = [c for c, p in zip(operands, ps) if p != 2]
     if gridded:
         stack = np.concatenate(gridded, axis=1)
-        n = (stack.shape[-1] + 1) // 2
-        grids = coefficients_to_real_grid(
-            cube_to_half(symmetrize(stack.reshape((-1,) + stack.shape[2:]), dim), dim), n, dim,
-            _norm_points(n))
+        grids = coefficients_to_real_grid(stack.reshape(-1, stack.shape[-1]), cutoff, dim,
+                                          _norm_points(cutoff))
         grids = grids.reshape(stack.shape[:2] + grids.shape[1:])
         grids = iter(np.split(grids, np.cumsum([c.shape[1] for c in gridded[:-1]]), axis=1))
     norms = []
     for c, p in zip(operands, ps):
         if p == 2:
-            sq = np.abs(symmetrize(c, dim)) ** 2
+            sq = _geometry(dim, cutoff).half_weight * np.abs(c) ** 2
             norms.append(np.sqrt(np.sum(sq.reshape(len(c), -1), axis=1)))
             continue
         grid = next(grids)              # the call's own output: overwritten in place
@@ -249,9 +238,10 @@ def _lp_norms(dim: int, operands: Sequence[np.ndarray],
     return norms
 
 
-def _bessel(coeffs: np.ndarray, s: float, dim: int) -> np.ndarray:
-    """J^s of a stack of cubes, as SpectralField.bessel."""
-    return coeffs * _geometry(dim, (coeffs.shape[-1] + 1) // 2).bessel_weight(s / 2.0)
+def _bessel(half: np.ndarray, s: float, cutoff: int, dim: int) -> np.ndarray:
+    """J^s of a stack of canonical halves: SpectralField.bessel's weights
+    (1 + 4 pi^2 |k|^2)^(s/2), read at the half's modes."""
+    return half * _geometry(dim, cutoff).half_bessel_weight(s / 2.0)
 
 
 def _norm_points(cutoff: int) -> int:
@@ -272,37 +262,31 @@ def _check_holder(p, parts):
 
 def commutator(f: SpectralField, g: SpectralField, s: float) -> SpectralField:
     """[J^s, f] g = J^s(fg) - f J^s g of real fields, exact on the doubled ball
-    2n-1: the one-sample case of `_commutators`."""
+    2n-1: the one-sample case of `_commutators`.  As `spectral_product` does,
+    it refuses an operand, f, g or J^s g, that is not real (`real_halves`)."""
     if (f.dim, f.cutoff) != (g.dim, g.cutoff):
         raise ValueError("operands must share layout")
-    return SpectralField(f.dim, 2 * f.cutoff - 1,
-                         _commutators(f.coeffs, g.coeffs, s, f.dim))
+    d, n, m = f.dim, f.cutoff, 2 * f.cutoff - 1
+    f_half, g_half, _ = real_halves(np.stack((f.coeffs, g.coeffs, g.bessel(s).coeffs)), d,
+                                    "commutator")
+    return SpectralField(d, m, half_to_cube(_commutators(f_half, g_half, s, n, d), d, m))
 
 
-def _commutators(f: np.ndarray, g: np.ndarray, s: float, dim: int) -> np.ndarray:
-    """[J^s, f] g of stacks of real fields (batch + cube), as batch + the
-    cube of the doubled ball 2n-1.
-
-    Products of two cutoff-n fields live inside cutoff 2n-1, so computing
-    there loses nothing.  The stack's f, g and J^s g are sampled in one
-    real inverse transform call on the 2(2n-1) grid, where the products
-    f g and f J^s g are alias-free, and all products come back in one
-    forward call; each result equals the convolution to roundoff and is bit
-    for bit its one-sample call's.  As in `spectral_product`, an operand
-    (f, g or J^s g) whose realness residual exceeds REAL_TOL (or is NaN)
-    raises ValueError.
-    """
-    n = (f.shape[-1] + 1) // 2
-    m = 2 * n - 1
-    trio = np.stack((f, g, _bessel(g, s, dim)), axis=-dim - 1)
-    residual = realness_residual(trio, dim)
-    if not residual <= REAL_TOL:
-        raise ValueError(f"commutator takes real fields: realness residual {residual:.3e}")
-    grids = coefficients_to_real_grid(
-        cube_to_half(symmetrize(trio, dim).reshape((-1,) + f.shape[-dim:]), dim), n, dim, 2 * m)
-    grids = np.moveaxis(grids.reshape(trio.shape[:-dim] + grids.shape[1:]), -dim - 1, 0)
-    fg, f_jsg = half_to_cube(real_grid_to_coefficients(grids[1:] * grids[0], m, dim), dim, m)
-    return _bessel(fg, s, dim) - f_jsg
+def _commutators(f: np.ndarray, g: np.ndarray, s: float, cutoff: int,
+                 dim: int) -> np.ndarray:
+    """[J^s, f] g of stacks of canonical halves (batch + (n_half,)), as the
+    halves of the doubled ball 2n-1, inside which products of two cutoff-n
+    fields live.  The stack's f, g and J^s g are sampled in one inverse
+    transform call on the 2(2n-1) grid, where f g and f J^s g are
+    alias-free, and all products come back in one forward call; each result
+    equals the convolution to roundoff and is bit for bit its one-sample
+    call's."""
+    m = 2 * cutoff - 1
+    trio = np.stack((f, g, _bessel(g, s, cutoff, dim)), axis=-2)
+    grids = coefficients_to_real_grid(trio.reshape(-1, trio.shape[-1]), cutoff, dim, 2 * m)
+    grids = np.moveaxis(grids.reshape(trio.shape[:-1] + grids.shape[1:]), -dim - 1, 0)
+    fg, f_jsg = real_grid_to_coefficients(grids[1:] * grids[0], m, dim)
+    return _bessel(fg, s, m, dim) - f_jsg
 
 
 @dataclass(frozen=True)
@@ -425,14 +409,14 @@ def verify_commutator_estimate(spec: RandomFieldSpec, s: float, p: float = 2.0,
     _check_holder(p, [(p1, p2), (p3, p4)])
     d, n = spec.dim, spec.cutoff
     m = 2 * n - 1
-    grad = _geometry(d, n).grad
+    grad = _geometry(d, n).half_grad
 
     def stack(indices):
         f, g = np.moveaxis(spec.draws(indices, 2), 1, 0)
-        lhs = _lp_norms(d, [_commutators(f, g, s, d)[:, None]], (p,))[0]
+        lhs = _lp_norms([_commutators(f, g, s, n, d)[:, None]], (p,), m, d)[0]
         grad_f, jg, g_p3, jsf = (x.tolist() for x in _lp_norms(
-            d, [f[:, None] * grad, _bessel(g, s - 1.0, d)[:, None], g[:, None],
-                _bessel(f, s, d)[:, None]], (p1, p2, p3, p4)))
+            [f[:, None] * grad, _bessel(g, s - 1.0, n, d)[:, None], g[:, None],
+             _bessel(f, s, n, d)[:, None]], (p1, p2, p3, p4), n, d))
         return lhs.tolist(), [a * b + c * e for a, b, c, e in zip(grad_f, jg, g_p3, jsf)]
 
     norm_rows = sum(rows for rows, q in zip((d, 1, 1, 1), (p1, p2, p3, p4)) if q != 2)
@@ -453,11 +437,11 @@ def verify_product_estimate(spec: RandomFieldSpec, s: float,
     def stack(indices):
         pairs = spec.draws(indices, 2)
         f, g = np.moveaxis(pairs, 1, 0)
-        fg = spectral_products(pairs, d, out_cutoff=m)
-        lhs = _lp_norms(d, [_bessel(fg, s, d)[:, None]], (p,))[0]
+        fg = spectral_products(pairs, n, d, m)
+        lhs = _lp_norms([_bessel(fg, s, m, d)[:, None]], (p,), m, d)[0]
         jsf, g_q1, f_p2, jsg = (x.tolist() for x in _lp_norms(
-            d, [_bessel(f, s, d)[:, None], g[:, None], f[:, None],
-                _bessel(g, s, d)[:, None]], (p1, q1, p2, q2)))
+            [_bessel(f, s, n, d)[:, None], g[:, None], f[:, None],
+             _bessel(g, s, n, d)[:, None]], (p1, q1, p2, q2), n, d))
         return lhs.tolist(), [a * b + c * e for a, b, c, e in zip(jsf, g_q1, f_p2, jsg)]
 
     grids = [(2 * m, 2), (_norm_points(n), sum(q != 2 for q in (p1, q1, p2, q2))),
@@ -539,22 +523,21 @@ def verify_composition_estimate(spec: RandomFieldSpec, s: float,
     if g_name not in _SMOOTH_MAPS:
         raise ValueError(f"unknown smooth map {g_name!r}; "
                          f"choose from {sorted(_SMOOTH_MAPS)}")
-    ceil_s = math.ceil(s)
     d, n = spec.dim, spec.cutoff
+    m = 2 * n - 1
     points = _norm_points(n)
 
     def stack(indices):
         f = spec.draws(indices, 1)[:, 0]
-        grids = coefficients_to_real_grid(cube_to_half(symmetrize(f, d), d), n, d, points)
+        grids = coefficients_to_real_grid(f, n, d, points)
         f_inf = np.max(np.abs(grids), axis=tuple(range(1, d + 1))).tolist()
         grids = _SMOOTH_MAPS[g_name][0](grids)     # f's samples freed before the forward
-        gf = half_to_cube(real_grid_to_coefficients(grids, 2 * n - 1, d, overwrite=True),
-                          d, 2 * n - 1)
+        gf = real_grid_to_coefficients(grids, m, d, overwrite=True)
+        hs_f = _lp_norms([_bessel(f, s, n, d)[:, None]], (2.0,), n, d)[0].tolist()
         rhs = [0.0 if r == 0.0                    # skipped: 0/0
-               else smooth_map_derivative_bound(g_name, ceil_s + 1, r)
-               * (1.0 + r) ** ceil_s * hs
-               for r, hs in zip(f_inf, np.sqrt(triple_sq(f[:, None], s)).tolist())]
-        return np.sqrt(triple_sq(gf[:, None], s)).tolist(), rhs
+               else smooth_map_derivative_bound(g_name, math.ceil(s) + 1, r)
+               * (1.0 + r) ** math.ceil(s) * hs for r, hs in zip(f_inf, hs_f)]
+        return _lp_norms([_bessel(gf, s, m, d)[:, None]], (2.0,), m, d)[0].tolist(), rhs
 
     return _collect(f"composition[{g_name}]", spec, samples, [(points, 1)], stack,
                     dict(s=s, G=g_name))
@@ -565,22 +548,23 @@ def verify_interpolation_inequality(spec: RandomFieldSpec, s: float,
     """ratio = |grad f|_inf / (|f|_Hs^theta |f|_H(s+1)^(1-theta)) on the
     d/2 < s <= d/2+1 branch with theta = (s - d/2)/2; above that branch the
     denominator is |f|_Hs alone."""
-    d = spec.dim
+    d, n = spec.dim, spec.cutoff
     if s <= d / 2:
         raise ValueError("need s > d/2")
     on_branch = s <= d / 2 + 1.0
     theta = 0.5 * (s - d / 2) if on_branch else None
-    grad = _geometry(d, spec.cutoff).grad
+    grad = _geometry(d, n).half_grad
 
     def stack(indices):
         f = spec.draws(indices, 1)[:, 0]
-        lhs = _lp_norms(d, [f[:, None] * grad], (np.inf,))[0]
-        hs, hs_up = (np.sqrt(triple_sq(f[:, None], q)).tolist() for q in (s, s + 1.0))
+        lhs = _lp_norms([f[:, None] * grad], (np.inf,), n, d)[0]
+        hs, hs_up = (x.tolist() for x in _lp_norms(
+            [_bessel(f, s, n, d)[:, None], _bessel(f, s + 1.0, n, d)[:, None]], (2.0, 2.0), n, d))
         rhs = [0.0 if a == 0.0 else a ** theta * b ** (1.0 - theta) if on_branch else a
                for a, b in zip(hs, hs_up)]
         return lhs.tolist(), rhs
 
-    return _collect("interpolation", spec, samples, [(_norm_points(spec.cutoff), d)], stack,
+    return _collect("interpolation", spec, samples, [(_norm_points(n), d)], stack,
                     dict(s=s, theta=theta, boundary=s == d / 2 + 1.0))
 
 
@@ -599,10 +583,14 @@ def _collect(name: str, spec: RandomFieldSpec, samples: int,
     `grids` lists the (points per axis, fields) of each grid one sample
     needs; a stack holds as many samples as fit their largest grid in
     _STACK_BYTES, and at least one.  `stack(indices)` returns the lhs and
-    rhs of those samples; a sample whose rhs is not positive is skipped.
+    rhs of those samples.  A sample whose rhs is 0 is skipped; one whose lhs,
+    rhs or ratio is not finite raises ValueError, as does a non-finite s
+    (extra_meta["s"]) before any sample is drawn.
     """
     if samples < 1:
         raise ValueError(f"{name}: need at least 1 sample, got {samples}")
+    if not math.isfinite(extra_meta["s"]):
+        raise ValueError(f"{name}: s must be finite, got {extra_meta['s']!r}")
     largest = max(8 * fields * points ** spec.dim for points, fields in grids)   # float64
     size = max(1, _STACK_BYTES // largest)
     lhs, rhs = [], []
@@ -610,10 +598,16 @@ def _collect(name: str, spec: RandomFieldSpec, samples: int,
         a, b = stack(range(lo, min(lo + size, samples)))
         lhs += a
         rhs += b
-    pairs = [(a, b) for a, b in zip(lhs, rhs) if b > 0.0]
-    meta = dict(dim=spec.dim, cutoff=spec.cutoff, rho=spec.rho,
-                seed=spec.seed, **extra_meta)
-    return EstimateReport.from_pairs(name, pairs, len(lhs) - len(pairs), meta)
+    for i, (a, b) in enumerate(zip(lhs, rhs)):
+        if not (math.isfinite(a) and math.isfinite(b) and (b == 0.0 or math.isfinite(a / b))):
+            raise ValueError(f"{name}: sample {i} has lhs {a!r} and rhs {b!r}: not finite")
+    kept = [(a, b) for a, b in zip(lhs, rhs) if b != 0.0]
+    ratios = [a / b for a, b in kept]
+    return EstimateReport(
+        name=name, samples=samples, lhs=[a for a, _ in kept], rhs=[b for _, b in kept],
+        ratios=ratios, max_ratio=max(ratios, default=0.0),
+        median_ratio=float(np.median(ratios)) if ratios else 0.0, skipped=samples - len(kept),
+        meta=dict(dim=spec.dim, cutoff=spec.cutoff, rho=spec.rho, seed=spec.seed, **extra_meta))
 
 
 # -- uniqueness probe --------------------------------------------------------------

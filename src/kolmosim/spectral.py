@@ -17,21 +17,21 @@ last nonzero component is positive, and k = 0) holds every real field's
 degrees of freedom, 397 modes against the cube's 961 at d = 2, n = 16.
 `cube_to_half` and `half_to_cube` convert between the two layouts.  The
 half is the only layout below the field algebra: the time-stepping loop,
-the transform pair, `leray_coefficients` and `div_residual` take canonical
-half stacks, and the cube holders (`SpectralField`, `VectorSpectralField`
-and the stacked products) convert at their own boundary, with
-cube_to_half(symmetrize(c)) in and half_to_cube out.  There is one
-transform pair, on the real half spectrum: `coefficients_to_real_grid`
-samples canonical halves and `real_grid_to_coefficients` takes real samples
-back to them.  Only the first `cutoff` bins of the last axis can hold a
-mode, so the pair runs its complex passes on those columns alone, scipy's
-1-D FFT once per leading axis, and the last axis's real pass as a product
-with a matrix cached per (cutoff, points) (`_real_pass`), one BLAS call per
-2-D slice; numpy's FFTs are not used.  The half's bins are flat indices
-cached per size.
+the transform pair, `leray_coefficients`, `div_residual`,
+`spectral_products` and the estimate lab's stacks take canonical halves,
+and the cube holders (`SpectralField`, `VectorSpectralField`) convert at
+their own boundary, cube_to_half(symmetrize(c)) in and half_to_cube out.
+There is one transform pair, on the real half spectrum:
+`coefficients_to_real_grid` samples canonical halves and
+`real_grid_to_coefficients` takes real samples back to them.  Only the
+first `cutoff` bins of the last axis can hold a mode, so the pair runs its
+complex passes on those columns alone, scipy's 1-D FFT once per leading
+axis, and the last axis's real pass as a product with a matrix cached per
+(cutoff, points) (`_real_pass`), one BLAS call per 2-D slice; numpy's FFTs
+are not used.  The half's bins are flat indices cached per size.
 `real_samples` samples a field's real part symmetrize(c), `from_grid` takes
-real samples only, and `spectral_product` (like `spectral_products`, its
-form on stacks of pairs) refuses a field that is not real.
+real samples only, and `spectral_product` refuses a field that is not real
+(`real_halves`); its form on stacks of halves checks nothing.
 """
 
 from __future__ import annotations
@@ -80,15 +80,19 @@ class _ModeGeometry:
         half_sq = self.k_sq.ravel()[self.half]
         self.half_denom = np.where(half_sq == 0, 1, half_sq)     # |k|^2, 0 read as 1
         self._weights: Dict[float, np.ndarray] = {}
+        self._half_weights: Dict[float, np.ndarray] = {}
 
     def bessel_weight(self, s: float) -> np.ndarray:
         """(1 + 4 pi^2 |k|^2)^s on the cube (note: exponent s, not s/2)."""
-        s = float(s)
-        w = self._weights.get(s)
-        if w is None:
-            w = (1.0 + FOUR_PI_SQ * self.k_sq) ** s
-            self._weights[s] = w
-        return w
+        if float(s) not in self._weights:
+            self._weights[float(s)] = (1.0 + FOUR_PI_SQ * self.k_sq) ** float(s)
+        return self._weights[float(s)]
+
+    def half_bessel_weight(self, s: float) -> np.ndarray:
+        """bessel_weight(s) at the canonical half's modes."""
+        if float(s) not in self._half_weights:
+            self._half_weights[float(s)] = self.bessel_weight(s).ravel()[self.half]
+        return self._half_weights[float(s)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -244,6 +248,15 @@ def realness_residual(coeffs: np.ndarray, dim: int) -> float:
     dev = np.max(np.abs(coeffs - conj_flip(coeffs, dim)), axis=axes)
     scale = np.maximum(np.max(np.abs(coeffs), axis=axes), _TINY)
     return float(np.max(dev / scale))
+
+
+def real_halves(cubes: np.ndarray, dim: int, caller: str) -> np.ndarray:
+    """cube_to_half(symmetrize(cubes)) of a stack of real fields' cubes;
+    ValueError naming `caller` if its realness residual exceeds REAL_TOL."""
+    residual = realness_residual(cubes, dim)
+    if not residual <= REAL_TOL:
+        raise ValueError(f"{caller} takes real fields: realness residual {residual:.3e}")
+    return cube_to_half(symmetrize(cubes, dim), dim)
 
 
 def leray_coefficients(stack: np.ndarray, dim: int, cutoff: int) -> np.ndarray:
@@ -500,29 +513,21 @@ def spectral_product(f: SpectralField, g: SpectralField, oversample: int = 2,
     if (f.dim, f.cutoff) != (g.dim, g.cutoff):
         raise ValueError("operands must share layout")
     n_out = out_cutoff if out_cutoff is not None else f.cutoff
-    return SpectralField(f.dim, n_out, spectral_products(np.stack((f.coeffs, g.coeffs)),
-                                                         f.dim, oversample, n_out))
+    pair = real_halves(np.stack((f.coeffs, g.coeffs)), f.dim, "spectral_product")
+    fg = spectral_products(pair, f.cutoff, f.dim, n_out, oversample)
+    return SpectralField(f.dim, n_out, half_to_cube(fg, f.dim, n_out))
 
 
-def spectral_products(pairs: np.ndarray, dim: int, oversample: int = 2,
-                      out_cutoff: int | None = None) -> np.ndarray:
-    """P_m(f g) of a stack of real field pairs: pairs is batch + (2,) + cube,
-    the result batch + the cube of cutoff m (default: the operands' cutoff).
-
+def spectral_products(pairs: np.ndarray, cutoff: int, dim: int, out_cutoff: int,
+                      oversample: int = 2) -> np.ndarray:
+    """P_m(f g), m = out_cutoff, of a stack of real field pairs as canonical
+    halves: pairs is batch + (2, n_half), the result batch + m's n_half.
     The whole stack takes one inverse and one forward transform call, and
-    each product is bit for bit its one-pair call's.  A stack holding an
-    operand whose realness residual exceeds REAL_TOL (or is NaN) raises
-    ValueError.
+    each product is bit for bit its one-pair call's.
     """
-    residual = realness_residual(pairs, dim)
-    if not residual <= REAL_TOL:
-        raise ValueError(f"spectral_product takes real fields: realness residual {residual:.3e}")
-    cutoff = (pairs.shape[-1] + 1) // 2
-    n_out = out_cutoff if out_cutoff is not None else cutoff
-    grids = coefficients_to_real_grid(cube_to_half(symmetrize(pairs, dim), dim), cutoff, dim,
-                                      oversample * (2 * cutoff - 1))
+    grids = coefficients_to_real_grid(pairs, cutoff, dim, oversample * (2 * cutoff - 1))
     f, g = np.moveaxis(grids, -dim - 1, 0)
-    return half_to_cube(real_grid_to_coefficients(f * g, n_out, dim), dim, n_out)
+    return real_grid_to_coefficients(f * g, out_cutoff, dim)
 
 
 # -- grid quadrature norms -----------------------------------------------------------

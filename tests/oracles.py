@@ -143,17 +143,18 @@ def composition_sample(spec, i, s, g_name="sin"):
     gf = SpectralField(f.dim, m, half_to_cube(
         real_grid_to_coefficients(_SMOOTH_MAPS[g_name][0](grid), m, f.dim), f.dim, m))
     bound = smooth_map_derivative_bound(g_name, math.ceil(s) + 1, f_inf)
-    return gf.hs_norm(s), bound * (1.0 + f_inf) ** math.ceil(s) * f.hs_norm(s)
+    return (field_lp(gf.bessel(s), 2.0),
+            bound * (1.0 + f_inf) ** math.ceil(s) * field_lp(f.bessel(s), 2.0))
 
 
 def interpolation_sample(spec, i, s):
     """(lhs, rhs) of interpolation campaign sample i; (0, 0) where f = 0."""
     f = spec.draw(spec.rng(i))
-    hs = f.hs_norm(s)
+    hs = field_lp(f.bessel(s), 2.0)
     if hs == 0.0:
         return 0.0, 0.0
     lhs = field_lp(f.gradient(), np.inf)
     if s > f.dim / 2 + 1.0:
         return lhs, hs
     theta = 0.5 * (s - f.dim / 2)
-    return lhs, hs ** theta * f.hs_norm(s + 1.0) ** (1.0 - theta)
+    return lhs, hs ** theta * field_lp(f.bessel(s + 1.0), 2.0) ** (1.0 - theta)

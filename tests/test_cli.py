@@ -466,6 +466,27 @@ def test_verify_refuses_empty_campaign(tmp_path, capsys, monkeypatch, name, samp
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["verify", "interpolation", "--s", "nan"], "s must be finite"),
+    (["verify", "product", "--s", "inf"], "s must be finite"),
+    (["verify", "commutator", "--s", "nan"], "s must be finite"),
+    (["verify", "composition", "--s=-inf"], "s must be finite"),
+    (["verify", "product", "--rho", "nan"], "rho must be finite"),
+    (["verify", "decomposition", "--rho", "inf"], "rho must be finite"),
+    (["verify", "product", "--s", "400"], "product: sample 0 has lhs inf"),    # J^s overflows
+    (sim_args("run", kind="random", rho="nan"), "rho must be finite"),
+], ids=["interpolation-s-nan", "product-s-inf", "commutator-s-nan", "composition-s-minus-inf",
+        "product-rho-nan", "decomposition-rho-inf", "product-overflow", "simulate-rho-nan"])
+def test_refuses_non_finite_input(tmp_path, capsys, monkeypatch, argv, named):
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "verify":
+        argv = argv + ["--samples", "3", "--cutoff", "4"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(argv) == cli.USAGE_ERROR
+    assert named in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []              # no report, no run directory
+
+
 def test_verify_report_file_written(tmp_path):
     out = str(tmp_path / "report.txt")
     rc = run("verify", "product", "--samples", "4", "--cutoff", "4",

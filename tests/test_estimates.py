@@ -24,8 +24,8 @@ from kolmosim.estimates import (PartitionOfUnity, RandomFieldSpec,
                                 verify_interpolation_inequality,
                                 verify_product_estimate)
 from kolmosim.integrators import IntegratorConfig
-from kolmosim.spectral import (SpectralField, VectorSpectralField,
-                               fast_grid_size, lp_norm, spectral_product)
+from kolmosim.spectral import (SpectralField, VectorSpectralField, _geometry,
+                               fast_grid_size, half_to_cube, lp_norm, spectral_product)
 from kolmosim.system import ModelParams
 from oracles import (commutator_sample, composition_sample, direct_convolution,
                      interpolation_sample, product_sample, trigonometric_sum)
@@ -56,6 +56,20 @@ class TestRandomFieldSpec:
         assert f1.realness_residual() < 1e-15
         other = spec.draw(spec.rng(6))
         assert not np.array_equal(f1.coeffs, other.coeffs)
+
+    def test_stacked_draws_are_the_public_draws(self):
+        """draws' halves expand, bit for bit, to the fields each sample's
+        own stream gives through draw."""
+        for n in (4, 8, 16):
+            spec = RandomFieldSpec(dim=2, cutoff=n, rho=1.5, seed=n)
+            indices = [0, 3, 7]
+            halves = spec.draws(indices, 2)
+            assert halves.shape == (3, 2, _geometry(2, n).half.size)
+            for j, i in enumerate(indices):
+                rng = spec.rng(i)
+                for a in range(2):
+                    assert np.array_equal(half_to_cube(halves[j, a], 2, n),
+                                          spec.draw(rng).coeffs)
 
     def test_decay_scaling(self):
         rough = RandomFieldSpec(dim=2, cutoff=12, rho=0.0, seed=1)
@@ -332,6 +346,8 @@ class TestGridNorms:
         monkeypatch.setattr(estimates, "coefficients_to_real_grid", refuse)
         f, g = random_pair(10, cutoff=6)
         assert field_lp(f, 2.0) == pytest.approx(f.hs_norm(0.0), rel=1e-14)
+        for s in (1.5, 2.0, 3.0):
+            assert field_lp(f.bessel(s), 2.0) == pytest.approx(f.hs_norm(s), rel=1e-14)
         v = VectorSpectralField((f, g))
         assert field_lp(v, 2.0) == pytest.approx(v.hs_norm(0.0), rel=1e-14)
 
@@ -542,6 +558,25 @@ class TestStackedCampaigns:
         calls.clear()
         verify_interpolation_inequality(spec, 2.0, samples=7)
         assert calls == [14]                 # grad f
+
+    def test_no_layout_round_trip(self, monkeypatch):
+        """The criterion-09 campaigns run on canonical halves from the draw
+        to the last norm: no call converts layouts or measures realness."""
+        calls = []
+        for module in (estimates, spectral):
+            for name in {"symmetrize", "cube_to_half", "half_to_cube",
+                         "realness_residual"} & set(vars(module)):
+                def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+                    calls.append(_name)
+                    return _original(*args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
+        spec = RandomFieldSpec(dim=2, cutoff=8, rho=2.0, seed=0)
+        for campaign in (verify_commutator_estimate, verify_product_estimate,
+                         verify_composition_estimate, verify_interpolation_inequality):
+            campaign(spec, 2.0, samples=5)
+        assert calls == []
+        commutator(spec.draw(spec.rng(0)), spec.draw(spec.rng(1)), 2.0)    # the counter counts
+        assert calls
 
     def test_stacks_respect_the_grid_budget(self, monkeypatch):
         """No campaign transform returns more grid bytes than the stack

@@ -13,7 +13,6 @@ PACKAGE = ROOT / "src" / "kolmosim"
 
 # user-facing algebra kept on purpose, though no package code calls it
 KEPT = {
-    "SpectralField.bessel": "J^s, the operator every estimate is stated in",
     "SpectralField.symmetrized": "the real part of a field, as a field",
     "VectorSpectralField.divergence": "div v, the constraint the solver keeps",
     "cutoffs.nu_bar": "the composed viscosity as a field, the kernel's nubar in the field algebra",
