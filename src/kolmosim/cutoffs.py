@@ -6,19 +6,19 @@ b' = -b*omega_upper; the cutoffs Phi (for b) and Psi (for omega) are C-infinity
 monotone piecewise blends built from the classical exp(-1/u) step, so every
 finite derivative-bound requirement is met by one construction.  The
 kernel composes nubar on its quadrature grid (`nu_bar_grid`); `nu_bar` is
-the same composition on field objects, converting their cubes to canonical
-halves for the transform pair and back.
+the same composition on field objects, through their real parts' halves.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .spectral import (SpectralField, coefficients_to_real_grid, cube_to_half, half_to_cube,
-                       real_grid_to_coefficients, symmetrize)
+from .spectral import (SpectralField, coefficients_to_real_grid, real_grid_to_coefficients,
+                       real_half)
 
 
 @dataclass(frozen=True)
@@ -31,12 +31,12 @@ class InitialBounds:
     alpha: float
 
     def __post_init__(self):
-        if not (0 < self.omega_min0 <= self.omega_max0):
-            raise ValueError("hypothesis violated: need 0 < omega_min0 <= omega_max0")
-        if self.b_min0 <= 0:
-            raise ValueError("hypothesis violated: need b_min0 > 0")
-        if self.alpha <= 0:
-            raise ValueError("need alpha > 0")
+        if not 0 < self.omega_min0 <= self.omega_max0 < math.inf:
+            raise ValueError("hypothesis violated: need 0 < omega_min0 <= omega_max0 < inf")
+        if not 0 < self.b_min0 < math.inf:
+            raise ValueError("hypothesis violated: need 0 < b_min0 < inf")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha!r}")
 
 
 class ProfileValues(NamedTuple):
@@ -168,7 +168,7 @@ def nu_bar(b_n: SpectralField, omega_n: SpectralField, t: float, n_grid: int,
     if (b_n.dim, b_n.cutoff) != (omega_n.dim, omega_n.cutoff):
         raise ValueError("fields must share layout")
     d, n = b_n.dim, b_n.cutoff
-    pair = symmetrize(np.stack((b_n.coeffs, omega_n.coeffs)), d)
-    b_grid, w_grid = coefficients_to_real_grid(cube_to_half(pair, d), n, d, n_grid)
+    pair = real_half(np.stack((b_n.coeffs, omega_n.coeffs)), d)
+    b_grid, w_grid = coefficients_to_real_grid(pair, n, d, n_grid)
     grid = nu_bar_grid(b_grid, w_grid, t, profile)
-    return SpectralField(d, n, half_to_cube(real_grid_to_coefficients(grid, n, d), d, n))
+    return SpectralField.from_half(real_grid_to_coefficients(grid, n, d), d, n)

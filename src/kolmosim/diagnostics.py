@@ -14,7 +14,7 @@ from typing import Callable, List, Sequence, Tuple
 import numpy as np
 
 from .cutoffs import CutoffProfile
-from .spectral import cube_to_half
+from .spectral import real_half
 from .system import ModelParams, SimState, grid_extrema, member_rhs, pack, triple_sq
 
 
@@ -26,8 +26,10 @@ class ConstantModel:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if self.c_tilde <= 0:
-            raise ValueError("c_tilde must be positive")
+        if not 0 < self.c_tilde < math.inf:
+            raise ValueError(f"c_tilde must be finite and positive, got {self.c_tilde!r}")
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma!r}")
 
     def __call__(self, t) -> float:
         return self.c_tilde * (1.0 + np.asarray(t, dtype=float)) ** self.gamma
@@ -154,7 +156,7 @@ def energy_balance(trajectory, s: float, nu_lower: Callable[[float], float],
     smallest empirical c_hat with lhs <= c_hat * (1+t)^gamma * P_{2 beta}
     everywhere.
     """
-    states = list(trajectory.states) if hasattr(trajectory, "states") else list(trajectory)
+    states = trajectory.states
     if len(states) < 3:
         raise ValueError("need at least 3 trajectory samples")
     times = np.array([st.t for st in states])
@@ -210,15 +212,16 @@ def extrema_monitor(state: SimState, profile: CutoffProfile, grid: int,
 
 def nu_bar_aliasing(states: Sequence[SimState], params: ModelParams,
                     profile: CutoffProfile) -> np.ndarray:
-    """Each state's max|f - f_fine| / max|f_fine|, with f its right-hand side
-    on the quadrature grid of `params` and f_fine on the grid of oversample + 1.
+    """Each state's max|f - f_fine| / max|f_fine|, with f its real part's
+    right-hand side on the quadrature grid of `params` and f_fine on the
+    grid of oversample + 1.
 
     The quadratic fluxes are exact on either grid, so the difference is the
     quadrature error of nubar = Phi(b)/Psi(omega).  All calls on the run's
     grid come first, so the kernel's workspace changes size once.
     """
     finer = replace(params, oversample=params.oversample + 1)
-    halves = [cube_to_half(pack(st), st.dim)[None] for st in states]
+    halves = [real_half(pack(st), st.dim)[None] for st in states]
     coarse = [member_rhs(y, st.cutoff, st.t, params, profile)[0]
               for y, st in zip(halves, states)]
     out = np.empty(len(states))

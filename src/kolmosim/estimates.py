@@ -12,8 +12,7 @@ L^2 and H^s norms are exact: they are read from the coefficients (Parseval)
 and sample no grid.  Other L^p norms are quadratures on an oversampled grid,
 and sup norms are grid maxima, lower bounds of the continuum sup.  The
 smooth maps' derivative bounds are looked up in tables built once per (map,
-order), and the decomposition's symbol tables once per (dim, cutoff, s,
-partition).
+order), and the decomposition's symbol tables once per (dim, cutoff, s).
 
 A campaign evaluates its samples in stacks: as many samples as fit their
 largest quadrature grid in _STACK_BYTES (256 KiB), at least one.  Sample i
@@ -39,9 +38,8 @@ import numpy as np
 from .cutoffs import CutoffProfile, smooth_step
 from .integrators import IntegratorConfig, integrate_lockstep
 from .spectral import (FOUR_PI_SQ, SpectralField, VectorSpectralField, _geometry,
-                       coefficients_to_real_grid, cube_to_half, fast_grid_size, half_to_cube,
-                       lp_norm, real_grid_to_coefficients, real_halves, spectral_product,
-                       spectral_products, symmetrize)
+                       checked_real_half, coefficients_to_real_grid, fast_grid_size, lp_norm,
+                       real_grid_to_coefficients, real_half, spectral_product, spectral_products)
 from .system import ModelParams, SimState, pack, triple_sq
 
 
@@ -67,10 +65,9 @@ class RandomFieldSpec:
     def rng(self, index: int) -> np.random.Generator:
         return np.random.default_rng((self.seed, index))
 
-    def draw(self, rng: np.random.Generator, scale: float = 1.0,
-             shift: float = 0.0) -> SpectralField:
-        return SpectralField(self.dim, self.cutoff, half_to_cube(
-            self._halves(self._normals(rng), scale, shift), self.dim, self.cutoff))
+    def draw(self, rng: np.random.Generator, scale: float = 1.0) -> SpectralField:
+        return SpectralField.from_half(self._halves(self._normals(rng), scale), self.dim,
+                                       self.cutoff)
 
     def draws(self, indices: Sequence[int], count: int) -> np.ndarray:
         """(len(indices), count, n_half): the canonical halves of the first
@@ -82,17 +79,13 @@ class RandomFieldSpec:
         size = (2 * self.cutoff - 1) ** self.dim
         return rng.normal(size=size) + 1j * rng.normal(size=size)
 
-    def _halves(self, normals: np.ndarray, scale: float = 1.0,
-                shift: float = 0.0) -> np.ndarray:
-        """Canonical halves 0.5 (N(k) d + conj(N(-k) d)) of a stack of flat
-        normal cubes N, d = (1+|k|)^(-rho) scale, the mean set to shift."""
+    def _halves(self, normals: np.ndarray, scale: float = 1.0) -> np.ndarray:
+        """The mean-free real parts' canonical halves of a stack of flat
+        normal cubes N times d = (1+|k|)^(-rho) scale."""
         geo = _geometry(self.dim, self.cutoff)
-        damping = _damping(self.dim, self.cutoff, float(self.rho))
-        # take keeps the halves C-ordered: each sample's sums run as draw's do
-        half = 0.5 * (normals.take(geo.half, axis=-1) * damping * scale
-                      + np.conj(normals.take(geo.k_sq.size - 1 - geo.half, axis=-1)
-                                * damping * scale))
-        half[..., geo.half_weight == 1.0] = shift
+        cubes = normals * _damping(self.dim, self.cutoff, float(self.rho)) * scale
+        half = real_half(cubes.reshape(normals.shape[:-1] + geo.k_sq.shape), self.dim)
+        half[..., geo.origin] = 0.0
         return half
 
     def with_cutoff(self, cutoff: int) -> "RandomFieldSpec":
@@ -101,9 +94,8 @@ class RandomFieldSpec:
 
 @functools.lru_cache(maxsize=None)
 def _damping(dim: int, cutoff: int, rho: float) -> np.ndarray:
-    """(1+|k|)^(-rho) at the half's modes, built once per (dim, cutoff, rho)."""
-    geo = _geometry(dim, cutoff)
-    amp = ((1.0 + np.sqrt(geo.k_sq)) ** (-rho)).ravel()[geo.half]
+    """(1+|k|)^(-rho) on the flat cube, built once per (dim, cutoff, rho)."""
+    amp = ((1.0 + np.sqrt(_geometry(dim, cutoff).k_sq)) ** (-rho)).ravel()
     amp.setflags(write=False)
     return amp
 
@@ -195,12 +187,12 @@ def field_lp(f, p: float) -> float:
 
 def field_lps(fields: Sequence, ps: Sequence[float]) -> List[float]:
     """field_lp(f, p) of each field at its exponent: the one-sample case of
-    `_lp_norms` on each field's real part, cube_to_half(symmetrize(c)), so
-    every field that needs a grid (p != 2) is sampled in one batched
-    transform; those fields must share dim and cutoff."""
+    `_lp_norms` on each field's real part, so every field that needs a grid
+    (p != 2) is sampled in one batched transform; those fields must share
+    dim and cutoff."""
     dim, cutoff = fields[0].dim, fields[0].cutoff
     cubes = [f.stack() if isinstance(f, VectorSpectralField) else f.coeffs[None] for f in fields]
-    operands = [cube_to_half(symmetrize(c, dim), dim)[None] for c in cubes]
+    operands = [real_half(c, dim)[None] for c in cubes]
     return [float(norms[0]) for norms in _lp_norms(operands, ps, cutoff, dim)]
 
 
@@ -263,13 +255,13 @@ def _check_holder(p, parts):
 def commutator(f: SpectralField, g: SpectralField, s: float) -> SpectralField:
     """[J^s, f] g = J^s(fg) - f J^s g of real fields, exact on the doubled ball
     2n-1: the one-sample case of `_commutators`.  As `spectral_product` does,
-    it refuses an operand, f, g or J^s g, that is not real (`real_halves`)."""
+    it refuses an operand, f, g or J^s g, that is not real (`checked_real_half`)."""
     if (f.dim, f.cutoff) != (g.dim, g.cutoff):
         raise ValueError("operands must share layout")
     d, n, m = f.dim, f.cutoff, 2 * f.cutoff - 1
-    f_half, g_half, _ = real_halves(np.stack((f.coeffs, g.coeffs, g.bessel(s).coeffs)), d,
-                                    "commutator")
-    return SpectralField(d, m, half_to_cube(_commutators(f_half, g_half, s, n, d), d, m))
+    f_half, g_half, _ = checked_real_half(np.stack((f.coeffs, g.coeffs, g.bessel(s).coeffs)),
+                                          d, "commutator")
+    return SpectralField.from_half(_commutators(f_half, g_half, s, n, d), d, m)
 
 
 def _commutators(f: np.ndarray, g: np.ndarray, s: float, cutoff: int,
@@ -316,24 +308,23 @@ class PartitionOfUnity:
 
 
 def commutator_decomposition(f: SpectralField, g: SpectralField, s: float,
-                             partition: Optional[PartitionOfUnity] = None,
                              max_pairs: int = 20_000_000):
     """Exact bilinear symbol sums sigma_j(D)(f, g) over all mode pairs.
 
     sigma_j(xi, eta) = ((1+4pi^2|xi+eta|^2)^(s/2) - (1+4pi^2|eta|^2)^(s/2))
                        * Phi_j((1+|xi|^2) / (1+|eta|^2)),
-    scattered onto the doubled ball.  The three parts sum to the commutator.
+    scattered onto the doubled ball, Phi_j the default PartitionOfUnity's.
+    The three parts sum to the commutator.
     """
     if (f.dim, f.cutoff) != (g.dim, g.cutoff):
         raise ValueError("operands must share layout")
-    partition = partition or PartitionOfUnity()
     d, n = f.dim, f.cutoff
     ball = _geometry(d, n).ball
     m = int(np.count_nonzero(ball))
     if m * m > max_pairs:
         raise ValueError(f"cutoff too large for the exact double sum "
                          f"({m * m} mode pairs > {max_pairs})")
-    flat, bessel_diff, phis = _decomposition_tables(d, n, s, partition)
+    flat, bessel_diff, phis = _decomposition_tables(d, n, s)
     weight = bessel_diff * f.coeffs[ball][:, None] * g.coeffs[ball][None, :]
 
     out_cutoff = 2 * n - 1
@@ -347,10 +338,9 @@ def commutator_decomposition(f: SpectralField, g: SpectralField, s: float,
 
 
 @functools.lru_cache(maxsize=3)
-def _decomposition_tables(dim: int, cutoff: int, s: float,
-                          partition: PartitionOfUnity):
+def _decomposition_tables(dim: int, cutoff: int, s: float):
     """What commutator_decomposition needs besides the coefficients, built
-    once per (dim, cutoff, s, partition), read-only: each mode pair's flat
+    once per (dim, cutoff, s), read-only: each mode pair's flat
     index on the doubled ball's cube, its symbol's Bessel difference, and
     its three partition weights.  The three most recent keys are kept (the
     three s of criterion 08), about 40 bytes per mode pair each."""
@@ -366,7 +356,7 @@ def _decomposition_tables(dim: int, cutoff: int, s: float,
     offsets = tuple((xi[:, a, None] + eta[None, :, a]) + (out_cutoff - 1)
                     for a in range(dim))
     flat = np.ravel_multi_index(offsets, (2 * out_cutoff - 1,) * dim).ravel()
-    phis = partition.split(ratio)
+    phis = PartitionOfUnity().split(ratio)
     for arr in (flat, bessel_diff) + tuple(phis):
         arr.setflags(write=False)
     return flat, bessel_diff, phis

@@ -47,10 +47,10 @@ the order-5 exponent.  A non-finite stage shrinks h by 0.2.
 `integrate_lockstep` advances several states of one layout together: the
 loop carries a leading member axis, and each RK stage is one kernel call
 (`system.member_rhs`) for every member.  The loop runs on the canonical
-half (`spectral.cube_to_half`: one mode of each mirror pair {k, -k}, and
-k = 0), 2.4x fewer numbers than the cube at d = 2, n = 16: it converts the
-states once at entry, and back to the cube (`spectral.half_to_cube`) only
-at monitor samples, for the guard's triple norm and the stored states.
+half (one mode of each mirror pair {k, -k}, and k = 0), 2.4x fewer numbers
+than the cube at d = 2, n = 16: it takes the data's real parts there once
+(`spectral.real_half`), and expands to cubes (`SimState.from_half`) only
+for the guard's triple norms, of the data and at samples, and the states.
 Stage algebra, integrating factors and fix-ups act on each mode alone (the
 fix-up's Leray projection and divergence residual take halves, like every
 operation below the field algebra), so on the half they give the cube
@@ -82,11 +82,10 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .cutoffs import CutoffProfile
-from .spectral import (FOUR_PI_SQ, _geometry, cube_to_half, div_residual, half_to_cube,
-                       leray_coefficients, symmetrize)
+from .spectral import FOUR_PI_SQ, _geometry, div_residual, leray_coefficients, real_half
 # the member-stack kernel under the module-global name the loop looks up at
 # each call: one call per stage, for every member of the stack
-from .system import ModelParams, SimState, pack, triple_sq, unpack
+from .system import ModelParams, SimState, pack, triple_sq
 from .system import member_rhs as rhs
 
 MAX_STEPS = 2_000_000          # accepted steps before a run is failed
@@ -128,14 +127,13 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("rk4", "rk45"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.dt <= 0 or self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("dt and tolerances must be positive")
-        if self.t_end < 0:
-            raise ValueError("t_end must be >= 0")
+        for key in ("dt", "abs_tol", "rel_tol", "blowup_factor"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be finite and positive, got {getattr(self, key)!r}")
+        if not 0 <= self.t_end < math.inf:
+            raise ValueError(f"t_end must be finite and >= 0, got {self.t_end!r}")
         if self.monitor_every < 1:
             raise ValueError("monitor_every must be >= 1")
-        if self.blowup_factor <= 0:
-            raise ValueError("blowup_factor must be positive")
 
 
 @dataclass
@@ -225,6 +223,13 @@ def _shrink(h: float, ratio: float, previous: Optional[Tuple[float, float]]) -> 
     return h * max(0.2, 0.9 * ratio ** (-1.0 / q))
 
 
+def _expand(y: np.ndarray, dim: int, cutoff: int, t: float, s: float):
+    """The states of a (members, d+2, n_half) stack at time t and their
+    squared triple norms at s, read on the cube."""
+    states = [SimState.from_half(half, dim, cutoff, t) for half in y]
+    return states, triple_sq(np.stack([pack(st) for st in states]), s)
+
+
 def _leave(traj: Trajectory, status: str, message: str, steps: int, rejected: int,
            evaluations: int):
     traj.status, traj.message = status, message
@@ -254,27 +259,21 @@ def _sampled(trajs: List[Trajectory], live: List[int], ok: np.ndarray,
 
 
 def integrate(state0: SimState, config: IntegratorConfig, params: ModelParams,
-              profile: CutoffProfile, norm_s: Optional[float] = None,
-              on_sample: Optional[SampleHook] = None) -> Trajectory:
+              profile: CutoffProfile, on_sample: Optional[SampleHook] = None) -> Trajectory:
     """Advance to config.t_end, sampling every monitor_every accepted steps:
-    the one-member case of integrate_lockstep.
-
-    norm_s is the Sobolev index used by the blow-up guard (defaults to
-    params.s); the guard aborts when the triple norm squared exceeds
-    blowup_factor * (2*X0 + 1).
-    """
-    return integrate_lockstep([state0], config, params, profile, norm_s, on_sample)[0]
+    the one-member case of integrate_lockstep."""
+    return integrate_lockstep([state0], config, params, profile, on_sample)[0]
 
 
 def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
                        params: ModelParams, profile: CutoffProfile,
-                       norm_s: Optional[float] = None,
                        on_sample: Optional[SampleHook] = None) -> List[Trajectory]:
     """Advance states of one layout and start time together to config.t_end,
     one kernel call per stage for all of them; one trajectory per state.
 
     Each member has its own re-projection decision, blow-up guard (against
-    its own X0) and samples.  A member that goes non-finite or trips the
+    blowup_factor (2 X0 + 1), X0 its datum's real part's triple norm^2 at
+    params.s) and samples.  A member that goes non-finite or trips the
     guard leaves with its own status, message and states; the others go on.
     on_sample(member, state), when given, is called for every state appended
     to a trajectory, in order: sample 0 (the datum) before the first kernel
@@ -294,7 +293,6 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
     dim, cutoff, t = states0[0].dim, states0[0].cutoff, float(states0[0].t)
     if any((st.dim, st.cutoff, float(st.t)) != (dim, cutoff, t) for st in states0):
         raise ValueError("lockstep states must share dim, cutoff and start time")
-    s = params.s if norm_s is None else norm_s
     trajs = [Trajectory(states=[st.copy()]) for st in states0]
     live = list(range(len(states0)))          # members still stepping, in row order
     ok = _sampled(trajs, live, np.ones(len(live), dtype=bool), on_sample, 0, 0, 0)
@@ -304,9 +302,8 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
     # the loop keeps conjugate symmetry exactly, so it starts from the data's
     # real parts (on conjugate-symmetric data this changes no bit) and
     # carries their canonical halves
-    y = symmetrize(np.stack([pack(st) for st in states0]), dim)
-    ceiling = config.blowup_factor * (2.0 * triple_sq(y, s) + 1.0)
-    y = cube_to_half(y, dim)
+    y = real_half(np.stack([pack(st) for st in states0]), dim)
+    ceiling = config.blowup_factor * (2.0 * _expand(y, dim, cutoff, t, params.s)[1] + 1.0)
     if not ok.all():
         live, y, ceiling = _survivors(ok, live, y, ceiling)
     h = config.dt
@@ -355,7 +352,7 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
                 if len(ns) < 7 or not np.all(np.isfinite(fi)):
                     rejected += 1
                     h *= 0.2
-                    if h < MIN_DT:
+                    if not h >= MIN_DT:
                         stopped = f"step size underflow at t = {t:.6g}, h = {h:.3g}"
                         break
                     continue
@@ -385,11 +382,10 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
 
             at_end = t >= config.t_end - 1e-14
             if steps % config.monitor_every == 0 or at_end:
-                cube = half_to_cube(y, dim, cutoff)
-                x_now = triple_sq(cube, s)
+                states, x_now = _expand(y, dim, cutoff, t, params.s)
                 ok = x_now <= ceiling
                 for i, member in enumerate(live):
-                    trajs[member].states.append(unpack(cube[i], dim, cutoff, t))
+                    trajs[member].states.append(states[i])
                     if not ok[i]:
                         _leave(trajs[member], "aborted-blowup",
                                f"triple norm^2 {x_now[i]:.6g} exceeded guard "

@@ -15,23 +15,24 @@ Fields are real: c(-k) = conj(c(k)).  So one mode of each mirror pair
 {k, -k} determines the other, and the canonical half (the ball's modes whose
 last nonzero component is positive, and k = 0) holds every real field's
 degrees of freedom, 397 modes against the cube's 961 at d = 2, n = 16.
-`cube_to_half` and `half_to_cube` convert between the two layouts.  The
-half is the only layout below the field algebra: the time-stepping loop,
-the transform pair, `leray_coefficients`, `div_residual`,
+The half is the only layout below the field algebra: the time-stepping
+loop, the transform pair, `leray_coefficients`, `div_residual`,
 `spectral_products` and the estimate lab's stacks take canonical halves,
-and the cube holders (`SpectralField`, `VectorSpectralField`) convert at
-their own boundary, cube_to_half(symmetrize(c)) in and half_to_cube out.
+and the cube holders (`SpectralField`, `VectorSpectralField`, and
+`system.SimState`) hold cubes.  This module alone crosses between them:
+`real_half` takes cubes to the half of their real part, (c(k) +
+conj(c(-k))) / 2, and the `from_half` constructors expand halves to cubes.
 There is one transform pair, on the real half spectrum:
 `coefficients_to_real_grid` samples canonical halves and
-`real_grid_to_coefficients` takes real samples back to them.  Only the
-first `cutoff` bins of the last axis can hold a mode, so the pair runs its
-complex passes on those columns alone, scipy's 1-D FFT once per leading
-axis, and the last axis's real pass as a product with a matrix cached per
-(cutoff, points) (`_real_pass`), one BLAS call per 2-D slice; numpy's FFTs
-are not used.  The half's bins are flat indices cached per size.
-`real_samples` samples a field's real part symmetrize(c), `from_grid` takes
+`real_grid_to_coefficients` takes real samples back to them (k = 0 exactly
+real).  Only the first `cutoff` bins of the last axis can hold a mode, so
+the pair runs its complex passes on those columns alone, scipy's 1-D FFT
+once per leading axis, and the last axis's real pass as a product with a
+matrix cached per (cutoff, points) (`_real_pass`), one BLAS call per 2-D
+slice; numpy's FFTs are not used.  The half's bins are flat indices cached
+per size.  `real_samples` samples a field's real part, `from_grid` takes
 real samples only, and `spectral_product` refuses a field that is not real
-(`real_halves`); its form on stacks of halves checks nothing.
+(`checked_real_half`); its form on stacks of halves checks nothing.
 """
 
 from __future__ import annotations
@@ -73,6 +74,8 @@ class _ModeGeometry:
         # the canonical half, as flat cube indices in lexicographic order; in
         # C order the mirror -k of flat index f is size - 1 - f
         self.half = np.flatnonzero(self.ball & ~lower)
+        self.mirror = self.k_sq.size - 1 - self.half
+        self.origin = int(np.searchsorted(self.half, self.k_sq.size // 2))   # k = 0's position
         # the ball modes each one stands for: k = 0 is its own mirror
         self.half_weight = np.where(self.half == self.k_sq.size // 2, 1.0, 2.0)
         self.half_k = self.k.reshape(dim, -1)[:, self.half]
@@ -119,12 +122,13 @@ def _half_bins(dim: int, cutoff: int, points: int):
     return bins, plane, mirrors
 
 
-def cube_to_half(stack: np.ndarray, dim: int) -> np.ndarray:
-    """The canonical half of a stack of conjugate-symmetric centered cubes:
-    batch + (side,)*dim -> batch + (n_half,), a new C-ordered array, so
-    contractions over a row axis read contiguous modes."""
-    geo = _geometry(dim, (stack.shape[-1] + 1) // 2)
-    return np.take(stack.reshape(stack.shape[:-dim] + (-1,)), geo.half, axis=-1)
+def real_half(cubes: np.ndarray, dim: int) -> np.ndarray:
+    """The canonical half of the real part (c(k) + conj(c(-k))) / 2 of a
+    stack of centered cubes: batch + (side,)*dim -> batch + (n_half,), a new
+    C-ordered array, so contractions over a row axis read contiguous modes."""
+    geo = _geometry(dim, (cubes.shape[-1] + 1) // 2)
+    flat = cubes.reshape(cubes.shape[:-dim] + (-1,))
+    return 0.5 * (flat.take(geo.half, axis=-1) + np.conj(flat.take(geo.mirror, axis=-1)))
 
 
 def half_to_cube(half: np.ndarray, dim: int, cutoff: int) -> np.ndarray:
@@ -134,7 +138,7 @@ def half_to_cube(half: np.ndarray, dim: int, cutoff: int) -> np.ndarray:
     geo = _geometry(dim, cutoff)
     batch = half.shape[:-1]
     cube = np.zeros(batch + (geo.k_sq.size,), dtype=complex)
-    cube[..., geo.k_sq.size - 1 - geo.half] = np.conj(half)    # k = 0 is rewritten next
+    cube[..., geo.mirror] = np.conj(half)    # k = 0 is rewritten next
     cube[..., geo.half] = half
     return cube.reshape(batch + geo.k_sq.shape)
 
@@ -226,19 +230,16 @@ def real_grid_to_coefficients(grid: np.ndarray, cutoff: int, dim: int,
     for axis in range(-dim, -1):
         spec = _fft.fft(spec, axis=axis, norm="forward", overwrite_x=True)
     # the indices are in range; mode="clip" lets take write `out` unbuffered
-    return spec.reshape(spec.shape[:-dim] + (-1,)).take(
+    coef = spec.reshape(spec.shape[:-dim] + (-1,)).take(
         _half_bins(dim, cutoff, grid.shape[-1])[0], axis=-1, out=out, mode="clip")
+    coef[..., _geometry(dim, cutoff).origin].imag = 0.0   # Bluestein sizes leave roundoff
+    return coef
 
 
 def conj_flip(coeffs: np.ndarray, dim: int) -> np.ndarray:
     """conj(c(-k)) on the trailing dim axes; leading axes are a batch and are
     not flipped.  Fixed points are the coefficients of real fields."""
     return np.conj(coeffs[(Ellipsis,) + (slice(None, None, -1),) * dim])
-
-
-def symmetrize(coeffs: np.ndarray, dim: int) -> np.ndarray:
-    """(c(k) + conj(c(-k))) / 2: the coefficients of the field's real part."""
-    return 0.5 * (coeffs + conj_flip(coeffs, dim))
 
 
 def realness_residual(coeffs: np.ndarray, dim: int) -> float:
@@ -250,13 +251,13 @@ def realness_residual(coeffs: np.ndarray, dim: int) -> float:
     return float(np.max(dev / scale))
 
 
-def real_halves(cubes: np.ndarray, dim: int, caller: str) -> np.ndarray:
-    """cube_to_half(symmetrize(cubes)) of a stack of real fields' cubes;
-    ValueError naming `caller` if its realness residual exceeds REAL_TOL."""
+def checked_real_half(cubes: np.ndarray, dim: int, caller: str) -> np.ndarray:
+    """real_half of a stack of real fields' cubes; ValueError naming `caller`
+    if its realness residual exceeds REAL_TOL."""
     residual = realness_residual(cubes, dim)
     if not residual <= REAL_TOL:
         raise ValueError(f"{caller} takes real fields: realness residual {residual:.3e}")
-    return cube_to_half(symmetrize(cubes, dim), dim)
+    return real_half(cubes, dim)
 
 
 def leray_coefficients(stack: np.ndarray, dim: int, cutoff: int) -> np.ndarray:
@@ -318,9 +319,13 @@ class SpectralField:
         """The field of real samples on a uniform grid (exact if band-limited)."""
         if np.iscomplexobj(grid):
             raise ValueError("from_grid takes real samples, got a complex grid")
-        dim = grid.ndim
-        return cls(dim, cutoff, half_to_cube(real_grid_to_coefficients(grid, cutoff, dim),
-                                             dim, cutoff))
+        return cls.from_half(real_grid_to_coefficients(grid, cutoff, grid.ndim), grid.ndim,
+                             cutoff)
+
+    @classmethod
+    def from_half(cls, half: np.ndarray, dim: int, cutoff: int) -> "SpectralField":
+        """The real field of a canonical half (n_half,)."""
+        return cls(dim, cutoff, half_to_cube(half, dim, cutoff))
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -405,15 +410,14 @@ class SpectralField:
         return realness_residual(self.coeffs, self.dim)
 
     def symmetrized(self) -> "SpectralField":
-        return SpectralField(self.dim, self.cutoff, symmetrize(self.coeffs, self.dim))
+        return SpectralField.from_half(real_half(self.coeffs, self.dim), self.dim, self.cutoff)
 
     # -- physical space -----------------------------------------------------------
 
     def real_samples(self, points: int) -> np.ndarray:
-        """Samples of the field's real part, the trigonometric sum of
-        symmetrize(c), on the uniform points^d grid (half spectrum)."""
-        half = cube_to_half(symmetrize(self.coeffs, self.dim), self.dim)
-        return coefficients_to_real_grid(half, self.cutoff, self.dim, points)
+        """Samples of the field's real part on the uniform points^d grid."""
+        return coefficients_to_real_grid(real_half(self.coeffs, self.dim), self.cutoff,
+                                         self.dim, points)
 
 
 @dataclass
@@ -432,6 +436,11 @@ class VectorSpectralField:
     @classmethod
     def zeros(cls, dim: int, cutoff: int) -> "VectorSpectralField":
         return cls(tuple(SpectralField.zeros(dim, cutoff) for _ in range(dim)))
+
+    @classmethod
+    def from_half(cls, halves: np.ndarray, dim: int, cutoff: int) -> "VectorSpectralField":
+        """The real vector field of its components' canonical halves (dim, n_half)."""
+        return cls(tuple(SpectralField(dim, cutoff, c) for c in half_to_cube(halves, dim, cutoff)))
 
     @property
     def dim(self) -> int:
@@ -470,15 +479,14 @@ class VectorSpectralField:
     def div_residual(self) -> float:
         """max_k |k . c(k)| of the real part, relative to its largest
         coefficient magnitude."""
-        half = cube_to_half(symmetrize(self.stack(), self.dim), self.dim)
-        return div_residual(half, self.dim, self.cutoff)
+        return div_residual(real_half(self.stack(), self.dim), self.dim, self.cutoff)
 
     def leray_project(self) -> "VectorSpectralField":
         """Remove the real part's gradient part: c(k) -= k (k.c(k)) / |k|^2
         for k != 0."""
-        half = cube_to_half(symmetrize(self.stack(), self.dim), self.dim)
-        out = half_to_cube(leray_coefficients(half, self.dim, self.cutoff), self.dim, self.cutoff)
-        return VectorSpectralField(tuple(SpectralField(self.dim, self.cutoff, c) for c in out))
+        d, n = self.dim, self.cutoff
+        return VectorSpectralField.from_half(
+            leray_coefficients(real_half(self.stack(), d), d, n), d, n)
 
     def hs_norm_sq(self, s: float) -> float:
         return float(sum(f.hs_norm_sq(s) for f in self.components))
@@ -492,8 +500,8 @@ class VectorSpectralField:
     def real_samples(self, points: int) -> np.ndarray:
         """Samples of every component's real part, (dim,) + (points,)*dim,
         in one half-spectrum transform."""
-        half = cube_to_half(symmetrize(self.stack(), self.dim), self.dim)
-        return coefficients_to_real_grid(half, self.cutoff, self.dim, points)
+        return coefficients_to_real_grid(real_half(self.stack(), self.dim), self.cutoff,
+                                         self.dim, points)
 
 
 # -- products ---------------------------------------------------------------------
@@ -513,9 +521,9 @@ def spectral_product(f: SpectralField, g: SpectralField, oversample: int = 2,
     if (f.dim, f.cutoff) != (g.dim, g.cutoff):
         raise ValueError("operands must share layout")
     n_out = out_cutoff if out_cutoff is not None else f.cutoff
-    pair = real_halves(np.stack((f.coeffs, g.coeffs)), f.dim, "spectral_product")
-    fg = spectral_products(pair, f.cutoff, f.dim, n_out, oversample)
-    return SpectralField(f.dim, n_out, half_to_cube(fg, f.dim, n_out))
+    pair = checked_real_half(np.stack((f.coeffs, g.coeffs)), f.dim, "spectral_product")
+    return SpectralField.from_half(spectral_products(pair, f.cutoff, f.dim, n_out, oversample),
+                                   f.dim, n_out)
 
 
 def spectral_products(pairs: np.ndarray, cutoff: int, dim: int, out_cutoff: int,

@@ -15,6 +15,7 @@ followed by (k: d x i32, re: f64, im: f64) records in lexicographic k order.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import struct
 from dataclasses import dataclass, field, fields
@@ -177,18 +178,20 @@ class RunConfig:
         self.values[key] = type(_DEFAULTS[key])(value)
 
     def validate(self) -> RunObjects:
-        """Check what no run object owns (d, s > d/2, n, kind), then build
-        the objects, which check every other key."""
+        """Check what no run object owns (d, s > d/2, n, kind, v_scale), then
+        build the objects, which check every other key."""
         v = self.values
         if v["d"] < 2:
             raise ValueError("hypothesis violated: d >= 2 required")
-        if v["s"] <= v["d"] / 2:
-            raise ValueError(f"hypothesis violated: s > d/2 required "
+        if not v["d"] / 2 < v["s"] < math.inf:
+            raise ValueError(f"hypothesis violated: finite s > d/2 required "
                              f"(s={v['s']}, d={v['d']})")
         if v["n"] < 1:
             raise ValueError("n must be >= 1")
         if v["kind"] not in ("random", "preset", "snapshot"):
             raise ValueError(f"unknown initial-data kind {v['kind']!r}")
+        if not math.isfinite(v["v_scale"]):
+            raise ValueError(f"v_scale must be finite, got {v['v_scale']!r}")
         bounds = InitialBounds(b_min0=v["b_min0"], omega_min0=v["omega_min0"],
                                omega_max0=v["omega_max0"], alpha=v["alpha"])
         return RunObjects(

@@ -14,23 +14,22 @@ oversample >= 2); only the composed viscosity nubar = Phi(b)/Psi(omega) is a
 genuine quadrature, whose residual the oversampling controls.
 
 A state packs into (v_1..v_d, omega, b) rows of centered-cube coefficients
-(`pack`/`unpack`).  The kernel works on member stacks of their canonical
-halves (`spectral.cube_to_half`), the one layout below the field algebra:
-a leading member axis over packed states, shaped (members, d+2, n_half),
-through `member_rhs`, one call per RK stage for every member.  The kernel's spectral side is two
-linear maps per mode on the half, built once per size: the in-map takes the
-state rows to D_ij, grad omega and grad b (`_in_map`), and the out-map
-takes the flux coefficients to the right-hand side, divergences, Leray
-projection and reactions included (`_out_map`).  The transform pair
-scatters the half straight into its half-spectrum bins and gathers only the
-half's bins back.  Members share t, the parameters and the profile; each
-member's row equals its one-state result bit for bit, and expanded to the
-cube (`spectral.half_to_cube`) the result is the cube layout's right-hand
-side.
-With the stack it returns each member's nubar samples on the quadrature
-grid, from which the integrator takes its reference viscosity.  `rhs` is
-the one-state case on field objects, cube in and cube out, without the
-nubar samples.
+(`pack`).  The kernel works on member stacks of the canonical halves of
+their real parts (`spectral.real_half`), the one layout below the field
+algebra: a leading member axis over packed states, (members, d+2, n_half),
+through `member_rhs`, one call per RK stage for every member.  The kernel's
+spectral side is two linear maps per mode on the half, built once per size:
+the in-map takes the state rows to D_ij, grad omega and grad b (`_in_map`),
+and the out-map takes the flux coefficients to the right-hand side,
+divergences, Leray projection and reactions included (`_out_map`).  The
+transform pair scatters the half straight into its half-spectrum bins and
+gathers only the half's bins back.  Members share t, the parameters and the
+profile; each member's row equals its one-state result bit for bit, and
+expanded to the cube (`SimState.from_half`) the result is the cube layout's
+right-hand side.  With the stack it returns each member's nubar samples on
+the quadrature grid, from which the integrator takes its reference
+viscosity.  `rhs` is the one-state case on field objects, the state's real
+part in and cubes out, without the nubar samples.
 
 The kernel's grid-sized arrays live in an `RhsWorkspace`, which the kernel
 owns: each thread keeps one, for the last (dim, cutoff, points, members) it
@@ -59,13 +58,11 @@ from .spectral import (
     VectorSpectralField,
     _geometry,
     coefficients_to_real_grid,
-    cube_to_half,
     fast_grid_size,
-    half_to_cube,
     leray_coefficients,
     real_grid_to_coefficients,
+    real_half,
     realness_residual,
-    symmetrize,
 )
 
 
@@ -77,10 +74,9 @@ class ModelParams:
     oversample: int
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
         if self.bounds.alpha != self.alpha:
-            # the kernel's reaction reads alpha, the envelopes bounds.alpha
+            # the kernel's reaction reads alpha, the envelopes bounds.alpha,
+            # which InitialBounds checks
             raise ValueError(f"alpha {self.alpha!r} differs from bounds.alpha "
                              f"{self.bounds.alpha!r}")
         if self.oversample < 2:
@@ -112,6 +108,13 @@ class SimState:
     @property
     def cutoff(self) -> int:
         return self.omega.cutoff
+
+    @classmethod
+    def from_half(cls, half: np.ndarray, dim: int, cutoff: int, t: float) -> "SimState":
+        """The state of the canonical halves of its packed rows, (d+2, n_half)."""
+        return cls(VectorSpectralField.from_half(half[:dim], dim, cutoff),
+                   SpectralField.from_half(half[dim], dim, cutoff),
+                   SpectralField.from_half(half[dim + 1], dim, cutoff), t)
 
     def copy(self) -> "SimState":
         return SimState(self.v.copy(), self.omega.copy(), self.b.copy(), self.t)
@@ -170,9 +173,8 @@ def triple_sq(stack: np.ndarray, s: float) -> np.ndarray:
 def grid_extrema(state: SimState, points: int) -> Tuple[float, float, float]:
     """(min omega, max omega, min b) of the real samples of omega and b on a
     points^d grid, both fields in one half-spectrum transform."""
-    pair = symmetrize(np.stack((state.omega.coeffs, state.b.coeffs)), state.dim)
-    w, b = coefficients_to_real_grid(cube_to_half(pair, state.dim), state.cutoff, state.dim,
-                                     points)
+    pair = real_half(np.stack((state.omega.coeffs, state.b.coeffs)), state.dim)
+    w, b = coefficients_to_real_grid(pair, state.cutoff, state.dim, points)
     return float(np.min(w)), float(np.max(w)), float(np.min(b))
 
 
@@ -180,7 +182,7 @@ def hypothesis_violations(state: SimState, s: float) -> List[str]:
     """state_problems, then the checkable local-existence hypotheses: s > d/2
     and omega, b > 0 on the extrema monitor's fast_grid_size(4(2n-1)) grid."""
     problems = state_problems(state)
-    if s <= state.dim / 2:
+    if not s > state.dim / 2:
         problems.append(f"regularity s = {s} <= d/2 = {state.dim / 2}")
     w_min, _, b_min = grid_extrema(state, fast_grid_size(4 * (2 * state.cutoff - 1)))
     if w_min <= 0:
@@ -192,13 +194,6 @@ def hypothesis_violations(state: SimState, s: float) -> List[str]:
 
 def pack(state: SimState) -> np.ndarray:
     return np.stack([f.coeffs for f in state.fields()])
-
-
-def unpack(arr: np.ndarray, dim: int, cutoff: int, t: float) -> SimState:
-    v = VectorSpectralField(tuple(SpectralField(dim, cutoff, arr[i].copy())
-                                  for i in range(dim)))
-    return SimState(v, SpectralField(dim, cutoff, arr[dim].copy()),
-                    SpectralField(dim, cutoff, arr[dim + 1].copy()), t)
 
 
 @functools.lru_cache(maxsize=None)
@@ -318,7 +313,7 @@ class RhsWorkspace:
     of a call at n = 6), and most runs have one member.
     """
 
-    def __init__(self, dim: int, cutoff: int, points: int, members: int = 1):
+    def __init__(self, dim: int, cutoff: int, points: int, members: int):
         self.size = (dim, cutoff, points, members)
         m = len(_upper_pairs(dim))
         lead = (members,) if members > 1 else ()
@@ -419,9 +414,9 @@ def member_rhs(ys: np.ndarray, cutoff: int, t: float, params: ModelParams,
 
 def rhs(state: SimState, params: ModelParams,
         profile: CutoffProfile) -> Tuple[VectorSpectralField, SpectralField, SpectralField]:
-    """The right-hand side (dv, dw, db) of one state: member_rhs's
-    one-member case, from and back to the cube."""
+    """The right-hand side (dv, dw, db) of the state's real part:
+    member_rhs's one-member case, from and back to the cube."""
     d, n = state.dim, state.cutoff
-    half = member_rhs(cube_to_half(pack(state), d)[None], n, state.t, params, profile)[0][0]
-    out = unpack(half_to_cube(half, d, n), d, n, state.t)
+    half = member_rhs(real_half(pack(state), d)[None], n, state.t, params, profile)[0][0]
+    out = SimState.from_half(half, d, n, state.t)
     return out.v, out.omega, out.b

@@ -1,6 +1,7 @@
 """Literal oracles for the spectral transforms and products: term-by-term
-sums over modes, independent of the FFT paths they check; the Leray
-projection and divergence residual by the cube formula, and the kernel's
+sums over modes, independent of the FFT paths they check; the real part,
+the half's gather, the Leray projection and divergence residual by the
+cube formula, and the kernel's
 flux divergences row by row; the cutoffs' derivative constant measured by
 finite differences; and the estimate campaigns' samples evaluated one at a
 time on field objects, through the public one-field functions, which the
@@ -13,7 +14,7 @@ import numpy as np
 from kolmosim.cutoffs import phi_b, psi_omega, time_profiles
 from kolmosim.estimates import (_SMOOTH_MAPS, commutator, field_lp,
                                 smooth_map_derivative_bound)
-from kolmosim.spectral import (SpectralField, _geometry, fast_grid_size, half_to_cube,
+from kolmosim.spectral import (SpectralField, _geometry, conj_flip, fast_grid_size,
                                real_grid_to_coefficients, spectral_product)
 from kolmosim.storage import _field_records
 
@@ -46,6 +47,20 @@ def direct_convolution(f, g, out_cutoff):
 
 
 # -- the cube formulas the half layout replaced -----------------------------------
+
+
+def symmetrize(coeffs, dim):
+    """(c(k) + conj(c(-k))) / 2 on the trailing dim axes: the cube of the
+    field's real part, which spectral.real_half gathers on the half."""
+    return 0.5 * (coeffs + conj_flip(coeffs, dim))
+
+
+def cube_to_half(stack, dim):
+    """The canonical half's modes of a stack of centered cubes, gathered as
+    they are: spectral.real_half of a conjugate-symmetric cube, and of any
+    other cube the half without taking its real part."""
+    geo = _geometry(dim, (stack.shape[-1] + 1) // 2)
+    return np.take(stack.reshape(stack.shape[:-dim] + (-1,)), geo.half, axis=-1)
 
 
 def cube_leray(stack, dim, cutoff):
@@ -140,8 +155,8 @@ def composition_sample(spec, i, s, g_name="sin"):
     if f_inf == 0.0:
         return 0.0, 0.0
     m = 2 * f.cutoff - 1
-    gf = SpectralField(f.dim, m, half_to_cube(
-        real_grid_to_coefficients(_SMOOTH_MAPS[g_name][0](grid), m, f.dim), f.dim, m))
+    gf = SpectralField.from_half(
+        real_grid_to_coefficients(_SMOOTH_MAPS[g_name][0](grid), m, f.dim), f.dim, m)
     bound = smooth_map_derivative_bound(g_name, math.ceil(s) + 1, f_inf)
     return (field_lp(gf.bessel(s), 2.0),
             bound * (1.0 + f_inf) ** math.ceil(s) * field_lp(f.bessel(s), 2.0))

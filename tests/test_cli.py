@@ -475,8 +475,24 @@ def test_verify_refuses_empty_campaign(tmp_path, capsys, monkeypatch, name, samp
     (["verify", "decomposition", "--rho", "inf"], "rho must be finite"),
     (["verify", "product", "--s", "400"], "product: sample 0 has lhs inf"),    # J^s overflows
     (sim_args("run", kind="random", rho="nan"), "rho must be finite"),
+    (sim_args("run", dt="inf"), "dt must be finite"),
+    (sim_args("run", t_end="nan"), "t_end must be finite"),
+    (sim_args("run", t_end="inf"), "t_end must be finite"),
+    (sim_args("run", abs_tol="nan"), "abs_tol must be finite"),
+    (sim_args("run", rel_tol="inf"), "rel_tol must be finite"),
+    (sim_args("run", blowup_factor="nan"), "blowup_factor must be finite"),
+    (sim_args("run", c_tilde="nan"), "c_tilde must be finite"),
+    (sim_args("run", gamma="nan"), "gamma must be finite"),
+    (sim_args("run", alpha="nan"), "alpha must be finite"),
+    (sim_args("run", s="nan"), "finite s > d/2"),
+    (sim_args("run", s="inf"), "finite s > d/2"),
+    (sim_args("run", kind="random", v_scale="inf"), "v_scale must be finite"),
 ], ids=["interpolation-s-nan", "product-s-inf", "commutator-s-nan", "composition-s-minus-inf",
-        "product-rho-nan", "decomposition-rho-inf", "product-overflow", "simulate-rho-nan"])
+        "product-rho-nan", "decomposition-rho-inf", "product-overflow", "simulate-rho-nan",
+        "simulate-dt-inf", "simulate-t_end-nan", "simulate-t_end-inf", "simulate-abs_tol-nan",
+        "simulate-rel_tol-inf", "simulate-blowup_factor-nan", "simulate-c_tilde-nan",
+        "simulate-gamma-nan", "simulate-alpha-nan", "simulate-s-nan", "simulate-s-inf",
+        "simulate-v_scale-inf"])
 def test_refuses_non_finite_input(tmp_path, capsys, monkeypatch, argv, named):
     monkeypatch.chdir(tmp_path)
     if argv[0] == "verify":
@@ -485,6 +501,18 @@ def test_refuses_non_finite_input(tmp_path, capsys, monkeypatch, argv, named):
         assert cli.main(argv) == cli.USAGE_ERROR
     assert named in capsys.readouterr().err
     assert os.listdir(tmp_path) == []              # no report, no run directory
+
+
+def test_refuses_nan_step_promptly(tmp_path):
+    # rk45 with dt = nan retried its rejected step forever: in a process of
+    # its own, so that a hang fails the test instead of stalling the suite
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    argv = sim_args("run", method="rk45", dt="nan", t_end=0.01)
+    proc = subprocess.run([sys.executable, "-m", "kolmosim.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == cli.USAGE_ERROR
+    assert "dt must be finite" in proc.stderr
+    assert os.listdir(tmp_path) == []
 
 
 def test_verify_report_file_written(tmp_path):

@@ -12,10 +12,11 @@ from kolmosim import integrators
 from kolmosim.cutoffs import CutoffProfile, InitialBounds
 from kolmosim.estimates import RandomFieldSpec, admissible_state
 from kolmosim.integrators import (IntegratorConfig, fix_up, integrate,
-                                  integrate_lockstep, pack, unpack)
+                                  integrate_lockstep, pack)
 from kolmosim.spectral import (FOUR_PI_SQ, SpectralField, VectorSpectralField, _geometry,
-                               cube_to_half, div_residual, half_to_cube, symmetrize)
+                               div_residual, half_to_cube, real_half)
 from kolmosim.system import ModelParams, SimState
+from oracles import cube_to_half, symmetrize
 
 TIGHT = InitialBounds(b_min0=1.0, omega_min0=1.0, omega_max0=1.0, alpha=1.0)
 WIDE = InitialBounds(b_min0=0.5, omega_min0=0.5, omega_max0=2.0, alpha=1.0)
@@ -292,10 +293,21 @@ class TestErrorNorm:
 
 class TestPacking:
     def test_pack_unpack_roundtrip(self):
-        state = divergence_free_random_state(9, dim=2, cutoff=6)
-        arr = pack(state)
-        back = unpack(arr, 2, 6, state.t)
-        assert np.array_equal(pack(back), arr)
+        # an exactly real state comes back from its real part's half with
+        # the same pack, bit for bit; on a stack of cubes that are not real
+        # real_half is cube_to_half(symmetrize(c)) bit for bit
+        rng = np.random.default_rng(12)
+        for dim, cutoff in ((2, 6), (3, 4)):
+            state = divergence_free_random_state(9, dim=dim, cutoff=cutoff)
+            arr = pack(state)
+            assert state.realness_residual() == 0.0
+            back = SimState.from_half(real_half(arr, dim), dim, cutoff, state.t)
+            assert np.array_equal(pack(back), arr) and back.t == state.t
+            cubes = arr + rng.normal(size=arr.shape) + 1j * rng.normal(size=arr.shape)
+            half = real_half(cubes, dim)
+            assert half.flags.c_contiguous
+            assert np.array_equal(half, cube_to_half(symmetrize(cubes, dim), dim))
+            assert not np.array_equal(half, cube_to_half(cubes, dim))
 
     def test_projection_helper_matches_field_method(self):
         state = divergence_free_random_state(13, dim=2, cutoff=6)
@@ -389,23 +401,24 @@ class TestStageReuse:
 
 class TestHalfLayout:
     def test_rk45_expands_to_the_cube_once_per_sample(self, monkeypatch):
-        # the loop carries canonical halves and expands a member stack to
-        # cubes only where the guard and the stored states need them
+        # the loop carries canonical halves and expands each member to cubes
+        # only where the guard and the stored states need them: the datum's
+        # ceiling, then each sample after it
         calls = [0]
-        expand = integrators.half_to_cube
+        expand = SimState.from_half
 
-        def counting_half_to_cube(*args):
+        def counting_from_half(cls, *args):
             calls[0] += 1
             return expand(*args)
 
-        monkeypatch.setattr(integrators, "half_to_cube", counting_half_to_cube)
+        monkeypatch.setattr(SimState, "from_half", classmethod(counting_from_half))
         config = IntegratorConfig(method="rk45", dt=1e-3, abs_tol=1e-7, rel_tol=1e-7,
                                   t_end=0.01, monitor_every=2)
         states = [divergence_free_random_state(81, cutoff=6), constant_state(cutoff=6)]
         runs = integrate_lockstep(states, config, make_params(bounds=WIDE), CutoffProfile(WIDE))
         assert [r.status for r in runs] == ["completed", "completed"]
         assert runs[0].steps >= 4 and len(runs[0].states) == len(runs[1].states) >= 3
-        assert calls[0] == len(runs[0].states) - 1
+        assert calls[0] == 2 * len(runs[0].states)
 
 
 def assert_threads_match_serial(runs):
@@ -439,7 +452,7 @@ def drifting_state(seed, dim=2, cutoff=6):
     re-projects it."""
     arr = pack(divergence_free_random_state(seed, dim=dim, cutoff=cutoff))
     arr[0] += 1e-6 * arr[1]
-    return unpack(arr, dim, cutoff, 0.0)
+    return SimState.from_half(real_half(arr, dim), dim, cutoff, 0.0)
 
 
 def assert_same_run(got, solo):

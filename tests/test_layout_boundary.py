@@ -1,0 +1,27 @@
+"""The cube/half boundary lives in spectral alone: no other module of
+src/kolmosim names a layout primitive.  They enter the half through
+spectral.real_half and leave it through the from_half constructors."""
+
+import ast
+import pathlib
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "kolmosim"
+PRIMITIVES = {"cube_to_half", "half_to_cube", "symmetrize", "conj_flip"}
+
+
+def _names(path):
+    """Every name, attribute and imported name a module uses."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+
+
+def test_layout_primitives_are_used_in_spectral_only():
+    used = {path.name: sorted(PRIMITIVES & set(_names(path)))
+            for path in sorted(PACKAGE.glob("*.py")) if path.name != "spectral.py"}
+    assert {name: found for name, found in used.items() if found} == {}
+    assert {"real_half", "from_half"} <= set(_names(PACKAGE / "spectral.py"))

@@ -14,17 +14,17 @@ from kolmosim.spectral import (
     _geometry,
     coefficients_to_real_grid,
     conj_flip,
-    cube_to_half,
     fast_grid_size,
     half_to_cube,
     lp_norm,
     real_grid_to_coefficients,
+    real_half,
     realness_residual,
     spectral_product,
-    symmetrize,
 )
 from kolmosim.storage import _field_records
-from oracles import cube_div_residual, cube_leray, direct_convolution, trigonometric_sum
+from oracles import (cube_div_residual, cube_leray, cube_to_half, direct_convolution,
+                     symmetrize, trigonometric_sum)
 
 
 def sample_complex_field(dim, cutoff, rho=1.5, seed=0):
@@ -250,6 +250,15 @@ class TestRealPass:
             c = half_to_cube(real_grid_to_coefficients(grid, cutoff, 2), 2, cutoff)
             assert np.all(c[geo.k[-1] != 0] == 0.0)
 
+    @pytest.mark.parametrize("dim, cutoff, points", [(2, 13, 101), (2, 19, 149), (3, 13, 101)])
+    def test_mean_coefficient_is_exactly_real(self, dim, cutoff, points):
+        # scipy takes these sizes' complex passes by Bluestein's algorithm,
+        # which rounded imag(c_0) off zero (by up to 4e-18)
+        grid = np.random.default_rng(points).normal(size=(points,) * dim)
+        c = real_grid_to_coefficients(grid, cutoff, dim)
+        assert c[_geometry(dim, cutoff).origin].imag == 0.0
+        assert _geometry(dim, cutoff).half_weight[_geometry(dim, cutoff).origin] == 1.0
+
     def test_shift_in_place_only_when_asked(self):
         grid = sample_real_field(2, 6, seed=3).real_samples(24)
         kept = grid.copy()
@@ -273,6 +282,7 @@ class TestHalfLayout:
         assert half.shape == (3, (int(geo.ball.sum()) + 1) // 2)
         assert np.array_equal(half_to_cube(half, dim, cutoff), cube)
         assert np.array_equal(cube_to_half(half_to_cube(half, dim, cutoff), dim), half)
+        assert np.array_equal(real_half(half_to_cube(half, dim, cutoff), dim), half)
 
     def test_expanded_cube_is_exactly_real(self):
         # any half with a real k = 0 coefficient expands to a real field

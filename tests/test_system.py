@@ -16,9 +16,10 @@ import pytest
 
 from kolmosim import system
 from kolmosim.cutoffs import CutoffProfile, InitialBounds, nu_bar_grid
-from kolmosim.spectral import (SpectralField, VectorSpectralField, _geometry, _half_bins,
-                               _real_pass, coefficients_to_real_grid, cube_to_half,
-                               half_to_cube, leray_coefficients)
+from kolmosim.diagnostics import nu_bar_aliasing
+from kolmosim.spectral import (REAL_TOL, SpectralField, VectorSpectralField, _geometry,
+                               _half_bins, _real_pass, coefficients_to_real_grid, half_to_cube,
+                               leray_coefficients)
 from kolmosim.system import (
     ModelParams,
     SimState,
@@ -34,7 +35,7 @@ from kolmosim.system import (
     state_problems,
     triple_sq,
 )
-from oracles import flux_divergences
+from oracles import cube_to_half, flux_divergences, symmetrize
 
 BOUNDS = InitialBounds(b_min0=0.5, omega_min0=0.5, omega_max0=2.0, alpha=1.0)
 PROFILE = CutoffProfile(bounds=BOUNDS)
@@ -190,6 +191,25 @@ class TestStructure:
             assert max(f.realness_residual() for f in dv.components) < 1e-12
             assert dw.realness_residual() < 1e-12
             assert db.realness_residual() < 1e-12
+
+    def test_rhs_takes_the_real_part(self):
+        # a state off conjugate symmetry within REAL_TOL, which the state
+        # check lets through, gives the right-hand side and the aliasing
+        # indicator of its real part, bit for bit
+        rng = np.random.default_rng(60)
+        y = pack(divergence_free_random_state(60))
+        y += 1e-14 * np.abs(y).max(axis=(1, 2), keepdims=True) * (
+            rng.normal(size=y.shape) + 1j * rng.normal(size=y.shape))
+        near = [SpectralField(2, 8, c) for c in y]
+        real = [SpectralField(2, 8, symmetrize(c, 2)) for c in y]
+        near, real = (SimState(VectorSpectralField(tuple(fs[:2])), fs[2], fs[3])
+                      for fs in (near, real))
+        assert 1e-14 < near.realness_residual() <= REAL_TOL
+        assert real.realness_residual() == 0.0
+        assert np.array_equal(pack(SimState(*rhs(near, PARAMS, PROFILE))),
+                              pack(SimState(*rhs(real, PARAMS, PROFILE))))
+        assert np.array_equal(nu_bar_aliasing([near], PARAMS, PROFILE),
+                              nu_bar_aliasing([real], PARAMS, PROFILE))
 
     def test_leray_equivalence_with_pressure(self):
         """Projecting the advective-diffusive force equals subtracting grad p."""
@@ -442,14 +462,14 @@ import sys
 import numpy as np
 from kolmosim.cutoffs import CutoffProfile, InitialBounds
 from kolmosim.estimates import RandomFieldSpec, admissible_state
-from kolmosim.spectral import coefficients_to_real_grid, cube_to_half, real_grid_to_coefficients
+from kolmosim.spectral import coefficients_to_real_grid, real_grid_to_coefficients, real_half
 from kolmosim.system import ModelParams, member_rhs, pack
 bounds = InitialBounds(b_min0=0.5, omega_min0=0.5, omega_max0=2.0, alpha=1.0)
 params = ModelParams(alpha=1.0, s=2.0, bounds=bounds, oversample=4)
 y = pack(admissible_state(RandomFieldSpec(dim=3, cutoff=8, rho=2.0, seed=1), bounds))
-out, nu = member_rhs(cube_to_half(y, 3)[None], 8, 0.05, params, CutoffProfile(bounds))
+out, nu = member_rhs(real_half(y, 3)[None], 8, 0.05, params, CutoffProfile(bounds))
 y = pack(admissible_state(RandomFieldSpec(dim=2, cutoff=16, rho=2.0, seed=2), bounds))
-grid = coefficients_to_real_grid(cube_to_half(y, 2), 16, 2, params.grid_points(16))
+grid = coefficients_to_real_grid(real_half(y, 2), 16, 2, params.grid_points(16))
 for arr in (out, nu, grid, real_grid_to_coefficients(grid, 16, 2)):
     sys.stdout.buffer.write(arr.tobytes())
 """
