@@ -5,7 +5,8 @@ refinement levels.
 `simulate` writes config.txt, then each snapshot the moment the integrator
 takes the sample (through its on_sample hook), and checks that sample's
 omega/b extrema against their envelopes: the run stops at the first sample
-that leaves them.  The diagnostics CSV, the nubar aliasing indicator and
+that leaves them; a run that fails keeps its last finite state as its last
+snapshot.  The diagnostics CSV, the nubar aliasing indicator and
 summary.txt follow the run.  A run killed outright (SIGKILL) leaves the
 output directory's lock file behind; it must be deleted by hand.
 
@@ -19,6 +20,7 @@ import csv
 import math
 import os
 import sys
+from dataclasses import replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -207,15 +209,21 @@ def cmd_simulate(args) -> int:
         rows = _diagnostics_rows(traj, extrema, config, run.constants, profile)
         write_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"), rows)
         # after the outputs the run itself needs, and not counted as its RHS
-        # evaluations: each sample's nubar quadrature error on this grid
-        aliasing = float(np.max(nu_bar_aliasing(traj.states, run.model, profile)))
+        # evaluations: each sample's nubar quadrature error on its grid, from
+        # the right-hand sides and indicators the run kept
+        aliasing = float(np.max(nu_bar_aliasing(traj.states, run.model, profile, traj.rhs,
+                                                traj.grids, traj.aliasing)))
         points = run.model.grid_points(state.cutoff)
+        schedule = " ".join(f"{t!r}:{replace(run.model, oversample=o).grid_points(state.cutoff)}"
+                            for t, o in traj.grid_schedule) or "none"
         with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
             fh.write(f"status = {traj.status}\n")
             fh.write(f"steps = {traj.steps}\n")
             fh.write(f"rejected = {traj.rejected}\n")
             fh.write(f"rhs_evaluations = {traj.evaluations}\n")
             fh.write(f"grid_points = {points}\n")
+            fh.write(f"grid_schedule = {schedule}\n")
+            fh.write(f"grid_checks = {traj.grid_checks}\n")
             fh.write(f"nu_bar_aliasing = {aliasing!r}\n")
             fh.write(f"samples = {len(traj.states)}\n")
             fh.write(f"final_t = {traj.final.t!r}\n")
@@ -224,7 +232,7 @@ def cmd_simulate(args) -> int:
                 fh.write(f"message = {traj.message}\n")
 
     if aliasing > run.integrator.rel_tol:
-        print(f"warning: nu_bar aliasing {aliasing:.3g} on the {points}-point grid "
+        print(f"warning: nu_bar aliasing {aliasing:.3g} (finest grid {points} points) "
               f"exceeds rel_tol = {run.integrator.rel_tol!r}; raise oversample",
               file=sys.stderr)
     if traj.status == "aborted-monitor":

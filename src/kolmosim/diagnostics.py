@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -210,23 +210,40 @@ def extrema_monitor(state: SimState, profile: CutoffProfile, grid: int,
                          margins=(min_w - lo_w, hi_w - max_w, min_b - lo_b))
 
 
+def rhs_gap(f: np.ndarray, fine: np.ndarray) -> np.ndarray:
+    """max|f - fine| / max|fine| of each member of two right-hand-side stacks
+    (members, ...), and the bare max|f - fine| where fine is zero."""
+    axes = tuple(range(1, f.ndim))
+    err, scale = np.max(np.abs(f - fine), axis=axes), np.max(np.abs(fine), axis=axes)
+    return np.where(scale > 0, err / np.where(scale > 0, scale, 1.0), err)
+
+
 def nu_bar_aliasing(states: Sequence[SimState], params: ModelParams,
-                    profile: CutoffProfile) -> np.ndarray:
-    """Each state's max|f - f_fine| / max|f_fine|, with f its real part's
-    right-hand side on the quadrature grid of `params` and f_fine on the
-    grid of oversample + 1.
+                    profile: CutoffProfile,
+                    rhs: Optional[Sequence[Optional[np.ndarray]]] = None,
+                    grids: Optional[Sequence[int]] = None,
+                    measured: Optional[Sequence[Optional[float]]] = None) -> np.ndarray:
+    """Each state's max|f - f_fine| / max|f_fine| (`rhs_gap`), with f its real
+    part's right-hand side on its quadrature grid and f_fine on the grid one
+    oversample up.
 
     The quadratic fluxes are exact on either grid, so the difference is the
-    quadrature error of nubar = Phi(b)/Psi(omega).  All calls on the run's
-    grid come first, so the kernel's workspace changes size once.
+    quadrature error of nubar = Phi(b)/Psi(omega).  Without the optional
+    arguments every state is on the grid of `params` and costs two kernel
+    calls.  A trajectory's samples pass what the run kept (`Trajectory.rhs`,
+    `.grids`, `.aliasing`): each state's oversample, its f where the run
+    evaluated it (None where not), and the indicator where the run already
+    measured it (None where not), which costs no call; a kept f saves one.
     """
-    finer = replace(params, oversample=params.oversample + 1)
-    halves = [real_half(pack(st), st.dim)[None] for st in states]
-    coarse = [member_rhs(y, st.cutoff, st.t, params, profile)[0]
-              for y, st in zip(halves, states)]
     out = np.empty(len(states))
-    for i, (y, st, f) in enumerate(zip(halves, states, coarse)):
-        fine = member_rhs(y, st.cutoff, st.t, finer, profile)[0]
-        err, scale = np.max(np.abs(f - fine)), np.max(np.abs(fine))
-        out[i] = err / scale if scale > 0 else err
+    for i, st in enumerate(states):
+        if measured is not None and measured[i] is not None:
+            out[i] = measured[i]
+            continue
+        own = params if grids is None else replace(params, oversample=grids[i])
+        finer = replace(own, oversample=own.oversample + 1)
+        y = real_half(pack(st), st.dim)[None]
+        f = (member_rhs(y, st.cutoff, st.t, own, profile)[0] if rhs is None or rhs[i] is None
+             else rhs[i][None])
+        out[i] = rhs_gap(f, member_rhs(y, st.cutoff, st.t, finer, profile)[0])[0]
     return out

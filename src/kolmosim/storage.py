@@ -143,7 +143,9 @@ def read_diagnostics_csv(path: str) -> List[Dict]:
 # section -> key -> default; a key's type is its default's type, and the
 # [integrator] section is IntegratorConfig's fields.  oversample 3 is the
 # smallest whose nubar aliasing (diagnostics.nu_bar_aliasing) on the default
-# datum at t = 0 is within the default rel_tol.
+# datum at t = 0 is within the default rel_tol; it is an rk45 run's finest
+# grid, from which the run steps down to oversample 2 once the coarser
+# right-hand side agrees (integrators' grid rule).
 CONFIG_SCHEMA = {
     "model": {"d": 2, "n": 16, "s": 2.0, "alpha": 1.0, "oversample": 3,
               "omega_min0": 0.5, "omega_max0": 2.0, "b_min0": 0.5},

@@ -32,11 +32,13 @@ viscosity.  `rhs` is the one-state case on field objects, the state's real
 part in and cubes out, without the nubar samples.
 
 The kernel's grid-sized arrays live in an `RhsWorkspace`, which the kernel
-owns: each thread keeps one, for the last (dim, cutoff, points, members) it
-called at, and every caller (integrations, `rhs`, the aliasing indicator)
-reuses it.  A call at another size replaces it, so a lockstep run that
-loses a member rebuilds it on its next call; a thread keeps its last-size
-buffers until it calls at another size or exits.
+owns: each thread keeps one for each of the last two grid sizes it called
+at for one (dim, cutoff, members), and every caller (integrations, `rhs`,
+the aliasing indicator) reuses them, so an rk45 run whose grid moves
+between 96^2 and 64^2 builds each once.  A call at a third size frees the
+one used least recently, and a call at another (dim, cutoff, members) frees
+both, before building; so a lockstep run that loses a member rebuilds on
+its next call.  A thread keeps its buffers until then or until it exits.
 Threads never share buffers.  The kernel always returns a new array, never
 a view of the workspace, so results held across calls (the RK stages) stay
 valid.
@@ -68,6 +70,12 @@ from .spectral import (
 
 @dataclass
 class ModelParams:
+    """The model's constants and its quadrature grid: oversample times the
+    2n - 1 modes per axis, rounded up to a fast FFT size.  rk4 runs and rk45
+    runs at oversample 2 step on that grid throughout; for an rk45 run above
+    2 it is the finest grid, and the run steps down from it while the
+    coarser right-hand side agrees (`integrators`)."""
+
     alpha: float
     s: float
     bounds: InitialBounds
@@ -333,12 +341,19 @@ _local = threading.local()
 
 
 def _workspace(size) -> RhsWorkspace:
-    """This thread's workspace for (dim, cutoff, points, members): one entry,
-    replaced when a call arrives at another size."""
-    ws = getattr(_local, "workspace", None)
-    if ws is None or ws.size != size:
-        ws = _local.workspace = None          # free the old buffers first
-        ws = _local.workspace = RhsWorkspace(*size)
+    """This thread's workspace for (dim, cutoff, points, members).  The thread
+    keeps the last two grid sizes it called at for one (dim, cutoff,
+    members), so a run whose quadrature grid moves, or checks one grid
+    against another, builds each size once; a call at a third size, or at
+    another (dim, cutoff, members), frees what it does not keep first."""
+    kept = getattr(_local, "kept", [])
+    ws = next((w for w in kept if w.size == size), None)
+    if ws is None:
+        kept = [w for w in kept[-1:] if w.size[:2] + w.size[3:] == size[:2] + size[3:]]
+        _local.kept = _local.workspace = None    # free the other buffers first
+        ws = RhsWorkspace(*size)
+    _local.kept = [w for w in kept if w is not ws] + [ws]    # the last size called at last
+    _local.workspace = ws
     return ws
 
 

@@ -351,6 +351,53 @@ def test_simulate_summary_reports_grid_and_aliasing(tmp_path, monkeypatch, capsy
     assert len(warnings) == 1
 
 
+def test_simulate_summary_reports_the_grid_schedule(tmp_path, monkeypatch, capsys):
+    # the default datum steps down from 96^2 to 64^2 during the run: the
+    # summary keeps the finest grid, adds each move and the checks' kernel
+    # calls apart from the run's, and the aliasing is each sample's own
+    # grid's against the one above
+    runs = []
+    integrate = cli.integrate
+
+    def recording_integrate(*args, **kwargs):
+        runs.append((args, integrate(*args, **kwargs)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(cli, "integrate", recording_integrate)
+    out = str(tmp_path / "run")
+    assert run(*sim_args(out, kind="random", n=16, method="rk45", t_end=0.001)) == 0
+    with open(os.path.join(out, "summary.txt")) as fh:
+        summary = dict(line.split(" = ", 1) for line in fh.read().splitlines())
+    (args, traj), = runs
+    _, _, params, profile = args
+    (t_move, oversample), = traj.grid_schedule
+    assert oversample == 2 and 0 < t_move < 0.001
+    assert int(summary["grid_points"]) == params.grid_points(16) == 96
+    assert summary["grid_schedule"] == f"{t_move!r}:64"
+    assert int(summary["grid_checks"]) == traj.grid_checks >= 1
+    assert int(summary["rhs_evaluations"]) == traj.evaluations
+    own = [nu_bar_aliasing([st], replace(params, oversample=grid), profile)[0]
+           for st, grid in zip(traj.states, traj.grids)]
+    assert float(summary["nu_bar_aliasing"]) == max(own) <= 1e-8
+    assert "warning:" not in capsys.readouterr().err
+
+
+def test_simulate_nonfinite_abort_writes_the_last_finite_state(tmp_path, capsys):
+    # rk4 at dt = 0.5 diverges in its second step: the first step's state
+    # is the last snapshot, and the summary's final sample
+    out = str(tmp_path / "run")
+    assert run(*sim_args(out, kind="random", n=4, seed=9, dt=0.5, t_end=50.0,
+                         monitor_every=1_000_000)) == 2
+    assert "failed-nonfinite" in capsys.readouterr().err
+    with open(os.path.join(out, "summary.txt")) as fh:
+        summary = dict(line.split(" = ", 1) for line in fh.read().splitlines())
+    assert (summary["status"], summary["samples"], summary["final_t"]) == \
+        ("failed-nonfinite", "2", "0.5")
+    last = load_snapshot(os.path.join(out, "snapshot_000001.kolm"))
+    assert last.t == 0.5 and np.all(np.isfinite(last.omega.coeffs))
+    assert float(summary["final_triple_sq"]) == last.triple_norm_sq(2.0)
+
+
 def test_simulate_without_aliasing_does_not_warn(tmp_path, capsys):
     out = str(tmp_path / "run")
     assert run(*sim_args(out)) == 0

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from kolmosim import cli
+from kolmosim import cli, diagnostics
 from kolmosim.cutoffs import CutoffProfile, InitialBounds
 from kolmosim.diagnostics import (ConstantModel, beta_exponent,
                                   beta_formula_extended, energy_balance,
@@ -268,6 +268,46 @@ class TestNuBarAliasing:
         default, tol = config["oversample"], run.integrator.rel_tol
         assert indicator(default) <= tol
         assert indicator(default - 1) > tol
+
+    def test_a_run_keeps_what_the_indicator_needs(self, monkeypatch):
+        # the default datum steps down to 64^2 at its 7th step: the samples
+        # below 96^2 carry the run's checks one grid up, and the datum its
+        # 96^2 right-hand side, so one kernel call (at 125^2) is left; each
+        # value is that of its sample on its own grid
+        config = RunConfig()
+        config["t_end"] = 0.001
+        run = config.validate()
+        profile = CutoffProfile(run.bounds)
+        traj = integrate(cli.initial_state(config), run.integrator, run.model, profile)
+        assert traj.grids == [3, 2, 2]
+        calls = []
+        kernel = diagnostics.member_rhs
+
+        def counting_rhs(ys, cutoff, t, params, *args):
+            calls.append(params.oversample)
+            return kernel(ys, cutoff, t, params, *args)
+
+        monkeypatch.setattr(diagnostics, "member_rhs", counting_rhs)
+        got = nu_bar_aliasing(traj.states, run.model, profile, traj.rhs, traj.grids,
+                              traj.aliasing)
+        assert calls == [4]
+        monkeypatch.undo()
+        own = [nu_bar_aliasing([st], dataclasses.replace(run.model, oversample=grid),
+                               profile)[0] for st, grid in zip(traj.states, traj.grids)]
+        assert got.tolist() == own
+
+    def test_kept_rhs_gives_the_same_values(self):
+        # a run that never leaves its grid (oversample 2): the kept
+        # right-hand sides replace the first call of each sample bit for bit
+        state = cli.initial_state(RunConfig())
+        params = ModelParams(alpha=1.0, s=2.0, bounds=WIDE, oversample=2)
+        config = IntegratorConfig(t_end=2e-4, monitor_every=2)
+        traj = integrate(state, config, params, CutoffProfile(WIDE))
+        assert traj.grids == [2] * len(traj.states) and all(f is not None for f in traj.rhs)
+        assert np.array_equal(
+            nu_bar_aliasing(traj.states, params, CutoffProfile(WIDE), traj.rhs, traj.grids,
+                            traj.aliasing),
+            nu_bar_aliasing(traj.states, params, CutoffProfile(WIDE)))
 
     def test_constant_viscosity_does_not_alias(self):
         # constant omega and b make nubar constant: nothing is left for

@@ -4,18 +4,21 @@ and the guard/abort paths."""
 
 import threading
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from kolmosim import integrators
+from kolmosim import cli, integrators
 from kolmosim.cutoffs import CutoffProfile, InitialBounds
+from kolmosim.diagnostics import rhs_gap
 from kolmosim.estimates import RandomFieldSpec, admissible_state
 from kolmosim.integrators import (IntegratorConfig, fix_up, integrate,
                                   integrate_lockstep, pack)
 from kolmosim.spectral import (FOUR_PI_SQ, SpectralField, VectorSpectralField, _geometry,
                                div_residual, half_to_cube, real_half)
-from kolmosim.system import ModelParams, SimState
+from kolmosim.storage import RunConfig, load_snapshot, save_snapshot
+from kolmosim.system import ModelParams, SimState, member_rhs
 from oracles import cube_to_half, symmetrize
 
 TIGHT = InitialBounds(b_min0=1.0, omega_min0=1.0, omega_max0=1.0, alpha=1.0)
@@ -215,6 +218,49 @@ class TestDegenerateCases:
                              CutoffProfile(WIDE))
         assert traj.status == "failed-nonfinite"
         assert "non-finite" in traj.message
+        assert np.all(np.isfinite(pack(traj.final)))
+
+    def test_nonfinite_exit_keeps_the_last_finite_state(self, tmp_path):
+        # the diverging datum's first step is finite, its second is not: the
+        # state of the first is the run's final sample, and the hook (which
+        # writes it here, as simulate does) sees it
+        state = divergence_free_random_state(5, dim=2, cutoff=16)
+        config = IntegratorConfig(method="rk4", dt=0.5, t_end=50.0,
+                                  monitor_every=1_000_000)
+        paths = []
+
+        def save(member, st):
+            paths.append(str(tmp_path / f"snapshot_{len(paths)}.kolm"))
+            save_snapshot(st, paths[-1])
+
+        traj = integrate(state, config, make_params(bounds=WIDE), CutoffProfile(WIDE),
+                         on_sample=save)
+        assert traj.status == "failed-nonfinite" and traj.steps == 1
+        assert "at t = 1, h = 0.5" in traj.message
+        assert [st.t for st in traj.states] == [0.0, 0.5]
+        assert np.all(np.isfinite(pack(traj.final)))
+        on_disk = load_snapshot(paths[-1])
+        assert len(paths) == 2 and on_disk.t == 0.5
+        assert np.array_equal(pack(on_disk), pack(traj.final))
+
+    def test_step_size_underflow_keeps_the_last_accepted_state(self, monkeypatch):
+        # every stage past t = 0.002 is non-finite, so rk45 shrinks its step
+        # to the floor there; the last accepted state is the final sample
+        kernel = integrators.rhs
+
+        def failing_rhs(ys, cutoff, t, *args):
+            f, nu = kernel(ys, cutoff, t, *args)
+            return (f * np.nan if t > 0.002 else f), nu
+
+        monkeypatch.setattr(integrators, "rhs", failing_rhs)
+        seen = []
+        config = IntegratorConfig(method="rk45", dt=1e-3, t_end=0.01, monitor_every=100)
+        traj = integrate(divergence_free_random_state(86, cutoff=6), config,
+                         make_params(bounds=WIDE), CutoffProfile(WIDE),
+                         on_sample=lambda m, st: seen.append(st))
+        assert traj.status == "failed-nonfinite" and "underflow" in traj.message
+        assert len(traj.states) == 2 and seen == traj.states
+        assert traj.final.t == pytest.approx(0.002) and traj.final.t <= 0.002
         assert np.all(np.isfinite(pack(traj.final)))
 
 
@@ -667,3 +713,121 @@ class TestSampleHook:
                          on_sample=lambda m, st: seen.append(st.t) or
                          (None if st.t == 0.0 else "stop"))
         assert len(seen) == 2 and traj.status == "aborted-blowup" and traj.steps == 10
+
+
+class TestGridRule:
+    """rk45 above oversample 2 steps down one grid when the coarser
+    right-hand side at the FSAL point agrees to rel_tol/10 for every
+    member, and back up when a sample's aliasing exceeds rel_tol."""
+
+    @staticmethod
+    def record(monkeypatch, change=None):
+        """Each kernel call's (oversample, t); change(f, t, params) may
+        replace the right-hand side the kernel returns."""
+        calls = []
+        kernel = integrators.rhs
+
+        def recording_rhs(ys, cutoff, t, params, *args):
+            calls.append((params.oversample, t))
+            f, nu = kernel(ys, cutoff, t, params, *args)
+            return (f if change is None else change(f, t, params)), nu
+
+        monkeypatch.setattr(integrators, "rhs", recording_rhs)
+        return calls
+
+    @staticmethod
+    def default_run(**settings):
+        """The default simulate datum and its run's objects, to t_end 0.001."""
+        config = RunConfig()
+        config["t_end"] = 0.001
+        for key, value in settings.items():
+            config[key] = value
+        run = config.validate()
+        return cli.initial_state(config), run.integrator, run.model, CutoffProfile(run.bounds)
+
+    def test_fixed_grid_runs_call_one_size(self, monkeypatch):
+        # rk4 at oversample 3 and rk45 at oversample 2 never check a grid
+        calls = self.record(monkeypatch)
+        state, _, params, profile = self.default_run()
+        for config, oversample in ((IntegratorConfig(method="rk4", dt=1e-5, t_end=1e-4), 3),
+                                   (IntegratorConfig(t_end=1e-3), 2)):
+            calls.clear()
+            traj = integrate(state, config, replace(params, oversample=oversample), profile)
+            assert traj.status == "completed" and len(calls) == traj.evaluations
+            assert {o for o, _ in calls} == {oversample}
+            assert traj.grid_checks == 0 and traj.grid_schedule == []
+            assert traj.grids == [oversample] * len(traj.states)
+
+    def test_default_datum_steps_down_where_the_rule_first_holds(self, monkeypatch):
+        # every step sampled, so each one keeps its FSAL stage: the run moves
+        # 96^2 -> 64^2 at the first step whose 64^2 right-hand side agrees to
+        # rel_tol/10 (the 7th), adopting that evaluation as its next k1
+        calls = self.record(monkeypatch)
+        state, config, params, profile = self.default_run(monitor_every=1)
+        traj = integrate(state, config, params, profile)
+        assert traj.status == "completed" and params.oversample == 3
+
+        def kernel(st, oversample):
+            return member_rhs(real_half(pack(st), 2)[None], 16, st.t,
+                              replace(params, oversample=oversample), profile)[0]
+
+        moved = traj.grids.index(2)           # the first sample on 64^2
+        assert moved == 7 and traj.grid_schedule == [(traj.states[moved].t, 2)]
+        assert all(rhs_gap(kernel(st, 2), f[None])[0] > config.rel_tol / 10
+                   for st, f in zip(traj.states[:moved], traj.rhs[:moved]))
+        # the 7th sample keeps the 64^2 evaluation, and the gap the rule saw
+        assert np.array_equal(traj.rhs[moved][None], kernel(traj.states[moved], 2))
+        assert traj.aliasing[moved] == rhs_gap(traj.rhs[moved][None],
+                                               kernel(traj.states[moved], 3))[0]
+        assert traj.aliasing[moved] <= config.rel_tol / 10
+        # no stage call for the move
+        assert traj.evaluations == 6 * (traj.steps + traj.rejected) + 1
+        assert len(calls) == traj.evaluations + traj.grid_checks
+        # after it, 96^2 is called only for each sample's check one grid up,
+        # which is that sample's aliasing
+        after = calls[calls.index((2, traj.states[moved].t)) + 1:]
+        assert [o for o, _ in after].count(3) == len(traj.states) - moved - 1
+        assert all(a is not None and a <= config.rel_tol for a in traj.aliasing[moved:])
+
+    def test_moving_run_ends_near_the_fixed_grid_run(self, monkeypatch):
+        # a run whose coarse checks never agree keeps 96^2 throughout: the
+        # final states differ by less than 10 rel_tol
+        state, config, params, profile = self.default_run()
+        moving = integrate(state, config, params, profile)
+        self.record(monkeypatch, lambda f, t, p: f + 1.0 if p.oversample == 2 else f)
+        fixed = integrate(state, config, params, profile)
+        assert fixed.grid_schedule == [] and moving.grid_schedule != []
+        assert (fixed.steps, fixed.rejected) == (moving.steps, moving.rejected)
+        gap = np.max(np.abs(pack(moving.final) - pack(fixed.final))) / \
+            np.max(np.abs(pack(fixed.final)))
+        assert gap <= 10 * config.rel_tol
+
+    def test_step_up_adopts_the_fine_evaluation(self, monkeypatch):
+        # past t = 5e-4 the 64^2 right-hand side is off by 1e-7 relative:
+        # the next sample's check one grid up sees it and moves the run back
+        def skewed(f, t, params):
+            return f * (1 + 1e-7) if params.oversample == 2 and t > 5e-4 else f
+
+        calls = self.record(monkeypatch, skewed)
+        state, config, params, profile = self.default_run(monitor_every=2)
+        traj = integrate(state, config, params, profile)
+        assert traj.status == "completed"
+        (t_down, two), (t_up, three) = traj.grid_schedule
+        assert (two, three) == (2, 3) and 5e-4 < t_up
+        up = [st.t for st in traj.states].index(t_up)
+        assert traj.grids[up] == 2 and traj.aliasing[up] > config.rel_tol
+        assert traj.grids[up + 1:] == [3] * (len(traj.states) - up - 1)
+        assert traj.evaluations == 6 * (traj.steps + traj.rejected) + 1
+        assert len(calls) == traj.evaluations + traj.grid_checks
+        assert [o for o, _ in calls[-6:]] == [3] * 6      # the last step's stages
+
+    def test_never_qualifying_datum_spends_little_on_checks(self, monkeypatch):
+        # at rel_tol 1e-11 the coarse grid never agrees to 1e-12: the checks
+        # back off, and take at most 3% of the run's kernel calls
+        calls = self.record(monkeypatch)
+        state, config, params, profile = self.default_run(
+            n=8, seed=3, rel_tol=1e-11, abs_tol=1e-11, t_end=0.002)
+        traj = integrate(state, config, params, profile)
+        assert traj.status == "completed" and traj.grid_schedule == []
+        assert traj.grid_checks == sum(o == 2 for o, _ in calls) >= 1
+        assert traj.grid_checks <= 0.03 * len(calls)

@@ -341,6 +341,21 @@ class TestWorkspace:
         assert not any(np.shares_memory(a, b) for a in old for b in new)
         assert np.array_equal(member_rhs(y, 8, 0.05, PARAMS, PROFILE)[0], first)
 
+    def test_two_grid_sizes_of_one_stack_are_kept(self):
+        # a run moving between two grids, or checking one against the
+        # other, rebuilds neither; a third size frees the one used least
+        # recently
+        y = cube_to_half(pack(divergence_free_random_state(49)), 2)[None]
+        built = {}
+        for oversample in (3, 2, 3, 2):
+            member_rhs(y, 8, 0.05, dataclasses.replace(PARAMS, oversample=oversample),
+                       PROFILE)
+            assert system._local.workspace is built.setdefault(oversample,
+                                                               system._local.workspace)
+        member_rhs(y, 8, 0.05, PARAMS, PROFILE)          # oversample 4
+        assert [ws.size[2] for ws in system._local.kept] == \
+            [dataclasses.replace(PARAMS, oversample=2).grid_points(8), PARAMS.grid_points(8)]
+
     def test_old_buffers_are_freed_before_new_ones_are_built(self, monkeypatch):
         # two workspaces alive at once would raise the peak memory of every
         # size switch by the old workspace's size
