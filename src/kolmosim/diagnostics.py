@@ -15,7 +15,7 @@ import numpy as np
 
 from .cutoffs import CutoffProfile
 from .spectral import real_half
-from .system import ModelParams, SimState, grid_extrema, member_rhs, pack, triple_sq
+from .system import ModelParams, SimState, grid_extrema, member_rhs, pack, rhs_gap, triple_sq
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,6 @@ class EnergyReport:
     """Per-sample energy-inequality data."""
 
     t: float
-    norms: Tuple[float, float, float]        # (|v|_Hs, |omega|_Hs, |b|_Hs)
     triple_sq: float
     hs1_triple_sq: float
     lhs: float
@@ -170,16 +169,10 @@ def energy_balance(trajectory, s: float, nu_lower: Callable[[float], float],
     rhs = cmodel.c_tilde * shape
     c_hat = max(0.0, float(np.max(lhs / shape)))
 
-    reports = []
-    for i, st in enumerate(states):
-        reports.append(EnergyReport(
-            t=float(times[i]),
-            norms=(st.v.hs_norm(s), st.omega.hs_norm(s), st.b.hs_norm(s)),
-            triple_sq=float(triple[i]),
-            hs1_triple_sq=float(hs1[i]),
-            lhs=float(lhs[i]),
-            rhs_bound=float(rhs[i]),
-        ))
+    reports = [EnergyReport(t=float(times[i]), triple_sq=float(triple[i]),
+                            hs1_triple_sq=float(hs1[i]), lhs=float(lhs[i]),
+                            rhs_bound=float(rhs[i]))
+               for i in range(len(states))]
     return reports, c_hat
 
 
@@ -208,14 +201,6 @@ def extrema_monitor(state: SimState, profile: CutoffProfile, grid: int,
     passed = (min_w >= lo_w) and (max_w <= hi_w) and (min_b >= lo_b)
     return ExtremaReport(min_w, max_w, min_b, passed,
                          margins=(min_w - lo_w, hi_w - max_w, min_b - lo_b))
-
-
-def rhs_gap(f: np.ndarray, fine: np.ndarray) -> np.ndarray:
-    """max|f - fine| / max|fine| of each member of two right-hand-side stacks
-    (members, ...), and the bare max|f - fine| where fine is zero."""
-    axes = tuple(range(1, f.ndim))
-    err, scale = np.max(np.abs(f - fine), axis=axes), np.max(np.abs(fine), axis=axes)
-    return np.where(scale > 0, err / np.where(scale > 0, scale, 1.0), err)
 
 
 def nu_bar_aliasing(states: Sequence[SimState], params: ModelParams,

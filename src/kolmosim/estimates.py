@@ -22,8 +22,8 @@ one transform call per stack: the commutator's f, g and J^s g, its
 products, the grid norms of one inequality's side (`_lp_norms`).  A half
 can only describe a real field, so the stacked helpers convert no layout
 and check nothing.  The public one-field functions (`commutator`,
-`field_lp`, `field_lps`) are their one-sample case, and every value is bit
-for bit the one-sample evaluation's.
+`field_lp`) are their one-sample case, and every value is bit for bit the
+one-sample evaluation's.
 """
 
 from __future__ import annotations
@@ -180,25 +180,16 @@ def field_lp(f, p: float) -> float:
     p = 2 is exact by Parseval, sqrt(sum |c|^2) over the real part's
     coefficients (and the components of a vector), and samples no grid.
     Other p use torus quadrature on the fast_grid_size(4(2n-1)) grid through
-    the half spectrum; p = inf is the grid maximum, a lower bound.
+    the half spectrum; p = inf is the grid maximum, a lower bound.  It is
+    the one-sample case of `_lp_norms`.
     """
-    return field_lps((f,), (p,))[0]
-
-
-def field_lps(fields: Sequence, ps: Sequence[float]) -> List[float]:
-    """field_lp(f, p) of each field at its exponent: the one-sample case of
-    `_lp_norms` on each field's real part, so every field that needs a grid
-    (p != 2) is sampled in one batched transform; those fields must share
-    dim and cutoff."""
-    dim, cutoff = fields[0].dim, fields[0].cutoff
-    cubes = [f.stack() if isinstance(f, VectorSpectralField) else f.coeffs[None] for f in fields]
-    operands = [real_half(c, dim)[None] for c in cubes]
-    return [float(norms[0]) for norms in _lp_norms(operands, ps, cutoff, dim)]
+    cube = f.stack() if isinstance(f, VectorSpectralField) else f.coeffs[None]
+    return float(_lp_norms([real_half(cube, f.dim)[None]], (p,), f.cutoff, f.dim)[0][0])
 
 
 def _lp_norms(operands: Sequence[np.ndarray], ps: Sequence[float], cutoff: int,
               dim: int) -> List[np.ndarray]:
-    """field_lps on stacks of samples.  Operand j is a (samples, rows, n_half)
+    """field_lp on stacks of samples.  Operand j is a (samples, rows, n_half)
     stack of canonical halves, a scalar field per sample (rows = 1) or a
     vector's components (rows = dim, normed by the Euclidean magnitude); its
     norms at ps[j] come back as an array of one value per sample, each bit

@@ -112,11 +112,10 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .cutoffs import CutoffProfile
-from .diagnostics import rhs_gap
 from .spectral import FOUR_PI_SQ, _geometry, div_residual, leray_coefficients, real_half
 # the member-stack kernel under the module-global name the loop looks up at
 # each call: one call per stage, for every member of the stack
-from .system import ModelParams, SimState, pack, triple_sq
+from .system import ModelParams, SimState, pack, rhs_gap, triple_sq
 from .system import member_rhs as rhs
 
 MAX_STEPS = 2_000_000          # accepted steps before a run is failed

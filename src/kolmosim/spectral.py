@@ -507,33 +507,30 @@ class VectorSpectralField:
 # -- products ---------------------------------------------------------------------
 
 
-def spectral_product(f: SpectralField, g: SpectralField, oversample: int = 2,
+def spectral_product(f: SpectralField, g: SpectralField,
                      out_cutoff: int | None = None) -> SpectralField:
     """Projected pointwise product P_m(f g) of two real fields, m = out_cutoff
     (default: the operands' cutoff n): the one-pair case of
-    `spectral_products`.
-
-    Both operands are sampled in one half-spectrum transform on a grid of
-    oversample*(2n-1) points per axis, multiplied, and transformed back;
-    alias-free for these quadratics once oversample >= 2.  An operand whose
-    realness residual exceeds REAL_TOL (or is NaN) raises ValueError.
+    `spectral_products`.  An operand whose realness residual exceeds
+    REAL_TOL (or is NaN) raises ValueError.
     """
     if (f.dim, f.cutoff) != (g.dim, g.cutoff):
         raise ValueError("operands must share layout")
     n_out = out_cutoff if out_cutoff is not None else f.cutoff
     pair = checked_real_half(np.stack((f.coeffs, g.coeffs)), f.dim, "spectral_product")
-    return SpectralField.from_half(spectral_products(pair, f.cutoff, f.dim, n_out, oversample),
-                                   f.dim, n_out)
+    return SpectralField.from_half(spectral_products(pair, f.cutoff, f.dim, n_out), f.dim, n_out)
 
 
-def spectral_products(pairs: np.ndarray, cutoff: int, dim: int, out_cutoff: int,
-                      oversample: int = 2) -> np.ndarray:
+def spectral_products(pairs: np.ndarray, cutoff: int, dim: int, out_cutoff: int) -> np.ndarray:
     """P_m(f g), m = out_cutoff, of a stack of real field pairs as canonical
     halves: pairs is batch + (2, n_half), the result batch + m's n_half.
-    The whole stack takes one inverse and one forward transform call, and
-    each product is bit for bit its one-pair call's.
+
+    Both operands are sampled on the grid of 2(2n-1) points per axis, where
+    the quadratic is alias-free, multiplied, and transformed back.  The
+    whole stack takes one inverse and one forward transform call, and each
+    product is bit for bit its one-pair call's.
     """
-    grids = coefficients_to_real_grid(pairs, cutoff, dim, oversample * (2 * cutoff - 1))
+    grids = coefficients_to_real_grid(pairs, cutoff, dim, 2 * (2 * cutoff - 1))
     f, g = np.moveaxis(grids, -dim - 1, 0)
     return real_grid_to_coefficients(f * g, out_cutoff, dim)
 

@@ -70,7 +70,9 @@ def _record_dtype(d: int) -> np.dtype:
 
 
 def load_snapshot(path: str, expect_dim: Optional[int] = None) -> SimState:
-    """The state a snapshot holds; SnapshotError if malformed or state_problems finds any."""
+    """The state a snapshot holds; SnapshotError if malformed (a field's modes
+    repeated or out of lexicographic order included) or state_problems finds
+    any."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != MAGIC:
@@ -89,8 +91,9 @@ def load_snapshot(path: str, expect_dim: Optional[int] = None) -> SimState:
         raise SnapshotError(f"invalid layout d={d}, n={n}")
 
     dtype = _record_dtype(d)
+    names = [f"v_{a + 1}" for a in range(d)] + ["omega", "b"]
     fields = []
-    for _ in range(d + 2):
+    for name in names:
         if off + 8 > len(raw):
             raise SnapshotError(f"truncated field header at offset {off}")
         (count,) = struct.unpack_from("<Q", raw, off)
@@ -99,13 +102,20 @@ def load_snapshot(path: str, expect_dim: Optional[int] = None) -> SimState:
         if off + nbytes > len(raw):
             raise SnapshotError(f"truncated records at offset {off}")
         rec = np.frombuffer(raw, dtype=dtype, count=count, offset=off)
-        off += nbytes
+        start, off = off, off + nbytes
         f = SpectralField.zeros(d, n)
         if count:
-            idx = tuple(rec["k"][:, a] + (n - 1) for a in range(d))
             if np.any(np.sum(rec["k"].astype(np.int64) ** 2, axis=1) >= n * n):
                 raise SnapshotError("mode outside the cutoff ball")
-            f.coeffs[idx] = rec["re"] + 1j * rec["im"]
+            # lexicographic k order is C order of the cube: a repeated or
+            # out-of-order mode breaks the strict increase
+            flat = np.ravel_multi_index(tuple(rec["k"].T + (n - 1)), f.coeffs.shape)
+            bad = np.flatnonzero(np.diff(flat) <= 0) + 1
+            if bad.size:
+                raise SnapshotError(f"field {name}: mode {tuple(rec['k'][bad[0]].tolist())} "
+                                    f"repeated or out of lexicographic order at offset "
+                                    f"{start + bad[0] * dtype.itemsize}")
+            f.coeffs.reshape(-1)[flat] = rec["re"] + 1j * rec["im"]    # coeffs is contiguous
         fields.append(f)
     if off != len(raw):
         raise SnapshotError(f"{len(raw) - off} trailing bytes at offset {off}")
@@ -177,7 +187,12 @@ class RunConfig:
     def __setitem__(self, key, value):
         if key not in _DEFAULTS:
             raise KeyError(f"unknown config key: {key}")
-        self.values[key] = type(_DEFAULTS[key])(value)
+        kind = type(_DEFAULTS[key])
+        try:
+            self.values[key] = kind(value)
+        except ValueError:
+            raise ValueError(f"config key {key!r} takes {kind.__name__}, "
+                             f"got {value!r}") from None
 
     def validate(self) -> RunObjects:
         """Check what no run object owns (d, s > d/2, n, kind, v_scale), then
@@ -225,7 +240,10 @@ def parse_config(text: str) -> RunConfig:
         if section is not None and key not in CONFIG_SCHEMA[section]:
             raise ValueError(f"line {lineno}: key {key!r} not in section "
                              f"[{section}]")
-        config[key] = raw.strip()
+        try:
+            config[key] = raw.strip()
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return config
 
 

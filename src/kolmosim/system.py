@@ -17,7 +17,9 @@ A state packs into (v_1..v_d, omega, b) rows of centered-cube coefficients
 (`pack`).  The kernel works on member stacks of the canonical halves of
 their real parts (`spectral.real_half`), the one layout below the field
 algebra: a leading member axis over packed states, (members, d+2, n_half),
-through `member_rhs`, one call per RK stage for every member.  The kernel's
+which a one-member stack keeps too, through `member_rhs`, one call per RK
+stage for every member.  The kernel has one output, the Leray-projected
+right-hand side, and one layout inside, rows then members.  The kernel's
 spectral side is two linear maps per mode on the half, built once per size:
 the in-map takes the state rows to D_ij, grad omega and grad b (`_in_map`),
 and the out-map takes the flux coefficients to the right-hand side,
@@ -29,7 +31,9 @@ expanded to the cube (`SimState.from_half`) the result is the cube layout's
 right-hand side.  With the stack it returns each member's nubar samples on
 the quadrature grid, from which the integrator takes its reference
 viscosity.  `rhs` is the one-state case on field objects, the state's real
-part in and cubes out, without the nubar samples.
+part in and cubes out, without the nubar samples.  `rhs_gap` compares two
+of the kernel's outputs member by member (the integrator's grid rule and
+the aliasing indicator).
 
 The kernel's grid-sized arrays live in an `RhsWorkspace`, which the kernel
 owns: each thread keeps one for each of the last two grid sizes it called
@@ -218,14 +222,12 @@ def _pair_layout(dim: int) -> np.ndarray:
     return weight
 
 
-def _advective_fluxes(g: np.ndarray, dim: int, out: np.ndarray | None = None) -> np.ndarray:
+def _advective_fluxes(g: np.ndarray, dim: int, out: np.ndarray) -> np.ndarray:
     """v_i v_j (i <= j), v w, v b from grids whose first rows are v, omega, b,
     into the first rows of `out`.  With div v = 0 their divergences are
     v.grad v, v.grad w and v.grad b."""
     pairs = _upper_pairs(dim)
     m = len(pairs)
-    if out is None:
-        out = np.empty((m + 2 * dim,) + g.shape[1:])
     for p, (i, j) in enumerate(pairs):
         np.multiply(g[i], g[j], out=out[p])
     np.multiply(g[:dim], g[dim:dim + 2, None], out=out[m:m + 2 * dim].reshape((2,) + g[:dim].shape))
@@ -246,24 +248,23 @@ def _deform_map(dim: int, cutoff: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _momentum_map(dim: int, cutoff: int, project: bool) -> np.ndarray:
-    """(d, m, n_half), read-only: (div M)_i = sum_p table[i, p] M_p at each
-    mode for a symmetric tensor in _upper_pairs rows, Leray-projected when
-    project.  The divergence is the deformation's transpose with each
-    off-diagonal pair counted twice."""
+def _momentum_map(dim: int, cutoff: int) -> np.ndarray:
+    """(d, m, n_half), read-only: (Leray div M)_i = sum_p table[i, p] M_p at
+    each mode for a symmetric tensor in _upper_pairs rows.  The divergence
+    is the deformation's transpose with each off-diagonal pair counted
+    twice."""
     div = _deform_map(dim, cutoff).swapaxes(0, 1) * _pair_layout(dim)[:, None]
-    if project:
-        div = np.moveaxis(leray_coefficients(np.moveaxis(div, 0, -2), dim, cutoff), -2, 0)
+    div = np.moveaxis(leray_coefficients(np.moveaxis(div, 0, -2), dim, cutoff), -2, 0)
     div.setflags(write=False)
     return div
 
 
 def _in_map(y: np.ndarray, dim: int, cutoff: int, out: np.ndarray,
-            prod: np.ndarray | None = None) -> np.ndarray:
+            prod: np.ndarray) -> np.ndarray:
     """The rows D_ij (i <= j), grad omega, grad b of state rows y = (v_1..v_d,
     omega, b) + batch + (n_half,), into the contiguous out; the tables
-    broadcast over the batch.  prod is an optional buffer for the
-    deformation's product, (m, d) + y.shape[1:]."""
+    broadcast over the batch.  prod is the buffer of the deformation's
+    product, (m, d) + y.shape[1:]."""
     m, ix = len(_upper_pairs(dim)), (Ellipsis,) + (None,) * (y.ndim - 2) + (slice(None),)
     np.add.reduce(np.multiply(_deform_map(dim, cutoff)[ix], y[:dim], out=prod), axis=1,
                   out=out[:m])
@@ -272,16 +273,15 @@ def _in_map(y: np.ndarray, dim: int, cutoff: int, out: np.ndarray,
     return out
 
 
-def _out_map(coef: np.ndarray, dim: int, cutoff: int, project: bool, out: np.ndarray,
-             momentum: np.ndarray | None = None,
-             scalar: np.ndarray | None = None) -> np.ndarray:
+def _out_map(coef: np.ndarray, dim: int, cutoff: int, out: np.ndarray,
+             momentum: np.ndarray, scalar: np.ndarray) -> np.ndarray:
     """The right-hand side rows from the coefficients of member_rhs's flux
     rows -M, -F_w, -F_b, R_w = -alpha w^2, R_b = nubar |Dv|^2 - b w, into
-    out: dv = P div(-M) (no P unless project), dw = div(-F_w) + R_w and
-    db = div(-F_b) + R_b.  momentum and scalar are optional buffers for the
+    out: dv = P div(-M) with P the Leray projection, dw = div(-F_w) + R_w
+    and db = div(-F_b) + R_b.  momentum and scalar are the buffers of the
     products, (d, m) and (2, d) + coef.shape[1:]."""
     m, ix = len(_upper_pairs(dim)), (Ellipsis,) + (None,) * (coef.ndim - 2) + (slice(None),)
-    np.add.reduce(np.multiply(_momentum_map(dim, cutoff, project)[ix], coef[:m], out=momentum),
+    np.add.reduce(np.multiply(_momentum_map(dim, cutoff)[ix], coef[:m], out=momentum),
                   axis=1, out=out[:dim])
     np.add.reduce(np.multiply(_geometry(dim, cutoff).half_grad[ix],
                               coef[m:m + 2 * dim].reshape((2, dim) + coef.shape[1:]),
@@ -316,18 +316,15 @@ class RhsWorkspace:
     hold only the first `cutoff` bins of the last axis, the ones the
     transforms' real pass reads or writes.  Rows lead and members follow,
     (rows, members) + modes or grid, so one row of every member is one
-    contiguous block.  A one-member workspace has no member axis: on small
-    grids every numpy call of the kernel pays for an extra axis (about 4%
-    of a call at n = 6), and most runs have one member.
+    contiguous block; a one-member stack keeps its member axis.
     """
 
     def __init__(self, dim: int, cutoff: int, points: int, members: int):
         self.size = (dim, cutoff, points, members)
         m = len(_upper_pairs(dim))
-        lead = (members,) if members > 1 else ()
-        grids, fluxes = (3 * dim + 2 + m,) + lead, (2 * dim + m + 2,) + lead
+        grids, fluxes = (3 * dim + 2 + m, members), (2 * dim + m + 2, members)
         cube = (points,) * dim
-        modes = lead + _geometry(dim, cutoff).half.shape
+        modes = (members,) + _geometry(dim, cutoff).half.shape
         self.rows = np.empty(grids + modes[-1:], dtype=complex)
         self.half_in, self.flux, self.momentum, self.scalar = _shared(
             (grids + cube[:-1] + (cutoff,), complex), (fluxes + cube, float),
@@ -350,15 +347,14 @@ def _workspace(size) -> RhsWorkspace:
     ws = next((w for w in kept if w.size == size), None)
     if ws is None:
         kept = [w for w in kept[-1:] if w.size[:2] + w.size[3:] == size[:2] + size[3:]]
-        _local.kept = _local.workspace = None    # free the other buffers first
+        _local.kept = None                   # free the other buffers first
         ws = RhsWorkspace(*size)
     _local.kept = [w for w in kept if w is not ws] + [ws]    # the last size called at last
-    _local.workspace = ws
     return ws
 
 
 def member_rhs(ys: np.ndarray, cutoff: int, t: float, params: ModelParams,
-               profile: CutoffProfile, project: bool = True) -> np.ndarray:
+               profile: CutoffProfile) -> Tuple[np.ndarray, np.ndarray]:
     """Right-hand side of every member of a stack ys shaped (members, d+2,
     n_half), each member the canonical half of a packed state (v_1..v_d,
     omega, b) at this cutoff and time t.
@@ -378,11 +374,9 @@ def member_rhs(ys: np.ndarray, cutoff: int, t: float, params: ModelParams,
     RHS takes 11 inverse and 9 forward transforms per member, batched over
     the members in one call each, whose real passes are matrix products
     (`spectral._real_pass`).  The forward transform shifts the flux grids
-    in place, as they are dead after it.  Each member's row equals
-    its one-state call bit for bit.  project=False leaves the velocity rows
-    as the force -P_n(v.grad v) + div P_n(nubar Dv) before the pressure
-    correction.  The grid-sized arrays are this thread's cached workspace;
-    the result is always a new array.
+    in place, as they are dead after it.  Each member's row equals its
+    one-state call bit for bit.  The grid-sized arrays are this thread's
+    cached workspace; the result is always a new array.
 
     Returns the stack of right-hand sides, on the canonical half, and each
     member's nubar on the quadrature grid, flattened to (members, points^d)
@@ -397,7 +391,7 @@ def member_rhs(ys: np.ndarray, cutoff: int, t: float, params: ModelParams,
     # spectral rows: v, omega, b, then the in-map's rows; each row holds
     # every member (the workspace layout)
     y = c[:d + 2]
-    y[...] = ys.swapaxes(0, 1).reshape(y.shape)
+    y[...] = ys.swapaxes(0, 1)
     _in_map(y, d, n, out=c[d + 2:], prod=ws.deform)
     g = coefficients_to_real_grid(c, n, d, points, out=ws.grids, half=ws.half_in)
     w_g, b_g = g[d], g[d + 1]
@@ -422,9 +416,16 @@ def member_rhs(ys: np.ndarray, cutoff: int, t: float, params: ModelParams,
     coef = real_grid_to_coefficients(flux, n, d, half=ws.half_out, overwrite=True,
                                      out=c[:len(flux)])
     out = np.empty_like(ys)
-    _out_map(coef, d, n, project, out=out.swapaxes(0, 1).reshape(y.shape),   # a view of out
-             momentum=ws.momentum, scalar=ws.scalar)
+    _out_map(coef, d, n, out=out.swapaxes(0, 1), momentum=ws.momentum, scalar=ws.scalar)
     return out, nu_g.reshape(members, -1)
+
+
+def rhs_gap(f: np.ndarray, fine: np.ndarray) -> np.ndarray:
+    """max|f - fine| / max|fine| of each member of two right-hand-side stacks
+    (members, ...), and the bare max|f - fine| where fine is zero."""
+    axes = tuple(range(1, f.ndim))
+    err, scale = np.max(np.abs(f - fine), axis=axes), np.max(np.abs(fine), axis=axes)
+    return np.where(scale > 0, err / np.where(scale > 0, scale, 1.0), err)
 
 
 def rhs(state: SimState, params: ModelParams,

@@ -1,9 +1,9 @@
 """Literal oracles for the spectral transforms and products: term-by-term
 sums over modes, independent of the FFT paths they check; the real part,
 the half's gather, the Leray projection and divergence residual by the
-cube formula, and the kernel's
-flux divergences row by row; the cutoffs' derivative constant measured by
-finite differences; and the estimate campaigns' samples evaluated one at a
+cube formula, the kernel's flux divergences row by row, and its velocity
+force before the pressure correction on field objects; the cutoffs'
+derivative constant measured by finite differences; and the estimate campaigns' samples evaluated one at a
 time on field objects, through the public one-field functions, which the
 stacked campaigns must match bit for bit."""
 
@@ -11,11 +11,11 @@ import math
 
 import numpy as np
 
-from kolmosim.cutoffs import phi_b, psi_omega, time_profiles
+from kolmosim.cutoffs import nu_bar_grid, phi_b, psi_omega, time_profiles
 from kolmosim.estimates import (_SMOOTH_MAPS, commutator, field_lp,
                                 smooth_map_derivative_bound)
-from kolmosim.spectral import (SpectralField, _geometry, conj_flip, fast_grid_size,
-                               real_grid_to_coefficients, spectral_product)
+from kolmosim.spectral import (SpectralField, VectorSpectralField, _geometry, conj_flip,
+                               fast_grid_size, real_grid_to_coefficients, spectral_product)
 from kolmosim.storage import _field_records
 
 
@@ -93,6 +93,26 @@ def flux_divergences(c, dim, cutoff):
     grad = _geometry(dim, cutoff).half_grad
     grad = grad.reshape(grad.shape[:1] + (1,) * (c.ndim - 2) + grad.shape[1:])
     return np.sum(c[rows] * grad, axis=1)
+
+
+def velocity_force(state, params, profile):
+    """-P_n(v.grad v) + div P_n(nubar Dv) of a real state, the kernel's dv
+    before its Leray projection: the flux v_i v_j - nubar D_ij sampled on
+    the quadrature grid component by component, and its divergence taken
+    with SpectralField.diff."""
+    d, n, pts = state.dim, state.cutoff, params.grid_points(state.cutoff)
+    v = state.v.components
+    nu = nu_bar_grid(state.b.real_samples(pts), state.omega.real_samples(pts), state.t,
+                     profile)
+    force = []
+    for i in range(d):
+        out = SpectralField.zeros(d, n)
+        for j in range(d):
+            deform = 0.5 * (v[i].diff(j).real_samples(pts) + v[j].diff(i).real_samples(pts))
+            flux = nu * deform - v[i].real_samples(pts) * v[j].real_samples(pts)
+            out = out + SpectralField.from_grid(flux, n).diff(j)
+        force.append(out)
+    return VectorSpectralField(tuple(force))
 
 
 # -- the cutoffs' derivative constant ----------------------------------------------

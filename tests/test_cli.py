@@ -90,13 +90,16 @@ def test_simulate_subcritical_regularity_rejected(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [("dt", -1), ("method", "rk3"),
                                         ("oversample", 1), ("monitor_every", 0),
-                                        ("blowup_factor", -1)])
+                                        ("blowup_factor", -1), ("n", 2.5), ("seed", "x"),
+                                        ("dt", "fast")])
 def test_simulate_bad_setting_refused_before_output(tmp_path, capsys, key, value):
     # each of these is checked by the object that uses it (IntegratorConfig,
-    # ModelParams), which the configuration builds before the output lock
+    # ModelParams), which the configuration builds before the output lock,
+    # or does not parse as its key's type; either way the error names the key
     out = str(tmp_path / "run")
     assert run(*sim_args(out, **{key: value})) == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and key in err
     assert not os.path.exists(out)
 
 

@@ -16,7 +16,7 @@ from kolmosim.cutoffs import CutoffProfile, InitialBounds
 from kolmosim.estimates import (PartitionOfUnity, RandomFieldSpec,
                                 admissible_state, attach_stability,
                                 commutator, commutator_decomposition,
-                                decomposition_residual, field_lp, field_lps,
+                                decomposition_residual, field_lp,
                                 perturbation,
                                 smooth_map_derivative_bound, uniqueness_probe,
                                 verify_commutator_estimate,
@@ -25,7 +25,8 @@ from kolmosim.estimates import (PartitionOfUnity, RandomFieldSpec,
                                 verify_product_estimate)
 from kolmosim.integrators import IntegratorConfig
 from kolmosim.spectral import (SpectralField, VectorSpectralField, _geometry,
-                               fast_grid_size, half_to_cube, lp_norm, spectral_product)
+                               fast_grid_size, half_to_cube, lp_norm, real_half,
+                               spectral_product)
 from kolmosim.system import ModelParams
 from oracles import (commutator_sample, composition_sample, direct_convolution,
                      interpolation_sample, product_sample, trigonometric_sum)
@@ -310,8 +311,9 @@ class TestGridNorms:
                     assert field_lp(g, p) == pytest.approx(lp_norm(ref, p), rel=1e-13)
 
     def test_batched_norms_equal_one_field_calls(self):
-        """field_lps samples every p != 2 field in one transform, and each
-        norm is bit for bit the one-field sampling's."""
+        """The campaigns' norms (`_lp_norms`) sample every p != 2 operand in
+        one transform, and each norm is bit for bit the one-field
+        sampling's, as field_lp's are."""
         spec = RandomFieldSpec(dim=2, cutoff=6, rho=2.0, seed=4)
         f, g = spec.draw(spec.rng(0)), spec.draw(spec.rng(1))
         pts = fast_grid_size(4 * (2 * 6 - 1))
@@ -325,7 +327,9 @@ class TestGridNorms:
                 expected.append(lp_norm(np.sqrt(np.sum(h.real_samples(pts) ** 2, axis=0)), p))
             else:
                 expected.append(lp_norm(h.real_samples(pts), p))
-        assert field_lps(fields, ps) == expected
+        operands = [real_half(h.stack() if isinstance(h, VectorSpectralField) else h.coeffs[None],
+                              2)[None] for h in fields]
+        assert [float(x[0]) for x in estimates._lp_norms(operands, ps, 6, 2)] == expected
         assert [field_lp(h, p) for h, p in zip(fields, ps)] == expected
 
     def test_campaign_samples_take_one_sup_norm_transform(self, monkeypatch):

@@ -11,14 +11,13 @@ import pytest
 
 from kolmosim import cli, integrators
 from kolmosim.cutoffs import CutoffProfile, InitialBounds
-from kolmosim.diagnostics import rhs_gap
 from kolmosim.estimates import RandomFieldSpec, admissible_state
 from kolmosim.integrators import (IntegratorConfig, fix_up, integrate,
                                   integrate_lockstep, pack)
 from kolmosim.spectral import (FOUR_PI_SQ, SpectralField, VectorSpectralField, _geometry,
                                div_residual, half_to_cube, real_half)
 from kolmosim.storage import RunConfig, load_snapshot, save_snapshot
-from kolmosim.system import ModelParams, SimState, member_rhs
+from kolmosim.system import ModelParams, SimState, member_rhs, rhs_gap
 from oracles import cube_to_half, symmetrize
 
 TIGHT = InitialBounds(b_min0=1.0, omega_min0=1.0, omega_max0=1.0, alpha=1.0)

@@ -3,7 +3,13 @@ src/kolmosim, and every method other than a dunder, is referenced by code
 in src/kolmosim or bench/.  A helper only tests call belongs in tests/ (as
 an oracle, see oracles.py) or nowhere.  References are names, attribute
 names and identifier strings (a tracer wraps functions by name); a
-docstring that mentions a name does not reference it."""
+docstring that mentions a name does not reference it.
+
+The same holds for switches: every defaulted parameter of a top-level
+function or method (and of a class's __init__) is passed, by keyword or by
+position, by some call in src/kolmosim or bench/.  A call is matched to a
+definition by the called name (an import alias resolved), so a name two
+definitions share counts for both."""
 
 import ast
 import pathlib
@@ -19,6 +25,17 @@ KEPT = {
     "cutoffs.phi_b": "the cutoff Phi itself; nu_bar_grid composes it piece by piece",
     "cutoffs.psi_omega": "the cutoff Psi itself; nu_bar_grid composes it piece by piece",
     "EnergyReport.satisfied": "the energy inequality's verdict at one sample",
+}
+
+# defaulted parameters kept on purpose, though no package or benchmark call
+# passes them
+HOLDER = "Holder exponents of the estimate: the inequality holds for a family of them"
+KEPT_DEFAULTS = {
+    **{f"estimates.verify_commutator_estimate.{p}": HOLDER for p in ("p", "p1", "p2", "p3", "p4")},
+    "estimates.verify_product_estimate.exponents": HOLDER,
+    "spectral.spectral_product.out_cutoff": "the product's truncation P_m, m != n",
+    "estimates.commutator_decomposition.max_pairs": "the mode-pair count above which the "
+                                                    "exact sums are refused",
 }
 
 
@@ -57,12 +74,78 @@ def _definitions(tree, module):
                     yield f"{node.name}.{item.name}", item.name
 
 
+def _trees():
+    return {path: ast.parse(path.read_text(), str(path))
+            for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))}
+
+
 def unreferenced():
-    trees = {path: ast.parse(path.read_text(), str(path))
-             for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))}
+    trees = _trees()
     used = {name for tree in trees.values() for name in _references(tree)}
     return sorted(qualified for path, tree in trees.items() if path.parent == PACKAGE
                   for qualified, name in _definitions(tree, path.stem) if name not in used)
+
+
+def _defaulted(tree, module):
+    """(qualified name, called name, position, parameter) of each defaulted
+    parameter of a top-level function, a method or a class's __init__.
+    position counts the arguments a call passes before the parameter (self
+    and cls are bound); None for a keyword-only parameter."""
+    def params(fn, qualified, called, bound):
+        args = fn.args.posonlyargs + fn.args.args
+        for i, arg in enumerate(args[len(args) - len(fn.args.defaults):],
+                                start=len(args) - len(fn.args.defaults)):
+            yield f"{qualified}.{arg.arg}", called, i - bound, arg.arg
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                yield f"{qualified}.{arg.arg}", called, None, arg.arg
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield from params(node, f"{module}.{node.name}", node.name, 0)
+        elif isinstance(node, ast.ClassDef):      # the package has no staticmethod
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and (
+                        item.name == "__init__"
+                        or not (item.name.startswith("__") and item.name.endswith("__"))):
+                    called = node.name if item.name == "__init__" else item.name
+                    yield from params(item, f"{node.name}.{item.name}", called, 1)
+
+
+def _passed(trees):
+    """called name -> (the most positional arguments any call passes, the
+    keywords calls pass); a call with *args passes every position and one
+    with **kwargs every keyword ("**")."""
+    passed = {}
+    for tree in trees.values():
+        alias = {a.asname: a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 for a in node.names if a.asname}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            for called in {name, alias.get(name)} - {None}:
+                most, keywords = passed.get(called, (0, set()))
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                passed[called] = (max(most, float("inf") if starred else len(node.args)),
+                                  keywords | {kw.arg or "**" for kw in node.keywords})
+    return passed
+
+
+def unpassed():
+    trees = _trees()
+    passed = _passed(trees)
+    out = []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for qualified, called, position, param in _defaulted(tree, path.stem):
+            most, keywords = passed.get(called, (0, set()))
+            if not (param in keywords or "**" in keywords
+                    or (position is not None and most > position)):
+                out.append(qualified)
+    return sorted(out)
 
 
 def test_every_package_definition_is_used_outside_tests():
@@ -72,3 +155,13 @@ def test_every_package_definition_is_used_outside_tests():
 def test_kept_names_exist_and_are_otherwise_unused():
     # an allow-list entry whose name is gone, or that code now calls, is stale
     assert sorted(KEPT) == [name for name in unreferenced() if name in KEPT]
+
+
+def test_every_defaulted_parameter_is_passed_outside_tests():
+    # a default no package or benchmark call overrides is a switch only
+    # tests throw
+    assert [name for name in unpassed() if name not in KEPT_DEFAULTS] == []
+
+
+def test_kept_defaults_exist_and_are_otherwise_unpassed():
+    assert sorted(KEPT_DEFAULTS) == [name for name in unpassed() if name in KEPT_DEFAULTS]

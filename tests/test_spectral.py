@@ -358,12 +358,13 @@ class TestProducts:
             np.sqrt(sum(abs(v) ** 2 for v in out.values())), rel=1e-13)
 
     def test_exact_equals_oversampled_for_quadratics(self):
+        # the product's grid, 2(2n-1) per axis, and one twice as fine
         for seed in range(8):
             f = sample_real_field(2, 6, seed=100 + seed)
             g = sample_real_field(2, 6, seed=200 + seed)
             a = direct_convolution(f, g, 6)
-            b = spectral_product(f, g, oversample=2)
-            c = spectral_product(f, g, oversample=4)
+            b = spectral_product(f, g)
+            c = SpectralField.from_grid(f.real_samples(44) * g.real_samples(44), 6)
             scale = max(a.hs_norm(0.0), 1e-30)
             assert np.max(np.abs(a.coeffs - b.coeffs)) / scale < 1e-12
             assert np.max(np.abs(a.coeffs - c.coeffs)) / scale < 1e-12
@@ -382,10 +383,11 @@ class TestProducts:
             assert rel_diff(out.coeffs, ref) <= 1e-13
 
     def test_undersampled_grid_aliases(self):
-        """oversample = 1 folds the tail back in; the modes must disagree."""
+        """The product on the 2n-1 grid folds the tail back in; the modes must
+        disagree."""
         f = sample_real_field(2, 6, seed=31)
         a = direct_convolution(f, f, 6)
-        b = spectral_product(f, f, oversample=1)
+        b = SpectralField.from_grid(f.real_samples(11) ** 2, 6)
         assert np.max(np.abs(a.coeffs - b.coeffs)) / a.hs_norm(0.0) > 1e-6
 
 

@@ -115,6 +115,27 @@ def test_truncated_file_rejected(tmp_path):
         load_snapshot(path)
 
 
+def test_repeated_or_unordered_mode_rejected(tmp_path):
+    # Hand-built snapshot: d=2, n=3, no velocity records, b = 1, and omega
+    # listing two records out of strict lexicographic order.  The second
+    # record starts at byte 20 (header) + 3 * 8 (counts) + 24 (one record).
+    d, n = 2, 3
+    dtype = np.dtype([("k", "<i4", (d,)), ("re", "<f8"), ("im", "<f8")])
+    one = np.zeros(1, dtype=dtype)
+    one["re"] = 1.0
+    path = str(tmp_path / "order.kolm")
+    for ks in (((0, 0), (0, 0)), ((0, 1), (0, 0))):
+        omega = np.zeros(2, dtype=dtype)
+        omega["k"] = ks
+        omega["re"] = (5.0, 1.0)
+        body = (struct.pack("<Q", 0) * d + struct.pack("<Q", 2) + omega.tobytes()
+                + struct.pack("<Q", 1) + one.tobytes())
+        open(path, "wb").write(MAGIC + struct.pack("<HHId", 1, d, n, 0.0) + body)
+        with pytest.raises(SnapshotError, match=r"field omega: mode \(0, 0\) repeated or out "
+                                                r"of lexicographic order at offset 68"):
+            load_snapshot(path)
+
+
 def test_trailing_bytes_rejected(tmp_path):
     path = str(tmp_path / "x.kolm")
     save_snapshot(random_state(cutoff=3), path)
@@ -306,6 +327,13 @@ def test_config_key_in_wrong_section():
 def test_config_malformed_line():
     with pytest.raises(ValueError, match="line 1.*key = value"):
         parse_config("just some words\n")
+
+
+def test_config_unparsable_value_names_line_and_key():
+    with pytest.raises(ValueError, match="line 3: config key 'n' takes int, got '2.5'"):
+        parse_config("[model]\nd = 2\nn = 2.5\n")
+    with pytest.raises(ValueError, match="config key 'dt' takes float, got 'x'"):
+        RunConfig()["dt"] = "x"
 
 
 def test_config_setitem_coerces_and_rejects():

@@ -18,7 +18,7 @@ from kolmosim import system
 from kolmosim.cutoffs import CutoffProfile, InitialBounds, nu_bar_grid
 from kolmosim.diagnostics import nu_bar_aliasing
 from kolmosim.spectral import (REAL_TOL, SpectralField, VectorSpectralField, _geometry,
-                               _half_bins, _real_pass, coefficients_to_real_grid, half_to_cube,
+                               _half_bins, _real_pass, coefficients_to_real_grid,
                                leray_coefficients)
 from kolmosim.system import (
     ModelParams,
@@ -35,7 +35,7 @@ from kolmosim.system import (
     state_problems,
     triple_sq,
 )
-from oracles import cube_to_half, flux_divergences, symmetrize
+from oracles import cube_to_half, flux_divergences, symmetrize, velocity_force
 
 BOUNDS = InitialBounds(b_min0=0.5, omega_min0=0.5, omega_max0=2.0, alpha=1.0)
 PROFILE = CutoffProfile(bounds=BOUNDS)
@@ -80,14 +80,10 @@ def taylor_green_state(cutoff=4, pts=32):
     return SimState(v, omega, b, t=0.0)
 
 
-def velocity_rhs(state, project):
-    """The velocity rows of member_rhs for one state: the force
-    -P_n(v.grad v) + div P_n(nubar Dv) without project, its Leray projection
-    with it, so grad p is the first minus the second."""
-    d, n = state.dim, state.cutoff
-    rows = member_rhs(cube_to_half(pack(state), d)[None], n, state.t, PARAMS, PROFILE,
-                      project)[0][0, :d]
-    return VectorSpectralField(tuple(SpectralField(d, n, c) for c in half_to_cube(rows, d, n)))
+def pressure_gradient(state):
+    """grad p: the force -P_n(v.grad v) + div P_n(nubar Dv) (the oracle's)
+    minus the kernel's dv, its Leray projection."""
+    return velocity_force(state, PARAMS, PROFILE) - rhs(state, PARAMS, PROFILE)[0]
 
 
 class TestConstantFields:
@@ -135,7 +131,7 @@ class TestTaylorGreen:
     def test_pressure_matches_hand_derivation(self):
         """p = -(cos(4 pi x1) + cos(4 pi x2))/4 for the Taylor-Green vortex."""
         state = taylor_green_state()
-        grad_p = velocity_rhs(state, False) - velocity_rhs(state, True)
+        grad_p = pressure_gradient(state)
         pts = 32
         x = np.arange(pts) / pts
         xx, yy = np.meshgrid(x, x, indexing="ij")
@@ -158,7 +154,7 @@ class TestTaylorGreen:
 
     def test_zero_velocity_gives_zero_pressure(self):
         state = constant_state(2, 4)
-        grad_p = velocity_rhs(state, False) - velocity_rhs(state, True)
+        grad_p = pressure_gradient(state)
         assert grad_p.hs_norm(0.0) < 1e-14
 
     def test_single_mode_orthogonal_velocity_zero_pressure(self):
@@ -173,7 +169,7 @@ class TestTaylorGreen:
             SpectralField.from_grid(a[1] * wave, 4)))
         state = SimState(v, SpectralField.from_modes(2, 4, {(0, 0): 1.0}),
                          SpectralField.from_modes(2, 4, {(0, 0): 1.0}))
-        grad_p = velocity_rhs(state, False) - velocity_rhs(state, True)
+        grad_p = pressure_gradient(state)
         assert grad_p.hs_norm(0.0) < 1e-12
 
 
@@ -212,14 +208,12 @@ class TestStructure:
                               nu_bar_aliasing([real], PARAMS, PROFILE))
 
     def test_leray_equivalence_with_pressure(self):
-        """Projecting the advective-diffusive force equals subtracting grad p."""
+        """Projecting the advective-diffusive force equals subtracting grad p:
+        the kernel's dv is the Leray projection of the oracle's force."""
         for seed in range(5):
             state = divergence_free_random_state(seed + 100)
-            force = velocity_rhs(state, False)
-            grad_p = force - velocity_rhs(state, True)
-            a = force.leray_project()
-            b = force - grad_p
-            diff = a - b
+            force = velocity_force(state, PARAMS, PROFILE)
+            diff = force.leray_project() - (force - pressure_gradient(state))
             scale = max(force.hs_norm(0.0), 1e-30)
             assert diff.hs_norm(0.0) / scale < 1e-10
 
@@ -300,8 +294,8 @@ def in_new_thread(fn):
 
 
 def cached_buffers():
-    """This thread's kernel workspace: its size and its arrays."""
-    ws = system._local.workspace
+    """This thread's kernel workspace of its last call: its size and its arrays."""
+    ws = system._local.kept[-1]
     return ws.size, [buf for buf in vars(ws).values() if isinstance(buf, np.ndarray)]
 
 
@@ -312,7 +306,7 @@ class TestWorkspace:
         first = member_rhs(a, 8, 0.0, PARAMS, PROFILE)[0]
         kept = first.copy()
         member_rhs(b, 8, 0.1, PARAMS, PROFILE)
-        member_rhs(b, 8, 0.2, PARAMS, PROFILE, project=False)
+        member_rhs(b, 8, 0.2, PARAMS, PROFILE)
         assert np.array_equal(first, kept)
         size, buffers = cached_buffers()
         assert size == (2, 8, PARAMS.grid_points(8), 1)
@@ -325,10 +319,9 @@ class TestWorkspace:
                    PARAMS, PROFILE)
         for seed in (43, 44):
             y = cube_to_half(pack(divergence_free_random_state(seed)), 2)[None]
-            for project in (True, False):
-                assert np.array_equal(
-                    member_rhs(y, 8, 0.05, PARAMS, PROFILE, project)[0],
-                    in_new_thread(lambda: member_rhs(y, 8, 0.05, PARAMS, PROFILE, project)[0]))
+            assert np.array_equal(
+                member_rhs(y, 8, 0.05, PARAMS, PROFILE)[0],
+                in_new_thread(lambda: member_rhs(y, 8, 0.05, PARAMS, PROFILE)[0]))
 
     def test_call_at_another_size_replaces_the_buffers(self):
         y = cube_to_half(pack(divergence_free_random_state(45)), 2)[None]
@@ -350,8 +343,8 @@ class TestWorkspace:
         for oversample in (3, 2, 3, 2):
             member_rhs(y, 8, 0.05, dataclasses.replace(PARAMS, oversample=oversample),
                        PROFILE)
-            assert system._local.workspace is built.setdefault(oversample,
-                                                               system._local.workspace)
+            ws = system._local.kept[-1]
+            assert ws is built.setdefault(oversample, ws)
         member_rhs(y, 8, 0.05, PARAMS, PROFILE)          # oversample 4
         assert [ws.size[2] for ws in system._local.kept] == \
             [dataclasses.replace(PARAMS, oversample=2).grid_points(8), PARAMS.grid_points(8)]
@@ -361,7 +354,7 @@ class TestWorkspace:
         # size switch by the old workspace's size
         member_rhs(cube_to_half(pack(divergence_free_random_state(47)), 2)[None], 8, 0.05,
                    PARAMS, PROFILE)
-        old = weakref.ref(system._local.workspace)
+        old = weakref.ref(system._local.kept[-1])
         alive = []
         init = system.RhsWorkspace.__init__
 
@@ -399,7 +392,7 @@ class TestSpectralMaps:
     def test_maps_match_the_explicit_steps(self, dim, cutoff):
         # the in-map against D_ij and the gradients built by loop; the
         # out-map against divergences, Leray projection and reaction rows,
-        # on a batch axis (a member stack) and without one
+        # on member stacks of one and of three
         grad = _geometry(dim, cutoff).half_grad
         nh, m = grad.shape[1], dim * (dim + 1) // 2
         pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
@@ -413,30 +406,28 @@ class TestSpectralMaps:
         def draw(shape):
             return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
-        for batch in ((), (3,)):
-            y = draw((dim + 2,) + batch + (nh,))
+        for members in (1, 3):
+            y = draw((dim + 2, members, nh))
             expected = np.stack([0.5 * (grad[j] * y[i] + grad[i] * y[j]) for i, j in pairs]
                                 + [grad[a] * y[dim + s] for s in (0, 1) for a in range(dim)])
-            got = _in_map(y, dim, cutoff, out=np.empty(expected.shape, dtype=complex))
+            got = _in_map(y, dim, cutoff, out=np.empty(expected.shape, dtype=complex),
+                          prod=np.empty((m, dim, members, nh), dtype=complex))
             assert rel(got, expected) <= 1e-14
 
             # the kernel's flux rows: -M, -F_w, -F_b, then the reaction rows
-            coef = draw((m + 2 * dim + 2,) + batch + (nh,))
+            coef = draw((m + 2 * dim + 2, members, nh))
             div = flux_divergences(coef, dim, cutoff)
-            for project in (True, False):
-                dv = np.moveaxis(div[:dim], 0, -2)
-                if project:
-                    dv = leray_coefficients(dv, dim, cutoff)
-                expected = np.concatenate([np.moveaxis(dv, -2, 0), div[dim:] + coef[-2:]])
-                got = _out_map(coef, dim, cutoff, project,
-                               out=np.empty(expected.shape, dtype=complex))
-                assert rel(got, expected) <= 1e-14
+            dv = leray_coefficients(np.moveaxis(div[:dim], 0, -2), dim, cutoff)
+            expected = np.concatenate([np.moveaxis(dv, -2, 0), div[dim:] + coef[-2:]])
+            got = _out_map(coef, dim, cutoff, out=np.empty(expected.shape, dtype=complex),
+                           momentum=np.empty((dim, m, members, nh), dtype=complex),
+                           scalar=np.empty((2, dim, members, nh), dtype=complex))
+            assert rel(got, expected) <= 1e-14
 
     @pytest.mark.parametrize("dim, cutoff", [(2, 5), (3, 3)])
     def test_cached_tables_are_read_only(self, dim, cutoff):
         points = PARAMS.grid_points(cutoff)
-        tables = [_deform_map(dim, cutoff), _momentum_map(dim, cutoff, True),
-                  _momentum_map(dim, cutoff, False), _pair_layout(dim),
+        tables = [_deform_map(dim, cutoff), _momentum_map(dim, cutoff), _pair_layout(dim),
                   *_half_bins(dim, cutoff, points), *_real_pass(cutoff, points)]
         assert not any(table.flags.writeable for table in tables)
 
@@ -449,14 +440,13 @@ class TestMemberStacks:
             ys = np.stack([pack(divergence_free_random_state(50 + i, dim=dim, cutoff=cutoff))
                            for i in range(members)])
             hs = cube_to_half(ys, dim)
-            for project in (True, False):
-                stack, nu = member_rhs(hs, cutoff, 0.05, PARAMS, PROFILE, project)
-                assert stack.shape == hs.shape
-                assert nu.shape == (members, PARAMS.grid_points(cutoff) ** dim)
-                for h, row, samples in zip(hs, stack, nu):
-                    solo, solo_nu = member_rhs(h[None], cutoff, 0.05, PARAMS, PROFILE, project)
-                    assert np.array_equal(row, solo[0])
-                    assert np.array_equal(samples, solo_nu[0])
+            stack, nu = member_rhs(hs, cutoff, 0.05, PARAMS, PROFILE)
+            assert stack.shape == hs.shape
+            assert nu.shape == (members, PARAMS.grid_points(cutoff) ** dim)
+            for h, row, samples in zip(hs, stack, nu):
+                solo, solo_nu = member_rhs(h[None], cutoff, 0.05, PARAMS, PROFILE)
+                assert np.array_equal(row, solo[0])
+                assert np.array_equal(samples, solo_nu[0])
 
     def test_nubar_samples_are_the_quadrature_grid_values(self):
         # the integrator's reference viscosity is the midrange of these
