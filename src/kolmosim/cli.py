@@ -39,7 +39,7 @@ from .spectral import SpectralField, VectorSpectralField, fast_grid_size
 from .storage import (OutputLock, RunConfig, RunObjects, SnapshotError,
                       load_config, load_snapshot, print_config, save_snapshot,
                       write_diagnostics_csv)
-from .system import SimState, hypothesis_violations
+from .system import SimState, hypothesis_violations, monitor_grid
 
 USAGE_ERROR, MONITOR_ABORT = 1, 2
 
@@ -192,7 +192,7 @@ def cmd_simulate(args) -> int:
     state = initial_state(config)
     profile = CutoffProfile(run.bounds)
     out_dir = config["directory"]
-    grid = fast_grid_size(4 * (2 * state.cutoff - 1))
+    grid = monitor_grid(state.cutoff)
     extrema: List[ExtremaReport] = []
 
     def on_sample(_, st: SimState) -> Optional[str]:
@@ -359,11 +359,9 @@ def refinement_gap(config: RunConfig, s_prime: float) -> float:
     if traj_lo.status != "completed" or traj_hi.status != "completed":
         raise RuntimeError(f"refinement runs did not complete: "
                            f"{traj_lo.status}, {traj_hi.status}")
-    lo, hi = traj_lo.final, traj_hi.final
-    lo_up = lo.project(hi.cutoff)
-    diff_sq = sum((a - b).hs_norm_sq(s_prime)
-                  for a, b in zip(lo_up.fields(), hi.fields()))
-    return math.sqrt(diff_sq)
+    lo, hi = traj_lo.final.project(2 * config["n"]), traj_hi.final
+    return math.sqrt(SimState(lo.v - hi.v, lo.omega - hi.omega, lo.b - hi.b,
+                              hi.t).triple_norm_sq(s_prime))
 
 
 def cmd_convergence(args) -> int:
@@ -383,6 +381,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    for name, value in vars(args).items():      # no float flag takes inf or nan
+        if isinstance(value, float) and not math.isfinite(value):
+            print(f"error: --{name.replace('_', '-')} must be finite, got {value!r}",
+                  file=sys.stderr)
+            return USAGE_ERROR
     handlers = {
         "simulate": cmd_simulate,
         "existence-time": cmd_existence_time,

@@ -8,7 +8,7 @@ the composed viscosity nubar.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -84,8 +84,8 @@ def existence_time(initial_triple_sq: float, beta: float,
     same balance equation; the two must agree to 1e-10.  Returns math.inf
     when gamma < -1 and the bounded integral never spends the budget.
     """
-    if beta <= 1.0:
-        raise ValueError("beta must exceed 1")
+    if not 1.0 < beta < math.inf:
+        raise ValueError(f"beta must be finite and > 1, got {beta!r}")
     if not 0.0 <= initial_triple_sq < math.inf:
         raise ValueError(f"initial_triple_sq must be finite and >= 0: {initial_triple_sq!r}")
     target = _budget(initial_triple_sq, beta) / (beta - 1.0)
@@ -149,19 +149,20 @@ def energy_balance(trajectory, s: float, nu_lower: Callable[[float], float],
                    beta: float, cmodel: ConstantModel) -> Tuple[List[EnergyReport], float]:
     """Evaluate the integrated energy inequality along a trajectory.
 
-    lhs(t) = d/dt (1 + triple_sq) + nu_lower(t) * hs1_triple_sq, with the
-    time derivative taken by centered differences over the sample times
-    (one-sided at the ends).  Returns the per-sample reports plus the
-    smallest empirical c_hat with lhs <= c_hat * (1+t)^gamma * P_{2 beta}
-    everywhere.
+    lhs(t) = d/dt (1 + triple_sq) + nu_lower(t) * hs1_triple_sq, norms of
+    the states' real parts, with the time derivative taken by centered
+    differences over the sample times (one-sided at the ends).  Returns the
+    per-sample reports plus the smallest empirical c_hat with lhs <= c_hat *
+    (1+t)^gamma * P_{2 beta} everywhere.
     """
     states = trajectory.states
     if len(states) < 3:
         raise ValueError("need at least 3 trajectory samples")
     times = np.array([st.t for st in states])
-    stack = np.stack([pack(st) for st in states])
-    triple = triple_sq(stack, s)
-    hs1 = triple_sq(stack, s + 1.0) - triple
+    d, n = states[0].dim, states[0].cutoff
+    stack = real_half(np.stack([pack(st) for st in states]), d)
+    triple = triple_sq(stack, s, d, n)
+    hs1 = triple_sq(stack, s + 1.0, d, n) - triple
     d_dt = np.gradient(1.0 + triple, times)
     nu = np.array([nu_lower(t) for t in times])
     lhs = d_dt + nu * hs1
@@ -182,10 +183,7 @@ class ExtremaReport:
     max_omega: float
     min_b: float
     passed: bool
-    margins: Tuple[float, float, float] = field(default=(0.0, 0.0, 0.0))
-
-    def __iter__(self):
-        return iter((self.min_omega, self.max_omega, self.min_b, self.passed))
+    margins: Tuple[float, float, float]
 
 
 def extrema_monitor(state: SimState, profile: CutoffProfile, grid: int,

@@ -38,8 +38,9 @@ import numpy as np
 from .cutoffs import CutoffProfile, smooth_step
 from .integrators import IntegratorConfig, integrate_lockstep
 from .spectral import (FOUR_PI_SQ, SpectralField, VectorSpectralField, _geometry,
-                       checked_real_half, coefficients_to_real_grid, fast_grid_size, lp_norm,
-                       real_grid_to_coefficients, real_half, spectral_product, spectral_products)
+                       checked_real_half, coefficients_to_real_grid, fast_grid_size,
+                       leray_coefficients, lp_norm, real_grid_to_coefficients, real_half,
+                       spectral_product, spectral_products)
 from .system import ModelParams, SimState, pack, triple_sq
 
 
@@ -193,7 +194,7 @@ def _lp_norms(operands: Sequence[np.ndarray], ps: Sequence[float], cutoff: int,
     stack of canonical halves, a scalar field per sample (rows = 1) or a
     vector's components (rows = dim, normed by the Euclidean magnitude); its
     norms at ps[j] come back as an array of one value per sample, each bit
-    for bit the one-sample call's.  p = 2 sums half_weight |c|^2 (Parseval);
+    for bit the one-sample call's.  p = 2 is `triple_sq` at s = 0 (Parseval);
     the operands with p != 2 share one transform call."""
     gridded = [c for c, p in zip(operands, ps) if p != 2]
     if gridded:
@@ -205,8 +206,7 @@ def _lp_norms(operands: Sequence[np.ndarray], ps: Sequence[float], cutoff: int,
     norms = []
     for c, p in zip(operands, ps):
         if p == 2:
-            sq = _geometry(dim, cutoff).half_weight * np.abs(c) ** 2
-            norms.append(np.sqrt(np.sum(sq.reshape(len(c), -1), axis=1)))
+            norms.append(np.sqrt(triple_sq(c, 0.0, dim, cutoff)))
             continue
         grid = next(grids)              # the call's own output: overwritten in place
         if grid.shape[1] > 1:           # a vector: the Euclidean magnitude
@@ -272,15 +272,14 @@ def _commutators(f: np.ndarray, g: np.ndarray, s: float, cutoff: int,
     return _bessel(fg, s, m, dim) - f_jsg
 
 
-@dataclass(frozen=True)
 class PartitionOfUnity:
     """Three smooth bump functions on [0, inf) summing to one, splitting the
     frequency-ratio axis into low, comparable, and high regimes."""
 
-    lo_edge: float = 1.0 / 10.0
-    lo_top: float = 1.0 / 9.0
-    hi_top: float = 9.0
-    hi_edge: float = 10.0
+    lo_edge = 1.0 / 10.0
+    lo_top = 1.0 / 9.0
+    hi_top = 9.0
+    hi_edge = 10.0
 
     def phi2(self, u):
         u = np.asarray(u, dtype=float)
@@ -610,19 +609,12 @@ def perturbation(state: SimState, amplitude: float, seed: int = 0) -> SimState:
     """Smooth random perturbation scaled so the initial squared L2 distance
     is exactly amplitude^2; the velocity part stays divergence-free and all
     parts are mean-free."""
-    spec = RandomFieldSpec(dim=state.dim, cutoff=state.cutoff, rho=2.0, seed=seed)
-    rng = spec.rng(0)
-    dv = VectorSpectralField(
-        tuple(spec.draw(rng) for _ in range(state.dim))).leray_project()
-    dw = spec.draw(rng)
-    db = spec.draw(rng)
-    e_raw = float(triple_sq(pack(SimState(dv, dw, db, state.t))[None], 0.0)[0])
-    if amplitude == 0.0 or e_raw == 0.0:
-        z = VectorSpectralField.zeros(state.dim, state.cutoff)
-        zf = SpectralField.zeros(state.dim, state.cutoff)
-        return SimState(z, zf, zf.copy(), state.t)
-    c = amplitude / math.sqrt(e_raw)
-    return SimState(dv * c, dw * c, db * c, state.t)
+    d, n = state.dim, state.cutoff
+    half = RandomFieldSpec(dim=d, cutoff=n, rho=2.0, seed=seed).draws([0], d + 2)
+    half[:, :d] = leray_coefficients(half[:, :d], d, n)
+    e_raw = float(triple_sq(half, 0.0, d, n)[0])
+    c = 0.0 if amplitude == 0.0 or e_raw == 0.0 else amplitude / math.sqrt(e_raw)
+    return SimState.from_half(c * half[0], d, n, state.t)
 
 
 def uniqueness_probe(state0: SimState, amplitude: float, params: ModelParams,
@@ -637,12 +629,12 @@ def uniqueness_probe(state0: SimState, amplitude: float, params: ModelParams,
     pert0 = SimState(state0.v + delta.v, state0.omega + delta.omega,
                      state0.b + delta.b, state0.t)
     base, pert = integrate_lockstep([state0, pert0], config, params, profile)
-    n_common = min(len(base.states), len(pert.states))
     partial = (base.status != "completed" or pert.status != "completed"
                or len(base.states) != len(pert.states))
-    times = np.array([base.states[i].t for i in range(n_common)])
-    e = triple_sq(np.stack([pack(base.states[i]) - pack(pert.states[i])
-                            for i in range(n_common)]), 0.0)
+    pairs = list(zip(base.states, pert.states))      # the samples both runs took
+    times = np.array([a.t for a, _ in pairs])
+    d, n = state0.dim, state0.cutoff
+    e = triple_sq(real_half(np.stack([pack(a) - pack(b) for a, b in pairs]), d), 0.0, d, n)
 
     g_fit = 0.0
     g_env = 0.0

@@ -50,7 +50,7 @@ loop carries a leading member axis, and each RK stage is one kernel call
 half (one mode of each mirror pair {k, -k}, and k = 0), 2.4x fewer numbers
 than the cube at d = 2, n = 16: it takes the data's real parts there once
 (`spectral.real_half`), and expands to cubes (`SimState.from_half`) only
-for the guard's triple norms, of the data and at samples, and the states.
+for the states it samples; the blow-up guard reads the halves it steps.
 Stage algebra, integrating factors and fix-ups act on each mode alone (the
 fix-up's Leray projection and divergence residual take halves, like every
 operation below the field algebra), so on the half they give the cube
@@ -269,13 +269,6 @@ def _shrink(h: float, ratio: float, previous: Optional[Tuple[float, float]]) -> 
     return h * max(0.2, 0.9 * ratio ** (-1.0 / q))
 
 
-def _expand(y: np.ndarray, dim: int, cutoff: int, t: float, s: float):
-    """The states of a (members, d+2, n_half) stack at time t and their
-    squared triple norms at s, read on the cube."""
-    states = [SimState.from_half(half, dim, cutoff, t) for half in y]
-    return states, triple_sq(np.stack([pack(st) for st in states]), s)
-
-
 def _leave(traj: Trajectory, status: str, message: str, steps: int, rejected: int,
            evaluations: int):
     traj.status, traj.message = status, message
@@ -368,7 +361,7 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
     # real parts (on conjugate-symmetric data this changes no bit) and
     # carries their canonical halves
     y = real_half(np.stack([pack(st) for st in states0]), dim)
-    ceiling = config.blowup_factor * (2.0 * _expand(y, dim, cutoff, t, params.s)[1] + 1.0)
+    ceiling = config.blowup_factor * (2.0 * triple_sq(y, params.s, dim, cutoff) + 1.0)
     if not ok.all():
         live, y, ceiling = _survivors(ok, live, y, ceiling)
     h = config.dt
@@ -492,11 +485,12 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
                         checked()
 
             if sampled:
-                states, x_now = _expand(y, dim, cutoff, t, params.s)
+                x_now = triple_sq(y, params.s, dim, cutoff)
                 ok = x_now <= ceiling
                 grid, f, gap = measured or (level, k1, None)
                 for i, member in enumerate(live):
-                    trajs[member].sample(states[i], grid, None if f is None else f[i],
+                    trajs[member].sample(SimState.from_half(y[i], dim, cutoff, t), grid,
+                                         None if f is None else f[i],
                                          None if gap is None else float(gap[i]))
                     if not ok[i]:
                         _leave(trajs[member], "aborted-blowup",

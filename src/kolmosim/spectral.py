@@ -15,14 +15,14 @@ Fields are real: c(-k) = conj(c(k)).  So one mode of each mirror pair
 {k, -k} determines the other, and the canonical half (the ball's modes whose
 last nonzero component is positive, and k = 0) holds every real field's
 degrees of freedom, 397 modes against the cube's 961 at d = 2, n = 16.
-The half is the only layout below the field algebra: the time-stepping
-loop, the transform pair, `leray_coefficients`, `div_residual`,
-`spectral_products` and the estimate lab's stacks take canonical halves,
-and the cube holders (`SpectralField`, `VectorSpectralField`, and
-`system.SimState`) hold cubes.  This module alone crosses between them:
-`real_half` takes cubes to the half of their real part, (c(k) +
-conj(c(-k))) / 2, and the `from_half` constructors expand halves to cubes.
-There is one transform pair, on the real half spectrum:
+The half is the only layout below the field algebra: the time-stepping loop,
+the transform pair, `leray_coefficients`, `div_residual`,
+`spectral_products`, `system.triple_sq` and the estimate lab's stacks take
+canonical halves, and the cube holders (`SpectralField`,
+`VectorSpectralField`, and `system.SimState`) hold cubes.  This module alone
+crosses between them: `real_half` takes cubes to the half of their real
+part, (c(k) + conj(c(-k))) / 2, and the `from_half` constructors expand
+halves to cubes.  There is one transform pair, on the real half spectrum:
 `coefficients_to_real_grid` samples canonical halves and
 `real_grid_to_coefficients` takes real samples back to them (k = 0 exactly
 real).  Only the first `cutoff` bins of the last axis can hold a mode, so

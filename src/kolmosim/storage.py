@@ -185,14 +185,19 @@ class RunConfig:
         return self.values[key]
 
     def __setitem__(self, key, value):
+        """A string is parsed as the key's type; any other value must be of
+        that type already (an int may stand for a float; a bool never does)."""
         if key not in _DEFAULTS:
             raise KeyError(f"unknown config key: {key}")
         kind = type(_DEFAULTS[key])
-        try:
-            self.values[key] = kind(value)
-        except ValueError:
-            raise ValueError(f"config key {key!r} takes {kind.__name__}, "
-                             f"got {value!r}") from None
+        accepted = (str, int, float) if kind is float else (str, kind)
+        if isinstance(value, accepted) and not isinstance(value, bool):
+            try:
+                self.values[key] = kind(value)
+                return
+            except ValueError:
+                pass
+        raise ValueError(f"config key {key!r} takes {kind.__name__}, got {value!r}")
 
     def validate(self) -> RunObjects:
         """Check what no run object owns (d, s > d/2, n, kind, v_scale), then

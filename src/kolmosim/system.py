@@ -140,7 +140,9 @@ class SimState:
         return list(self.v.components) + [self.omega, self.b]
 
     def triple_norm_sq(self, s: float) -> float:
-        return float(triple_sq(pack(self)[None], s)[0])
+        """The squared H^s x H^s x H^s triple norm of the state's real part."""
+        return float(triple_sq(real_half(pack(self), self.dim)[None], s, self.dim,
+                               self.cutoff)[0])
 
     def realness_residual(self) -> float:
         return realness_residual(pack(self), self.dim)
@@ -174,12 +176,18 @@ def state_problems(state: SimState) -> List[str]:
     return problems
 
 
-def triple_sq(stack: np.ndarray, s: float) -> np.ndarray:
-    """Squared H^s norm, summed over the rows, of each member of a (members,
-    rows) + cube stack: with rows (v_1..v_d, omega, b) the H^s x H^s x H^s
-    triple norm."""
-    w = _geometry(stack.ndim - 2, (stack.shape[-1] + 1) // 2).bessel_weight(s)
-    return np.sum((w * np.abs(stack) ** 2).reshape(len(stack), -1), axis=1)
+def triple_sq(halves: np.ndarray, s: float, dim: int, cutoff: int) -> np.ndarray:
+    """Squared H^s norm, summed over the rows, of the real fields of each
+    member of a (members, rows, n_half) stack of canonical halves: with rows
+    (v_1..v_d, omega, b) the H^s x H^s x H^s triple norm."""
+    geo = _geometry(dim, cutoff)
+    w = geo.half_weight * geo.half_bessel_weight(s)
+    return np.sum((w * np.abs(halves) ** 2).reshape(len(halves), -1), axis=1)
+
+
+def monitor_grid(cutoff: int) -> int:
+    """Points per axis of the extrema monitor's grid at this cutoff."""
+    return fast_grid_size(4 * (2 * cutoff - 1))
 
 
 def grid_extrema(state: SimState, points: int) -> Tuple[float, float, float]:
@@ -192,11 +200,11 @@ def grid_extrema(state: SimState, points: int) -> Tuple[float, float, float]:
 
 def hypothesis_violations(state: SimState, s: float) -> List[str]:
     """state_problems, then the checkable local-existence hypotheses: s > d/2
-    and omega, b > 0 on the extrema monitor's fast_grid_size(4(2n-1)) grid."""
+    and omega, b > 0 on the extrema monitor's grid (`monitor_grid`)."""
     problems = state_problems(state)
     if not s > state.dim / 2:
         problems.append(f"regularity s = {s} <= d/2 = {state.dim / 2}")
-    w_min, _, b_min = grid_extrema(state, fast_grid_size(4 * (2 * state.cutoff - 1)))
+    w_min, _, b_min = grid_extrema(state, monitor_grid(state.cutoff))
     if w_min <= 0:
         problems.append(f"min omega_0 = {w_min:.3e} <= 0")
     if b_min <= 0:

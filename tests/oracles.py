@@ -1,8 +1,8 @@
 """Literal oracles for the spectral transforms and products: term-by-term
 sums over modes, independent of the FFT paths they check; the real part,
-the half's gather, the Leray projection and divergence residual by the
-cube formula, the kernel's flux divergences row by row, and its velocity
-force before the pressure correction on field objects; the cutoffs'
+the half's gather, the Leray projection, divergence residual and triple
+norm by the cube formula, the kernel's flux divergences row by row, and its
+velocity force before the pressure correction on field objects; the cutoffs'
 derivative constant measured by finite differences; and the estimate campaigns' samples evaluated one at a
 time on field objects, through the public one-field functions, which the
 stacked campaigns must match bit for bit."""
@@ -76,6 +76,14 @@ def cube_div_residual(stack, dim, cutoff):
     relative to its largest coefficient magnitude."""
     k_dot = (_geometry(dim, cutoff).k * stack).sum(axis=0)
     return float(np.abs(k_dot).max() / max(np.abs(stack).max(), 1e-300))
+
+
+def cube_triple_sq(stack, s):
+    """Squared H^s norm, summed over the rows, of each member of a (members,
+    rows) + cube stack: (1 + 4 pi^2 |k|^2)^s |c(k)|^2 over every mode of the
+    cube, which system.triple_sq sums on the half."""
+    w = _geometry(stack.ndim - 2, (stack.shape[-1] + 1) // 2).bessel_weight(s)
+    return np.sum((w * np.abs(stack) ** 2).reshape(len(stack), -1), axis=1)
 
 
 def flux_divergences(c, dim, cutoff):

@@ -537,12 +537,17 @@ def test_verify_refuses_empty_campaign(tmp_path, capsys, monkeypatch, name, samp
     (sim_args("run", s="nan"), "finite s > d/2"),
     (sim_args("run", s="inf"), "finite s > d/2"),
     (sim_args("run", kind="random", v_scale="inf"), "v_scale must be finite"),
+    (["existence-time", "--beta", "nan"], "--beta must be finite"),
+    (["existence-time", "--beta", "inf"], "--beta must be finite"),
+    (["norms", "snapshot.kolm", "--s", "nan"], "--s must be finite"),
+    (["convergence", "--s-prime", "nan"], "--s-prime must be finite"),
 ], ids=["interpolation-s-nan", "product-s-inf", "commutator-s-nan", "composition-s-minus-inf",
         "product-rho-nan", "decomposition-rho-inf", "product-overflow", "simulate-rho-nan",
         "simulate-dt-inf", "simulate-t_end-nan", "simulate-t_end-inf", "simulate-abs_tol-nan",
         "simulate-rel_tol-inf", "simulate-blowup_factor-nan", "simulate-c_tilde-nan",
         "simulate-gamma-nan", "simulate-alpha-nan", "simulate-s-nan", "simulate-s-inf",
-        "simulate-v_scale-inf"])
+        "simulate-v_scale-inf", "existence-time-beta-nan", "existence-time-beta-inf",
+        "norms-s-nan", "convergence-s-prime-nan"])
 def test_refuses_non_finite_input(tmp_path, capsys, monkeypatch, argv, named):
     monkeypatch.chdir(tmp_path)
     if argv[0] == "verify":

@@ -105,6 +105,12 @@ class TestExistenceTime:
         with pytest.raises(ValueError):
             ConstantModel(0.0, 0.0)
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_beta_refused(self, beta):
+        # NaN passed a beta <= 1 test and its NaN T read as "never spent"
+        with pytest.raises(ValueError, match="beta must be finite and > 1"):
+            existence_time(0.0, beta, ConstantModel(1.0, 0.0))
+
 
 class TestNormPolynomials:
     def test_uniform_bound_values(self):
@@ -221,8 +227,7 @@ class TestExtremaMonitor:
         state = constant_state(w0=0.3, b0=1.0)     # below omega_min0 = 0.5
         rep = extrema_monitor(state, CutoffProfile(WIDE), grid=16)
         assert not rep.passed
-        min_w, max_w, min_b, ok = rep
-        assert (min_w, ok) == (pytest.approx(0.3), False)
+        assert (rep.min_omega, rep.passed) == (pytest.approx(0.3), False)
 
 
 class TestTrajectoryCeiling:

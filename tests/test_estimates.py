@@ -27,7 +27,7 @@ from kolmosim.integrators import IntegratorConfig
 from kolmosim.spectral import (SpectralField, VectorSpectralField, _geometry,
                                fast_grid_size, half_to_cube, lp_norm, real_half,
                                spectral_product)
-from kolmosim.system import ModelParams
+from kolmosim.system import ModelParams, triple_sq
 from oracles import (commutator_sample, composition_sample, direct_convolution,
                      interpolation_sample, product_sample, trigonometric_sum)
 
@@ -331,6 +331,15 @@ class TestGridNorms:
                               2)[None] for h in fields]
         assert [float(x[0]) for x in estimates._lp_norms(operands, ps, 6, 2)] == expected
         assert [field_lp(h, p) for h, p in zip(fields, ps)] == expected
+
+    @pytest.mark.parametrize("dim, cutoff", [(2, 6), (3, 3)])
+    def test_parseval_norm_is_triple_sq(self, dim, cutoff):
+        """The campaigns' p = 2 norms are the square root of triple_sq at
+        s = 0, bit for bit, on scalar and vector operands."""
+        halves = RandomFieldSpec(dim=dim, cutoff=cutoff, seed=5).draws(range(4), dim)
+        for operand in (halves[:, :1], halves):
+            got = estimates._lp_norms([operand], (2.0,), cutoff, dim)[0]
+            assert np.array_equal(got, np.sqrt(triple_sq(operand, 0.0, dim, cutoff)))
 
     def test_campaign_samples_take_one_sup_norm_transform(self, monkeypatch):
         calls = []

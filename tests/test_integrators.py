@@ -446,9 +446,9 @@ class TestStageReuse:
 
 class TestHalfLayout:
     def test_rk45_expands_to_the_cube_once_per_sample(self, monkeypatch):
-        # the loop carries canonical halves and expands each member to cubes
-        # only where the guard and the stored states need them: the datum's
-        # ceiling, then each sample after it
+        # the loop carries canonical halves, and its blow-up guard reads
+        # them: it expands each member to cubes only for the states it
+        # samples after the datum, which it keeps as given
         calls = [0]
         expand = SimState.from_half
 
@@ -463,7 +463,7 @@ class TestHalfLayout:
         runs = integrate_lockstep(states, config, make_params(bounds=WIDE), CutoffProfile(WIDE))
         assert [r.status for r in runs] == ["completed", "completed"]
         assert runs[0].steps >= 4 and len(runs[0].states) == len(runs[1].states) >= 3
-        assert calls[0] == 2 * len(runs[0].states)
+        assert calls[0] == 2 * (len(runs[0].states) - 1)
 
 
 def assert_threads_match_serial(runs):

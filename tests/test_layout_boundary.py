@@ -1,12 +1,14 @@
 """The cube/half boundary lives in spectral alone: no other module of
-src/kolmosim names a layout primitive.  They enter the half through
-spectral.real_half and leave it through the from_half constructors."""
+src/kolmosim names a layout primitive or the cube's Sobolev table
+(`bessel_weight`; the half's is `half_bessel_weight`).  They enter the half
+through spectral.real_half and leave it through the from_half
+constructors."""
 
 import ast
 import pathlib
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "kolmosim"
-PRIMITIVES = {"cube_to_half", "half_to_cube", "symmetrize", "conj_flip"}
+PRIMITIVES = {"cube_to_half", "half_to_cube", "symmetrize", "conj_flip", "bessel_weight"}
 
 
 def _names(path):

@@ -336,6 +336,24 @@ def test_config_unparsable_value_names_line_and_key():
         RunConfig()["dt"] = "x"
 
 
+@pytest.mark.parametrize("key, value, kind", [
+    ("n", 2.5, "int"), ("seed", 7.9, "int"), ("kind", 3, "str"), ("t_end", True, "float"),
+    ("n", True, "int"), ("dt", None, "float")])
+def test_config_non_string_value_of_another_type_refused(key, value, kind):
+    # a float was truncated to an int, and a number or bool coerced, silently
+    config = RunConfig()
+    with pytest.raises(ValueError, match=f"config key '{key}' takes {kind}, got {value!r}"):
+        config[key] = value
+    assert config[key] == RunConfig()[key]
+
+
+def test_config_value_of_the_keys_type_stored():
+    config = RunConfig()
+    config["n"], config["t_end"], config["dt"], config["kind"] = 8, 2, 0.5, "preset"
+    assert (config["n"], config["t_end"], config["dt"], config["kind"]) == (8, 2.0, 0.5, "preset")
+    assert isinstance(config["t_end"], float)       # an int stands for a float
+
+
 def test_config_setitem_coerces_and_rejects():
     config = RunConfig()
     config["n"] = "32"

@@ -19,7 +19,7 @@ from kolmosim.cutoffs import CutoffProfile, InitialBounds, nu_bar_grid
 from kolmosim.diagnostics import nu_bar_aliasing
 from kolmosim.spectral import (REAL_TOL, SpectralField, VectorSpectralField, _geometry,
                                _half_bins, _real_pass, coefficients_to_real_grid,
-                               leray_coefficients)
+                               leray_coefficients, real_half)
 from kolmosim.system import (
     ModelParams,
     SimState,
@@ -35,7 +35,8 @@ from kolmosim.system import (
     state_problems,
     triple_sq,
 )
-from oracles import cube_to_half, flux_divergences, symmetrize, velocity_force
+from oracles import (cube_to_half, cube_triple_sq, flux_divergences, symmetrize,
+                     velocity_force)
 
 BOUNDS = InitialBounds(b_min0=0.5, omega_min0=0.5, omega_max0=2.0, alpha=1.0)
 PROFILE = CutoffProfile(bounds=BOUNDS)
@@ -537,9 +538,22 @@ class TestStateChecks:
 
     @pytest.mark.parametrize("dim, cutoff", [(2, 4), (2, 16), (3, 5)])
     def test_triple_norm_is_the_guards(self, dim, cutoff):
-        """SimState.triple_norm_sq and the blow-up guard's triple_sq over a
-        member stack agree bit for bit."""
+        """SimState.triple_norm_sq is triple_sq of the stack of the states'
+        real halves, the blow-up guard's sum, bit for bit."""
         states = [divergence_free_random_state(seed, dim=dim, cutoff=cutoff)
                   for seed in range(3)]
-        guard = triple_sq(np.stack([pack(st) for st in states]), 2.0)
+        guard = triple_sq(real_half(np.stack([pack(st) for st in states]), dim), 2.0, dim,
+                          cutoff)
         assert [st.triple_norm_sq(2.0) for st in states] == guard.tolist()
+
+    @pytest.mark.parametrize("dim, cutoff", [(2, 4), (2, 16), (3, 5)])
+    @pytest.mark.parametrize("s", [0.0, 2.0, 3.0])
+    def test_triple_sq_on_halves_is_the_cube_sum(self, dim, cutoff, s):
+        """On real stacks the half's weighted sum equals the cube formula
+        (`oracles.cube_triple_sq`) to roundoff."""
+        cubes = np.stack([pack(divergence_free_random_state(seed, dim=dim, cutoff=cutoff))
+                          for seed in range(3)])
+        got = triple_sq(real_half(cubes, dim), s, dim, cutoff)
+        ref = cube_triple_sq(cubes, s)
+        assert np.all(ref > 0)
+        assert np.max(np.abs(got - ref) / ref) <= 1e-14
