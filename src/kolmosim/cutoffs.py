@@ -146,7 +146,8 @@ def nu_bar_grid(b_grid: np.ndarray, omega_grid: np.ndarray, t: float,
                 profile: CutoffProfile) -> np.ndarray:
     """Pointwise regularized viscosity Phi_t(b)/Psi_t(omega) on a physical grid.
 
-    It reads min b, min omega and max omega first and builds the pieces of
+    It reads min b, min omega and max omega first (the ufuncs' own
+    reductions, without numpy's Python wrappers) and builds the pieces of
     the cutoffs that samples can fall in, so with every sample in the
     identity bands it is one divide, b/omega; bit for bit the composition
     phi_b(b) / psi_omega(omega), NaN samples included.
@@ -154,8 +155,9 @@ def nu_bar_grid(b_grid: np.ndarray, omega_grid: np.ndarray, t: float,
     vals = time_profiles(profile.bounds, t)
     b = np.asarray(b_grid, dtype=float)
     w = np.asarray(omega_grid, dtype=float)
-    return (_phi(b, vals.b_lower, b.min())
-            / _psi(w, vals.omega_lower, vals.omega_upper, w.min(), w.max()))
+    return (_phi(b, vals.b_lower, np.minimum.reduce(b, axis=None))
+            / _psi(w, vals.omega_lower, vals.omega_upper, np.minimum.reduce(w, axis=None),
+                   np.maximum.reduce(w, axis=None)))
 
 
 def nu_bar(b_n: SpectralField, omega_n: SpectralField, t: float, n_grid: int,

@@ -214,11 +214,25 @@ def fix_up(stack: np.ndarray, dim: int, cutoff: int):
 
 def rk4_step(arr: np.ndarray, cutoff: int, t: float, h: float, params: ModelParams,
              profile: CutoffProfile) -> np.ndarray:
+    """arr + (h/6)(k1 + 2 k2 + 2 k3 + k4), bit for bit, without temporaries:
+    the stage arguments share one buffer, and the sum gathers in k1, the
+    kernel's fresh result (so the kernel must not keep its results)."""
+    stage = np.empty_like(arr)
     k1 = rhs(arr, cutoff, t, params, profile)[0]
-    k2 = rhs(arr + 0.5 * h * k1, cutoff, t + 0.5 * h, params, profile)[0]
-    k3 = rhs(arr + 0.5 * h * k2, cutoff, t + 0.5 * h, params, profile)[0]
-    k4 = rhs(arr + h * k3, cutoff, t + h, params, profile)[0]
-    return arr + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    np.add(arr, np.multiply(0.5 * h, k1, out=stage), out=stage)
+    k2 = rhs(stage, cutoff, t + 0.5 * h, params, profile)[0]
+    np.add(arr, np.multiply(0.5 * h, k2, out=stage), out=stage)
+    k3 = rhs(stage, cutoff, t + 0.5 * h, params, profile)[0]
+    np.add(arr, np.multiply(h, k3, out=stage), out=stage)
+    k4 = rhs(stage, cutoff, t + h, params, profile)[0]
+    k2 *= 2.0
+    k1 += k2
+    k3 *= 2.0
+    k1 += k3
+    k1 += k4
+    k1 *= h / 6.0
+    k1 += arr
+    return k1
 
 
 @functools.lru_cache(maxsize=None)

@@ -35,14 +35,21 @@ part in and cubes out, without the nubar samples.  `rhs_gap` compares two
 of the kernel's outputs member by member (the integrator's grid rule and
 the aliasing indicator).
 
-The kernel's grid-sized arrays live in an `RhsWorkspace`, which the kernel
-owns: each thread keeps one for each of the last two grid sizes it called
+The kernel's plan for a size lives in an `RhsWorkspace`, which the kernel
+owns.  It binds what the size (dim, cutoff, grid points, members) fixes:
+the grid-sized arrays, their views (state rows, grid rows, flux and
+reaction rows), and the maps' tables with the member axis inserted.  A
+call reads only what it is given: the stack, t, params.alpha and the
+profile.  A call at the (dim, cutoff, oversample, members) this thread
+called at last takes its plan at once: it neither recomputes the grid
+size nor looks up the maps' tables.
+Each thread keeps a plan for each of the last two grid sizes it called
 at for one (dim, cutoff, members), and every caller (integrations, `rhs`,
 the aliasing indicator) reuses them, so an rk45 run whose grid moves
 between 96^2 and 64^2 builds each once.  A call at a third size frees the
 one used least recently, and a call at another (dim, cutoff, members) frees
 both, before building; so a lockstep run that loses a member rebuilds on
-its next call.  A thread keeps its buffers until then or until it exits.
+its next call.  A thread keeps its plans until then or until it exits.
 Threads never share buffers.  The kernel always returns a new array, never
 a view of the workspace, so results held across calls (the RK stages) stay
 valid.
@@ -230,16 +237,15 @@ def _pair_layout(dim: int) -> np.ndarray:
     return weight
 
 
-def _advective_fluxes(g: np.ndarray, dim: int, out: np.ndarray) -> np.ndarray:
-    """v_i v_j (i <= j), v w, v b from grids whose first rows are v, omega, b,
-    into the first rows of `out`.  With div v = 0 their divergences are
-    v.grad v, v.grad w and v.grad b."""
-    pairs = _upper_pairs(dim)
-    m = len(pairs)
-    for p, (i, j) in enumerate(pairs):
-        np.multiply(g[i], g[j], out=out[p])
-    np.multiply(g[:dim], g[dim:dim + 2, None], out=out[m:m + 2 * dim].reshape((2,) + g[:dim].shape))
-    return out
+def _advective_fluxes(pairs, v: np.ndarray, wb: np.ndarray, out: np.ndarray) -> None:
+    """v_i v_j (i <= j) into the targets of `pairs`, (v_i, v_j, target)
+    views of the grids in _upper_pairs order, then v w and v b into out,
+    (2,) + v.shape, from the velocity grids v and wb = (omega, b) with an
+    axis inserted second.  With div v = 0 their divergences are v.grad v,
+    v.grad w and v.grad b."""
+    for a, b, target in pairs:
+        np.multiply(a, b, out=target)
+    np.multiply(v, wb, out=out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -267,35 +273,33 @@ def _momentum_map(dim: int, cutoff: int) -> np.ndarray:
     return div
 
 
-def _in_map(y: np.ndarray, dim: int, cutoff: int, out: np.ndarray,
-            prod: np.ndarray) -> np.ndarray:
-    """The rows D_ij (i <= j), grad omega, grad b of state rows y = (v_1..v_d,
-    omega, b) + batch + (n_half,), into the contiguous out; the tables
-    broadcast over the batch.  prod is the buffer of the deformation's
-    product, (m, d) + y.shape[1:]."""
-    m, ix = len(_upper_pairs(dim)), (Ellipsis,) + (None,) * (y.ndim - 2) + (slice(None),)
-    np.add.reduce(np.multiply(_deform_map(dim, cutoff)[ix], y[:dim], out=prod), axis=1,
-                  out=out[:m])
-    np.multiply(_geometry(dim, cutoff).half_grad[ix], y[dim:dim + 2, None],
-                out=out[m:].reshape((2, dim) + y.shape[1:]))
-    return out
+def _in_map(v: np.ndarray, wb: np.ndarray, tables, out, prod: np.ndarray) -> None:
+    """The rows D_ij (i <= j), then grad omega and grad b, of the state rows
+    v = (v_1..v_d) and wb = (omega, b) with an axis inserted second, each
+    row batch + (n_half,), into out = (deformation rows (m,) + ..., gradient
+    rows (2, d) + ...).  tables = (_deform_map, half_grad) with the batch
+    axes inserted; prod is the buffer of the deformation's product,
+    (m, d) + v.shape[1:]."""
+    deform, grad = tables
+    np.add.reduce(np.multiply(deform, v, out=prod), axis=1, out=out[0])
+    np.multiply(grad, wb, out=out[1])
 
 
-def _out_map(coef: np.ndarray, dim: int, cutoff: int, out: np.ndarray,
-             momentum: np.ndarray, scalar: np.ndarray) -> np.ndarray:
+def _out_map(coef, tables, out: np.ndarray, momentum: np.ndarray,
+             scalar: np.ndarray) -> None:
     """The right-hand side rows from the coefficients of member_rhs's flux
-    rows -M, -F_w, -F_b, R_w = -alpha w^2, R_b = nubar |Dv|^2 - b w, into
-    out: dv = P div(-M) with P the Leray projection, dw = div(-F_w) + R_w
-    and db = div(-F_b) + R_b.  momentum and scalar are the buffers of the
-    products, (d, m) and (2, d) + coef.shape[1:]."""
-    m, ix = len(_upper_pairs(dim)), (Ellipsis,) + (None,) * (coef.ndim - 2) + (slice(None),)
-    np.add.reduce(np.multiply(_momentum_map(dim, cutoff)[ix], coef[:m], out=momentum),
-                  axis=1, out=out[:dim])
-    np.add.reduce(np.multiply(_geometry(dim, cutoff).half_grad[ix],
-                              coef[m:m + 2 * dim].reshape((2, dim) + coef.shape[1:]),
-                              out=scalar), axis=1, out=out[dim:])
-    out[dim:] += coef[-2:]
-    return out
+    rows, coef = (-M, (-F_w, -F_b) shaped (2, d) + ..., the reactions R_w =
+    -alpha w^2 and R_b = nubar |Dv|^2 - b w), into out: dv = P div(-M) with
+    P the Leray projection, dw = div(-F_w) + R_w and db = div(-F_b) + R_b.
+    tables = (_momentum_map, half_grad) with the batch axes inserted;
+    momentum and scalar are the buffers of the products, (d, m) and (2, d)
+    + batch + (n_half,)."""
+    div_m, grad = tables
+    m_rows, s_rows, reactions = coef
+    d = len(grad)
+    np.add.reduce(np.multiply(div_m, m_rows, out=momentum), axis=1, out=out[:d])
+    np.add.reduce(np.multiply(grad, s_rows, out=scalar), axis=1, out=out[d:])
+    out[d:] += reactions
 
 
 def _shared(*specs):
@@ -308,10 +312,11 @@ def _shared(*specs):
 
 
 class RhsWorkspace:
-    """The grid-sized arrays of member_rhs for stacks of `members` states at
-    one (dim, cutoff, points).
+    """The kernel's plan for stacks of `members` states at one (dim, cutoff,
+    points): the grid-sized arrays member_rhs writes, and everything about
+    the size that it would otherwise look up or rebuild at every call.
 
-    Allocated anew, these arrays would cost every call about 2.1 MB per
+    Allocated anew, the arrays would cost every call about 2.1 MB per
     member of freshly page-faulted memory at d=2, n=16, oversample 3 (96^2
     grids).  Every call overwrites them; they hold nothing between calls.
     `rows` is the spectral side: the state's rows and the in-map's rows on
@@ -325,6 +330,16 @@ class RhsWorkspace:
     transforms' real pass reads or writes.  Rows lead and members follow,
     (rows, members) + modes or grid, so one row of every member is one
     contiguous block; a one-member stack keeps its member axis.
+
+    Bound once per size beside them: the views of those arrays that the
+    kernel reads and writes (the state's rows, the grids of w and b, of the
+    deformation and of the viscous rows, the pair products' targets, the
+    flux and reaction rows, and the flux coefficients as the out-map reads
+    them); the in-map's and out-map's tables with the member axis inserted
+    (`in_tables`, `out_tables`: views of the tables every size at this
+    (dim, cutoff) shares, kept in tuples); and the contraction's pair
+    weights shaped for the grids (a copy of their own).  Each call reads
+    only what it is given: the stack, t, params.alpha and the profile.
     """
 
     def __init__(self, dim: int, cutoff: int, points: int, members: int):
@@ -340,24 +355,50 @@ class RhsWorkspace:
         self.deform, self.grids, self.half_out = _shared(
             ((m, dim) + modes, complex), (grids + cube, float),
             (fluxes + cube[:-1] + (cutoff,), complex))
+        # the spectral rows: v, omega, b, then the in-map's rows; the flux
+        # coefficients overwrite them from the top
+        c, g, flux = self.rows, self.grids, self.flux
+        self.y, self.y_v, self.y_wb = c[:dim + 2], c[:dim], c[dim:dim + 2, None]
+        self.in_rows = (c[dim + 2:dim + 2 + m], c[dim + 2 + m:].reshape((2, dim) + modes))
+        self.coef = coef = c[:len(flux)]
+        self.out_rows = (coef[:m], coef[m:m + 2 * dim].reshape((2, dim) + modes), coef[-2:])
+        member = (Ellipsis, None, slice(None))
+        grad = _geometry(dim, cutoff).half_grad[member]
+        self.in_tables = (_deform_map(dim, cutoff)[member], grad)
+        self.out_tables = (_momentum_map(dim, cutoff)[member], grad)
+        # the grid rows and the flux rows
+        self.w, self.b = g[dim], g[dim + 1]
+        self.v, self.wb = g[:dim], g[dim:dim + 2, None]
+        self.deform_grids, self.viscous = g[dim + 2:dim + 2 + m], g[dim + 2:]
+        self.pair_weight = _pair_layout(dim).reshape((m,) + (1,) * (g.ndim - 1)).copy()
+        self.pairs = tuple((g[i], g[j], flux[p]) for p, (i, j) in enumerate(_upper_pairs(dim)))
+        self.def_sq, self.fluxes = flux[:m], flux[:-2]
+        self.scalar_fluxes = flux[m:m + 2 * dim].reshape((2, dim, members) + cube)
+        self.reaction_w, self.reaction_b = flux[-2], flux[-1]
 
 
 _local = threading.local()
 
 
-def _workspace(size) -> RhsWorkspace:
-    """This thread's workspace for (dim, cutoff, points, members).  The thread
-    keeps the last two grid sizes it called at for one (dim, cutoff,
+def _workspace(dim: int, cutoff: int, params: ModelParams, members: int) -> RhsWorkspace:
+    """This thread's plan for (dim, cutoff, params.oversample, members).  A
+    call at the size this thread called at last takes it at once.  The
+    thread keeps the last two grid sizes it called at for one (dim, cutoff,
     members), so a run whose quadrature grid moves, or checks one grid
     against another, builds each size once; a call at a third size, or at
     another (dim, cutoff, members), frees what it does not keep first."""
+    key = (dim, cutoff, params.oversample, members)
+    if getattr(_local, "key", None) == key:
+        return _local.kept[-1]
+    size = (dim, cutoff, params.grid_points(cutoff), members)
     kept = getattr(_local, "kept", [])
     ws = next((w for w in kept if w.size == size), None)
     if ws is None:
         kept = [w for w in kept[-1:] if w.size[:2] + w.size[3:] == size[:2] + size[3:]]
-        _local.kept = None                   # free the other buffers first
+        _local.key, _local.kept = None, []      # free the other buffers first
         ws = RhsWorkspace(*size)
     _local.kept = [w for w in kept if w is not ws] + [ws]    # the last size called at last
+    _local.key = key
     return ws
 
 
@@ -383,48 +424,45 @@ def member_rhs(ys: np.ndarray, cutoff: int, t: float, params: ModelParams,
     the members in one call each, whose real passes are matrix products
     (`spectral._real_pass`).  The forward transform shifts the flux grids
     in place, as they are dead after it.  Each member's row equals its
-    one-state call bit for bit.  The grid-sized arrays are this thread's
-    cached workspace; the result is always a new array.
+    one-state call bit for bit.  The grid-sized arrays, their views and the
+    maps' tables are this thread's cached plan for the size
+    (`RhsWorkspace`); the result is always a new array.
 
     Returns the stack of right-hand sides, on the canonical half, and each
     member's nubar on the quadrature grid, flattened to (members, points^d)
     (a new array too), from whose extremes the integrator takes its
     reference viscosity.
     """
-    members, d, n = ys.shape[0], ys.shape[1] - 2, cutoff
-    points = params.grid_points(n)
-    ws = _workspace((d, n, points, members))
-    c = ws.rows
-    m = len(_upper_pairs(d))
-    # spectral rows: v, omega, b, then the in-map's rows; each row holds
-    # every member (the workspace layout)
-    y = c[:d + 2]
-    y[...] = ys.swapaxes(0, 1)
-    _in_map(y, d, n, out=c[d + 2:], prod=ws.deform)
-    g = coefficients_to_real_grid(c, n, d, points, out=ws.grids, half=ws.half_in)
-    w_g, b_g = g[d], g[d + 1]
+    members, d = ys.shape[0], ys.shape[1] - 2
+    ws = _workspace(d, cutoff, params, members)
+    # every row holds every member (the workspace layout)
+    ws.y[...] = ys.swapaxes(0, 1)
+    _in_map(ws.y_v, ws.y_wb, ws.in_tables, out=ws.in_rows, prod=ws.deform)
+    coefficients_to_real_grid(ws.rows, cutoff, d, ws.size[2], out=ws.grids, half=ws.half_in)
+    w_g, b_g = ws.w, ws.b
     nu_g = nu_bar_grid(b_g, w_g, t, profile)
     # the negated fluxes -M, -F_w, -F_b, then the reactions -alpha w^2 and
     # nubar |Dv|^2 - b w; nubar |Dv|^2 first: the momentum rows hold the
     # squares D_ij^2 until the fluxes overwrite them, and the gradient rows
     # are scaled in place
-    flux = ws.flux
-    def_sq = np.square(g[d + 2:d + 2 + m], out=flux[:m])
-    def_sq *= _pair_layout(d).reshape((m,) + (1,) * (g.ndim - 1))
-    np.add.reduce(def_sq, axis=0, out=flux[-1])
-    flux[-1] *= nu_g
-    np.multiply(b_g, w_g, out=flux[-2])
-    flux[-1] -= flux[-2]
-    np.square(w_g, out=flux[-2])
-    flux[-2] *= -params.alpha
-    _advective_fluxes(g, d, out=flux)
-    viscous = g[d + 2:]
+    def_sq, r_w, r_b = ws.def_sq, ws.reaction_w, ws.reaction_b
+    np.square(ws.deform_grids, out=def_sq)
+    def_sq *= ws.pair_weight
+    np.add.reduce(def_sq, axis=0, out=r_b)
+    r_b *= nu_g
+    np.multiply(b_g, w_g, out=r_w)
+    r_b -= r_w
+    np.square(w_g, out=r_w)
+    r_w *= -params.alpha
+    _advective_fluxes(ws.pairs, ws.v, ws.wb, out=ws.scalar_fluxes)
+    viscous = ws.viscous
     viscous *= nu_g
-    np.subtract(viscous, flux[:-2], out=flux[:-2])
-    coef = real_grid_to_coefficients(flux, n, d, half=ws.half_out, overwrite=True,
-                                     out=c[:len(flux)])
+    np.subtract(viscous, ws.fluxes, out=ws.fluxes)
+    real_grid_to_coefficients(ws.flux, cutoff, d, half=ws.half_out, overwrite=True,
+                              out=ws.coef)
     out = np.empty_like(ys)
-    _out_map(coef, d, n, out=out.swapaxes(0, 1), momentum=ws.momentum, scalar=ws.scalar)
+    _out_map(ws.out_rows, ws.out_tables, out=out.swapaxes(0, 1), momentum=ws.momentum,
+             scalar=ws.scalar)
     return out, nu_g.reshape(members, -1)
 
 

@@ -78,6 +78,27 @@ class TestRK4Oracle:
         expected = scalar_rk4(lambda t, y: -y ** 2, 1.0, 0.0, 0.1)
         assert abs(expected - 0.9090911863322196) < 1e-15
 
+    def test_step_is_the_textbook_sum(self):
+        # the in-place step against arr + (h/6)(k1 + 2 k2 + 2 k3 + k4) with
+        # fresh temporaries, on a two-member stack; arr is left as it was
+        params, profile = make_params(bounds=WIDE), CutoffProfile(WIDE)
+        arr = real_half(np.stack([pack(divergence_free_random_state(70 + i, cutoff=6))
+                                  for i in range(2)]), 2)
+        datum = arr.copy()
+        t, h = 0.01, 1.25e-4
+
+        def f(tau, y):
+            return member_rhs(y, 6, tau, params, profile)[0]
+
+        k1 = f(t, arr)
+        k2 = f(t + 0.5 * h, arr + 0.5 * h * k1)
+        k3 = f(t + 0.5 * h, arr + 0.5 * h * k2)
+        k4 = f(t + h, arr + h * k3)
+        expected = arr + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        got = integrators.rk4_step(arr, 6, t, h, params, profile)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(arr, datum)
+
 
 class TestClosedFormDecay:
     def test_rk45_hits_closed_forms(self):

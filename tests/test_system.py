@@ -368,6 +368,31 @@ class TestWorkspace:
                    0.05, PARAMS, PROFILE)
         assert alive == [False]
 
+    def test_plan_keeps_only_what_the_size_fixes(self):
+        # each call of the sequence, on this thread's plan, against a fresh
+        # thread's: after another alpha, another profile, another grid
+        # (oversample 2 -> 3 -> 2) and another member count (2 -> 1 -> 2)
+        ys = cube_to_half(np.stack([pack(divergence_free_random_state(80 + i, cutoff=6))
+                                    for i in range(2)]), 2)
+        base = dataclasses.replace(PARAMS, oversample=2)
+        alpha = ModelParams(alpha=2.0, s=2.0, bounds=dataclasses.replace(BOUNDS, alpha=2.0),
+                            oversample=2)
+        # samples below b_lower and outside [omega_lower, omega_upper]
+        narrow = CutoffProfile(InitialBounds(b_min0=1.1, omega_min0=1.0, omega_max0=1.0,
+                                             alpha=1.0))
+        calls = [(ys, base, PROFILE), (ys, alpha, PROFILE), (ys, base, narrow),
+                 (ys, base, PROFILE), (ys, dataclasses.replace(base, oversample=3), PROFILE),
+                 (ys, base, PROFILE), (ys[:1], base, PROFILE), (ys, base, PROFILE)]
+        results = []
+        for y, params, profile in calls:
+            got = member_rhs(y, 6, 0.05, params, profile)
+            fresh = in_new_thread(lambda: member_rhs(y, 6, 0.05, params, profile))
+            assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
+            results.append(got[0])
+        # the calls read alpha and the profile
+        assert not np.array_equal(results[1], results[0])
+        assert not np.array_equal(results[2], results[0])
+
     def test_flux_divergences_match_the_loop(self):
         # the batched contraction against the explicit sum over flux rows
         for dim, cutoff in ((2, 5), (3, 3)):
@@ -411,8 +436,11 @@ class TestSpectralMaps:
             y = draw((dim + 2, members, nh))
             expected = np.stack([0.5 * (grad[j] * y[i] + grad[i] * y[j]) for i, j in pairs]
                                 + [grad[a] * y[dim + s] for s in (0, 1) for a in range(dim)])
-            got = _in_map(y, dim, cutoff, out=np.empty(expected.shape, dtype=complex),
-                          prod=np.empty((m, dim, members, nh), dtype=complex))
+            got = np.empty(expected.shape, dtype=complex)
+            _in_map(y[:dim], y[dim:, None], (_deform_map(dim, cutoff)[..., None, :],
+                                             grad[:, None]),
+                    out=(got[:m], got[m:].reshape((2, dim, members, nh))),
+                    prod=np.empty((m, dim, members, nh), dtype=complex))
             assert rel(got, expected) <= 1e-14
 
             # the kernel's flux rows: -M, -F_w, -F_b, then the reaction rows
@@ -420,9 +448,11 @@ class TestSpectralMaps:
             div = flux_divergences(coef, dim, cutoff)
             dv = leray_coefficients(np.moveaxis(div[:dim], 0, -2), dim, cutoff)
             expected = np.concatenate([np.moveaxis(dv, -2, 0), div[dim:] + coef[-2:]])
-            got = _out_map(coef, dim, cutoff, out=np.empty(expected.shape, dtype=complex),
-                           momentum=np.empty((dim, m, members, nh), dtype=complex),
-                           scalar=np.empty((2, dim, members, nh), dtype=complex))
+            got = np.empty(expected.shape, dtype=complex)
+            _out_map((coef[:m], coef[m:m + 2 * dim].reshape((2, dim, members, nh)), coef[-2:]),
+                     (_momentum_map(dim, cutoff)[..., None, :], grad[:, None]), out=got,
+                     momentum=np.empty((dim, m, members, nh), dtype=complex),
+                     scalar=np.empty((2, dim, members, nh), dtype=complex))
             assert rel(got, expected) <= 1e-14
 
     @pytest.mark.parametrize("dim, cutoff", [(2, 5), (3, 3)])
