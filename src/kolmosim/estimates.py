@@ -10,9 +10,13 @@ surrogate for a constant independent of the fields.
 
 L^2 and H^s norms are exact: they are read from the coefficients (Parseval)
 and sample no grid.  Other L^p norms are quadratures on an oversampled grid,
-and sup norms are grid maxima, lower bounds of the continuum sup.  The
-smooth maps' derivative bounds are looked up in tables built once per (map,
-order), and the decomposition's symbol tables once per (dim, cutoff, s).
+and sup norms are grid maxima, lower bounds of the continuum sup, taken
+before the magnitude (max(max g, -min g), the sqrt of the largest sum of
+squares), which is the same value.  Products and commutators are sampled on
+`product_points`, a fast size at least 2(2n-1).  The smooth maps'
+derivative bounds are looked up in tables built once per (map, order), and
+the decomposition's symbol tables once per (dim, cutoff, s), on the mode
+pairs that land in the doubled ball.
 
 A campaign evaluates its samples in stacks: as many samples as fit their
 largest quadrature grid in _STACK_BYTES (256 KiB), at least one.  Sample i
@@ -39,8 +43,8 @@ from .cutoffs import CutoffProfile, smooth_step
 from .integrators import IntegratorConfig, integrate_lockstep
 from .spectral import (FOUR_PI_SQ, SpectralField, VectorSpectralField, _geometry,
                        checked_real_half, coefficients_to_real_grid, fast_grid_size,
-                       leray_coefficients, lp_norm, real_grid_to_coefficients, real_half,
-                       spectral_product, spectral_products)
+                       leray_coefficients, lp_norm, product_points, real_grid_to_coefficients,
+                       real_half, spectral_product, spectral_products)
 from .system import ModelParams, SimState, pack, triple_sq
 
 
@@ -73,12 +77,22 @@ class RandomFieldSpec:
     def draws(self, indices: Sequence[int], count: int) -> np.ndarray:
         """(len(indices), count, n_half): the canonical halves of the first
         `count` fields sample i draws from rng(i), bit for bit those of draw."""
-        normals = [self._normals(rng) for rng in map(self.rng, indices) for _ in range(count)]
-        return self._halves(np.stack(normals)).reshape(len(indices), count, -1)
+        normals = np.empty((len(indices), count, (2 * self.cutoff - 1) ** self.dim), dtype=complex)
+        for rng, row in zip(map(self.rng, indices), normals):
+            for out in row:
+                self._normals(rng, out)
+        return self._halves(normals)
 
-    def _normals(self, rng: np.random.Generator) -> np.ndarray:
+    def _normals(self, rng: np.random.Generator, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Complex unit normals on the flat cube, written into `out` (a new
+        array if None): one draw for the real parts, then one for the
+        imaginary parts, the values of rng.normal(...) + 1j * rng.normal(...)."""
         size = (2 * self.cutoff - 1) ** self.dim
-        return rng.normal(size=size) + 1j * rng.normal(size=size)
+        if out is None:
+            out = np.empty(size, dtype=complex)
+        out.real = rng.normal(size=size)
+        out.imag = rng.normal(size=size)
+        return out
 
     def _halves(self, normals: np.ndarray, scale: float = 1.0) -> np.ndarray:
         """The mean-free real parts' canonical halves of a stack of flat
@@ -202,23 +216,40 @@ def _lp_norms(operands: Sequence[np.ndarray], ps: Sequence[float], cutoff: int,
         grids = coefficients_to_real_grid(stack.reshape(-1, stack.shape[-1]), cutoff, dim,
                                           _norm_points(cutoff))
         grids = grids.reshape(stack.shape[:2] + grids.shape[1:])
-        grids = iter(np.split(grids, np.cumsum([c.shape[1] for c in gridded[:-1]]), axis=1))
     norms = []
+    row = 0
     for c, p in zip(operands, ps):
         if p == 2:
             norms.append(np.sqrt(triple_sq(c, 0.0, dim, cutoff)))
-            continue
-        grid = next(grids)              # the call's own output: overwritten in place
-        if grid.shape[1] > 1:           # a vector: the Euclidean magnitude
-            mags = np.sum(np.square(grid, out=grid), axis=1)
-            np.sqrt(mags, out=mags)
-        else:
-            mags = np.abs(grid[:, 0], out=grid[:, 0])
-        if math.isinf(p):
-            norms.append(np.max(mags, axis=tuple(range(1, dim + 1))))
-        else:       # one mean per sample: a mean over the stack could sum in another order
-            norms.append(np.array([lp_norm(m, p) for m in mags]))
+        else:       # the call's own output, overwritten in place
+            norms.append(_grid_norms(grids[:, row:row + c.shape[1]], p, dim))
+            row += c.shape[1]
     return norms
+
+
+def _grid_norms(grid: np.ndarray, p: float, dim: int) -> np.ndarray:
+    """The L^p norms of a (samples, rows) + grid stack (overwritten), of |g|
+    for one row and of the Euclidean magnitude for several.  A sup norm
+    takes the max first: _sup_abs for one row, and for several the sqrt of
+    the largest sum of squares (sqrt is monotone), the same values."""
+    if grid.shape[1] == 1:
+        if math.isinf(p):
+            return _sup_abs(grid[:, 0], dim)
+        mags = np.abs(grid[:, 0], out=grid[:, 0])
+    else:
+        mags = np.sum(np.square(grid, out=grid), axis=1)
+        if math.isinf(p):
+            return np.sqrt(np.max(mags, axis=tuple(range(1, dim + 1))))
+        np.sqrt(mags, out=mags)
+    # one mean per sample: a mean over the stack could sum in another order
+    return np.array([lp_norm(m, p) for m in mags])
+
+
+def _sup_abs(grids: np.ndarray, dim: int) -> np.ndarray:
+    """max |g| over each grid of a stack (the trailing dim axes) without a
+    magnitude pass: max(max g, -min g), the same value, NaN included."""
+    axes = tuple(range(-dim, 0))
+    return np.maximum(np.max(grids, axis=axes), -np.min(grids, axis=axes))
 
 
 def _bessel(half: np.ndarray, s: float, cutoff: int, dim: int) -> np.ndarray:
@@ -260,13 +291,14 @@ def _commutators(f: np.ndarray, g: np.ndarray, s: float, cutoff: int,
     """[J^s, f] g of stacks of canonical halves (batch + (n_half,)), as the
     halves of the doubled ball 2n-1, inside which products of two cutoff-n
     fields live.  The stack's f, g and J^s g are sampled in one inverse
-    transform call on the 2(2n-1) grid, where f g and f J^s g are
-    alias-free, and all products come back in one forward call; each result
-    equals the convolution to roundoff and is bit for bit its one-sample
-    call's."""
+    transform call on the product grid (`product_points`, a fast size at
+    least 2(2n-1)), where f g and f J^s g are alias-free, and all products
+    come back in one forward call; each result equals the convolution to
+    roundoff and is bit for bit its one-sample call's."""
     m = 2 * cutoff - 1
     trio = np.stack((f, g, _bessel(g, s, cutoff, dim)), axis=-2)
-    grids = coefficients_to_real_grid(trio.reshape(-1, trio.shape[-1]), cutoff, dim, 2 * m)
+    grids = coefficients_to_real_grid(trio.reshape(-1, trio.shape[-1]), cutoff, dim,
+                                      product_points(cutoff))
     grids = np.moveaxis(grids.reshape(trio.shape[:-1] + grids.shape[1:]), -dim - 1, 0)
     fg, f_jsg = real_grid_to_coefficients(grids[1:] * grids[0], m, dim)
     return _bessel(fg, s, m, dim) - f_jsg
@@ -303,8 +335,11 @@ def commutator_decomposition(f: SpectralField, g: SpectralField, s: float,
 
     sigma_j(xi, eta) = ((1+4pi^2|xi+eta|^2)^(s/2) - (1+4pi^2|eta|^2)^(s/2))
                        * Phi_j((1+|xi|^2) / (1+|eta|^2)),
-    scattered onto the doubled ball, Phi_j the default PartitionOfUnity's.
-    The three parts sum to the commutator.
+    summed onto the doubled ball, Phi_j the default PartitionOfUnity's.
+    The three parts sum to the commutator.  Only the pairs with |xi+eta| <
+    2n-1 are summed, in their row-major order, each part's real and
+    imaginary halves by one np.bincount; the cubes are zero off the ball by
+    construction, so they take no mask.
     """
     if (f.dim, f.cutoff) != (g.dim, g.cutoff):
         raise ValueError("operands must share layout")
@@ -314,26 +349,31 @@ def commutator_decomposition(f: SpectralField, g: SpectralField, s: float,
     if m * m > max_pairs:
         raise ValueError(f"cutoff too large for the exact double sum "
                          f"({m * m} mode pairs > {max_pairs})")
-    flat, bessel_diff, phis = _decomposition_tables(d, n, s)
-    weight = bessel_diff * f.coeffs[ball][:, None] * g.coeffs[ball][None, :]
+    flat, at_f, at_g, bessel_diff, phis = _decomposition_tables(d, n, s)
+    weight = bessel_diff * f.coeffs.take(at_f) * g.coeffs.take(at_g)
 
     out_cutoff = 2 * n - 1
     side = 2 * out_cutoff - 1
     fields = []
     for phi in phis:
-        acc = np.zeros(side ** d, dtype=complex)
-        np.add.at(acc, flat, (weight * phi).ravel())
-        fields.append(SpectralField(d, out_cutoff, acc.reshape((side,) * d)))
+        part = weight * phi
+        acc = np.empty(side ** d, dtype=complex)
+        acc.real = np.bincount(flat, part.real, side ** d)
+        acc.imag = np.bincount(flat, part.imag, side ** d)
+        fields.append(SpectralField._on_ball(d, out_cutoff, acc.reshape((side,) * d)))
     return tuple(fields)
 
 
 @functools.lru_cache(maxsize=3)
 def _decomposition_tables(dim: int, cutoff: int, s: float):
     """What commutator_decomposition needs besides the coefficients, built
-    once per (dim, cutoff, s), read-only: each mode pair's flat
-    index on the doubled ball's cube, its symbol's Bessel difference, and
-    its three partition weights.  The three most recent keys are kept (the
-    three s of criterion 08), about 40 bytes per mode pair each."""
+    once per (dim, cutoff, s), read-only, for the mode pairs (xi, eta) of
+    the ball whose sum lands in the doubled ball, in row-major order: the
+    sum's flat index on the doubled ball's cube, xi's and eta's flat indices
+    on the ball's cube, the symbol's Bessel difference, and its three
+    partition weights, each computed on all pairs and then selected.  The
+    three most recent keys are kept (the three s of criterion 08), 56 bytes
+    per kept pair each."""
     geo = _geometry(dim, cutoff)
     xi = geo.k[:, geo.ball].T.astype(np.int64)     # (m, d)
     eta = xi
@@ -345,11 +385,14 @@ def _decomposition_tables(dim: int, cutoff: int, s: float):
     out_cutoff = 2 * cutoff - 1
     offsets = tuple((xi[:, a, None] + eta[None, :, a]) + (out_cutoff - 1)
                     for a in range(dim))
-    flat = np.ravel_multi_index(offsets, (2 * out_cutoff - 1,) * dim).ravel()
-    phis = PartitionOfUnity().split(ratio)
-    for arr in (flat, bessel_diff) + tuple(phis):
+    flat = np.ravel_multi_index(offsets, (2 * out_cutoff - 1,) * dim)
+    kept = pair_sq < out_cutoff * out_cutoff
+    at_f, at_g = (np.flatnonzero(geo.ball)[i] for i in np.nonzero(kept))
+    tables = (flat[kept], at_f, at_g, bessel_diff[kept])
+    phis = tuple(phi[kept] for phi in PartitionOfUnity().split(ratio))
+    for arr in tables + phis:
         arr.setflags(write=False)
-    return flat, bessel_diff, phis
+    return tables + (phis,)
 
 
 def decomposition_residual(f: SpectralField, g: SpectralField, s: float) -> float:
@@ -400,7 +443,8 @@ def verify_commutator_estimate(spec: RandomFieldSpec, s: float, p: float = 2.0,
         return lhs.tolist(), [a * b + c * e for a, b, c, e in zip(grad_f, jg, g_p3, jsf)]
 
     norm_rows = sum(rows for rows, q in zip((d, 1, 1, 1), (p1, p2, p3, p4)) if q != 2)
-    grids = [(2 * m, 3), (_norm_points(n), norm_rows), (_norm_points(m), int(p != 2))]
+    grids = [(product_points(n), 3), (_norm_points(n), norm_rows),
+             (_norm_points(m), int(p != 2))]
     return _collect("commutator", spec, samples, grids, stack,
                     dict(s=s, exponents=(p, p1, p2, p3, p4)))
 
@@ -424,7 +468,7 @@ def verify_product_estimate(spec: RandomFieldSpec, s: float,
              _bessel(g, s, n, d)[:, None]], (p1, q1, p2, q2), n, d))
         return lhs.tolist(), [a * b + c * e for a, b, c, e in zip(jsf, g_q1, f_p2, jsg)]
 
-    grids = [(2 * m, 2), (_norm_points(n), sum(q != 2 for q in (p1, q1, p2, q2))),
+    grids = [(product_points(n), 2), (_norm_points(n), sum(q != 2 for q in (p1, q1, p2, q2))),
              (_norm_points(m), int(p != 2))]
     return _collect("product", spec, samples, grids, stack,
                     dict(s=s, exponents=exponents))
@@ -510,7 +554,7 @@ def verify_composition_estimate(spec: RandomFieldSpec, s: float,
     def stack(indices):
         f = spec.draws(indices, 1)[:, 0]
         grids = coefficients_to_real_grid(f, n, d, points)
-        f_inf = np.max(np.abs(grids), axis=tuple(range(1, d + 1))).tolist()
+        f_inf = _sup_abs(grids, d).tolist()
         grids = _SMOOTH_MAPS[g_name][0](grids)     # f's samples freed before the forward
         gf = real_grid_to_coefficients(grids, m, d, overwrite=True)
         hs_f = _lp_norms([_bessel(f, s, n, d)[:, None]], (2.0,), n, d)[0].tolist()

@@ -19,7 +19,9 @@ The half is the only layout below the field algebra: the time-stepping loop,
 the transform pair, `leray_coefficients`, `div_residual`,
 `spectral_products`, `system.triple_sq` and the estimate lab's stacks take
 canonical halves, and the cube holders (`SpectralField`,
-`VectorSpectralField`, and `system.SimState`) hold cubes.  This module alone
+`VectorSpectralField`, and `system.SimState`) hold cubes, masked to the
+ball only where a cube may come from outside the package (the
+`SpectralField` constructor; see `SpectralField._on_ball`).  This module alone
 crosses between them: `real_half` takes cubes to the half of their real
 part, (c(k) + conj(c(-k))) / 2, and the `from_half` constructors expand
 halves to cubes.  There is one transform pair, on the real half spectrum:
@@ -29,10 +31,11 @@ real).  Only the first `cutoff` bins of the last axis can hold a mode, so
 the pair runs its complex passes on those columns alone, scipy's 1-D FFT
 once per leading axis, and the last axis's real pass as a product with a
 matrix cached per (cutoff, points) (`_real_pass`), one BLAS call per 2-D
-slice; numpy's FFTs are not used.  The half's bins are flat indices cached
-per size.  `real_samples` samples a field's real part, `from_grid` takes
-real samples only, and `spectral_product` refuses a field that is not real
-(`checked_real_half`); its form on stacks of halves checks nothing.
+slice; numpy's FFTs are not used.  The half's bins are flat indices over
+the whole batch, cached per size and batch count.  `real_samples` samples
+a field's real part, `from_grid` takes real samples only, and
+`spectral_product` refuses a field that is not real (`checked_real_half`);
+its form on stacks of halves checks nothing.
 """
 
 from __future__ import annotations
@@ -86,9 +89,12 @@ class _ModeGeometry:
         self._half_weights: Dict[float, np.ndarray] = {}
 
     def bessel_weight(self, s: float) -> np.ndarray:
-        """(1 + 4 pi^2 |k|^2)^s on the cube (note: exponent s, not s/2)."""
+        """(1 + 4 pi^2 |k|^2)^s on the ball and 0 off it (note: exponent s,
+        not s/2), so a weighted cube stays zero off the ball even where the
+        corners' weights overflow."""
         if float(s) not in self._weights:
-            self._weights[float(s)] = (1.0 + FOUR_PI_SQ * self.k_sq) ** float(s)
+            self._weights[float(s)] = np.where(self.ball,
+                                               (1.0 + FOUR_PI_SQ * self.k_sq) ** float(s), 0.0)
         return self._weights[float(s)]
 
     def half_bessel_weight(self, s: float) -> np.ndarray:
@@ -172,6 +178,22 @@ def _real_pass(cutoff: int, points: int):
     return inv, fwd
 
 
+@functools.lru_cache(maxsize=64)
+def _batch_bins(dim: int, cutoff: int, points: int, count: int):
+    """_half_bins for a batch of `count` halves, as flat indices over the
+    whole batch, built once per (dim, cutoff, points, count): each mode's
+    bin, then the plane modes' positions in the batch's halves and their
+    mirrors' bins, so the scatter is one index per side."""
+    bins, plane, mirrors = _half_bins(dim, cutoff, points)
+    columns = points ** (dim - 1) * cutoff
+    rows = np.arange(count)[:, None]
+    out = ((rows * columns + bins).ravel(), (rows * len(bins) + plane).ravel(),
+           (rows * columns + mirrors).ravel())
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 def coefficients_to_real_grid(coeffs: np.ndarray, cutoff: int, dim: int,
                               points: int, out: np.ndarray | None = None,
                               half: np.ndarray | None = None) -> np.ndarray:
@@ -188,14 +210,15 @@ def coefficients_to_real_grid(coeffs: np.ndarray, cutoff: int, dim: int,
     (cutoff,), overwritten) are optional buffers for repeated transforms.
     """
     batch = coeffs.shape[:-1]
-    bins, plane, mirrors = _half_bins(dim, cutoff, points)
+    bins, plane, mirrors = _batch_bins(dim, cutoff, points, coeffs.size // coeffs.shape[-1])
     if half is None:
         half = np.zeros(batch + (points,) * (dim - 1) + (cutoff,), dtype=complex)
     else:
         half.fill(0.0)
-    flat = half.reshape(batch + (-1,))          # a view: `half` is contiguous
-    flat[..., bins] = coeffs
-    flat[..., mirrors] = np.conj(coeffs[..., plane])
+    flat = half.reshape(-1)                     # a view: `half` is contiguous
+    values = coeffs.reshape(-1)
+    flat[bins] = values
+    flat[mirrors] = np.conj(values[plane])
     for axis in range(-dim, -1):
         half = _fft.ifft(half, axis=axis, norm="forward", overwrite_x=True)
     return np.matmul(half.view(float), _real_pass(cutoff, points)[0], out=out)
@@ -297,9 +320,20 @@ class SpectralField:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def _on_ball(cls, dim: int, cutoff: int, coeffs: np.ndarray) -> "SpectralField":
+        """The field of a complex cube that is already zero off the ball: a
+        cube the package built on the ball, or an operation of such cubes
+        that keeps the zeros (+, -, negation, and the weights of J^s and
+        d/dx, the first zero off the ball and the second finite).  It is taken as it is, without a copy or the mask; a cube
+        from outside the package goes through the constructor."""
+        field = object.__new__(cls)
+        field.dim, field.cutoff, field.coeffs = dim, cutoff, coeffs
+        return field
+
+    @classmethod
     def zeros(cls, dim: int, cutoff: int) -> "SpectralField":
         side = 2 * cutoff - 1
-        return cls(dim, cutoff, np.zeros((side,) * dim, dtype=complex))
+        return cls._on_ball(dim, cutoff, np.zeros((side,) * dim, dtype=complex))
 
     @classmethod
     def from_modes(cls, dim: int, cutoff: int, modes: Dict[tuple, complex]) -> "SpectralField":
@@ -325,7 +359,7 @@ class SpectralField:
     @classmethod
     def from_half(cls, half: np.ndarray, dim: int, cutoff: int) -> "SpectralField":
         """The real field of a canonical half (n_half,)."""
-        return cls(dim, cutoff, half_to_cube(half, dim, cutoff))
+        return cls._on_ball(dim, cutoff, half_to_cube(half, dim, cutoff))
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -334,7 +368,7 @@ class SpectralField:
         return _geometry(self.dim, self.cutoff)
 
     def copy(self) -> "SpectralField":
-        return SpectralField(self.dim, self.cutoff, self.coeffs.copy())
+        return SpectralField._on_ball(self.dim, self.cutoff, self.coeffs.copy())
 
     def mode(self, k) -> complex:
         idx = tuple(int(ki) + self.cutoff - 1 for ki in k)
@@ -347,7 +381,7 @@ class SpectralField:
             return NotImplemented
         if (self.dim, self.cutoff) != (other.dim, other.cutoff):
             raise ValueError("field layouts differ")
-        return SpectralField(self.dim, self.cutoff, op(self.coeffs, other.coeffs))
+        return SpectralField._on_ball(self.dim, self.cutoff, op(self.coeffs, other.coeffs))
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -355,23 +389,23 @@ class SpectralField:
     def __sub__(self, other):
         return self._binary(other, np.subtract)
 
-    def __mul__(self, scalar):
+    def __mul__(self, scalar):      # masked: 0 * inf off the ball would be NaN
         return SpectralField(self.dim, self.cutoff, self.coeffs * complex(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return SpectralField(self.dim, self.cutoff, -self.coeffs)
+        return SpectralField._on_ball(self.dim, self.cutoff, -self.coeffs)
 
     # -- operators ------------------------------------------------------------
 
     def project(self, new_cutoff: int) -> "SpectralField":
         """Galerkin projection P_m: keep modes with |k| < new_cutoff."""
         if new_cutoff == self.cutoff:
-            return SpectralField(self.dim, self.cutoff, self.coeffs.copy())
+            return self.copy()
         old_side = 2 * self.cutoff - 1
         new_side = 2 * new_cutoff - 1
-        if new_cutoff < self.cutoff:
+        if new_cutoff < self.cutoff:         # masked: the slice's corners are off the ball
             lo = self.cutoff - new_cutoff
             sl = (slice(lo, lo + new_side),) * self.dim
             return SpectralField(self.dim, new_cutoff, self.coeffs[sl])
@@ -379,17 +413,17 @@ class SpectralField:
         c = np.zeros((new_side,) * self.dim, dtype=complex)
         sl = (slice(pad, pad + old_side),) * self.dim
         c[sl] = self.coeffs
-        return SpectralField(self.dim, new_cutoff, c)
+        return SpectralField._on_ball(self.dim, new_cutoff, c)
 
     def bessel(self, s: float) -> "SpectralField":
         """J^s f: multiply coefficients by (1 + 4 pi^2 |k|^2)^(s/2)."""
         w = self.geometry.bessel_weight(s / 2.0)
-        return SpectralField(self.dim, self.cutoff, self.coeffs * w)
+        return SpectralField._on_ball(self.dim, self.cutoff, self.coeffs * w)
 
     def diff(self, axis: int) -> "SpectralField":
         """Partial derivative along one coordinate."""
         k = self.geometry.k[axis]
-        return SpectralField(self.dim, self.cutoff, self.coeffs * (2j * np.pi * k))
+        return SpectralField._on_ball(self.dim, self.cutoff, self.coeffs * (2j * np.pi * k))
 
     def gradient(self) -> "VectorSpectralField":
         return VectorSpectralField(tuple(self.diff(a) for a in range(self.dim)))
@@ -440,7 +474,8 @@ class VectorSpectralField:
     @classmethod
     def from_half(cls, halves: np.ndarray, dim: int, cutoff: int) -> "VectorSpectralField":
         """The real vector field of its components' canonical halves (dim, n_half)."""
-        return cls(tuple(SpectralField(dim, cutoff, c) for c in half_to_cube(halves, dim, cutoff)))
+        return cls(tuple(SpectralField._on_ball(dim, cutoff, c)
+                         for c in half_to_cube(halves, dim, cutoff)))
 
     @property
     def dim(self) -> int:
@@ -525,12 +560,12 @@ def spectral_products(pairs: np.ndarray, cutoff: int, dim: int, out_cutoff: int)
     """P_m(f g), m = out_cutoff, of a stack of real field pairs as canonical
     halves: pairs is batch + (2, n_half), the result batch + m's n_half.
 
-    Both operands are sampled on the grid of 2(2n-1) points per axis, where
+    Both operands are sampled on the product grid (`product_points`), where
     the quadratic is alias-free, multiplied, and transformed back.  The
     whole stack takes one inverse and one forward transform call, and each
     product is bit for bit its one-pair call's.
     """
-    grids = coefficients_to_real_grid(pairs, cutoff, dim, 2 * (2 * cutoff - 1))
+    grids = coefficients_to_real_grid(pairs, cutoff, dim, product_points(cutoff))
     f, g = np.moveaxis(grids, -dim - 1, 0)
     return real_grid_to_coefficients(f * g, out_cutoff, dim)
 
@@ -543,6 +578,14 @@ def fast_grid_size(minimum: int) -> int:
     the complex axes' FFTs (the real axis is a matrix product, whose cost
     grows with the size itself)."""
     return _fft.next_fast_len(minimum, real=True)
+
+
+def product_points(cutoff: int) -> int:
+    """Points per axis of the grid on which the product of two cutoff-n
+    fields is sampled: fast_grid_size(2(2n-1)), at least the 4n-3 that keep
+    its modes |k_a| <= 2n-2 free of aliases (64 at n = 16, not 62 = 2 * 31,
+    whose radix-31 pass is slow)."""
+    return fast_grid_size(2 * (2 * cutoff - 1))
 
 
 def lp_norm(grid: np.ndarray, p: float) -> float:

@@ -3,19 +3,23 @@ sums over modes, independent of the FFT paths they check; the real part,
 the half's gather, the Leray projection, divergence residual and triple
 norm by the cube formula, the kernel's flux divergences row by row, and its
 velocity force before the pressure correction on field objects; the cutoffs'
-derivative constant measured by finite differences; and the estimate campaigns' samples evaluated one at a
-time on field objects, through the public one-field functions, which the
-stacked campaigns must match bit for bit."""
+derivative constant measured by finite differences; the estimate
+campaigns' samples evaluated one at a time on field objects, through the
+public one-field functions, which the stacked campaigns must match bit for
+bit; and the lab's draws, sup norms and decomposition parts by the formulas
+its faster paths replaced: two-call complex normals, the magnitude before
+the maximum, and np.add.at over every mode pair with the ball's mask."""
 
 import math
 
 import numpy as np
 
 from kolmosim.cutoffs import nu_bar_grid, phi_b, psi_omega, time_profiles
-from kolmosim.estimates import (_SMOOTH_MAPS, commutator, field_lp,
+from kolmosim.estimates import (_SMOOTH_MAPS, PartitionOfUnity, commutator, field_lp,
                                 smooth_map_derivative_bound)
-from kolmosim.spectral import (SpectralField, VectorSpectralField, _geometry, conj_flip,
-                               fast_grid_size, real_grid_to_coefficients, spectral_product)
+from kolmosim.spectral import (FOUR_PI_SQ, SpectralField, VectorSpectralField, _geometry,
+                               conj_flip, fast_grid_size, real_grid_to_coefficients,
+                               spectral_product)
 from kolmosim.storage import _field_records
 
 
@@ -201,3 +205,58 @@ def interpolation_sample(spec, i, s):
         return lhs, hs
     theta = 0.5 * (s - f.dim / 2)
     return lhs, hs ** theta * field_lp(f.bessel(s + 1.0), 2.0) ** (1.0 - theta)
+
+
+# -- the lab's draws, sup norms and decomposition by their first formulas ------------
+
+
+def two_call_draws(spec, indices, count):
+    """RandomFieldSpec.draws from each field's two-call complex normals
+    rng.normal(...) + 1j * rng.normal(...), damped by (1+|k|)^(-rho) on the
+    cube, with the real part and the half taken by the cube formulas."""
+    geo = _geometry(spec.dim, spec.cutoff)
+    damping = (1.0 + np.sqrt(geo.k_sq)) ** (-float(spec.rho))
+    cubes = []
+    for i in indices:
+        rng = spec.rng(i)
+        for _ in range(count):
+            normals = rng.normal(size=geo.k_sq.size) + 1j * rng.normal(size=geo.k_sq.size)
+            cubes.append(symmetrize(normals.reshape(geo.k_sq.shape) * damping, spec.dim))
+    halves = cube_to_half(np.stack(cubes), spec.dim).reshape(len(indices), count, -1)
+    halves[..., geo.origin] = 0.0
+    return halves
+
+
+def magnitude_first_sup(grids):
+    """Sup norms of a (samples, rows) + grid stack: each point's magnitude,
+    |g| for one row and the Euclidean magnitude of several, then the max."""
+    if grids.shape[1] > 1:
+        mags = np.sqrt(np.sum(np.square(grids), axis=1))
+    else:
+        mags = np.abs(grids[:, 0])
+    return np.max(mags, axis=tuple(range(1, mags.ndim)))
+
+
+def add_at_decomposition(f, g, s):
+    """The three commutator decomposition parts over all mode pairs of the
+    ball, scattered with np.add.at onto the doubled ball's cube and masked
+    by the SpectralField constructor."""
+    d, n = f.dim, f.cutoff
+    geo = _geometry(d, n)
+    xi = geo.k[:, geo.ball].T.astype(np.int64)
+    xi_sq = np.sum(xi ** 2, axis=1).astype(float)
+    pair_sq = np.sum((xi[:, None, :] + xi[None, :, :]) ** 2, axis=2).astype(float)
+    bessel_diff = ((1.0 + FOUR_PI_SQ * pair_sq) ** (s / 2.0)
+                   - (1.0 + FOUR_PI_SQ * xi_sq[None, :]) ** (s / 2.0))
+    phis = PartitionOfUnity().split((1.0 + xi_sq[:, None]) / (1.0 + xi_sq[None, :]))
+    m = 2 * n - 1
+    side = 2 * m - 1
+    flat = np.ravel_multi_index(tuple(xi[:, a, None] + xi[None, :, a] + (m - 1)
+                                      for a in range(d)), (side,) * d).ravel()
+    weight = bessel_diff * f.coeffs[geo.ball][:, None] * g.coeffs[geo.ball][None, :]
+    parts = []
+    for phi in phis:
+        acc = np.zeros(side ** d, dtype=complex)
+        np.add.at(acc, flat, (weight * phi).ravel())
+        parts.append(SpectralField(d, m, acc.reshape((side,) * d)))
+    return tuple(parts)

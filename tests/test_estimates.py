@@ -25,11 +25,13 @@ from kolmosim.estimates import (PartitionOfUnity, RandomFieldSpec,
                                 verify_product_estimate)
 from kolmosim.integrators import IntegratorConfig
 from kolmosim.spectral import (SpectralField, VectorSpectralField, _geometry,
-                               fast_grid_size, half_to_cube, lp_norm, real_half,
-                               spectral_product)
+                               coefficients_to_real_grid, fast_grid_size, half_to_cube,
+                               lp_norm, product_points, real_half, spectral_product,
+                               spectral_products)
 from kolmosim.system import ModelParams, triple_sq
-from oracles import (commutator_sample, composition_sample, direct_convolution,
-                     interpolation_sample, product_sample, trigonometric_sum)
+from oracles import (add_at_decomposition, commutator_sample, composition_sample,
+                     direct_convolution, interpolation_sample, magnitude_first_sup,
+                     product_sample, trigonometric_sum, two_call_draws)
 
 WIDE = InitialBounds(b_min0=0.5, omega_min0=0.5, omega_max0=2.0, alpha=1.0)
 
@@ -71,6 +73,14 @@ class TestRandomFieldSpec:
                 for a in range(2):
                     assert np.array_equal(half_to_cube(halves[j, a], 2, n),
                                           spec.draw(rng).coeffs)
+
+    @pytest.mark.parametrize("dim, cutoff", [(2, 4), (2, 16), (3, 3)])
+    def test_draws_are_the_two_call_normals(self, dim, cutoff):
+        """draws writes each field's two normal draws into one complex
+        array; its halves equal those of rng.normal(...) + 1j *
+        rng.normal(...)."""
+        spec = RandomFieldSpec(dim=dim, cutoff=cutoff, rho=1.5, seed=7)
+        assert np.array_equal(spec.draws([0, 2, 5], 3), two_call_draws(spec, [0, 2, 5], 3))
 
     def test_decay_scaling(self):
         rough = RandomFieldSpec(dim=2, cutoff=12, rho=0.0, seed=1)
@@ -260,6 +270,36 @@ class TestCommutatorDecomposition:
             for a, b in zip(one, three):
                 assert np.array_equal(a.coeffs, b.coeffs)
 
+    @pytest.mark.parametrize("dim, cutoff, s", [(2, 3, 0.5), (2, 4, 1.5), (2, 5, 2.0),
+                                                (3, 3, 1.5)])
+    def test_parts_equal_the_add_at_oracle(self, dim, cutoff, s):
+        """Summing only the pairs that land in the doubled ball, by
+        np.bincount, gives the parts of np.add.at over all pairs and a mask,
+        and each part is exactly 0 off the doubled ball."""
+        f, g = random_pair(10 * cutoff + dim, cutoff=cutoff, dim=dim)
+        off_ball = ~_geometry(dim, 2 * cutoff - 1).ball
+        for part, ref in zip(commutator_decomposition(f, g, s), add_at_decomposition(f, g, s)):
+            assert np.array_equal(part.coeffs, ref.coeffs)
+            assert np.all(part.coeffs[off_ball] == 0.0)
+
+    def test_residual_takes_no_mask(self, monkeypatch):
+        """The fields of decomposition_residual are built on the ball, so
+        none of them is masked with np.where; the public constructor is."""
+        f, g = random_pair(12, cutoff=4)
+        expected = decomposition_residual(f, g, 1.5)     # builds the cached tables
+        calls = []
+        where = np.where
+
+        def counted(*args, **kwargs):
+            calls.append(len(args))
+            return where(*args, **kwargs)
+
+        monkeypatch.setattr(np, "where", counted)
+        assert decomposition_residual(f, g, 1.5) == expected
+        assert calls == []
+        SpectralField(2, 4, f.coeffs)
+        assert calls == [3]
+
     def test_residual(self):
         """decomposition_residual is criterion 08's L2 relative residual, and
         absolute where the commutator vanishes."""
@@ -275,6 +315,55 @@ class TestCommutatorDecomposition:
         f, g = random_pair(6, cutoff=4)
         with pytest.raises(ValueError):
             commutator_decomposition(f, g, 1.0, max_pairs=10)
+
+
+class TestFastGrids:
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_products_and_commutators_match_the_convolution(self, n):
+        """At n = 4 and 16, 2(2n-1) = 14 and 62 are not fast sizes; the
+        product grid is the next fast size, and the stacked products and
+        commutators on it equal the literal convolution to 1e-13."""
+        points = product_points(n)
+        assert 2 * (2 * n - 1) < points == fast_grid_size(points)
+        m = 2 * n - 1
+        halves = RandomFieldSpec(dim=2, cutoff=n, rho=1.5, seed=n).draws(range(2), 2)
+        products = spectral_products(halves, n, 2, m)
+        commutators = estimates._commutators(halves[:, 0], halves[:, 1], 1.5, n, 2)
+        for pair, fg_half, comm_half in zip(halves, products, commutators):
+            f, g = (SpectralField.from_half(h, 2, n) for h in pair)
+            fg = direct_convolution(f, g, m)
+            comm = fg.bessel(1.5) - direct_convolution(f, g.bessel(1.5), m)
+            for got, ref in ((fg_half, fg), (comm_half, comm)):
+                err = np.max(np.abs(half_to_cube(got, 2, m) - ref.coeffs))
+                assert err <= 1e-13 * ref.hs_norm(0.0)
+
+    def test_lab_transforms_run_on_fast_grids(self, monkeypatch):
+        """Every grid the four campaigns and the decomposition residual
+        transform has a fast size per axis."""
+        points = []
+        for module in (spectral, estimates):
+            def inverse(coeffs, cutoff, dim, n_points, *args, _call=module.coefficients_to_real_grid,
+                        **kwargs):
+                points.append(n_points)
+                return _call(coeffs, cutoff, dim, n_points, *args, **kwargs)
+
+            def forward(grid, *args, _call=module.real_grid_to_coefficients, **kwargs):
+                points.append(grid.shape[-1])
+                return _call(grid, *args, **kwargs)
+
+            monkeypatch.setattr(module, "coefficients_to_real_grid", inverse)
+            monkeypatch.setattr(module, "real_grid_to_coefficients", forward)
+        for n in (4, 8, 16):
+            spec = RandomFieldSpec(dim=2, cutoff=n, rho=2.0, seed=n)
+            verify_commutator_estimate(spec, 1.5, samples=2)
+            verify_commutator_estimate(spec, 1.5, p=3.0, p1=6.0, p2=6.0, p4=3.0, samples=2)
+            verify_product_estimate(spec, 1.5, samples=2)
+            verify_composition_estimate(spec, 1.5, samples=2)
+            verify_interpolation_inequality(spec, 1.5, samples=2)
+        for n in (4, 5):
+            decomposition_residual(*random_pair(n, cutoff=n), 1.5)
+        assert {15, 30, 64} <= set(points)
+        assert all(p == fast_grid_size(p) for p in points), sorted(set(points))
 
 
 class TestGridNorms:
@@ -331,6 +420,26 @@ class TestGridNorms:
                               2)[None] for h in fields]
         assert [float(x[0]) for x in estimates._lp_norms(operands, ps, 6, 2)] == expected
         assert [field_lp(h, p) for h, p in zip(fields, ps)] == expected
+
+    def test_sup_norms_equal_the_magnitude_first_oracle(self):
+        """p = inf takes the max before the magnitude; the norms equal (==)
+        those of the magnitude first, for scalar and vector operands, and
+        NaN where a sample's grid holds NaN."""
+        n = 6
+        halves = RandomFieldSpec(dim=2, cutoff=n, seed=11).draws(range(4), 2)
+        halves[2, 1, 5] = np.nan                 # sample 2's g: NaN at every grid point
+        grad = _geometry(2, n).half_grad
+        for operand in (halves[:, :1], halves[:, 1:], halves[:, :1] * grad, halves):
+            got = estimates._lp_norms([operand], (np.inf,), n, 2)[0]
+            expected = magnitude_first_sup(coefficients_to_real_grid(operand, n, 2,
+                                                                     fast_grid_size(4 * 11)))
+            np.testing.assert_array_equal(got, expected)
+            assert np.isnan(got[2]) == np.isnan(operand[2]).any()
+        grids = np.random.default_rng(0).normal(size=(3, 8, 8))
+        grids[1, 3, 4] = np.nan
+        grids[2, 0, 0] = -10.0
+        np.testing.assert_array_equal(estimates._sup_abs(grids, 2),
+                                      magnitude_first_sup(grids[:, None]))
 
     @pytest.mark.parametrize("dim, cutoff", [(2, 6), (3, 3)])
     def test_parseval_norm_is_triple_sq(self, dim, cutoff):

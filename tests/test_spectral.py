@@ -109,6 +109,27 @@ class TestNormsAndOperators:
         b = f.project(5).bessel(1.5)
         assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-12
 
+    def test_cubes_from_outside_are_masked(self):
+        """A cube from outside the package is masked to the ball: the
+        constructor zeroes nonzero corners, a projection to a smaller cutoff
+        zeroes the corners it brings in, and a scalar product keeps
+        0 * inf off the ball at 0."""
+        ball = _geometry(2, 4).ball
+        f = SpectralField(2, 4, np.ones((7, 7)))
+        assert np.all(f.coeffs[~ball] == 0.0) and np.all(f.coeffs[ball] == 1.0)
+        assert np.array_equal(SpectralField(2, 6, np.ones((11, 11))).project(4).coeffs, f.coeffs)
+        with np.errstate(invalid="ignore"):
+            assert np.all((f * np.inf).coeffs[~ball] == 0.0)
+
+    def test_bessel_keeps_zero_corners_where_their_weights_overflow(self):
+        """At d = 2, n = 16 and s = 150 the corners' Bessel weights overflow
+        and the ball's do not; J^s f stays finite, and zero off the ball."""
+        f = sample_real_field(2, 16, seed=5)
+        with np.errstate(over="ignore"):
+            g = f.bessel(150.0)
+        assert np.all(np.isfinite(g.coeffs))
+        assert np.all(g.coeffs[~_geometry(2, 16).ball] == 0.0)
+
     def test_projection_pad_roundtrip(self):
         f = sample_real_field(2, 5, seed=7)
         back = f.project(9).project(5)
@@ -358,7 +379,8 @@ class TestProducts:
             np.sqrt(sum(abs(v) ** 2 for v in out.values())), rel=1e-13)
 
     def test_exact_equals_oversampled_for_quadratics(self):
-        # the product's grid, 2(2n-1) per axis, and one twice as fine
+        # the product grid, product_points(6) = 24 per axis (2(2n-1) = 22 is
+        # not a fast size), and the finer 44 = 4(2n-1)
         for seed in range(8):
             f = sample_real_field(2, 6, seed=100 + seed)
             g = sample_real_field(2, 6, seed=200 + seed)
