@@ -31,9 +31,6 @@ class ConstantModel:
         if not math.isfinite(self.gamma):
             raise ValueError(f"gamma must be finite, got {self.gamma!r}")
 
-    def __call__(self, t) -> float:
-        return self.c_tilde * (1.0 + np.asarray(t, dtype=float)) ** self.gamma
-
 
 def beta_exponent(s: float, d: int) -> float:
     """Norm-growth exponent beta(s) > 1 for d/2 < s.

@@ -6,7 +6,8 @@ two-trajectory probe of the Gronwall uniqueness mechanism.
 Each campaign draws reproducible random trigonometric polynomials, evaluates
 both sides of one inequality per sample, and reports the ratio statistics.
 A bounded max ratio that is stable when the cutoff doubles is the empirical
-surrogate for a constant independent of the fields.
+surrogate for a constant independent of the fields.  The commutator and
+product campaigns check their exponent tuples by one rule before any draw.
 
 L^2 and H^s norms are exact: they are read from the coefficients (Parseval)
 and sample no grid.  Other L^p norms are quadratures on an oversampled grid,
@@ -47,6 +48,7 @@ from .spectral import (FOUR_PI_SQ, SpectralField, VectorSpectralField, _geometry
                        real_half, spectral_product, spectral_products)
 from .system import ModelParams, SimState, pack, triple_sq
 
+_MAX_PAIRS = 20_000_000    # mode pairs of the ball the exact decomposition sums at most
 
 # -- random field plumbing ---------------------------------------------------------
 
@@ -71,8 +73,9 @@ class RandomFieldSpec:
         return np.random.default_rng((self.seed, index))
 
     def draw(self, rng: np.random.Generator, scale: float = 1.0) -> SpectralField:
-        return SpectralField.from_half(self._halves(self._normals(rng), scale), self.dim,
-                                       self.cutoff)
+        normals = np.empty((2 * self.cutoff - 1) ** self.dim, dtype=complex)
+        return SpectralField.from_half(self._halves(self._normals(rng, normals), scale),
+                                       self.dim, self.cutoff)
 
     def draws(self, indices: Sequence[int], count: int) -> np.ndarray:
         """(len(indices), count, n_half): the canonical halves of the first
@@ -83,15 +86,12 @@ class RandomFieldSpec:
                 self._normals(rng, out)
         return self._halves(normals)
 
-    def _normals(self, rng: np.random.Generator, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Complex unit normals on the flat cube, written into `out` (a new
-        array if None): one draw for the real parts, then one for the
-        imaginary parts, the values of rng.normal(...) + 1j * rng.normal(...)."""
-        size = (2 * self.cutoff - 1) ** self.dim
-        if out is None:
-            out = np.empty(size, dtype=complex)
-        out.real = rng.normal(size=size)
-        out.imag = rng.normal(size=size)
+    def _normals(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Complex unit normals on the flat cube, written into `out`: one
+        draw for the real parts, then one for the imaginary parts, the values
+        of rng.normal(...) + 1j * rng.normal(...)."""
+        out.real = rng.normal(size=out.size)
+        out.imag = rng.normal(size=out.size)
         return out
 
     def _halves(self, normals: np.ndarray, scale: float = 1.0) -> np.ndarray:
@@ -263,12 +263,16 @@ def _norm_points(cutoff: int) -> int:
     return fast_grid_size(4 * (2 * cutoff - 1))
 
 
-def _check_holder(p, parts):
-    def inv(q):
-        return 0.0 if math.isinf(q) else 1.0 / q
-    for pair in parts:
-        if abs(inv(p) - sum(inv(q) for q in pair)) > 1e-12:
-            raise ValueError(f"Holder exponents inconsistent: 1/{p} vs {pair}")
+def _check_exponents(name: str, exponents: Sequence[float], finite: Sequence[int]) -> None:
+    """Both Holder campaigns' rule for (p, a1, b1, a2, b2): each in (1, inf], NaN
+    refused, finite at `finite`, 1/a + 1/b = 1/p for both pairs within 1e-12."""
+    if len(exponents) != 5 or not all(1.0 < q and (q < math.inf or i not in finite)
+                                       for i, q in enumerate(exponents)):
+        raise ValueError(f"{name}: exponents {exponents!r} must be five in (1, inf], "
+                         f"finite at positions {tuple(finite)}")
+    p, a1, b1, a2, b2 = (1.0 / q for q in exponents)
+    if max(abs(p - (a1 + b1)), abs(p - (a2 + b2))) > 1e-12:
+        raise ValueError(f"{name}: exponents {exponents!r} break 1/a + 1/b = 1/p")
 
 
 # -- commutator and its decomposition ----------------------------------------------
@@ -329,8 +333,7 @@ class PartitionOfUnity:
                 np.where(u > self.hi_top, rest, 0.0))
 
 
-def commutator_decomposition(f: SpectralField, g: SpectralField, s: float,
-                             max_pairs: int = 20_000_000):
+def commutator_decomposition(f: SpectralField, g: SpectralField, s: float):
     """Exact bilinear symbol sums sigma_j(D)(f, g) over all mode pairs.
 
     sigma_j(xi, eta) = ((1+4pi^2|xi+eta|^2)^(s/2) - (1+4pi^2|eta|^2)^(s/2))
@@ -346,9 +349,9 @@ def commutator_decomposition(f: SpectralField, g: SpectralField, s: float,
     d, n = f.dim, f.cutoff
     ball = _geometry(d, n).ball
     m = int(np.count_nonzero(ball))
-    if m * m > max_pairs:
+    if m * m > _MAX_PAIRS:
         raise ValueError(f"cutoff too large for the exact double sum "
-                         f"({m * m} mode pairs > {max_pairs})")
+                         f"({m * m} mode pairs > {_MAX_PAIRS})")
     flat, at_f, at_g, bessel_diff, phis = _decomposition_tables(d, n, s)
     weight = bessel_diff * f.coeffs.take(at_f) * g.coeffs.take(at_g)
 
@@ -413,23 +416,15 @@ def decomposition_residual(f: SpectralField, g: SpectralField, s: float) -> floa
 # -- inequality campaigns ----------------------------------------------------------
 
 
-def verify_commutator_estimate(spec: RandomFieldSpec, s: float, p: float = 2.0,
-                               p1: float = np.inf, p2: float = 2.0,
-                               p3: float = np.inf, p4: float = 2.0,
+def verify_commutator_estimate(spec: RandomFieldSpec, s: float,
+                               exponents: Tuple[float, ...] = (2.0, np.inf, 2.0, np.inf, 2.0),
                                samples: int = 200) -> EstimateReport:
-    """ratio = |[J^s,f]g|_p / (|grad f|_p1 |J^(s-1)g|_p2 + |g|_p3 |J^s f|_p4).
-
-    The gradient-side exponents p1, p3 may be infinite; p, p2, p4 must stay
-    in (1, inf)."""
+    """ratio = |[J^s,f]g|_p / (|grad f|_p1 |J^(s-1)g|_p2 + |g|_p3 |J^s f|_p4) at
+    s > 0, exponents (p, p1, p2, p3, p4) under `_check_exponents`, p, p2, p4 finite."""
     if s <= 0:
         raise ValueError("commutator estimate needs s > 0")
-    for q in (p, p2, p4):
-        if not (1.0 < q < math.inf):
-            raise ValueError("p, p2, p4 must lie in (1, inf)")
-    for q in (p1, p3):
-        if not (1.0 < q):
-            raise ValueError("p1, p3 must lie in (1, inf]")
-    _check_holder(p, [(p1, p2), (p3, p4)])
+    _check_exponents("commutator", exponents, (0, 2, 4))
+    p, p1, p2, p3, p4 = exponents
     d, n = spec.dim, spec.cutoff
     m = 2 * n - 1
     grad = _geometry(d, n).half_grad
@@ -446,15 +441,16 @@ def verify_commutator_estimate(spec: RandomFieldSpec, s: float, p: float = 2.0,
     grids = [(product_points(n), 3), (_norm_points(n), norm_rows),
              (_norm_points(m), int(p != 2))]
     return _collect("commutator", spec, samples, grids, stack,
-                    dict(s=s, exponents=(p, p1, p2, p3, p4)))
+                    dict(s=s, exponents=exponents))
 
 
 def verify_product_estimate(spec: RandomFieldSpec, s: float,
                             exponents: Tuple[float, ...] = (2.0, 2.0, np.inf, np.inf, 2.0),
                             samples: int = 200) -> EstimateReport:
-    """ratio = |J^s(fg)|_p / (|J^s f|_p1 |g|_q1 + |f|_p2 |J^s g|_q2)."""
+    """ratio = |J^s(fg)|_p / (|J^s f|_p1 |g|_q1 + |f|_p2 |J^s g|_q2), exponents
+    (p, p1, q1, p2, q2) under `_check_exponents`, p, p1, q2 finite."""
+    _check_exponents("product", exponents, (0, 1, 4))
     p, p1, q1, p2, q2 = exponents
-    _check_holder(p, [(p1, q1), (p2, q2)])
     d, n = spec.dim, spec.cutoff
     m = 2 * n - 1
 

@@ -350,9 +350,11 @@ class SpectralField:
 
     @classmethod
     def from_grid(cls, grid: np.ndarray, cutoff: int) -> "SpectralField":
-        """The field of real samples on a uniform grid (exact if band-limited)."""
+        """The field of real samples on a uniform grid of equal axes (exact if band-limited)."""
         if np.iscomplexobj(grid):
             raise ValueError("from_grid takes real samples, got a complex grid")
+        if len(set(grid.shape)) != 1:
+            raise ValueError(f"from_grid takes a grid with equal axes, got shape {grid.shape}")
         return cls.from_half(real_grid_to_coefficients(grid, cutoff, grid.ndim), grid.ndim,
                              cutoff)
 

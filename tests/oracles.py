@@ -160,8 +160,9 @@ def measure_derivative_constant(profile, order: int, t_values=(0.0, 1.0, 10.0)) 
 # -- the estimate campaigns one sample at a time ------------------------------------
 
 
-def commutator_sample(spec, i, s, p=2.0, p1=np.inf, p2=2.0, p3=np.inf, p4=2.0):
+def commutator_sample(spec, i, s, exponents=(2.0, np.inf, 2.0, np.inf, 2.0)):
     """(lhs, rhs) of commutator campaign sample i, from field objects."""
+    p, p1, p2, p3, p4 = exponents
     rng = spec.rng(i)
     f, g = spec.draw(rng), spec.draw(rng)
     lhs = field_lp(commutator(f, g, s), p)

@@ -53,6 +53,20 @@ def test_simulate_constant_preset_artifacts(tmp_path):
     assert "status = completed" in open(os.path.join(out, "summary.txt")).read()
 
 
+def test_simulate_reads_a_config_file_and_set_overrides_it(tmp_path):
+    out = str(tmp_path / "run")
+    path = tmp_path / "run.cfg"
+    path.write_text("[model]\nn = 4\n[initial]\nkind = preset\npreset = constant\n"
+                    "[integrator]\nmethod = rk4\ndt = 0.001\nt_end = 0.05\nmonitor_every = 10\n")
+    assert run("simulate", "--config", str(path), "--set", f"directory={out}",
+               "--set", "t_end=0.02") == 0
+    written = parse_config(open(os.path.join(out, "config.txt")).read())
+    assert (written["method"], written["dt"], written["monitor_every"]) == ("rk4", 0.001, 10)
+    assert (written["kind"], written["preset"], written["n"]) == ("preset", "constant", 4)
+    assert written["t_end"] == 0.02
+    assert len([n for n in os.listdir(out) if n.endswith(".kolm")]) == 3
+
+
 def test_simulate_constant_matches_closed_form(tmp_path):
     out = str(tmp_path / "run")
     assert run(*sim_args(out)) == 0

@@ -115,6 +115,16 @@ class TestRandomFieldSpec:
         assert np.max(w) >= WIDE.omega_max0 - 0.2 * span
         assert state.v.div_residual() < 1e-13
 
+    def test_admissible_state_of_a_constant_draw(self):
+        """At rho = 1000 every mode but the mean is below 1e-30 on the grid:
+        omega is the band's midpoint and b its floor, exactly."""
+        spec = RandomFieldSpec(dim=2, cutoff=4, rho=1000.0, seed=0)
+        state = admissible_state(spec, WIDE)
+        for field, value in ((state.omega, 0.5 * (WIDE.omega_min0 + WIDE.omega_max0)),
+                             (state.b, WIDE.b_min0)):
+            assert field.mode((0, 0)) == value
+            assert np.count_nonzero(field.coeffs) == 1
+
 
 class TestPartitionOfUnity:
     def test_sums_to_one_on_fine_grid(self):
@@ -311,10 +321,11 @@ class TestCommutatorDecomposition:
         assert decomposition_residual(f, g, 1.5) == expected <= 1e-10
         assert decomposition_residual(f, SpectralField.zeros(2, 4), 1.5) == 0.0
 
-    def test_pair_budget_guard(self):
+    def test_pair_budget_guard(self, monkeypatch):
         f, g = random_pair(6, cutoff=4)
+        monkeypatch.setattr(estimates, "_MAX_PAIRS", 10)
         with pytest.raises(ValueError):
-            commutator_decomposition(f, g, 1.0, max_pairs=10)
+            commutator_decomposition(f, g, 1.0)
 
 
 class TestFastGrids:
@@ -356,7 +367,7 @@ class TestFastGrids:
         for n in (4, 8, 16):
             spec = RandomFieldSpec(dim=2, cutoff=n, rho=2.0, seed=n)
             verify_commutator_estimate(spec, 1.5, samples=2)
-            verify_commutator_estimate(spec, 1.5, p=3.0, p1=6.0, p2=6.0, p4=3.0, samples=2)
+            verify_commutator_estimate(spec, 1.5, (3.0, 6.0, 6.0, np.inf, 3.0), samples=2)
             verify_product_estimate(spec, 1.5, samples=2)
             verify_composition_estimate(spec, 1.5, samples=2)
             verify_interpolation_inequality(spec, 1.5, samples=2)
@@ -503,10 +514,37 @@ class TestCampaigns:
     def test_commutator_exponent_validation(self):
         spec = RandomFieldSpec(dim=2, cutoff=4)
         with pytest.raises(ValueError):
-            verify_commutator_estimate(spec, 2.0, p=2.0, p1=2.0, p2=2.0,
+            verify_commutator_estimate(spec, 2.0, (2.0, 2.0, 2.0, np.inf, 2.0),
                                        samples=2)
         with pytest.raises(ValueError):
             verify_commutator_estimate(spec, -1.0, samples=2)
+
+    @pytest.mark.parametrize("campaign, exponents", [
+        (verify_product_estimate, (0.5, 1.0, 1.0, 1.0, 1.0)),
+        (verify_product_estimate, (-1.0, -2.0, -2.0, -2.0, -2.0)),
+        (verify_product_estimate, (2.0, 2.0, np.nan, np.inf, 2.0)),
+        (verify_product_estimate, (np.inf, np.inf, np.inf, np.inf, np.inf)),    # p = inf
+        (verify_product_estimate, (2.0, np.inf, 2.0, np.inf, 2.0)),             # p1 = inf
+        (verify_product_estimate, (2.0, 2.0, 2.0, np.inf, 2.0)),                # 1/2 != 1
+        (verify_product_estimate, (2.0, 2.0, np.inf, np.inf)),
+        (verify_commutator_estimate, (np.inf, np.inf, np.inf, np.inf, np.inf)),  # p = inf
+        (verify_commutator_estimate, (2.0, 2.0, np.inf, np.inf, 2.0)),          # p2 = inf
+        (verify_commutator_estimate, (2.0, np.inf, 2.0, 2.0, np.inf)),          # p4 = inf
+        (verify_commutator_estimate, (2.0, 1.0, 2.0, np.inf, 2.0)),
+        (verify_commutator_estimate, (2.0, np.inf, 2.0, np.nan, 2.0)),
+        (verify_commutator_estimate, (np.nan, np.inf, 2.0, np.inf, 2.0)),
+        (verify_commutator_estimate, (3.0, 6.0, 6.0, np.inf, 2.0)),             # 1/3 != 1/2
+    ])
+    def test_holder_campaigns_refuse_bad_exponents(self, monkeypatch, campaign, exponents):
+        """One rule for both campaigns, checked before any draw: exponents in
+        (1, inf], the left side's and J^s side's finite, both pairs Holder."""
+        def no_draw(*args):
+            raise AssertionError("drew before checking the exponents")
+
+        monkeypatch.setattr(RandomFieldSpec, "draws", no_draw)
+        name = "commutator" if campaign is verify_commutator_estimate else "product"
+        with pytest.raises(ValueError, match=f"^{name}: exponents"):
+            campaign(RandomFieldSpec(dim=2, cutoff=4), 2.0, exponents, samples=2)
 
     def test_product_campaign_and_stability(self):
         spec = RandomFieldSpec(dim=2, cutoff=4, rho=2.0, seed=13)
@@ -642,7 +680,7 @@ def expected_report(pairs):
 STACKED_CAMPAIGNS = (
     (verify_commutator_estimate, commutator_sample, dict()),
     (verify_commutator_estimate, commutator_sample,
-     dict(p=3.0, p1=6.0, p2=6.0, p3=6.0, p4=6.0)),
+     dict(exponents=(3.0, 6.0, 6.0, 6.0, 6.0))),
     (verify_product_estimate, product_sample, dict()),
     (verify_product_estimate, product_sample,
      dict(exponents=(3.0, 6.0, 6.0, 6.0, 6.0))),

@@ -283,6 +283,17 @@ class TestDegenerateCases:
         assert traj.final.t == pytest.approx(0.002) and traj.final.t <= 0.002
         assert np.all(np.isfinite(pack(traj.final)))
 
+    def test_step_size_underflow_after_rejected_steps(self):
+        # no step meets a tolerance of 1e-300: rk45 shrinks h from 1e-3 to
+        # the floor through rejected steps and stops at the datum
+        config = IntegratorConfig(method="rk45", dt=1e-3, abs_tol=1e-300, rel_tol=1e-300,
+                                  t_end=0.01, monitor_every=100)
+        traj = integrate(divergence_free_random_state(86, cutoff=6), config,
+                         make_params(bounds=WIDE), CutoffProfile(WIDE))
+        assert (traj.status, traj.message) == ("failed-nonfinite",
+                                               "step size underflow at t = 0, h = 1e-12")
+        assert (traj.steps, traj.rejected, len(traj.states)) == (0, 13, 1)
+
 
 class TestIntegratingFactor:
     def test_single_b_mode_decays_at_the_exact_rate(self):
@@ -720,6 +731,21 @@ class TestSampleHook:
             assert got.t == ref.t and np.array_equal(pack(got), pack(ref))
         assert runs[1].status == "completed" and runs[1].steps == 20
         assert_same_run(runs[1], solo[1])
+
+    def test_hook_stop_at_the_datum_leaves_before_the_first_step(self):
+        # member 0 is stopped at its datum with t_end still ahead; member 1
+        # runs its full solo run
+        stopped = divergence_free_random_state(85, dim=2, cutoff=8)
+        steady = divergence_free_random_state(3, dim=2, cutoff=8)
+        config = IntegratorConfig(method="rk4", dt=1e-4, t_end=0.002, monitor_every=5)
+        params = make_params(bounds=WIDE)
+        runs = integrate_lockstep([stopped, steady], config, params, CutoffProfile(WIDE),
+                                  on_sample=lambda m, st: "stop" if m == 0 else None)
+        assert (runs[0].status, runs[0].message, runs[0].steps) == ("aborted-monitor",
+                                                                    "stop", 0)
+        assert len(runs[0].states) == 1 and np.array_equal(pack(runs[0].final), pack(stopped))
+        assert runs[1].status == "completed" and len(runs[1].states) == 5
+        assert_same_run(runs[1], integrate(steady, config, params, CutoffProfile(WIDE)))
 
     def test_guard_trip_takes_precedence_over_the_hook(self):
         # test_guard_trip_leaves_with_its_solo_run's constant state trips the

@@ -145,6 +145,17 @@ class TestNormsAndOperators:
         with pytest.raises(ValueError, match="real samples"):
             SpectralField.from_grid(grid.astype(complex), 6)
 
+    def test_from_grid_refuses_unequal_axes(self):
+        """12 x 16 samples of cos 2 pi (x - y) would read mode (-1, 1) as
+        ~0 with every axis sized by the last; the square grid reads 0.5."""
+        def samples(*shape):
+            x, y = np.meshgrid(*(np.arange(m) / m for m in shape), indexing="ij")
+            return np.cos(2 * np.pi * (x - y))
+
+        assert SpectralField.from_grid(samples(12, 12), 4).mode((-1, 1)) == pytest.approx(0.5)
+        with pytest.raises(ValueError, match=r"equal axes, got shape \(12, 16\)"):
+            SpectralField.from_grid(samples(12, 16), 4)
+
     def test_real_halfspectrum_path_matches_complex(self):
         """The rfft transform pair agrees with the complex literal sum."""
         from kolmosim.spectral import coefficients_to_real_grid

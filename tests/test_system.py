@@ -263,6 +263,11 @@ class TestHypotheses:
         problems = hypothesis_violations(bad, s=2.0)
         assert any("omega_0" in p for p in problems)
 
+    @pytest.mark.parametrize("b0", [0.0, -0.5])
+    def test_non_positive_b_flagged(self, b0):
+        problems = hypothesis_violations(constant_state(2, 4, b0=b0), s=2.0)
+        assert problems == [f"min b_0 = {b0:.3e} <= 0"]
+
     def test_non_finite_coefficients_flagged(self):
         state = divergence_free_random_state(10)
         state.omega.coeffs[7, 8] = np.nan
