@@ -35,11 +35,11 @@ from .estimates import (RandomFieldSpec, admissible_state, attach_stability,
                         verify_interpolation_inequality,
                         verify_product_estimate)
 from .integrators import Trajectory, integrate
-from .spectral import SpectralField, VectorSpectralField, fast_grid_size
+from .spectral import SpectralField, VectorSpectralField
 from .storage import (OutputLock, RunConfig, RunObjects, SnapshotError,
                       load_config, load_snapshot, print_config, save_snapshot,
                       write_diagnostics_csv)
-from .system import SimState, hypothesis_violations, monitor_grid
+from .system import SimState, halves, hypothesis_violations, monitor_grid, triple_sq
 
 USAGE_ERROR, MONITOR_ABORT = 1, 2
 
@@ -106,7 +106,7 @@ def _load_run_config(args) -> Tuple[RunConfig, RunObjects]:
 
 
 def _taylor_green(cutoff: int, bounds: InitialBounds, scale: float) -> SimState:
-    pts = fast_grid_size(4 * (2 * cutoff - 1))
+    pts = monitor_grid(cutoff)
     x = np.arange(pts) / pts
     xx, yy = np.meshgrid(x, x, indexing="ij")
     u = scale * np.cos(2 * np.pi * xx) * np.sin(2 * np.pi * yy)
@@ -359,9 +359,8 @@ def refinement_gap(config: RunConfig, s_prime: float) -> float:
     if traj_lo.status != "completed" or traj_hi.status != "completed":
         raise RuntimeError(f"refinement runs did not complete: "
                            f"{traj_lo.status}, {traj_hi.status}")
-    lo, hi = traj_lo.final.project(2 * config["n"]), traj_hi.final
-    return math.sqrt(SimState(lo.v - hi.v, lo.omega - hi.omega, lo.b - hi.b,
-                              hi.t).triple_norm_sq(s_prime))
+    gap = halves([traj_lo.final.project(2 * config["n"])]) - halves([traj_hi.final])
+    return math.sqrt(triple_sq(gap, s_prime, config["d"], 2 * config["n"])[0])
 
 
 def cmd_convergence(args) -> int:

@@ -14,8 +14,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cutoffs import CutoffProfile
-from .spectral import real_half
-from .system import ModelParams, SimState, grid_extrema, member_rhs, pack, rhs_gap, triple_sq
+from .system import ModelParams, SimState, grid_extrema, halves, member_rhs, rhs_gap, triple_sq
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,7 @@ def energy_balance(trajectory, s: float, nu_lower: Callable[[float], float],
         raise ValueError("need at least 3 trajectory samples")
     times = np.array([st.t for st in states])
     d, n = states[0].dim, states[0].cutoff
-    stack = real_half(np.stack([pack(st) for st in states]), d)
+    stack = halves(states)
     triple = triple_sq(stack, s, d, n)
     hs1 = triple_sq(stack, s + 1.0, d, n) - triple
     d_dt = np.gradient(1.0 + triple, times)
@@ -222,7 +221,7 @@ def nu_bar_aliasing(states: Sequence[SimState], params: ModelParams,
             continue
         own = params if grids is None else replace(params, oversample=grids[i])
         finer = replace(own, oversample=own.oversample + 1)
-        y = real_half(pack(st), st.dim)[None]
+        y = halves([st])
         f = (member_rhs(y, st.cutoff, st.t, own, profile)[0] if rhs is None or rhs[i] is None
              else rhs[i][None])
         out[i] = rhs_gap(f, member_rhs(y, st.cutoff, st.t, finer, profile)[0])[0]

@@ -7,7 +7,7 @@ Each campaign draws reproducible random trigonometric polynomials, evaluates
 both sides of one inequality per sample, and reports the ratio statistics.
 A bounded max ratio that is stable when the cutoff doubles is the empirical
 surrogate for a constant independent of the fields.  The commutator and
-product campaigns check their exponent tuples by one rule before any draw.
+product campaigns check their exponents by one rule and share one evaluator.
 
 L^2 and H^s norms are exact: they are read from the coefficients (Parseval)
 and sample no grid.  Other L^p norms are quadratures on an oversampled grid,
@@ -19,10 +19,10 @@ derivative bounds are looked up in tables built once per (map, order), and
 the decomposition's symbol tables once per (dim, cutoff, s), on the mode
 pairs that land in the doubled ball.
 
-A campaign evaluates its samples in stacks: as many samples as fit their
-largest quadrature grid in _STACK_BYTES (256 KiB), at least one.  Sample i
-still draws its fields from its own stream, but the stack's fields are
-canonical halves, (samples, fields, n_half), and each operand group takes
+A campaign evaluates given fields in stacks: as many samples as fit their
+largest quadrature grid in _STACK_BYTES (256 KiB), at least one.  `_collect`
+draws each stack, sample i from its own stream, as canonical halves,
+(samples, fields, n_half), and in the evaluator each operand group takes
 one transform call per stack: the commutator's f, g and J^s g, its
 products, the grid norms of one inequality's side (`_lp_norms`).  A half
 can only describe a real field, so the stacked helpers convert no layout
@@ -46,7 +46,7 @@ from .spectral import (FOUR_PI_SQ, SpectralField, VectorSpectralField, _geometry
                        checked_real_half, coefficients_to_real_grid, fast_grid_size,
                        leray_coefficients, lp_norm, product_points, real_grid_to_coefficients,
                        real_half, spectral_product, spectral_products)
-from .system import ModelParams, SimState, pack, triple_sq
+from .system import ModelParams, SimState, halves, monitor_grid, triple_sq
 
 _MAX_PAIRS = 20_000_000    # mode pairs of the ball the exact decomposition sums at most
 
@@ -214,7 +214,7 @@ def _lp_norms(operands: Sequence[np.ndarray], ps: Sequence[float], cutoff: int,
     if gridded:
         stack = np.concatenate(gridded, axis=1)
         grids = coefficients_to_real_grid(stack.reshape(-1, stack.shape[-1]), cutoff, dim,
-                                          _norm_points(cutoff))
+                                          monitor_grid(cutoff))
         grids = grids.reshape(stack.shape[:2] + grids.shape[1:])
     norms = []
     row = 0
@@ -256,11 +256,6 @@ def _bessel(half: np.ndarray, s: float, cutoff: int, dim: int) -> np.ndarray:
     """J^s of a stack of canonical halves: SpectralField.bessel's weights
     (1 + 4 pi^2 |k|^2)^(s/2), read at the half's modes."""
     return half * _geometry(dim, cutoff).half_bessel_weight(s / 2.0)
-
-
-def _norm_points(cutoff: int) -> int:
-    """Points per axis of the quadrature grid of a cutoff's L^p norms."""
-    return fast_grid_size(4 * (2 * cutoff - 1))
 
 
 def _check_exponents(name: str, exponents: Sequence[float], finite: Sequence[int]) -> None:
@@ -424,24 +419,12 @@ def verify_commutator_estimate(spec: RandomFieldSpec, s: float,
     if s <= 0:
         raise ValueError("commutator estimate needs s > 0")
     _check_exponents("commutator", exponents, (0, 2, 4))
-    p, p1, p2, p3, p4 = exponents
     d, n = spec.dim, spec.cutoff
-    m = 2 * n - 1
     grad = _geometry(d, n).half_grad
-
-    def stack(indices):
-        f, g = np.moveaxis(spec.draws(indices, 2), 1, 0)
-        lhs = _lp_norms([_commutators(f, g, s, n, d)[:, None]], (p,), m, d)[0]
-        grad_f, jg, g_p3, jsf = (x.tolist() for x in _lp_norms(
-            [f[:, None] * grad, _bessel(g, s - 1.0, n, d)[:, None], g[:, None],
-             _bessel(f, s, n, d)[:, None]], (p1, p2, p3, p4), n, d))
-        return lhs.tolist(), [a * b + c * e for a, b, c, e in zip(grad_f, jg, g_p3, jsf)]
-
-    norm_rows = sum(rows for rows, q in zip((d, 1, 1, 1), (p1, p2, p3, p4)) if q != 2)
-    grids = [(product_points(n), 3), (_norm_points(n), norm_rows),
-             (_norm_points(m), int(p != 2))]
-    return _collect("commutator", spec, samples, grids, stack,
-                    dict(s=s, exponents=exponents))
+    return _holder("commutator", spec, s, exponents, samples, product_fields=3, rows=(d, 1, 1, 1),
+                   doubled=lambda pairs: _commutators(*np.moveaxis(pairs, 1, 0), s, n, d),
+                   operands=lambda f, g: [f * grad, _bessel(g, s - 1.0, n, d), g,
+                                          _bessel(f, s, n, d)])
 
 
 def verify_product_estimate(spec: RandomFieldSpec, s: float,
@@ -450,24 +433,33 @@ def verify_product_estimate(spec: RandomFieldSpec, s: float,
     """ratio = |J^s(fg)|_p / (|J^s f|_p1 |g|_q1 + |f|_p2 |J^s g|_q2), exponents
     (p, p1, q1, p2, q2) under `_check_exponents`, p, p1, q2 finite."""
     _check_exponents("product", exponents, (0, 1, 4))
-    p, p1, q1, p2, q2 = exponents
+    d, n = spec.dim, spec.cutoff
+    m = 2 * n - 1
+    return _holder("product", spec, s, exponents, samples, product_fields=2, rows=(1, 1, 1, 1),
+                   doubled=lambda pairs: _bessel(spectral_products(pairs, n, d, m), s, m, d),
+                   operands=lambda f, g: [_bessel(f, s, n, d), g, f, _bessel(g, s, n, d)])
+
+
+def _holder(name: str, spec: RandomFieldSpec, s: float, exponents: Tuple[float, ...],
+            samples: int, *, product_fields: int, rows: Tuple[int, ...], doubled: Callable,
+            operands: Callable) -> EstimateReport:
+    """Both Holder campaigns: lhs = |doubled(pairs)|_p on the doubled ball, rhs
+    = a b + c e, the norms at exponents[1:] of the four operands(f, g), whose
+    `rows` off L^2 share the norm grid with product_fields on the product grid."""
+    p, *qs = exponents
     d, n = spec.dim, spec.cutoff
     m = 2 * n - 1
 
-    def stack(indices):
-        pairs = spec.draws(indices, 2)
-        f, g = np.moveaxis(pairs, 1, 0)
-        fg = spectral_products(pairs, n, d, m)
-        lhs = _lp_norms([_bessel(fg, s, m, d)[:, None]], (p,), m, d)[0]
-        jsf, g_q1, f_p2, jsg = (x.tolist() for x in _lp_norms(
-            [_bessel(f, s, n, d)[:, None], g[:, None], f[:, None],
-             _bessel(g, s, n, d)[:, None]], (p1, q1, p2, q2), n, d))
-        return lhs.tolist(), [a * b + c * e for a, b, c, e in zip(jsf, g_q1, f_p2, jsg)]
+    def evaluate(pairs):
+        lhs = _lp_norms([doubled(pairs)[:, None]], (p,), m, d)[0].tolist()
+        f, g = np.moveaxis(pairs[:, :, None], 1, 0)
+        a, b, c, e = (x.tolist() for x in _lp_norms(operands(f, g), qs, n, d))
+        return lhs, [w * x + y * z for w, x, y, z in zip(a, b, c, e)]
 
-    grids = [(product_points(n), 2), (_norm_points(n), sum(q != 2 for q in (p1, q1, p2, q2))),
-             (_norm_points(m), int(p != 2))]
-    return _collect("product", spec, samples, grids, stack,
-                    dict(s=s, exponents=exponents))
+    grids = [(product_points(n), product_fields),
+             (monitor_grid(n), sum(r for r, q in zip(rows, qs) if q != 2)),
+             (monitor_grid(m), int(p != 2))]
+    return _collect(name, spec, samples, 2, grids, evaluate, dict(s=s, exponents=exponents))
 
 
 _SMOOTH_MAPS: Dict[str, List[Callable]] = {
@@ -545,10 +537,10 @@ def verify_composition_estimate(spec: RandomFieldSpec, s: float,
                          f"choose from {sorted(_SMOOTH_MAPS)}")
     d, n = spec.dim, spec.cutoff
     m = 2 * n - 1
-    points = _norm_points(n)
+    points = monitor_grid(n)
 
-    def stack(indices):
-        f = spec.draws(indices, 1)[:, 0]
+    def evaluate(fields):
+        f = fields[:, 0]
         grids = coefficients_to_real_grid(f, n, d, points)
         f_inf = _sup_abs(grids, d).tolist()
         grids = _SMOOTH_MAPS[g_name][0](grids)     # f's samples freed before the forward
@@ -559,7 +551,7 @@ def verify_composition_estimate(spec: RandomFieldSpec, s: float,
                * (1.0 + r) ** math.ceil(s) * hs for r, hs in zip(f_inf, hs_f)]
         return _lp_norms([_bessel(gf, s, m, d)[:, None]], (2.0,), m, d)[0].tolist(), rhs
 
-    return _collect(f"composition[{g_name}]", spec, samples, [(points, 1)], stack,
+    return _collect(f"composition[{g_name}]", spec, samples, 1, [(points, 1)], evaluate,
                     dict(s=s, G=g_name))
 
 
@@ -575,8 +567,8 @@ def verify_interpolation_inequality(spec: RandomFieldSpec, s: float,
     theta = 0.5 * (s - d / 2) if on_branch else None
     grad = _geometry(d, n).half_grad
 
-    def stack(indices):
-        f = spec.draws(indices, 1)[:, 0]
+    def evaluate(fields):
+        f = fields[:, 0]
         lhs = _lp_norms([f[:, None] * grad], (np.inf,), n, d)[0]
         hs, hs_up = (x.tolist() for x in _lp_norms(
             [_bessel(f, s, n, d)[:, None], _bessel(f, s + 1.0, n, d)[:, None]], (2.0, 2.0), n, d))
@@ -584,7 +576,7 @@ def verify_interpolation_inequality(spec: RandomFieldSpec, s: float,
                for a, b in zip(hs, hs_up)]
         return lhs.tolist(), rhs
 
-    return _collect("interpolation", spec, samples, [(_norm_points(n), d)], stack,
+    return _collect("interpolation", spec, samples, 1, [(monitor_grid(n), d)], evaluate,
                     dict(s=s, theta=theta, boundary=s == d / 2 + 1.0))
 
 
@@ -594,28 +586,29 @@ def verify_interpolation_inequality(spec: RandomFieldSpec, s: float,
 _STACK_BYTES = 256 * 1024
 
 
-def _collect(name: str, spec: RandomFieldSpec, samples: int,
+def _collect(name: str, spec: RandomFieldSpec, samples: int, count: int,
              grids: Sequence[Tuple[int, int]],
-             stack: Callable[[range], Tuple[List[float], List[float]]],
-             extra_meta: Dict) -> EstimateReport:
-    """Evaluate samples 0..samples-1 in stacks and report their ratios.
+             evaluate: Callable[[np.ndarray], Tuple[List[float], List[float]]],
+             meta: Dict) -> EstimateReport:
+    """Draw samples 0..samples-1 in stacks (the one place a campaign draws),
+    evaluate them and report their ratios.
 
     `grids` lists the (points per axis, fields) of each grid one sample
     needs; a stack holds as many samples as fit their largest grid in
-    _STACK_BYTES, and at least one.  `stack(indices)` returns the lhs and
-    rhs of those samples.  A sample whose rhs is 0 is skipped; one whose lhs,
-    rhs or ratio is not finite raises ValueError, as does a non-finite s
-    (extra_meta["s"]) before any sample is drawn.
+    _STACK_BYTES, and at least one.  `evaluate(spec.draws(range(lo, hi),
+    count))` returns the lhs and rhs of samples lo..hi-1.  A sample whose rhs
+    is 0 is skipped; one whose lhs, rhs or ratio is not finite raises
+    ValueError, as does a non-finite s (meta["s"]) before any draw.
     """
     if samples < 1:
         raise ValueError(f"{name}: need at least 1 sample, got {samples}")
-    if not math.isfinite(extra_meta["s"]):
-        raise ValueError(f"{name}: s must be finite, got {extra_meta['s']!r}")
+    if not math.isfinite(meta["s"]):
+        raise ValueError(f"{name}: s must be finite, got {meta['s']!r}")
     largest = max(8 * fields * points ** spec.dim for points, fields in grids)   # float64
     size = max(1, _STACK_BYTES // largest)
     lhs, rhs = [], []
     for lo in range(0, samples, size):
-        a, b = stack(range(lo, min(lo + size, samples)))
+        a, b = evaluate(spec.draws(range(lo, min(lo + size, samples)), count))
         lhs += a
         rhs += b
     for i, (a, b) in enumerate(zip(lhs, rhs)):
@@ -627,7 +620,7 @@ def _collect(name: str, spec: RandomFieldSpec, samples: int,
         name=name, samples=samples, lhs=[a for a, _ in kept], rhs=[b for _, b in kept],
         ratios=ratios, max_ratio=max(ratios, default=0.0),
         median_ratio=float(np.median(ratios)) if ratios else 0.0, skipped=samples - len(kept),
-        meta=dict(dim=spec.dim, cutoff=spec.cutoff, rho=spec.rho, seed=spec.seed, **extra_meta))
+        meta=dict(dim=spec.dim, cutoff=spec.cutoff, rho=spec.rho, seed=spec.seed, **meta))
 
 
 # -- uniqueness probe --------------------------------------------------------------
@@ -671,10 +664,10 @@ def uniqueness_probe(state0: SimState, amplitude: float, params: ModelParams,
     base, pert = integrate_lockstep([state0, pert0], config, params, profile)
     partial = (base.status != "completed" or pert.status != "completed"
                or len(base.states) != len(pert.states))
-    pairs = list(zip(base.states, pert.states))      # the samples both runs took
-    times = np.array([a.t for a, _ in pairs])
-    d, n = state0.dim, state0.cutoff
-    e = triple_sq(real_half(np.stack([pack(a) - pack(b) for a, b in pairs]), d), 0.0, d, n)
+    k = min(len(base.states), len(pert.states))      # the samples both runs took
+    times = base.times[:k]
+    e = triple_sq(halves(base.states[:k]) - halves(pert.states[:k]), 0.0, state0.dim,
+                  state0.cutoff)
 
     g_fit = 0.0
     g_env = 0.0

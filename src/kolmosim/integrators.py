@@ -49,7 +49,7 @@ loop carries a leading member axis, and each RK stage is one kernel call
 (`system.member_rhs`) for every member.  The loop runs on the canonical
 half (one mode of each mirror pair {k, -k}, and k = 0), 2.4x fewer numbers
 than the cube at d = 2, n = 16: it takes the data's real parts there once
-(`spectral.real_half`), and expands to cubes (`SimState.from_half`) only
+(`system.halves`), and expands to cubes (`SimState.from_half`) only
 for the states it samples; the blow-up guard reads the halves it steps.
 Stage algebra, integrating factors and fix-ups act on each mode alone (the
 fix-up's Leray projection and divergence residual take halves, like every
@@ -90,10 +90,13 @@ Each sample keeps, beside its state, its right-hand side on the half (rk45's
 FSAL stage, or the evaluation the grid rule adopted; None for rk4 and for a
 sample right after a re-projection that the run never evaluated), the grid
 that is on, and its aliasing where the grid rule measured it:
-`diagnostics.nu_bar_aliasing` reuses them.  A member that fails
-(failed-nonfinite: a non-finite rk4 step, an rk45 step-size underflow, or
-MAX_STEPS) keeps its last finite state, at the last accepted step, as its
-final sample.
+`diagnostics.nu_bar_aliasing` reuses them.  A member that fails keeps its
+last finite state, at the last accepted step, as its final sample.  Its
+status names the cause: failed-nonfinite for a non-finite rk4 step, or an
+rk45 step that shrank below MIN_DT because its last attempt went
+non-finite; failed-stepsize for an rk45 step that shrank to MIN_DT through
+error-ratio rejections; failed-maxsteps when MAX_STEPS accepted steps did
+not reach t_end.
 
 An optional `on_sample(member, state)` hook sees each sample the moment the
 loop takes it, the datum first: a caller can write it out at once and check
@@ -112,10 +115,10 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .cutoffs import CutoffProfile
-from .spectral import FOUR_PI_SQ, _geometry, div_residual, leray_coefficients, real_half
+from .spectral import FOUR_PI_SQ, _geometry, div_residual, leray_coefficients
 # the member-stack kernel under the module-global name the loop looks up at
 # each call: one call per stage, for every member of the stack
-from .system import ModelParams, SimState, pack, rhs_gap, triple_sq
+from .system import ModelParams, SimState, halves, rhs_gap, triple_sq
 from .system import member_rhs as rhs
 
 MAX_STEPS = 2_000_000          # accepted steps before a run is failed
@@ -137,8 +140,10 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
 # the gaps c_i - c_j (j <= i) at which the integrating factor is applied;
-# the last stage is the update, so 1 - c_j is among them
+# the last stage is the update, so 1 - c_j is among them.  _IF_AT[i][j] is
+# the position of c_i - c_j among them (c_0 = 0, so _IF_AT[i][0] is c_i's)
 _IF_GAPS = sorted({ci - cj for i, ci in enumerate(_DP_C) for cj in _DP_C[:i + 1]})
+_IF_AT = [[_IF_GAPS.index(ci - cj) for cj in _DP_C[:i + 1]] for i, ci in enumerate(_DP_C)]
 
 # on_sample(member, state): None to go on, or why the member stops
 SampleHook = Callable[[int, SimState], Optional[str]]
@@ -169,7 +174,8 @@ class IntegratorConfig:
 @dataclass
 class Trajectory:
     states: List[SimState]
-    # completed | aborted-blowup | aborted-monitor | failed-nonfinite
+    # completed | aborted-blowup | aborted-monitor | failed-nonfinite |
+    # failed-stepsize | failed-maxsteps (see the module docstring)
     status: str = "completed"
     message: str = ""
     steps: int = 0
@@ -340,7 +346,7 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
     blowup_factor (2 X0 + 1), X0 its datum's real part's triple norm^2 at
     params.s) and samples.  A member that goes non-finite or trips the
     guard leaves with its own status, message and states; the others go on.
-    A member that fails (failed-nonfinite) keeps its last finite state, at
+    A member that fails (a failed-* status) keeps its last finite state, at
     the last accepted step's t, as its final sample.
     on_sample(member, state), when given, is called for every state appended
     to a trajectory, in order: sample 0 (the datum) before the first kernel
@@ -374,17 +380,17 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
     # the loop keeps conjugate symmetry exactly, so it starts from the data's
     # real parts (on conjugate-symmetric data this changes no bit) and
     # carries their canonical halves
-    y = real_half(np.stack([pack(st) for st in states0]), dim)
+    y = halves(states0)
     ceiling = config.blowup_factor * (2.0 * triple_sq(y, params.s, dim, cutoff) + 1.0)
     if not ok.all():
         live, y, ceiling = _survivors(ok, live, y, ceiling)
     h = config.dt
     k1 = nu_ref = None             # rk45's FSAL stage F(t, y) and reference viscosities
-    rates, classes = _diffusion_rates(dim, cutoff), _rate_class(dim)
+    rates, classes, gaps = _diffusion_rates(dim, cutoff), _rate_class(dim), np.array(_IF_GAPS)
     weight = _geometry(dim, cutoff).half_weight
     steps = rejected = evaluations = 0
     previous = None                # rk45's last rejected (h, ratio) at this t
-    stopped = ""                   # why the members still running stopped early
+    stopped = None                 # (status, message) of the members still running, stopped early
     # the grid rule's state: the parameters of each grid, the accepted step
     # of the next coarse check, and the back-off after a miss
     adaptive = config.method == "rk45" and finest > 2
@@ -428,35 +434,38 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
                         if trajs[member].final.t == t:
                             trajs[member].rhs[-1] = k1[i]
                 lin = nu_ref[:, None, None] * rates          # per (member, rate class)
-                ef = {c: np.exp((c * h) * lin)[:, classes] for c in _IF_GAPS}    # E(c h)
+                # E(c h) of every gap c, in _IF_GAPS order, in one exp call
+                ef = np.exp(np.multiply.outer(gaps * h, lin))[:, :, classes]
                 lin = lin[:, classes]
                 ns = [k1 - lin * y]     # the full F is kept: N depends on this step's L
                 for i in range(1, 7):
-                    ci = _DP_C[i]
-                    yi = ef[ci] * y + h * sum(a * ef[ci - cj] * nj for a, cj, nj
-                                              in zip(_DP_A[i], _DP_C, ns) if a)
+                    at = _IF_AT[i]
+                    yi = ef[at[0]] * y + h * sum(a * ef[g] * nj for a, g, nj
+                                                 in zip(_DP_A[i], at, ns) if a)
                     if not np.all(np.isfinite(yi)):
                         break
-                    fi, nu = rhs(yi, cutoff, t + ci * h, run, profile)
+                    fi, nu = rhs(yi, cutoff, t + _DP_C[i] * h, run, profile)
                     evaluations += 1
                     ns.append(fi - lin * yi)
                 if len(ns) < 7 or not np.all(np.isfinite(fi)):
                     rejected += 1
                     h *= 0.2
                     if not h >= MIN_DT:
-                        stopped = f"step size underflow at t = {t:.6g}, h = {h:.3g}"
+                        stopped = ("failed-nonfinite",
+                                   f"step size underflow at t = {t:.6g}, h = {h:.3g}")
                         break
                     continue
                 y_new = yi             # the last stage is the update
-                err = h * sum((b5 - b4) * ef[1.0 - cj] * nj for b5, b4, cj, nj
-                              in zip(_DP_B5, _DP_B4, _DP_C, ns) if b5 != b4)
+                err = h * sum((b5 - b4) * ef[g] * nj for b5, b4, g, nj
+                              in zip(_DP_B5, _DP_B4, _IF_AT[6], ns) if b5 != b4)
                 ratio = max(_error_ratio(*rows, config.abs_tol, config.rel_tol, weight)
                             for rows in zip(err, y, y_new))
                 if ratio > 1.0:
                     rejected += 1
                     h, previous = max(_shrink(h, ratio, previous), MIN_DT), (h, ratio)
                     if h <= MIN_DT:
-                        stopped = f"step size underflow at t = {t:.6g}, h = {h:.3g}"
+                        stopped = ("failed-stepsize",
+                                   f"step size underflow at t = {t:.6g}, h = {h:.3g}")
                         break
                     continue
                 h_next = h * min(5.0, max(0.2, 0.9 * ratio ** (-0.2) if ratio > 0 else 5.0))
@@ -519,8 +528,8 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
         traj = trajs[member]
         traj.steps, traj.rejected, traj.evaluations = steps, rejected, evaluations
         if stopped or t < config.t_end - 1e-14:
-            traj.status = "failed-nonfinite"
-            traj.message = stopped or f"{MAX_STEPS} steps exhausted"
+            traj.status, traj.message = stopped or ("failed-maxsteps",
+                                                    f"{MAX_STEPS} steps exhausted")
             _keep_last_finite(traj, member, y[i], None if k1 is None else k1[i], dim, cutoff,
                               t, level, on_sample)
     return trajs

@@ -15,10 +15,10 @@ genuine quadrature, whose residual the oversampling controls.
 
 A state packs into (v_1..v_d, omega, b) rows of centered-cube coefficients
 (`pack`).  The kernel works on member stacks of the canonical halves of
-their real parts (`spectral.real_half`), the one layout below the field
-algebra: a leading member axis over packed states, (members, d+2, n_half),
-which a one-member stack keeps too, through `member_rhs`, one call per RK
-stage for every member.  The kernel has one output, the Leray-projected
+their real parts, the one layout below the field algebra, which states enter
+through `halves` alone and leave through `SimState.from_half`: a leading
+member axis over packed states, (members, d+2, n_half), which a one-member
+stack keeps too, through `member_rhs`, one call per RK stage for every member.  The kernel has one output, the Leray-projected
 right-hand side, and one layout inside, rows then members.  The kernel's
 spectral side is two linear maps per mode on the half, built once per size:
 the in-map takes the state rows to D_ij, grad omega and grad b (`_in_map`),
@@ -60,7 +60,7 @@ from __future__ import annotations
 import functools
 import threading
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -148,8 +148,7 @@ class SimState:
 
     def triple_norm_sq(self, s: float) -> float:
         """The squared H^s x H^s x H^s triple norm of the state's real part."""
-        return float(triple_sq(real_half(pack(self), self.dim)[None], s, self.dim,
-                               self.cutoff)[0])
+        return float(triple_sq(halves([self]), s, self.dim, self.cutoff)[0])
 
     def realness_residual(self) -> float:
         return realness_residual(pack(self), self.dim)
@@ -193,7 +192,9 @@ def triple_sq(halves: np.ndarray, s: float, dim: int, cutoff: int) -> np.ndarray
 
 
 def monitor_grid(cutoff: int) -> int:
-    """Points per axis of the extrema monitor's grid at this cutoff."""
+    """Points per axis of the extrema monitor's grid at this cutoff, the
+    fast size at least 4(2n-1); the lab's L^p norms and the Taylor-Green
+    datum sample on it too."""
     return fast_grid_size(4 * (2 * cutoff - 1))
 
 
@@ -221,6 +222,11 @@ def hypothesis_violations(state: SimState, s: float) -> List[str]:
 
 def pack(state: SimState) -> np.ndarray:
     return np.stack([f.coeffs for f in state.fields()])
+
+
+def halves(states: Sequence[SimState]) -> np.ndarray:
+    """(len(states), d+2, n_half): the canonical halves of the states' real parts."""
+    return real_half(np.stack([pack(st) for st in states]), states[0].dim)
 
 
 @functools.lru_cache(maxsize=None)
@@ -478,7 +484,6 @@ def rhs(state: SimState, params: ModelParams,
         profile: CutoffProfile) -> Tuple[VectorSpectralField, SpectralField, SpectralField]:
     """The right-hand side (dv, dw, db) of the state's real part:
     member_rhs's one-member case, from and back to the cube."""
-    d, n = state.dim, state.cutoff
-    half = member_rhs(real_half(pack(state), d)[None], n, state.t, params, profile)[0][0]
-    out = SimState.from_half(half, d, n, state.t)
+    half = member_rhs(halves([state]), state.cutoff, state.t, params, profile)[0][0]
+    out = SimState.from_half(half, state.dim, state.cutoff, state.t)
     return out.v, out.omega, out.b

@@ -709,6 +709,24 @@ class TestStackedCampaigns:
                 assert got == expected_report(per_sample[:samples]), (campaign, kwargs)
                 assert report.samples == samples
 
+    def test_campaigns_evaluate_the_fields_they_are_given(self, monkeypatch):
+        """A campaign is an evaluator of given fields: the one it passes to
+        _collect, called on spec.draws(range(lo, hi), count), gives exactly
+        (==) the report's lhs and rhs of samples lo..hi-1."""
+        spec = RandomFieldSpec(dim=2, cutoff=8, rho=1.5, seed=17)
+        for campaign, _, kwargs in STACKED_CAMPAIGNS:
+            report = campaign(spec, 2.0, samples=7, **kwargs)
+            assert report.skipped == 0
+            seen = []
+            with monkeypatch.context() as patch:
+                patch.setattr(estimates, "_collect", lambda *args: seen.append(args))
+                campaign(spec, 2.0, samples=7, **kwargs)
+            (_, _, samples, count, _, evaluate, _), = seen
+            assert samples == 7
+            for lo, hi in ((0, 7), (3, 7), (5, 6)):
+                got = evaluate(spec.draws(range(lo, hi), count))
+                assert got == (report.lhs[lo:hi], report.rhs[lo:hi]), (campaign, kwargs)
+
     def test_one_stack_takes_one_transform_per_operand_group(self, monkeypatch):
         calls = []
         sample = estimates.coefficients_to_real_grid

@@ -12,12 +12,11 @@ import pytest
 from kolmosim import cli, integrators
 from kolmosim.cutoffs import CutoffProfile, InitialBounds
 from kolmosim.estimates import RandomFieldSpec, admissible_state
-from kolmosim.integrators import (IntegratorConfig, fix_up, integrate,
-                                  integrate_lockstep, pack)
+from kolmosim.integrators import IntegratorConfig, fix_up, integrate, integrate_lockstep
 from kolmosim.spectral import (FOUR_PI_SQ, SpectralField, VectorSpectralField, _geometry,
                                div_residual, half_to_cube, real_half)
 from kolmosim.storage import RunConfig, load_snapshot, save_snapshot
-from kolmosim.system import ModelParams, SimState, member_rhs, rhs_gap
+from kolmosim.system import ModelParams, SimState, member_rhs, pack, rhs_gap
 from oracles import cube_to_half, symmetrize
 
 TIGHT = InitialBounds(b_min0=1.0, omega_min0=1.0, omega_max0=1.0, alpha=1.0)
@@ -290,9 +289,21 @@ class TestDegenerateCases:
                                   t_end=0.01, monitor_every=100)
         traj = integrate(divergence_free_random_state(86, cutoff=6), config,
                          make_params(bounds=WIDE), CutoffProfile(WIDE))
-        assert (traj.status, traj.message) == ("failed-nonfinite",
+        assert (traj.status, traj.message) == ("failed-stepsize",
                                                "step size underflow at t = 0, h = 1e-12")
         assert (traj.steps, traj.rejected, len(traj.states)) == (0, 13, 1)
+
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    def test_max_steps_exhausted(self, monkeypatch, method):
+        # a run that takes MAX_STEPS accepted steps short of t_end fails
+        # with a status of its own, keeping its last state as final sample
+        monkeypatch.setattr(integrators, "MAX_STEPS", 3)
+        config = IntegratorConfig(method=method, dt=1e-3, t_end=0.01, monitor_every=2)
+        traj = integrate(divergence_free_random_state(86, cutoff=6), config,
+                         make_params(bounds=WIDE), CutoffProfile(WIDE))
+        assert (traj.status, traj.message) == ("failed-maxsteps", "3 steps exhausted")
+        assert traj.steps == 3 and len(traj.states) == 3
+        assert traj.final.t < 0.01 and np.all(np.isfinite(pack(traj.final)))
 
 
 class TestIntegratingFactor:
