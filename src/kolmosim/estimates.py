@@ -115,6 +115,13 @@ def _damping(dim: int, cutoff: int, rho: float) -> np.ndarray:
     return amp
 
 
+def _squared_samples(f: SpectralField, points: int) -> np.ndarray:
+    """The squares of the field's real samples on the points^d grid, in
+    place of the samples."""
+    samples = f.real_samples(points)
+    return np.square(samples, out=samples)
+
+
 def admissible_state(spec: RandomFieldSpec, bounds, index: int = 0,
                      v_scale: float = 0.25) -> SimState:
     """Random initial state satisfying the model hypotheses by construction.
@@ -133,14 +140,20 @@ def admissible_state(spec: RandomFieldSpec, bounds, index: int = 0,
         f = spec.draw(rng, scale=1.0)
         fine = fast_grid_size(16 * spec.cutoff)
         g = f.real_samples(fine)
+        g_min, g_max = float(np.min(g)), float(np.max(g))
+        del g
         # Continuum extrema can exceed the fine-grid extrema by at most
         # |grad f|_inf times the farthest node distance; the grid sup of the
         # gradient (doubled for safety) stands in for |grad f|_inf, so the
-        # enlarged interval is mapped and containment holds pointwise.
-        grad_mag = np.sqrt(np.sum(f.gradient().real_samples(fine) ** 2, axis=0))
-        slack = float(np.max(grad_mag)) * math.sqrt(spec.dim) / fine
-        g_lo = float(np.min(g)) - slack
-        g_hi = float(np.max(g)) + slack
+        # enlarged interval is mapped and containment holds pointwise.  The
+        # squared components are summed one grid at a time.
+        first, *rest = f.gradient().components
+        grad_sq = _squared_samples(first, fine)
+        for component in rest:
+            grad_sq += _squared_samples(component, fine)
+        slack = math.sqrt(float(np.max(grad_sq))) * math.sqrt(spec.dim) / fine
+        g_lo = g_min - slack
+        g_hi = g_max + slack
         if g_hi - g_lo < 1e-30:
             value = lo if hi is None else 0.5 * (lo + hi)
             return SpectralField.from_modes(spec.dim, spec.cutoff,

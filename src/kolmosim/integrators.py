@@ -33,16 +33,18 @@ stages stay divergence-free.
 The rk45 step-size controller is elementary (Hairer, Norsett & Wanner,
 Solving ODEs I, II.4).  A step is accepted when the error ratio r (the RMS
 of the embedded error over the tolerance scale, over the ball's modes of
-every row) is at most 1, and the next
-step is h 0.9 r^(-1/5), capped at 5h and floored at 0.2h.  A rejection
-shrinks h by 0.9 r^(-1/q) (floored at 0.2), where q is the order the error
-was observed to have: log(r_prev / r) / log(h_prev / h) between this attempt
-and the last rejected one at the same t, clamped to [1, 5], and 5 when there
-is none or the ratio did not fall.  At the start of a run the explicitly
-stepped spread of nubar makes the error fall only like h^1.1 on the stiff
-high modes (order reduction: Hairer & Wanner, Solving ODEs II, IV.15), and
-the order-5 shrink alone needs many tries to find the step.  Growth keeps
-the order-5 exponent.  A non-finite stage shrinks h by 0.2.
+every row) is at most 1.  The order q of the error is observed between an
+attempt and the last rejected one at the same t: log(r_prev / r) /
+log(h_prev / h), clamped to [1, 5], and 5 when there is none or the ratio
+did not fall.  A rejection shrinks h by 0.9 r^(-1/q), floored at 0.2; an
+accepted step sets the next step to h 0.9 r^(-1/q), capped at 5h and
+floored at 0.2h.  At the start of a run the explicitly stepped spread of
+nubar makes the error fall only like h^1.1 on the stiff high modes (order
+reduction: Hairer & Wanner, Solving ODEs II, IV.15), so the run's first
+rejection, at the datum with no step accepted, assumes order 1: it retries
+at h 0.9 / r, with no floor, which meets the tolerance whenever the error
+is at least first order in h.  The accepted retry then grows by the order
+it observed.  A non-finite stage shrinks h by 0.2.
 
 `integrate_lockstep` advances several states of one layout together: the
 loop carries a leading member axis, and each RK stage is one kernel call
@@ -276,17 +278,22 @@ def _error_ratio(err: np.ndarray, y0: np.ndarray, y1: np.ndarray,
     return float(np.sqrt(np.sum(weight * sq) / (len(err) * np.sum(weight))))
 
 
+def _observed_order(h: float, ratio: float, previous: Optional[Tuple[float, float]]) -> float:
+    """The order q of an error that scales like h^q, observed between an
+    attempt h at error ratio ratio > 0 and previous, the (h, ratio) of the
+    last rejected attempt at the same t, or None: clamped to [1, 5], and 5
+    without an earlier attempt or when the ratio did not fall."""
+    if previous is None or previous[1] <= ratio:
+        return 5.0
+    h_prev, r_prev = previous
+    return min(5.0, max(1.0, math.log(r_prev / ratio) / math.log(h_prev / h)))
+
+
 def _shrink(h: float, ratio: float, previous: Optional[Tuple[float, float]]) -> float:
     """The step to retry with after a step h was rejected at error ratio
-    ratio > 1.  previous is the (h, ratio) of the last rejected attempt at
-    the same t, or None; the shrink assumes the error scales like h^q with q
-    the order observed between the two attempts, clamped to [1, 5], and q = 5
-    without an earlier attempt or when the ratio did not fall."""
-    q = 5.0
-    if previous is not None and previous[1] > ratio:
-        h_prev, r_prev = previous
-        q = min(5.0, max(1.0, math.log(r_prev / ratio) / math.log(h_prev / h)))
-    return h * max(0.2, 0.9 * ratio ** (-1.0 / q))
+    ratio > 1, previous as for _observed_order: h 0.9 r^(-1/q), floored at
+    0.2h, with q the observed order."""
+    return h * max(0.2, 0.9 * ratio ** (-1.0 / _observed_order(h, ratio, previous)))
 
 
 def _leave(traj: Trajectory, status: str, message: str, steps: int, rejected: int,
@@ -462,13 +469,19 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
                             for rows in zip(err, y, y_new))
                 if ratio > 1.0:
                     rejected += 1
-                    h, previous = max(_shrink(h, ratio, previous), MIN_DT), (h, ratio)
+                    # the run's first rejection, at the datum, assumes order 1:
+                    # the error falls like h^1.1 there (module docstring)
+                    retry = (h * 0.9 / ratio if steps == 0 and previous is None
+                             else _shrink(h, ratio, previous))
+                    h, previous = max(retry, MIN_DT), (h, ratio)
                     if h <= MIN_DT:
                         stopped = ("failed-stepsize",
                                    f"step size underflow at t = {t:.6g}, h = {h:.3g}")
                         break
                     continue
-                h_next = h * min(5.0, max(0.2, 0.9 * ratio ** (-0.2) if ratio > 0 else 5.0))
+                grow = (0.9 * ratio ** (-1.0 / _observed_order(h, ratio, previous))
+                        if ratio > 0 else 5.0)
+                h_next = h * min(5.0, max(0.2, grow))
                 k1, nu_ref = fi, _midrange(nu)    # FSAL: last stage is F(t+h, y_new)
                 previous = None
 

@@ -8,7 +8,8 @@ campaigns' samples evaluated one at a time on field objects, through the
 public one-field functions, which the stacked campaigns must match bit for
 bit; and the lab's draws, sup norms and decomposition parts by the formulas
 its faster paths replaced: two-call complex normals, the magnitude before
-the maximum, and np.add.at over every mode pair with the ball's mask."""
+the maximum, and np.add.at over every mode pair with the ball's mask; and
+the admissible datum with its gradient sampled in all components at once."""
 
 import math
 
@@ -21,6 +22,7 @@ from kolmosim.spectral import (FOUR_PI_SQ, SpectralField, VectorSpectralField, _
                                conj_flip, fast_grid_size, real_grid_to_coefficients,
                                spectral_product)
 from kolmosim.storage import _field_records
+from kolmosim.system import SimState
 
 
 def trigonometric_sum(f, points):
@@ -261,3 +263,35 @@ def add_at_decomposition(f, g, s):
         np.add.at(acc, flat, (weight * phi).ravel())
         parts.append(SpectralField(d, m, acc.reshape((side,) * d)))
     return tuple(parts)
+
+
+def all_components_admissible_state(spec, bounds, index=0, v_scale=0.25):
+    """estimates.admissible_state with |grad f| sampled from every gradient
+    component's grid at once, and the field's samples kept meanwhile."""
+    rng = spec.rng(index)
+    v = VectorSpectralField(
+        tuple(spec.draw(rng, scale=v_scale) for _ in range(spec.dim))).leray_project()
+
+    def mapped(lo, hi):
+        f = spec.draw(rng, scale=1.0)
+        fine = fast_grid_size(16 * spec.cutoff)
+        g = f.real_samples(fine)
+        grad_mag = np.sqrt(np.sum(f.gradient().real_samples(fine) ** 2, axis=0))
+        slack = float(np.max(grad_mag)) * math.sqrt(spec.dim) / fine
+        g_lo = float(np.min(g)) - slack
+        g_hi = float(np.max(g)) + slack
+        if g_hi - g_lo < 1e-30:
+            value = lo if hi is None else 0.5 * (lo + hi)
+            return SpectralField.from_modes(spec.dim, spec.cutoff, {(0,) * spec.dim: value})
+        if hi is None:
+            a, b = 1.0, lo - g_lo
+        else:
+            a = (hi - lo) / (g_hi - g_lo)
+            b = lo - a * g_lo
+        out = f * a
+        out.coeffs[(spec.cutoff - 1,) * spec.dim] += b
+        return out
+
+    omega = mapped(bounds.omega_min0, bounds.omega_max0)
+    b = mapped(bounds.b_min0, None)
+    return SimState(v, omega, b, t=0.0)

@@ -29,9 +29,10 @@ from kolmosim.spectral import (SpectralField, VectorSpectralField, _geometry,
                                lp_norm, product_points, real_half, spectral_product,
                                spectral_products)
 from kolmosim.system import ModelParams, triple_sq
-from oracles import (add_at_decomposition, commutator_sample, composition_sample,
-                     direct_convolution, interpolation_sample, magnitude_first_sup,
-                     product_sample, trigonometric_sum, two_call_draws)
+from oracles import (add_at_decomposition, all_components_admissible_state,
+                     commutator_sample, composition_sample, direct_convolution,
+                     interpolation_sample, magnitude_first_sup, product_sample,
+                     trigonometric_sum, two_call_draws)
 
 WIDE = InitialBounds(b_min0=0.5, omega_min0=0.5, omega_max0=2.0, alpha=1.0)
 
@@ -114,6 +115,17 @@ class TestRandomFieldSpec:
         assert np.min(w) <= WIDE.omega_min0 + 0.2 * span
         assert np.max(w) >= WIDE.omega_max0 - 0.2 * span
         assert state.v.div_residual() < 1e-13
+
+    @pytest.mark.parametrize("dim, cutoff", [(2, 16), (3, 8)])
+    def test_admissible_state_matches_the_all_components_gradient(self, dim, cutoff):
+        # summing the squared gradient components one grid at a time
+        # changes no bit of the datum
+        spec = RandomFieldSpec(dim=dim, cutoff=cutoff, rho=2.5, seed=4)
+        got = admissible_state(spec, WIDE, index=1, v_scale=0.2)
+        want = all_components_admissible_state(spec, WIDE, index=1, v_scale=0.2)
+        for a, b in zip((*got.v.components, got.omega, got.b),
+                        (*want.v.components, want.omega, want.b)):
+            assert np.array_equal(a.coeffs, b.coeffs)
 
     def test_admissible_state_of_a_constant_draw(self):
         """At rho = 1000 every mode but the mean is below 1e-30 on the grid:

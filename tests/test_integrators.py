@@ -283,15 +283,15 @@ class TestDegenerateCases:
         assert np.all(np.isfinite(pack(traj.final)))
 
     def test_step_size_underflow_after_rejected_steps(self):
-        # no step meets a tolerance of 1e-300: rk45 shrinks h from 1e-3 to
-        # the floor through rejected steps and stops at the datum
+        # no step meets a tolerance of 1e-300: the datum's first rejection
+        # retries at h 0.9 / r, below the floor, and the run stops there
         config = IntegratorConfig(method="rk45", dt=1e-3, abs_tol=1e-300, rel_tol=1e-300,
                                   t_end=0.01, monitor_every=100)
         traj = integrate(divergence_free_random_state(86, cutoff=6), config,
                          make_params(bounds=WIDE), CutoffProfile(WIDE))
         assert (traj.status, traj.message) == ("failed-stepsize",
                                                "step size underflow at t = 0, h = 1e-12")
-        assert (traj.steps, traj.rejected, len(traj.states)) == (0, 13, 1)
+        assert (traj.steps, traj.rejected, len(traj.states)) == (0, 1, 1)
 
     @pytest.mark.parametrize("method", ["rk4", "rk45"])
     def test_max_steps_exhausted(self, monkeypatch, method):
@@ -432,16 +432,59 @@ class TestStepControl:
             assert integrators._shrink(0.01, 1.5, (0.02, r_prev)) == \
                 integrators._shrink(0.01, 1.5, None)
 
+    @staticmethod
+    def scripted_run(monkeypatch, ratios, steps):
+        """The sample times of an rk45 run from dt = 1e-3 whose attempts see
+        the error ratios scripted, stopped after that many accepted steps."""
+        script = iter(ratios)
+        monkeypatch.setattr(integrators, "_error_ratio", lambda *args: next(script))
+        monkeypatch.setattr(integrators, "MAX_STEPS", steps)
+        config = IntegratorConfig(method="rk45", dt=1e-3, t_end=1.0, monitor_every=1)
+        traj = integrate(divergence_free_random_state(86, cutoff=6), config,
+                         make_params(bounds=WIDE), CutoffProfile(WIDE))
+        assert traj.status == "failed-maxsteps" and traj.steps == steps
+        assert traj.rejected == len(ratios) - steps
+        return [st.t for st in traj.states]
+
+    def test_datum_rejection_retries_at_order_one(self, monkeypatch):
+        # r = 1e3 at the datum: h 0.9 / r, where the 0.2 floor would give 0.2h
+        times = self.scripted_run(monkeypatch, [1e3, 0.5], 1)
+        assert times == [0.0, 1e-3 * 0.9 / 1e3]
+
+    def test_later_rejection_shrinks(self, monkeypatch):
+        times = self.scripted_run(monkeypatch, [0.5, 2.0, 0.5], 2)
+        h = 1e-3 * 0.9 * 0.5 ** -0.2          # grown at order 5, then rejected
+        assert times[1] == 1e-3
+        assert times[2] - times[1] == pytest.approx(integrators._shrink(h, 2.0, None),
+                                                    rel=1e-9)
+
+    def test_growth_after_a_retry_follows_the_observed_order(self, monkeypatch):
+        times = self.scripted_run(monkeypatch, [1e3, 0.5, 0.5], 2)
+        h = 1e-3 * 0.9 / 1e3
+        q = integrators._observed_order(h, 0.5, (1e-3, 1e3))
+        assert 1.0 < q < 1.1
+        assert times[1] == h
+        assert times[2] - times[1] == pytest.approx(h * 0.9 * 0.5 ** (-1 / q), rel=1e-9)
+
+    def test_plain_growth_is_order_five(self, monkeypatch):
+        # 0.9 r^(-1/5): 1.03 at r = 0.5, 2.26 at r = 0.01, capped at 5 for 1e-9
+        times = self.scripted_run(monkeypatch, [0.5, 0.01, 1e-9, 0.5], 4)
+        steps = np.diff(times)
+        assert steps[0] == 1e-3
+        assert steps[1:] == pytest.approx(1e-3 * 0.9 * 0.5 ** -0.2 * np.array(
+            [1.0, 0.9 * 0.01 ** -0.2, 0.9 * 0.01 ** -0.2 * 5.0]), rel=1e-9)
+
     def test_envelope_datum_finds_its_first_step_in_few_tries(self):
         # criterion 03's datum: at t = 0 the error falls only like h^1.1, so
-        # from dt = 1e-3 the order-5 shrink alone would reject 7 attempts
+        # from dt = 1e-3 the order-5 shrink alone would reject 7 attempts;
+        # the datum's order-1 retry meets the tolerance at the first
         spec = RandomFieldSpec(dim=2, cutoff=16, rho=2.5, seed=0)
         state = admissible_state(spec, WIDE, index=0, v_scale=0.2)
         config = IntegratorConfig(method="rk45", dt=1e-3, abs_tol=1e-7, rel_tol=1e-7,
                                   t_end=0.005, monitor_every=20)
         traj = integrate(state, config, make_params(bounds=WIDE), CutoffProfile(WIDE))
         assert traj.status == "completed" and traj.final.t == pytest.approx(0.005)
-        assert traj.rejected <= 2
+        assert (traj.steps, traj.rejected, traj.evaluations) == (10, 1, 67)
 
 
 class TestStageReuse:
