@@ -199,30 +199,22 @@ def extrema_monitor(state: SimState, profile: CutoffProfile, grid: int,
 
 def nu_bar_aliasing(states: Sequence[SimState], params: ModelParams,
                     profile: CutoffProfile,
-                    rhs: Optional[Sequence[Optional[np.ndarray]]] = None,
-                    grids: Optional[Sequence[int]] = None,
-                    measured: Optional[Sequence[Optional[float]]] = None) -> np.ndarray:
+                    rhs: Optional[Sequence[Optional[np.ndarray]]] = None) -> np.ndarray:
     """Each state's max|f - f_fine| / max|f_fine| (`rhs_gap`), with f its real
-    part's right-hand side on its quadrature grid and f_fine on the grid one
-    oversample up.
+    part's right-hand side on the quadrature grid of `params` and f_fine on
+    the grid one oversample up.
 
     The quadratic fluxes are exact on either grid, so the difference is the
-    quadrature error of nubar = Phi(b)/Psi(omega).  Without the optional
-    arguments every state is on the grid of `params` and costs two kernel
-    calls.  A trajectory's samples pass what the run kept (`Trajectory.rhs`,
-    `.grids`, `.aliasing`): each state's oversample, its f where the run
-    evaluated it (None where not), and the indicator where the run already
-    measured it (None where not), which costs no call; a kept f saves one.
+    quadrature error of nubar = Phi(b)/Psi(omega).  Each state costs two
+    kernel calls, or one where `rhs` holds its f on the half, as a
+    trajectory keeps it (`Trajectory.rhs`; None where the run never
+    evaluated it).
     """
     out = np.empty(len(states))
+    finer = replace(params, oversample=params.oversample + 1)
     for i, st in enumerate(states):
-        if measured is not None and measured[i] is not None:
-            out[i] = measured[i]
-            continue
-        own = params if grids is None else replace(params, oversample=grids[i])
-        finer = replace(own, oversample=own.oversample + 1)
         y = halves([st])
-        f = (member_rhs(y, st.cutoff, st.t, own, profile)[0] if rhs is None or rhs[i] is None
+        f = (member_rhs(y, st.cutoff, st.t, params, profile)[0] if rhs is None or rhs[i] is None
              else rhs[i][None])
         out[i] = rhs_gap(f, member_rhs(y, st.cutoff, st.t, finer, profile)[0])[0]
     return out

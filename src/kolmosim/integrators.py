@@ -43,8 +43,10 @@ nubar makes the error fall only like h^1.1 on the stiff high modes (order
 reduction: Hairer & Wanner, Solving ODEs II, IV.15), so the run's first
 rejection, at the datum with no step accepted, assumes order 1: it retries
 at h 0.9 / r, with no floor, which meets the tolerance whenever the error
-is at least first order in h.  The accepted retry then grows by the order
-it observed.  A non-finite stage shrinks h by 0.2.
+is at least first order in h.  Where that retry would fall below MIN_DT, it
+takes the floored shrink instead, so no run ends on its first try.  The
+accepted retry then grows by the order it observed.  A non-finite stage
+shrinks h by 0.2.
 
 `integrate_lockstep` advances several states of one layout together: the
 loop carries a leading member axis, and each RK stage is one kernel call
@@ -58,41 +60,18 @@ fix-up's Leray projection and divergence residual take halves, like every
 operation below the field algebra), so on the half they give the cube
 layout's numbers bit for bit; the error ratio counts each pair's mode twice
 and k = 0 once, the cube's ball RMS up to roundoff.  The kernel owns its
-grid-sized buffers: each thread caches a set for each of the last two
-grid sizes of the stack it stepped, so a run reuses them at every stage and
-check, and a member leaving the run resizes them once.  Fix-ups, guard and
+grid-sized buffers (`system._workspace`), so a run reuses them at every
+stage, and a member leaving the run resizes them once.  Fix-ups, guard and
 samples stay per member; a member that fails or aborts leaves the run with
 its own status, message and states, and the others go on.  `integrate` is
 the one-member case.  The stages run with floating-point warnings silenced,
 so a diverging run ends as a clean `failed-nonfinite`.
 
-The quadratic fluxes are exact on every grid from oversample 2 up; only
-nubar = Phi(b)/Psi(omega) is a quadrature, and its error falls fast once
-diffusion has smoothed the datum.  So an rk45 run whose params.oversample is
-above 2 treats it as its finest grid and moves with the aliasing (the grid
-rule).  After an accepted step before t_end, while the run is above
-oversample 2 and a check is due, it evaluates the right-hand side one
-oversample lower at the FSAL point; when max|f_coarse - k1| / max|k1| <=
-rel_tol / 10 for every member, it moves there and takes that evaluation and
-its nubar as the next step's k1 and nu_ref, so a move costs no stage call.
-The first check is at the first accepted step; each miss doubles the wait to
-the next (2, 4, 8, ... steps: checks at steps 1, 3, 7, 15, ... on a run that
-never qualifies), and a move down makes the next one due a step later.  At
-each sample taken below the finest grid the run evaluates one oversample up:
-that gap is the sample's aliasing indicator, and above rel_tol the run moves
-up, again adopting the evaluation (which counts as a miss).  The factor 10
-between the two thresholds keeps the run from moving back and forth.  The
-grid's kernel calls are counted apart from the stages
-(`Trajectory.grid_checks`), and each move goes to `grid_schedule`.  rk4 runs
-and rk45 runs at oversample 2 stay on their grid.  A moved run differs from
-the fixed-grid run by about the aliasing it accepted: on the default
-simulate datum 3e-12 relative at t = 0.001 and 7e-11 at t = 1.
-
-Each sample keeps, beside its state, its right-hand side on the half (rk45's
-FSAL stage, or the evaluation the grid rule adopted; None for rk4 and for a
-sample right after a re-projection that the run never evaluated), the grid
-that is on, and its aliasing where the grid rule measured it:
-`diagnostics.nu_bar_aliasing` reuses them.  A member that fails keeps its
+Every kernel call of a run is on the quadrature grid of `params`, from the
+datum to t_end.  Each sample keeps, beside its state, its right-hand side on
+the half (rk45's FSAL stage; None for rk4 and for a sample right after a
+re-projection that the run never evaluated), which
+`diagnostics.nu_bar_aliasing` reuses.  A member that fails keeps its
 last finite state, at the last accepted step, as its final sample.  Its
 status names the cause: failed-nonfinite for a non-finite rk4 step, or an
 rk45 step that shrank below MIN_DT because its last attempt went
@@ -111,7 +90,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -120,7 +99,7 @@ from .cutoffs import CutoffProfile
 from .spectral import FOUR_PI_SQ, _geometry, div_residual, leray_coefficients
 # the member-stack kernel under the module-global name the loop looks up at
 # each call: one call per stage, for every member of the stack
-from .system import ModelParams, SimState, halves, rhs_gap, triple_sq
+from .system import ModelParams, SimState, halves, triple_sq
 from .system import member_rhs as rhs
 
 MAX_STEPS = 2_000_000          # accepted steps before a run is failed
@@ -184,14 +163,8 @@ class Trajectory:
     rejected: int = 0
     evaluations: int = 0             # kernel calls of the run's stages
     # one entry per state: its right-hand side on the canonical half (rk45's
-    # FSAL stage; None for rk4 and where the run never evaluated it), the
-    # oversample of the grid that f is on, and the state's nubar aliasing
-    # where the grid rule measured it (None elsewhere)
+    # FSAL stage; None for rk4 and where the run never evaluated it)
     rhs: List[Optional[np.ndarray]] = field(default_factory=list)
-    grids: List[int] = field(default_factory=list)
-    aliasing: List[Optional[float]] = field(default_factory=list)
-    grid_schedule: List[Tuple[float, int]] = field(default_factory=list)   # (t, oversample) of each move
-    grid_checks: int = 0             # kernel calls of the grid rule, not in evaluations
 
     @property
     def times(self) -> np.ndarray:
@@ -201,12 +174,9 @@ class Trajectory:
     def final(self) -> SimState:
         return self.states[-1]
 
-    def sample(self, state: SimState, grid: int, rhs: Optional[np.ndarray] = None,
-               aliasing: Optional[float] = None):
+    def sample(self, state: SimState, rhs: Optional[np.ndarray] = None):
         self.states.append(state)
         self.rhs.append(rhs)
-        self.grids.append(grid)
-        self.aliasing.append(aliasing)
 
 
 def fix_up(stack: np.ndarray, dim: int, cutoff: int):
@@ -325,13 +295,13 @@ def _sampled(trajs: List[Trajectory], live: List[int], ok: np.ndarray,
 
 
 def _keep_last_finite(traj: Trajectory, member: int, half: np.ndarray,
-                      f: Optional[np.ndarray], dim: int, cutoff: int, t: float, grid: int,
+                      f: Optional[np.ndarray], dim: int, cutoff: int, t: float,
                       on_sample: Optional[SampleHook]):
     """A failing member's last finite state, the canonical half at t, as its
     final sample unless its newest sample is at t already; on_sample sees it,
     and the member's status stands whatever the hook returns."""
     if traj.final.t < t:
-        traj.sample(SimState.from_half(half, dim, cutoff, t), grid, f)
+        traj.sample(SimState.from_half(half, dim, cutoff, t), f)
         if on_sample is not None:
             on_sample(member, traj.final)
 
@@ -364,21 +334,19 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
     bit-identical to their solo integrate runs.  rk45 members share one
     step, controlled by the largest member error ratio, so their samples have
     equal times: a non-finite stage in any member rejects the shared step, a
-    step-size underflow fails every member still running, a re-projection
-    of any member drops the shared FSAL stage, and they share the quadrature
-    grid, moved by the grid rule only when it holds for every member.  The
-    stages run with floating-point warnings silenced: a non-finite member is
-    reported by its status.
+    step-size underflow fails every member still running, and a
+    re-projection of any member drops the shared FSAL stage.  The stages run
+    with floating-point warnings silenced: a non-finite member is reported
+    by its status.
     """
     if not states0:
         raise ValueError("need at least one state")
     dim, cutoff, t = states0[0].dim, states0[0].cutoff, float(states0[0].t)
     if any((st.dim, st.cutoff, float(st.t)) != (dim, cutoff, t) for st in states0):
         raise ValueError("lockstep states must share dim, cutoff and start time")
-    finest = level = params.oversample       # level: the grid the run steps on
     trajs = [Trajectory(states=[]) for _ in states0]
     for traj, st in zip(trajs, states0):
-        traj.sample(st.copy(), finest)
+        traj.sample(st.copy())
     live = list(range(len(states0)))          # members still stepping, in row order
     ok = _sampled(trajs, live, np.ones(len(live), dtype=bool), on_sample, 0, 0, 0)
     if config.t_end <= t:
@@ -398,19 +366,6 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
     steps = rejected = evaluations = 0
     previous = None                # rk45's last rejected (h, ratio) at this t
     stopped = None                 # (status, message) of the members still running, stopped early
-    # the grid rule's state: the parameters of each grid, the accepted step
-    # of the next coarse check, and the back-off after a miss
-    adaptive = config.method == "rk45" and finest > 2
-    grids = {o: replace(params, oversample=o) for o in range(2, finest + 1)}
-    next_check, back_off = 1, 1
-
-    def checked(move: Optional[int] = None):
-        # one grid-rule kernel call, for every member still running, and
-        # the oversample it moved the run to
-        for member in live:
-            trajs[member].grid_checks += 1
-            if move is not None:
-                trajs[member].grid_schedule.append((t, move))
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while live and t < config.t_end - 1e-14 and steps < MAX_STEPS:
@@ -425,16 +380,15 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
                                f"non-finite coefficients at t = {t + h:.6g}, h = {h:.3g}",
                                steps, rejected, evaluations)
                         _keep_last_finite(trajs[live[i]], live[i], y[i], None, dim, cutoff,
-                                          t, level, on_sample)
+                                          t, on_sample)
                     live, y_new, ceiling = _survivors(finite, live, y_new, ceiling)
                     if not live:
                         break
                 h_next = config.dt
                 k1 = None
             else:
-                run = grids[level]
                 if k1 is None:
-                    k1, nu = rhs(y, cutoff, t, run, profile)
+                    k1, nu = rhs(y, cutoff, t, params, profile)
                     evaluations += 1
                     nu_ref = _midrange(nu)
                     for i, member in enumerate(live):     # a sample at t gets its f
@@ -451,7 +405,7 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
                                                  in zip(_DP_A[i], at, ns) if a)
                     if not np.all(np.isfinite(yi)):
                         break
-                    fi, nu = rhs(yi, cutoff, t + _DP_C[i] * h, run, profile)
+                    fi, nu = rhs(yi, cutoff, t + _DP_C[i] * h, params, profile)
                     evaluations += 1
                     ns.append(fi - lin * yi)
                 if len(ns) < 7 or not np.all(np.isfinite(fi)):
@@ -470,8 +424,10 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
                 if ratio > 1.0:
                     rejected += 1
                     # the run's first rejection, at the datum, assumes order 1:
-                    # the error falls like h^1.1 there (module docstring)
-                    retry = (h * 0.9 / ratio if steps == 0 and previous is None
+                    # the error falls like h^1.1 there (module docstring),
+                    # unless that retry would fall below MIN_DT
+                    retry = (h * 0.9 / ratio
+                             if steps == 0 and previous is None and h * 0.9 / ratio >= MIN_DT
                              else _shrink(h, ratio, previous))
                     h, previous = max(retry, MIN_DT), (h, ratio)
                     if h <= MIN_DT:
@@ -493,41 +449,12 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
                 k1 = None
             h = h_next
 
-            at_end = t >= config.t_end - 1e-14
-            sampled = steps % config.monitor_every == 0 or at_end
-            measured = None            # (oversample, f there, each member's aliasing)
-            if adaptive and k1 is not None:
-                if level > 2 and steps >= next_check and not at_end:
-                    f, nu = rhs(y, cutoff, t, grids[level - 1], profile)
-                    gap = rhs_gap(f, k1)
-                    if gap.max() <= 0.1 * config.rel_tol:     # step down, adopting f
-                        level, k1, nu_ref, back_off = level - 1, f, _midrange(nu), 1
-                        measured = (level, f, gap)
-                        checked(level)
-                    else:
-                        back_off *= 2
-                        checked()
-                    next_check = steps + back_off
-                if sampled and measured is None and level < finest:
-                    f, nu = rhs(y, cutoff, t, grids[level + 1], profile)
-                    gap = rhs_gap(k1, f)
-                    measured = (level, k1, gap)
-                    if gap.max() > config.rel_tol:     # step up, adopting f
-                        level, k1, nu_ref = level + 1, f, _midrange(nu)
-                        back_off *= 2
-                        next_check = steps + back_off
-                        checked(level)
-                    else:
-                        checked()
-
-            if sampled:
+            if steps % config.monitor_every == 0 or t >= config.t_end - 1e-14:
                 x_now = triple_sq(y, params.s, dim, cutoff)
                 ok = x_now <= ceiling
-                grid, f, gap = measured or (level, k1, None)
                 for i, member in enumerate(live):
-                    trajs[member].sample(SimState.from_half(y[i], dim, cutoff, t), grid,
-                                         None if f is None else f[i],
-                                         None if gap is None else float(gap[i]))
+                    trajs[member].sample(SimState.from_half(y[i], dim, cutoff, t),
+                                         None if k1 is None else k1[i])
                     if not ok[i]:
                         _leave(trajs[member], "aborted-blowup",
                                f"triple norm^2 {x_now[i]:.6g} exceeded guard "
@@ -544,5 +471,5 @@ def integrate_lockstep(states0: List[SimState], config: IntegratorConfig,
             traj.status, traj.message = stopped or ("failed-maxsteps",
                                                     f"{MAX_STEPS} steps exhausted")
             _keep_last_finite(traj, member, y[i], None if k1 is None else k1[i], dim, cutoff,
-                              t, level, on_sample)
+                              t, on_sample)
     return trajs

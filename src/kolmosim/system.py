@@ -32,8 +32,7 @@ right-hand side.  With the stack it returns each member's nubar samples on
 the quadrature grid, from which the integrator takes its reference
 viscosity.  `rhs` is the one-state case on field objects, the state's real
 part in and cubes out, without the nubar samples.  `rhs_gap` compares two
-of the kernel's outputs member by member (the integrator's grid rule and
-the aliasing indicator).
+of the kernel's outputs member by member (the aliasing indicator).
 
 The kernel's plan for a size lives in an `RhsWorkspace`, which the kernel
 owns.  It binds what the size (dim, cutoff, grid points, members) fixes:
@@ -45,11 +44,12 @@ called at last takes its plan at once: it neither recomputes the grid
 size nor looks up the maps' tables.
 Each thread keeps a plan for each of the last two grid sizes it called
 at for one (dim, cutoff, members), and every caller (integrations, `rhs`,
-the aliasing indicator) reuses them, so an rk45 run whose grid moves
-between 96^2 and 64^2 builds each once.  A call at a third size frees the
-one used least recently, and a call at another (dim, cutoff, members) frees
-both, before building; so a lockstep run that loses a member rebuilds on
-its next call.  A thread keeps its plans until then or until it exits.
+the aliasing indicator) reuses them, so the indicator, whose calls
+alternate between a state's grid and the one above, builds each once.  A
+call at a third size frees the one used least recently, and a call at
+another (dim, cutoff, members) frees both, before building; so a lockstep
+run that loses a member rebuilds on its next call.  A thread keeps its
+plans until then or until it exits.
 Threads never share buffers.  The kernel always returns a new array, never
 a view of the workspace, so results held across calls (the RK stages) stay
 valid.
@@ -82,10 +82,8 @@ from .spectral import (
 @dataclass
 class ModelParams:
     """The model's constants and its quadrature grid: oversample times the
-    2n - 1 modes per axis, rounded up to a fast FFT size.  rk4 runs and rk45
-    runs at oversample 2 step on that grid throughout; for an rk45 run above
-    2 it is the finest grid, and the run steps down from it while the
-    coarser right-hand side agrees (`integrators`)."""
+    2n - 1 modes per axis, rounded up to a fast FFT size.  A run steps on
+    that grid from start to end (`integrators`)."""
 
     alpha: float
     s: float
@@ -390,9 +388,10 @@ def _workspace(dim: int, cutoff: int, params: ModelParams, members: int) -> RhsW
     """This thread's plan for (dim, cutoff, params.oversample, members).  A
     call at the size this thread called at last takes it at once.  The
     thread keeps the last two grid sizes it called at for one (dim, cutoff,
-    members), so a run whose quadrature grid moves, or checks one grid
-    against another, builds each size once; a call at a third size, or at
-    another (dim, cutoff, members), frees what it does not keep first."""
+    members), so the aliasing indicator, whose calls on a state's grid and
+    on the one above alternate over rk4 samples, builds each size once; a
+    call at a third size, or at another (dim, cutoff, members), frees what
+    it does not keep first."""
     key = (dim, cutoff, params.oversample, members)
     if getattr(_local, "key", None) == key:
         return _local.kept[-1]

@@ -19,6 +19,7 @@ from kolmosim.spectral import SpectralField, VectorSpectralField
 from kolmosim.storage import (load_snapshot, parse_config, print_config,
                               read_diagnostics_csv, save_snapshot)
 from kolmosim.system import SimState
+from test_acceptance import LOW_NU, low_viscosity_datum
 
 
 def run(*argv):
@@ -340,9 +341,11 @@ def test_simulate_summary_reports_rejected_steps(tmp_path, monkeypatch):
 
 
 def test_simulate_summary_reports_grid_and_aliasing(tmp_path, monkeypatch, capsys):
-    # the summary names the quadrature grid and its nubar aliasing, whose
-    # kernel calls are not the run's evaluations; above rel_tol (the
-    # default 1e-8) the run warns once and still exits 0
+    # the summary names the quadrature grid and the final sample's nubar
+    # aliasing, whose kernel call is not one of the run's evaluations.  The
+    # refinement trio's datum at n = 8 still aliases 2.7e-8 at t = 0.05 on
+    # 30^2, above rel_tol (the default 1e-8): the run warns once and still
+    # exits 0.  On 45^2 it aliases 1.5e-12 and does not warn
     runs = []
     integrate = cli.integrate
 
@@ -351,52 +354,27 @@ def test_simulate_summary_reports_grid_and_aliasing(tmp_path, monkeypatch, capsy
         return runs[-1][1]
 
     monkeypatch.setattr(cli, "integrate", recording_integrate)
-    out = str(tmp_path / "run")
-    assert run(*sim_args(out, kind="random", n=4, seed=9, method="rk45",
-                         t_end=0.01)) == 0
-    with open(os.path.join(out, "summary.txt")) as fh:
-        summary = dict(line.split(" = ", 1) for line in fh.read().splitlines())
-    (args, traj), = runs
-    _, _, params, profile = args
-    assert int(summary["grid_points"]) == params.grid_points(4)
-    assert int(summary["rhs_evaluations"]) == traj.evaluations
-    aliasing = float(summary["nu_bar_aliasing"])
-    assert aliasing == max(nu_bar_aliasing(traj.states, params, profile))
-    assert aliasing > 1e-8
-    warnings = [line for line in capsys.readouterr().err.splitlines()
-                if line.startswith("warning:")]
-    assert len(warnings) == 1
-
-
-def test_simulate_summary_reports_the_grid_schedule(tmp_path, monkeypatch, capsys):
-    # the default datum steps down from 96^2 to 64^2 during the run: the
-    # summary keeps the finest grid, adds each move and the checks' kernel
-    # calls apart from the run's, and the aliasing is each sample's own
-    # grid's against the one above
-    runs = []
-    integrate = cli.integrate
-
-    def recording_integrate(*args, **kwargs):
-        runs.append((args, integrate(*args, **kwargs)))
-        return runs[-1][1]
-
-    monkeypatch.setattr(cli, "integrate", recording_integrate)
-    out = str(tmp_path / "run")
-    assert run(*sim_args(out, kind="random", n=16, method="rk45", t_end=0.001)) == 0
-    with open(os.path.join(out, "summary.txt")) as fh:
-        summary = dict(line.split(" = ", 1) for line in fh.read().splitlines())
-    (args, traj), = runs
-    _, _, params, profile = args
-    (t_move, oversample), = traj.grid_schedule
-    assert oversample == 2 and 0 < t_move < 0.001
-    assert int(summary["grid_points"]) == params.grid_points(16) == 96
-    assert summary["grid_schedule"] == f"{t_move!r}:64"
-    assert int(summary["grid_checks"]) == traj.grid_checks >= 1
-    assert int(summary["rhs_evaluations"]) == traj.evaluations
-    own = [nu_bar_aliasing([st], replace(params, oversample=grid), profile)[0]
-           for st, grid in zip(traj.states, traj.grids)]
-    assert float(summary["nu_bar_aliasing"]) == max(own) <= 1e-8
-    assert "warning:" not in capsys.readouterr().err
+    datum = str(tmp_path / "low_nu.kolm")
+    save_snapshot(low_viscosity_datum(5), datum)
+    for oversample, points, warned in ((2, 30, 1), (3, 45, 0)):
+        out = str(tmp_path / f"run{oversample}")
+        assert run(*sim_args(out, kind="snapshot", snapshot=datum, n=8, method="rk45",
+                             t_end=0.05, omega_min0=LOW_NU.omega_min0,
+                             omega_max0=LOW_NU.omega_max0, b_min0=LOW_NU.b_min0,
+                             oversample=oversample)) == 0
+        with open(os.path.join(out, "summary.txt")) as fh:
+            summary = dict(line.split(" = ", 1) for line in fh.read().splitlines())
+        args, traj = runs.pop()
+        _, _, params, profile = args
+        assert int(summary["grid_points"]) == params.grid_points(8) == points
+        assert int(summary["rhs_evaluations"]) == traj.evaluations
+        assert "grid_schedule" not in summary and "grid_checks" not in summary
+        aliasing = float(summary["nu_bar_aliasing"])
+        assert aliasing == nu_bar_aliasing([traj.final], params, profile)[0]
+        assert (aliasing > 1e-8) == (oversample == 2)
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        assert len(warnings) == warned
 
 
 def test_simulate_nonfinite_abort_writes_the_last_finite_state(tmp_path, capsys):

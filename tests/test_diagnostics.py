@@ -1,6 +1,6 @@
 """Diagnostics: frozen exponent values, existence-time closed forms against
 bisection, norm-ceiling and envelope monitors on short trajectories, and the
-nubar aliasing indicator that sizes the default quadrature grid."""
+nubar aliasing indicator that judges the quadrature grid."""
 
 import dataclasses
 import math
@@ -17,7 +17,7 @@ from kolmosim.diagnostics import (ConstantModel, beta_exponent,
 from kolmosim.integrators import IntegratorConfig, integrate
 from kolmosim.spectral import SpectralField, VectorSpectralField
 from kolmosim.storage import RunConfig
-from kolmosim.system import ModelParams, SimState
+from kolmosim.system import ModelParams, SimState, pack
 
 WIDE = InitialBounds(b_min0=0.5, omega_min0=0.5, omega_max0=2.0, alpha=1.0)
 
@@ -257,34 +257,35 @@ class TestTrajectoryCeiling:
 
 
 class TestNuBarAliasing:
-    def test_default_oversample_is_the_smallest_within_rel_tol(self):
-        # the default datum's extrema sit on the envelope bounds at t = 0,
-        # where the cutoffs act and nubar aliases most
-        config = RunConfig()
-        run = config.validate()
-        state = cli.initial_state(config)
-        profile = CutoffProfile(run.bounds)
-
-        def indicator(oversample):
-            params = dataclasses.replace(run.model, oversample=oversample)
-            value, = nu_bar_aliasing([state], params, profile)
-            return value
-
-        default, tol = config["oversample"], run.integrator.rel_tol
-        assert indicator(default) <= tol
-        assert indicator(default - 1) > tol
-
-    def test_a_run_keeps_what_the_indicator_needs(self, monkeypatch):
-        # the default datum steps down to 64^2 at its 7th step: the samples
-        # below 96^2 carry the run's checks one grid up, and the datum its
-        # 96^2 right-hand side, so one kernel call (at 125^2) is left; each
-        # value is that of its sample on its own grid
+    @staticmethod
+    def default_run():
+        """The default simulate datum, its run to t_end 0.001 and its objects."""
         config = RunConfig()
         config["t_end"] = 0.001
         run = config.validate()
-        profile = CutoffProfile(run.bounds)
-        traj = integrate(cli.initial_state(config), run.integrator, run.model, profile)
-        assert traj.grids == [3, 2, 2]
+        state, profile = cli.initial_state(config), CutoffProfile(run.bounds)
+        return state, integrate(state, run.integrator, run.model, profile), run, profile
+
+    def test_default_oversample_ends_within_rel_tol(self):
+        # the default datum's extrema sit on the envelope bounds at t = 0,
+        # where the cutoffs act and nubar aliases most; that is a transient:
+        # at the final sample the aliasing is below rel_tol / 10, and the
+        # final state lies within rel_tol / 10 of the run one grid up
+        state, traj, run, profile = self.default_run()
+        finer = integrate(state, run.integrator,
+                          dataclasses.replace(run.model, oversample=run.model.oversample + 1),
+                          profile)
+        tol = run.integrator.rel_tol
+        assert traj.status == finer.status == "completed"
+        assert nu_bar_aliasing([state], run.model, profile)[0] > tol
+        assert nu_bar_aliasing([traj.final], run.model, profile)[0] <= tol / 10
+        final, reference = pack(traj.final), pack(finer.final)
+        assert np.max(np.abs(final - reference)) <= tol / 10 * np.max(np.abs(reference))
+
+    def test_an_rk45_final_sample_costs_one_call(self, monkeypatch):
+        # the run keeps its final sample's right-hand side, so the indicator
+        # takes one kernel call, one grid up, for the two-call value
+        _, traj, run, profile = self.default_run()
         calls = []
         kernel = diagnostics.member_rhs
 
@@ -293,25 +294,21 @@ class TestNuBarAliasing:
             return kernel(ys, cutoff, t, params, *args)
 
         monkeypatch.setattr(diagnostics, "member_rhs", counting_rhs)
-        got = nu_bar_aliasing(traj.states, run.model, profile, traj.rhs, traj.grids,
-                              traj.aliasing)
-        assert calls == [4]
+        got = nu_bar_aliasing([traj.final], run.model, profile, [traj.rhs[-1]])
+        assert calls == [run.model.oversample + 1]
         monkeypatch.undo()
-        own = [nu_bar_aliasing([st], dataclasses.replace(run.model, oversample=grid),
-                               profile)[0] for st, grid in zip(traj.states, traj.grids)]
-        assert got.tolist() == own
+        assert got.tolist() == nu_bar_aliasing([traj.final], run.model, profile).tolist()
 
     def test_kept_rhs_gives_the_same_values(self):
-        # a run that never leaves its grid (oversample 2): the kept
-        # right-hand sides replace the first call of each sample bit for bit
+        # the kept right-hand sides replace the first call of each sample
+        # bit for bit
         state = cli.initial_state(RunConfig())
         params = ModelParams(alpha=1.0, s=2.0, bounds=WIDE, oversample=2)
         config = IntegratorConfig(t_end=2e-4, monitor_every=2)
         traj = integrate(state, config, params, CutoffProfile(WIDE))
-        assert traj.grids == [2] * len(traj.states) and all(f is not None for f in traj.rhs)
+        assert all(f is not None for f in traj.rhs)
         assert np.array_equal(
-            nu_bar_aliasing(traj.states, params, CutoffProfile(WIDE), traj.rhs, traj.grids,
-                            traj.aliasing),
+            nu_bar_aliasing(traj.states, params, CutoffProfile(WIDE), traj.rhs),
             nu_bar_aliasing(traj.states, params, CutoffProfile(WIDE)))
 
     def test_constant_viscosity_does_not_alias(self):

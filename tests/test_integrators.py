@@ -16,7 +16,7 @@ from kolmosim.integrators import IntegratorConfig, fix_up, integrate, integrate_
 from kolmosim.spectral import (FOUR_PI_SQ, SpectralField, VectorSpectralField, _geometry,
                                div_residual, half_to_cube, real_half)
 from kolmosim.storage import RunConfig, load_snapshot, save_snapshot
-from kolmosim.system import ModelParams, SimState, member_rhs, pack, rhs_gap
+from kolmosim.system import ModelParams, SimState, member_rhs, pack
 from oracles import cube_to_half, symmetrize
 
 TIGHT = InitialBounds(b_min0=1.0, omega_min0=1.0, omega_max0=1.0, alpha=1.0)
@@ -283,15 +283,16 @@ class TestDegenerateCases:
         assert np.all(np.isfinite(pack(traj.final)))
 
     def test_step_size_underflow_after_rejected_steps(self):
-        # no step meets a tolerance of 1e-300: the datum's first rejection
-        # retries at h 0.9 / r, below the floor, and the run stops there
+        # no step meets a tolerance of 1e-300: h 0.9 / r would fall below
+        # the floor at once, so every retry takes the 0.2 shrink, and the
+        # 13th reaches the floor from dt = 1e-3
         config = IntegratorConfig(method="rk45", dt=1e-3, abs_tol=1e-300, rel_tol=1e-300,
                                   t_end=0.01, monitor_every=100)
         traj = integrate(divergence_free_random_state(86, cutoff=6), config,
                          make_params(bounds=WIDE), CutoffProfile(WIDE))
         assert (traj.status, traj.message) == ("failed-stepsize",
                                                "step size underflow at t = 0, h = 1e-12")
-        assert (traj.steps, traj.rejected, len(traj.states)) == (0, 1, 1)
+        assert (traj.steps, traj.rejected, len(traj.states)) == (0, 13, 1)
 
     @pytest.mark.parametrize("method", ["rk4", "rk45"])
     def test_max_steps_exhausted(self, monkeypatch, method):
@@ -450,6 +451,24 @@ class TestStepControl:
         # r = 1e3 at the datum: h 0.9 / r, where the 0.2 floor would give 0.2h
         times = self.scripted_run(monkeypatch, [1e3, 0.5], 1)
         assert times == [0.0, 1e-3 * 0.9 / 1e3]
+
+    def test_datum_retry_below_the_floor_shrinks(self, monkeypatch):
+        # r = 1e12 at the datum: h 0.9 / r is below MIN_DT, so the retry is
+        # the floored shrink, 0.2h, and the run goes on
+        times = self.scripted_run(monkeypatch, [1e12, 0.5], 1)
+        assert times == [0.0, integrators._shrink(1e-3, 1e12, None)] == [0.0, 2e-4]
+
+    def test_rough_datum_at_tight_tolerance_completes(self):
+        # rho = 1.2 on 64^2: at 1e-12 the first try reads r = 5.8e9, whose
+        # order-1 retry would be 1.5e-13, below MIN_DT
+        config = RunConfig()
+        for key, value in (("rho", 1.2), ("v_scale", 0.5), ("seed", 1), ("oversample", 2),
+                           ("abs_tol", 1e-12), ("rel_tol", 1e-12), ("t_end", 1e-3)):
+            config[key] = value
+        run = config.validate()
+        traj = integrate(cli.initial_state(config), run.integrator, run.model,
+                         CutoffProfile(run.bounds))
+        assert traj.status == "completed" and traj.final.t == pytest.approx(1e-3)
 
     def test_later_rejection_shrinks(self, monkeypatch):
         times = self.scripted_run(monkeypatch, [0.5, 2.0, 0.5], 2)
@@ -815,119 +834,25 @@ class TestSampleHook:
         assert len(seen) == 2 and traj.status == "aborted-blowup" and traj.steps == 10
 
 
-class TestGridRule:
-    """rk45 above oversample 2 steps down one grid when the coarser
-    right-hand side at the FSAL point agrees to rel_tol/10 for every
-    member, and back up when a sample's aliasing exceeds rel_tol."""
+class TestOneGrid:
+    """Every kernel call of a run is on the quadrature grid of its params."""
 
-    @staticmethod
-    def record(monkeypatch, change=None):
-        """Each kernel call's (oversample, t); change(f, t, params) may
-        replace the right-hand side the kernel returns."""
+    def test_fixed_grid_runs_call_one_size(self, monkeypatch):
         calls = []
         kernel = integrators.rhs
 
         def recording_rhs(ys, cutoff, t, params, *args):
-            calls.append((params.oversample, t))
-            f, nu = kernel(ys, cutoff, t, params, *args)
-            return (f if change is None else change(f, t, params)), nu
+            calls.append(params.oversample)
+            return kernel(ys, cutoff, t, params, *args)
 
         monkeypatch.setattr(integrators, "rhs", recording_rhs)
-        return calls
-
-    @staticmethod
-    def default_run(**settings):
-        """The default simulate datum and its run's objects, to t_end 0.001."""
         config = RunConfig()
-        config["t_end"] = 0.001
-        for key, value in settings.items():
-            config[key] = value
         run = config.validate()
-        return cli.initial_state(config), run.integrator, run.model, CutoffProfile(run.bounds)
-
-    def test_fixed_grid_runs_call_one_size(self, monkeypatch):
-        # rk4 at oversample 3 and rk45 at oversample 2 never check a grid
-        calls = self.record(monkeypatch)
-        state, _, params, profile = self.default_run()
-        for config, oversample in ((IntegratorConfig(method="rk4", dt=1e-5, t_end=1e-4), 3),
-                                   (IntegratorConfig(t_end=1e-3), 2)):
+        state, profile = cli.initial_state(config), CutoffProfile(run.bounds)
+        for method, dt, t_end, oversample in (("rk4", 1e-5, 1e-4, 3), ("rk45", 1e-3, 1e-3, 2),
+                                              ("rk45", 1e-3, 1e-3, 3)):
             calls.clear()
-            traj = integrate(state, config, replace(params, oversample=oversample), profile)
+            traj = integrate(state, IntegratorConfig(method=method, dt=dt, t_end=t_end),
+                             replace(run.model, oversample=oversample), profile)
             assert traj.status == "completed" and len(calls) == traj.evaluations
-            assert {o for o, _ in calls} == {oversample}
-            assert traj.grid_checks == 0 and traj.grid_schedule == []
-            assert traj.grids == [oversample] * len(traj.states)
-
-    def test_default_datum_steps_down_where_the_rule_first_holds(self, monkeypatch):
-        # every step sampled, so each one keeps its FSAL stage: the run moves
-        # 96^2 -> 64^2 at the first step whose 64^2 right-hand side agrees to
-        # rel_tol/10 (the 7th), adopting that evaluation as its next k1
-        calls = self.record(monkeypatch)
-        state, config, params, profile = self.default_run(monitor_every=1)
-        traj = integrate(state, config, params, profile)
-        assert traj.status == "completed" and params.oversample == 3
-
-        def kernel(st, oversample):
-            return member_rhs(real_half(pack(st), 2)[None], 16, st.t,
-                              replace(params, oversample=oversample), profile)[0]
-
-        moved = traj.grids.index(2)           # the first sample on 64^2
-        assert moved == 7 and traj.grid_schedule == [(traj.states[moved].t, 2)]
-        assert all(rhs_gap(kernel(st, 2), f[None])[0] > config.rel_tol / 10
-                   for st, f in zip(traj.states[:moved], traj.rhs[:moved]))
-        # the 7th sample keeps the 64^2 evaluation, and the gap the rule saw
-        assert np.array_equal(traj.rhs[moved][None], kernel(traj.states[moved], 2))
-        assert traj.aliasing[moved] == rhs_gap(traj.rhs[moved][None],
-                                               kernel(traj.states[moved], 3))[0]
-        assert traj.aliasing[moved] <= config.rel_tol / 10
-        # no stage call for the move
-        assert traj.evaluations == 6 * (traj.steps + traj.rejected) + 1
-        assert len(calls) == traj.evaluations + traj.grid_checks
-        # after it, 96^2 is called only for each sample's check one grid up,
-        # which is that sample's aliasing
-        after = calls[calls.index((2, traj.states[moved].t)) + 1:]
-        assert [o for o, _ in after].count(3) == len(traj.states) - moved - 1
-        assert all(a is not None and a <= config.rel_tol for a in traj.aliasing[moved:])
-
-    def test_moving_run_ends_near_the_fixed_grid_run(self, monkeypatch):
-        # a run whose coarse checks never agree keeps 96^2 throughout: the
-        # final states differ by less than 10 rel_tol
-        state, config, params, profile = self.default_run()
-        moving = integrate(state, config, params, profile)
-        self.record(monkeypatch, lambda f, t, p: f + 1.0 if p.oversample == 2 else f)
-        fixed = integrate(state, config, params, profile)
-        assert fixed.grid_schedule == [] and moving.grid_schedule != []
-        assert (fixed.steps, fixed.rejected) == (moving.steps, moving.rejected)
-        gap = np.max(np.abs(pack(moving.final) - pack(fixed.final))) / \
-            np.max(np.abs(pack(fixed.final)))
-        assert gap <= 10 * config.rel_tol
-
-    def test_step_up_adopts_the_fine_evaluation(self, monkeypatch):
-        # past t = 5e-4 the 64^2 right-hand side is off by 1e-7 relative:
-        # the next sample's check one grid up sees it and moves the run back
-        def skewed(f, t, params):
-            return f * (1 + 1e-7) if params.oversample == 2 and t > 5e-4 else f
-
-        calls = self.record(monkeypatch, skewed)
-        state, config, params, profile = self.default_run(monitor_every=2)
-        traj = integrate(state, config, params, profile)
-        assert traj.status == "completed"
-        (t_down, two), (t_up, three) = traj.grid_schedule
-        assert (two, three) == (2, 3) and 5e-4 < t_up
-        up = [st.t for st in traj.states].index(t_up)
-        assert traj.grids[up] == 2 and traj.aliasing[up] > config.rel_tol
-        assert traj.grids[up + 1:] == [3] * (len(traj.states) - up - 1)
-        assert traj.evaluations == 6 * (traj.steps + traj.rejected) + 1
-        assert len(calls) == traj.evaluations + traj.grid_checks
-        assert [o for o, _ in calls[-6:]] == [3] * 6      # the last step's stages
-
-    def test_never_qualifying_datum_spends_little_on_checks(self, monkeypatch):
-        # at rel_tol 1e-11 the coarse grid never agrees to 1e-12: the checks
-        # back off, and take at most 3% of the run's kernel calls
-        calls = self.record(monkeypatch)
-        state, config, params, profile = self.default_run(
-            n=8, seed=3, rel_tol=1e-11, abs_tol=1e-11, t_end=0.002)
-        traj = integrate(state, config, params, profile)
-        assert traj.status == "completed" and traj.grid_schedule == []
-        assert traj.grid_checks == sum(o == 2 for o, _ in calls) >= 1
-        assert traj.grid_checks <= 0.03 * len(calls)
+            assert set(calls) == {oversample}
