@@ -377,6 +377,29 @@ def test_simulate_summary_reports_grid_and_aliasing(tmp_path, monkeypatch, capsy
         assert len(warnings) == warned
 
 
+def test_default_simulate_steps_on_one_grid(tmp_path, monkeypatch, capsys):
+    # the default datum (n = 16, oversample 2) steps on 64^2 from the datum
+    # to t_end; its final sample aliases far below rel_tol, so the run does
+    # not warn, and the summary names no grid schedule
+    calls = []
+    kernel = integrators.rhs
+
+    def recording_rhs(ys, cutoff, t, params, *args):
+        calls.append(params.oversample)
+        return kernel(ys, cutoff, t, params, *args)
+
+    monkeypatch.setattr(integrators, "rhs", recording_rhs)
+    out = str(tmp_path / "run")
+    assert run("simulate", "--set", "t_end=0.001", "--set", f"directory={out}") == 0
+    with open(os.path.join(out, "summary.txt")) as fh:
+        summary = dict(line.split(" = ", 1) for line in fh.read().splitlines())
+    assert int(summary["grid_points"]) == 64
+    assert set(calls) == {2} and len(calls) == int(summary["rhs_evaluations"])
+    assert "grid_schedule" not in summary and "grid_checks" not in summary
+    assert float(summary["nu_bar_aliasing"]) <= 1e-8 / 10
+    assert "warning:" not in capsys.readouterr().err
+
+
 def test_simulate_nonfinite_abort_writes_the_last_finite_state(tmp_path, capsys):
     # rk4 at dt = 0.5 diverges in its second step: the first step's state
     # is the last snapshot, and the summary's final sample

@@ -299,6 +299,31 @@ class TestNuBarAliasing:
         monkeypatch.undo()
         assert got.tolist() == nu_bar_aliasing([traj.final], run.model, profile).tolist()
 
+    def test_an_rk4_sample_costs_two_calls(self, monkeypatch):
+        # an rk4 run keeps no right-hand side, so each sample's value takes a
+        # call on its own grid and one on the grid above, in that order
+        config = RunConfig()
+        for key, value in (("method", "rk4"), ("dt", 1e-5), ("t_end", 5e-5),
+                           ("monitor_every", 1)):
+            config[key] = value
+        run = config.validate()
+        profile = CutoffProfile(run.bounds)
+        traj = integrate(cli.initial_state(config), run.integrator, run.model, profile)
+        assert traj.status == "completed" and len(traj.states) == 6
+        assert all(f is None for f in traj.rhs)
+        calls = []
+        kernel = diagnostics.member_rhs
+
+        def counting_rhs(ys, cutoff, t, params, *args):
+            calls.append(params.oversample)
+            return kernel(ys, cutoff, t, params, *args)
+
+        monkeypatch.setattr(diagnostics, "member_rhs", counting_rhs)
+        got = nu_bar_aliasing(traj.states, run.model, profile, traj.rhs)
+        own = run.model.oversample
+        assert calls == [own, own + 1] * len(traj.states)
+        assert got.tolist() == nu_bar_aliasing(traj.states, run.model, profile).tolist()
+
     def test_kept_rhs_gives_the_same_values(self):
         # the kept right-hand sides replace the first call of each sample
         # bit for bit

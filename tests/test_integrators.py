@@ -856,3 +856,24 @@ class TestOneGrid:
                              replace(run.model, oversample=oversample), profile)
             assert traj.status == "completed" and len(calls) == traj.evaluations
             assert set(calls) == {oversample}
+
+    def test_lockstep_runs_call_one_size(self, monkeypatch):
+        # rk45 members sharing one step at oversample 3 call the kernel on
+        # 96^2 only, one call per shared stage
+        calls = []
+        kernel = integrators.rhs
+
+        def recording_rhs(ys, cutoff, t, params, *args):
+            calls.append((params.oversample, len(ys)))
+            return kernel(ys, cutoff, t, params, *args)
+
+        monkeypatch.setattr(integrators, "rhs", recording_rhs)
+        config = RunConfig()
+        run = config.validate()
+        states = [cli.initial_state(config), constant_state(cutoff=16)]
+        runs = integrate_lockstep(states, IntegratorConfig(method="rk45", t_end=1e-3),
+                                  replace(run.model, oversample=3),
+                                  CutoffProfile(run.bounds))
+        assert [r.status for r in runs] == ["completed", "completed"]
+        assert runs[0].evaluations == runs[1].evaluations == len(calls)
+        assert set(calls) == {(3, 2)}
