@@ -42,14 +42,11 @@ call reads only what it is given: the stack, t, params.alpha and the
 profile.  A call at the (dim, cutoff, oversample, members) this thread
 called at last takes its plan at once: it neither recomputes the grid
 size nor looks up the maps' tables.
-Each thread keeps a plan for each of the last two grid sizes it called
-at for one (dim, cutoff, members), and every caller (integrations, `rhs`,
-the aliasing indicator) reuses them, so the indicator, whose calls
-alternate between a state's grid and the one above, builds each once.  A
-call at a third size frees the one used least recently, and a call at
-another (dim, cutoff, members) frees both, before building; so a lockstep
-run that loses a member rebuilds on its next call.  A thread keeps its
-plans until then or until it exits.
+Each thread keeps one plan, for the size it called at last, and every
+caller (integrations, `rhs`, the aliasing indicator) reuses it.  A call at
+another size frees it before building its own, so a lockstep run that
+loses a member rebuilds on its next call.  A thread keeps its plan until
+then or until it exits.
 Threads never share buffers.  The kernel always returns a new array, never
 a view of the workspace, so results held across calls (the RK stages) stay
 valid.
@@ -386,24 +383,17 @@ _local = threading.local()
 
 def _workspace(dim: int, cutoff: int, params: ModelParams, members: int) -> RhsWorkspace:
     """This thread's plan for (dim, cutoff, params.oversample, members).  A
-    call at the size this thread called at last takes it at once.  The
-    thread keeps the last two grid sizes it called at for one (dim, cutoff,
-    members), so the aliasing indicator, whose calls on a state's grid and
-    on the one above alternate over rk4 samples, builds each size once; a
-    call at a third size, or at another (dim, cutoff, members), frees what
-    it does not keep first."""
+    call at the size this thread called at last takes it at once; a call at
+    another size frees the thread's plan before building its own."""
     key = (dim, cutoff, params.oversample, members)
     if getattr(_local, "key", None) == key:
-        return _local.kept[-1]
+        return _local.ws
     size = (dim, cutoff, params.grid_points(cutoff), members)
-    kept = getattr(_local, "kept", [])
-    ws = next((w for w in kept if w.size == size), None)
-    if ws is None:
-        kept = [w for w in kept[-1:] if w.size[:2] + w.size[3:] == size[:2] + size[3:]]
-        _local.key, _local.kept = None, []      # free the other buffers first
+    ws = getattr(_local, "ws", None)
+    if ws is None or ws.size != size:
+        _local.key = _local.ws = ws = None      # free the old buffers first
         ws = RhsWorkspace(*size)
-    _local.kept = [w for w in kept if w is not ws] + [ws]    # the last size called at last
-    _local.key = key
+    _local.key, _local.ws = key, ws
     return ws
 
 

@@ -29,6 +29,7 @@ from kolmosim.spectral import (SpectralField, VectorSpectralField, _geometry,
 from kolmosim.storage import (CSV_COLUMNS, load_snapshot, save_snapshot)
 from kolmosim.system import (ModelParams, SimState, hypothesis_violations,
                              rhs)
+from datums import LOW_NU, low_viscosity_datum
 
 WIDE = InitialBounds(b_min0=0.5, omega_min0=0.5, omega_max0=2.0, alpha=1.0)
 TIGHT = InitialBounds(b_min0=1.0, omega_min0=1.0, omega_max0=1.0, alpha=1.0)
@@ -86,31 +87,6 @@ def envelope_batch():
 
 
 # -- criteria 6, 11: shared refinement trio ------------------------------------------
-
-LOW_NU = InitialBounds(b_min0=0.004, omega_min0=2.5, omega_max0=3.5, alpha=1.0)
-
-
-def low_viscosity_datum(seed):
-    """Rough admissible datum with nu_bar ~ 1.5e-3, so Galerkin truncation
-    differences survive to t = 0.25 instead of being diffused away."""
-    spec = RandomFieldSpec(dim=2, cutoff=8, rho=1.5, seed=seed)
-    rng = spec.rng(0)
-    center = (spec.cutoff - 1,) * 2
-    v = VectorSpectralField(tuple(spec.draw(rng) for _ in range(2)))
-    v = v.leray_project()
-    sup = max(float(np.max(np.abs(c.real_samples(64))))
-              for c in v.components)
-    v = v * (0.3 / sup)
-    f = spec.draw(rng)
-    omega = f * (0.5 / float(np.max(np.abs(f.real_samples(64)))))
-    omega.coeffs[center] += 3.0
-    g = spec.draw(rng)
-    b = g * (0.001 / float(np.max(np.abs(g.real_samples(64)))))
-    b.coeffs[center] += 0.005
-    state = SimState(v, omega, b, 0.0)
-    assert not hypothesis_violations(state, S_RUN)
-    return state
-
 
 def refinement_run(datum, n, monitor_every=100):
     params = ModelParams(alpha=1.0, s=S_RUN, bounds=LOW_NU, oversample=2)

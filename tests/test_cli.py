@@ -19,7 +19,7 @@ from kolmosim.spectral import SpectralField, VectorSpectralField
 from kolmosim.storage import (load_snapshot, parse_config, print_config,
                               read_diagnostics_csv, save_snapshot)
 from kolmosim.system import SimState
-from test_acceptance import LOW_NU, low_viscosity_datum
+from datums import LOW_NU, low_viscosity_datum
 
 
 def run(*argv):
@@ -423,6 +423,20 @@ def test_simulate_without_aliasing_does_not_warn(tmp_path, capsys):
         summary = dict(line.split(" = ", 1) for line in fh.read().splitlines())
     assert float(summary["nu_bar_aliasing"]) <= 1e-15     # constant nubar: roundoff
     assert "warning:" not in capsys.readouterr().err
+
+
+def test_run_stopped_at_its_datum_does_not_warn(tmp_path, capsys):
+    # tolerances no step can meet end the default run at t = 0; its final
+    # sample is the datum, whose aliasing (1.6e-5 on 64^2) is a transient
+    # the grid did not fail on
+    out = str(tmp_path / "run")
+    assert run("simulate", "--set", "abs_tol=1e-300", "--set", "rel_tol=1e-300",
+               "--set", f"directory={out}") == 2
+    with open(os.path.join(out, "summary.txt")) as fh:
+        summary = dict(line.split(" = ", 1) for line in fh.read().splitlines())
+    assert (summary["status"], summary["final_t"]) == ("failed-stepsize", "0.0")
+    assert float(summary["nu_bar_aliasing"]) > 1e-6
+    assert "raise oversample" not in capsys.readouterr().err
 
 
 def test_simulate_random_deterministic(tmp_path):

@@ -837,29 +837,12 @@ class TestSampleHook:
 class TestOneGrid:
     """Every kernel call of a run is on the quadrature grid of its params."""
 
-    def test_fixed_grid_runs_call_one_size(self, monkeypatch):
-        calls = []
-        kernel = integrators.rhs
-
-        def recording_rhs(ys, cutoff, t, params, *args):
-            calls.append(params.oversample)
-            return kernel(ys, cutoff, t, params, *args)
-
-        monkeypatch.setattr(integrators, "rhs", recording_rhs)
-        config = RunConfig()
-        run = config.validate()
-        state, profile = cli.initial_state(config), CutoffProfile(run.bounds)
-        for method, dt, t_end, oversample in (("rk4", 1e-5, 1e-4, 3), ("rk45", 1e-3, 1e-3, 2),
-                                              ("rk45", 1e-3, 1e-3, 3)):
-            calls.clear()
-            traj = integrate(state, IntegratorConfig(method=method, dt=dt, t_end=t_end),
-                             replace(run.model, oversample=oversample), profile)
-            assert traj.status == "completed" and len(calls) == traj.evaluations
-            assert set(calls) == {oversample}
-
-    def test_lockstep_runs_call_one_size(self, monkeypatch):
-        # rk45 members sharing one step at oversample 3 call the kernel on
-        # 96^2 only, one call per shared stage
+    @pytest.mark.parametrize("method, dt, t_end, oversample, members", [
+        ("rk4", 1e-5, 1e-4, 3, 1), ("rk45", 1e-3, 1e-3, 2, 1), ("rk45", 1e-3, 1e-3, 3, 1),
+        ("rk45", 1e-3, 1e-3, 3, 2)])
+    def test_fixed_grid_runs_call_one_size(self, monkeypatch, method, dt, t_end, oversample,
+                                           members):
+        # members sharing one step make one call per shared stage
         calls = []
         kernel = integrators.rhs
 
@@ -870,10 +853,9 @@ class TestOneGrid:
         monkeypatch.setattr(integrators, "rhs", recording_rhs)
         config = RunConfig()
         run = config.validate()
-        states = [cli.initial_state(config), constant_state(cutoff=16)]
-        runs = integrate_lockstep(states, IntegratorConfig(method="rk45", t_end=1e-3),
-                                  replace(run.model, oversample=3),
+        states = [cli.initial_state(config), constant_state(cutoff=16)][:members]
+        runs = integrate_lockstep(states, IntegratorConfig(method=method, dt=dt, t_end=t_end),
+                                  replace(run.model, oversample=oversample),
                                   CutoffProfile(run.bounds))
-        assert [r.status for r in runs] == ["completed", "completed"]
-        assert runs[0].evaluations == runs[1].evaluations == len(calls)
-        assert set(calls) == {(3, 2)}
+        assert all(r.status == "completed" and r.evaluations == len(calls) for r in runs)
+        assert set(calls) == {(oversample, members)}

@@ -301,7 +301,7 @@ def in_new_thread(fn):
 
 def cached_buffers():
     """This thread's kernel workspace of its last call: its size and its arrays."""
-    ws = system._local.kept[-1]
+    ws = system._local.ws
     return ws.size, [buf for buf in vars(ws).values() if isinstance(buf, np.ndarray)]
 
 
@@ -340,27 +340,24 @@ class TestWorkspace:
         assert not any(np.shares_memory(a, b) for a in old for b in new)
         assert np.array_equal(member_rhs(y, 8, 0.05, PARAMS, PROFILE)[0], first)
 
-    def test_two_grid_sizes_of_one_stack_are_kept(self):
-        # a run moving between two grids, or checking one against the
-        # other, rebuilds neither; a third size frees the one used least
-        # recently
+    def test_another_grid_size_replaces_the_plan(self):
+        # one plan per thread: a call on the grid above, at one stack,
+        # frees the plan and builds its own, and the call back rebuilds
         y = cube_to_half(pack(divergence_free_random_state(49)), 2)[None]
-        built = {}
-        for oversample in (3, 2, 3, 2):
-            member_rhs(y, 8, 0.05, dataclasses.replace(PARAMS, oversample=oversample),
-                       PROFILE)
-            ws = system._local.kept[-1]
-            assert ws is built.setdefault(oversample, ws)
-        member_rhs(y, 8, 0.05, PARAMS, PROFILE)          # oversample 4
-        assert [ws.size[2] for ws in system._local.kept] == \
-            [dataclasses.replace(PARAMS, oversample=2).grid_points(8), PARAMS.grid_points(8)]
+        built = []
+        for oversample in (2, 3, 2):
+            params = dataclasses.replace(PARAMS, oversample=oversample)
+            member_rhs(y, 8, 0.05, params, PROFILE)
+            built.append(weakref.ref(system._local.ws))
+            assert system._local.ws.size == (2, 8, params.grid_points(8), 1)
+        assert [ws() is None for ws in built] == [True, True, False]
 
     def test_old_buffers_are_freed_before_new_ones_are_built(self, monkeypatch):
         # two workspaces alive at once would raise the peak memory of every
         # size switch by the old workspace's size
         member_rhs(cube_to_half(pack(divergence_free_random_state(47)), 2)[None], 8, 0.05,
                    PARAMS, PROFILE)
-        old = weakref.ref(system._local.kept[-1])
+        old = weakref.ref(system._local.ws)
         alive = []
         init = system.RhsWorkspace.__init__
 
