@@ -22,19 +22,23 @@ pairs that land in the doubled ball.
 A campaign evaluates given fields in stacks: as many samples as fit their
 largest quadrature grid in _STACK_BYTES (256 KiB), at least one.  `_collect`
 draws each stack, sample i from its own stream, as canonical halves,
-(samples, fields, n_half), and in the evaluator each operand group takes
-one transform call per stack: the commutator's f, g and J^s g, its
-products, the grid norms of one inequality's side (`_lp_norms`).  A half
-can only describe a real field, so the stacked helpers convert no layout
-and check nothing.  The public one-field functions (`commutator`,
-`field_lp`) are their one-sample case, and every value is bit for bit the
-one-sample evaluation's.
+(samples, fields, n_half).  Each stream is seeded once per process (its
+starting state is memoized) and restored into the drawing thread's own
+generator, and a sample's fields are one normal call.  In the evaluator
+each operand group takes one transform call per stack: the commutator's
+f, g and J^s g, its products, the grid norms of one inequality's side
+(`_lp_norms`).  A half can only describe a real field, so the stacked
+helpers convert no layout and check nothing.  The public one-field
+functions (`commutator`, `field_lp`) are their one-sample case, and every
+value is bit for bit the one-sample evaluation's.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -56,7 +60,14 @@ _MAX_PAIRS = 20_000_000    # mode pairs of the ball the exact decomposition sums
 @dataclass(frozen=True)
 class RandomFieldSpec:
     """Reproducible random trigonometric polynomials: unit-normal complex
-    amplitudes damped by (1+|k|)^(-rho), conjugate-symmetrized."""
+    amplitudes damped by (1+|k|)^(-rho), conjugate-symmetrized.
+
+    Sample i draws its fields from its own stream, default_rng((seed, i)):
+    one normal call gives all of a sample's fields (`draws`) or one field
+    (`draw`), each field's real parts and then its imaginary parts.  `draws`
+    seeds each stream once per process (a bounded memo of its starting
+    state) and restores it into this thread's own generator; threads never
+    share one."""
 
     dim: int = 2
     cutoff: int = 8
@@ -68,43 +79,70 @@ class RandomFieldSpec:
             raise ValueError("need dim >= 2, cutoff >= 1")
         if not 0.0 <= self.rho < math.inf:
             raise ValueError(f"rho must be finite and >= 0, got {self.rho!r}")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
+                or self.seed < 0):
+            raise ValueError(f"seed must be an int >= 0, got {self.seed!r}")
 
     def rng(self, index: int) -> np.random.Generator:
+        """A fresh generator on sample `index`'s stream, default_rng((seed, index))."""
         return np.random.default_rng((self.seed, index))
 
     def draw(self, rng: np.random.Generator, scale: float = 1.0) -> SpectralField:
-        normals = np.empty((2 * self.cutoff - 1) ** self.dim, dtype=complex)
-        return SpectralField.from_half(self._halves(self._normals(rng, normals), scale),
-                                       self.dim, self.cutoff)
+        """The next field of `rng`'s stream, from one normal call."""
+        half = self._halves(rng.standard_normal((1, 2, (2 * self.cutoff - 1) ** self.dim)), scale)
+        return SpectralField.from_half(half[0], self.dim, self.cutoff)
 
     def draws(self, indices: Sequence[int], count: int) -> np.ndarray:
         """(len(indices), count, n_half): the canonical halves of the first
-        `count` fields sample i draws from rng(i), bit for bit those of draw."""
-        normals = np.empty((len(indices), count, (2 * self.cutoff - 1) ** self.dim), dtype=complex)
-        for rng, row in zip(map(self.rng, indices), normals):
-            for out in row:
-                self._normals(rng, out)
+        `count` fields sample i draws from rng(i), bit for bit those of draw.
+        Each sample restores its stream's memoized starting state into this
+        thread's generator and takes one normal call."""
+        gen = _thread_generator()
+        normals = np.empty((len(indices), count, 2, (2 * self.cutoff - 1) ** self.dim))
+        for index, out in zip(indices, normals):
+            gen.bit_generator.state = _seeded_state(self.seed, index)
+            gen.standard_normal(out=out)
         return self._halves(normals)
 
-    def _normals(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-        """Complex unit normals on the flat cube, written into `out`: one
-        draw for the real parts, then one for the imaginary parts, the values
-        of rng.normal(...) + 1j * rng.normal(...)."""
-        out.real = rng.normal(size=out.size)
-        out.imag = rng.normal(size=out.size)
-        return out
-
     def _halves(self, normals: np.ndarray, scale: float = 1.0) -> np.ndarray:
-        """The mean-free real parts' canonical halves of a stack of flat
-        normal cubes N times d = (1+|k|)^(-rho) scale."""
+        """The mean-free real parts' canonical halves of a (..., fields, 2,
+        cube size) stack of unit normals N, times d = (1+|k|)^(-rho) scale.
+        One normal call fills field j's real parts [j, 0] and then its
+        imaginary parts [j, 1], the values of rng.normal(...) + 1j *
+        rng.normal(...)."""
         geo = _geometry(self.dim, self.cutoff)
-        cubes = normals * _damping(self.dim, self.cutoff, float(self.rho)) * scale
-        half = real_half(cubes.reshape(normals.shape[:-1] + geo.k_sq.shape), self.dim)
+        damping = _damping(self.dim, self.cutoff, float(self.rho))
+        cubes = np.empty(normals.shape[:-2] + geo.k_sq.shape, dtype=complex)
+        flat = cubes.reshape(normals.shape[:-2] + normals.shape[-1:])
+        np.multiply(normals[..., 0, :], damping, out=flat.real)
+        np.multiply(normals[..., 1, :], damping, out=flat.imag)
+        if scale != 1.0:
+            cubes *= scale
+        half = real_half(cubes, self.dim)
         half[..., geo.origin] = 0.0
         return half
 
     def with_cutoff(self, cutoff: int) -> "RandomFieldSpec":
         return replace(self, cutoff=cutoff)
+
+
+@functools.lru_cache(maxsize=1024)
+def _seeded_state(seed: int, index: int) -> dict:
+    """The PCG64 state default_rng((seed, index)) starts from, hashed once per
+    process for the 1024 most recent streams (about 0.5 MB in all)."""
+    return np.random.default_rng((seed, index)).bit_generator.state
+
+
+_local = threading.local()
+
+
+def _thread_generator() -> np.random.Generator:
+    """This thread's generator, into which `draws` restores each sample's
+    state; each thread builds its own on first use."""
+    gen = getattr(_local, "generator", None)
+    if gen is None:
+        gen = _local.generator = np.random.Generator(np.random.PCG64(0))
+    return gen
 
 
 @functools.lru_cache(maxsize=None)
@@ -209,8 +247,11 @@ def field_lp(f, p: float) -> float:
     coefficients (and the components of a vector), and samples no grid.
     Other p use torus quadrature on the fast_grid_size(4(2n-1)) grid through
     the half spectrum; p = inf is the grid maximum, a lower bound.  It is
-    the one-sample case of `_lp_norms`.
+    the one-sample case of `_lp_norms`.  p must lie in [1, inf]: below 1 the
+    quadrature is no norm.
     """
+    if not 1.0 <= p <= math.inf:        # NaN included
+        raise ValueError(f"field_lp: p must lie in [1, inf], got {p!r}")
     cube = f.stack() if isinstance(f, VectorSpectralField) else f.coeffs[None]
     return float(_lp_norms([real_half(cube, f.dim)[None]], (p,), f.cutoff, f.dim)[0][0])
 
@@ -311,9 +352,9 @@ def _commutators(f: np.ndarray, g: np.ndarray, s: float, cutoff: int,
     trio = np.stack((f, g, _bessel(g, s, cutoff, dim)), axis=-2)
     grids = coefficients_to_real_grid(trio.reshape(-1, trio.shape[-1]), cutoff, dim,
                                       product_points(cutoff))
-    grids = np.moveaxis(grids.reshape(trio.shape[:-1] + grids.shape[1:]), -dim - 1, 0)
-    fg, f_jsg = real_grid_to_coefficients(grids[1:] * grids[0], m, dim)
-    return _bessel(fg, s, m, dim) - f_jsg
+    grids = grids.reshape((-1, 3) + grids.shape[1:])          # (samples, f g J^s g) + grid
+    products = real_grid_to_coefficients(grids[:, 1:] * grids[:, :1], m, dim)
+    return (_bessel(products[:, 0], s, m, dim) - products[:, 1]).reshape(f.shape[:-1] + (-1,))
 
 
 class PartitionOfUnity:
@@ -435,7 +476,7 @@ def verify_commutator_estimate(spec: RandomFieldSpec, s: float,
     d, n = spec.dim, spec.cutoff
     grad = _geometry(d, n).half_grad
     return _holder("commutator", spec, s, exponents, samples, product_fields=3, rows=(d, 1, 1, 1),
-                   doubled=lambda pairs: _commutators(*np.moveaxis(pairs, 1, 0), s, n, d),
+                   doubled=lambda pairs: _commutators(pairs[:, 0], pairs[:, 1], s, n, d),
                    operands=lambda f, g: [f * grad, _bessel(g, s - 1.0, n, d), g,
                                           _bessel(f, s, n, d)])
 
@@ -465,7 +506,7 @@ def _holder(name: str, spec: RandomFieldSpec, s: float, exponents: Tuple[float, 
 
     def evaluate(pairs):
         lhs = _lp_norms([doubled(pairs)[:, None]], (p,), m, d)[0].tolist()
-        f, g = np.moveaxis(pairs[:, :, None], 1, 0)
+        f, g = pairs[:, :1], pairs[:, 1:]
         a, b, c, e = (x.tolist() for x in _lp_norms(operands(f, g), qs, n, d))
         return lhs, [w * x + y * z for w, x, y, z in zip(a, b, c, e)]
 

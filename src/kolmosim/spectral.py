@@ -87,6 +87,7 @@ class _ModeGeometry:
         self.half_denom = np.where(half_sq == 0, 1, half_sq)     # |k|^2, 0 read as 1
         self._weights: Dict[float, np.ndarray] = {}
         self._half_weights: Dict[float, np.ndarray] = {}
+        self._half_sq_weights: Dict[float, np.ndarray] = {}
 
     def bessel_weight(self, s: float) -> np.ndarray:
         """(1 + 4 pi^2 |k|^2)^s on the ball and 0 off it (note: exponent s,
@@ -102,6 +103,13 @@ class _ModeGeometry:
         if float(s) not in self._half_weights:
             self._half_weights[float(s)] = self.bessel_weight(s).ravel()[self.half]
         return self._half_weights[float(s)]
+
+    def half_sq_weight(self, s: float) -> np.ndarray:
+        """half_weight * half_bessel_weight(s): the weight of a half mode's
+        |c|^2 in a squared H^s norm (`system.triple_sq`)."""
+        if float(s) not in self._half_sq_weights:
+            self._half_sq_weights[float(s)] = self.half_weight * self.half_bessel_weight(s)
+        return self._half_sq_weights[float(s)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -568,8 +576,9 @@ def spectral_products(pairs: np.ndarray, cutoff: int, dim: int, out_cutoff: int)
     product is bit for bit its one-pair call's.
     """
     grids = coefficients_to_real_grid(pairs, cutoff, dim, product_points(cutoff))
-    f, g = np.moveaxis(grids, -dim - 1, 0)
-    return real_grid_to_coefficients(f * g, out_cutoff, dim)
+    grids = grids.reshape((-1, 2) + grids.shape[-dim:])
+    products = real_grid_to_coefficients(grids[:, 0] * grids[:, 1], out_cutoff, dim)
+    return products.reshape(pairs.shape[:-2] + (-1,))
 
 
 # -- grid quadrature norms -----------------------------------------------------------

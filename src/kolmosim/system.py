@@ -181,8 +181,7 @@ def triple_sq(halves: np.ndarray, s: float, dim: int, cutoff: int) -> np.ndarray
     """Squared H^s norm, summed over the rows, of the real fields of each
     member of a (members, rows, n_half) stack of canonical halves: with rows
     (v_1..v_d, omega, b) the H^s x H^s x H^s triple norm."""
-    geo = _geometry(dim, cutoff)
-    w = geo.half_weight * geo.half_bessel_weight(s)
+    w = _geometry(dim, cutoff).half_sq_weight(s)
     return np.sum((w * np.abs(halves) ** 2).reshape(len(halves), -1), axis=1)
 
 

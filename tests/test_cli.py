@@ -587,6 +587,18 @@ def test_refuses_non_finite_input(tmp_path, capsys, monkeypatch, argv, named):
     assert os.listdir(tmp_path) == []              # no report, no run directory
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "commutator", "--seed", "-1", "--samples", "3", "--cutoff", "4"],
+    sim_args("run", kind="random", seed="-1"),
+], ids=["verify", "simulate"])
+def test_refuses_negative_seed(tmp_path, capsys, monkeypatch, argv):
+    """A negative seed is refused when the spec is built, before any draw or output."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == cli.USAGE_ERROR
+    assert "error: seed must be an int >= 0, got -1" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def test_refuses_nan_step_promptly(tmp_path):
     # rk45 with dt = nan retried its rejected step forever: in a process of
     # its own, so that a hang fails the test instead of stalling the suite

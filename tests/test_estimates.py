@@ -7,6 +7,8 @@ before being pinned here.
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -75,13 +77,63 @@ class TestRandomFieldSpec:
                     assert np.array_equal(half_to_cube(halves[j, a], 2, n),
                                           spec.draw(rng).coeffs)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_refuses_a_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be an int >= 0"):
+            RandomFieldSpec(dim=2, cutoff=4, seed=seed)
+
     @pytest.mark.parametrize("dim, cutoff", [(2, 4), (2, 16), (3, 3)])
     def test_draws_are_the_two_call_normals(self, dim, cutoff):
-        """draws writes each field's two normal draws into one complex
-        array; its halves equal those of rng.normal(...) + 1j *
-        rng.normal(...)."""
+        """draws fills each sample's fields in one normal call, from its
+        stream's memoized start; its halves equal those of each field's
+        rng.normal(...) + 1j * rng.normal(...), for ordered indices and for
+        repeated, unordered ones, and draws interleaved with draw on a held
+        generator, or with another spec's draws, change neither."""
         spec = RandomFieldSpec(dim=dim, cutoff=cutoff, rho=1.5, seed=7)
-        assert np.array_equal(spec.draws([0, 2, 5], 3), two_call_draws(spec, [0, 2, 5], 3))
+        other = RandomFieldSpec(dim=dim, cutoff=cutoff, rho=1.5, seed=8)
+        for indices in ([0, 2, 5], [5, 0, 5, 2, 2]):
+            expected = two_call_draws(spec, indices, 3)
+            assert np.array_equal(spec.draws(indices, 3), expected)
+            held = spec.rng(indices[0])
+            first = spec.draw(held)
+            assert np.array_equal(spec.draws(indices[::-1], 3), expected[::-1])
+            other.draws(indices, 2)
+            second = spec.draw(held)
+            for j, i in enumerate(indices):
+                assert np.array_equal(spec.draws([i], 3)[0], expected[j])
+                spec.draw(spec.rng(i))
+            assert np.array_equal(half_to_cube(expected[0, 0], dim, cutoff), first.coeffs)
+            assert np.array_equal(half_to_cube(expected[0, 1], dim, cutoff), second.coeffs)
+
+    def test_threads_draw_their_own_streams(self):
+        """Threads drawing different specs at once, two of them on streams
+        another thread draws too, each get the halves a serial call gives:
+        each thread restores states into its own generator.  More threads
+        than cores, switching every microsecond."""
+        specs = [RandomFieldSpec(dim=2, cutoff=n, rho=1.5, seed=seed)
+                 for n in (16, 8) for seed in (21, 22)]
+        indices = range(100)
+        serial = [spec.draws(indices, 2) for spec in specs]
+        got = [None] * len(specs)
+        start = threading.Barrier(len(specs))
+
+        def work(j):
+            start.wait()
+            got[j] = np.stack([specs[j].draws([i], 2)[0] for i in indices])
+
+        threads = [threading.Thread(target=work, args=(j,)) for j in range(len(specs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for j in range(len(specs)):
+            assert np.array_equal(got[j], serial[j])
 
     def test_decay_scaling(self):
         rough = RandomFieldSpec(dim=2, cutoff=12, rho=0.0, seed=1)
@@ -394,6 +446,8 @@ class TestGridNorms:
         f = SpectralField.from_modes(2, 2, {(1, 0): 0.5, (-1, 0): 0.5})
         assert field_lp(f, 2.0) == pytest.approx(math.sqrt(0.5), rel=1e-12)
         assert field_lp(f, np.inf) == pytest.approx(1.0, rel=1e-12)
+        # p = 1 is the 12-point quadrature of |cos|: (2 + sqrt 3) / 6
+        assert field_lp(f, 1.0) == pytest.approx((2.0 + math.sqrt(3.0)) / 6.0, rel=1e-12)
 
     def test_vector_magnitude(self):
         f = SpectralField.from_modes(2, 2, {(0, 0): 3.0})
@@ -401,6 +455,12 @@ class TestGridNorms:
         v = VectorSpectralField((f, g))
         assert field_lp(v, np.inf) == pytest.approx(5.0, rel=1e-12)
         assert field_lp(v, 2.0) == pytest.approx(5.0, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, -1.0, math.nan, -math.inf])
+    def test_refuses_exponents_outside_one_to_inf(self, p):
+        f = SpectralField.from_modes(2, 2, {(1, 0): 0.5, (-1, 0): 0.5})
+        with pytest.raises(ValueError, match="p must lie in"):
+            field_lp(f, p)
 
     def test_half_spectrum_matches_complex_samples(self):
         """field_lp samples through the half spectrum; the norms equal those
