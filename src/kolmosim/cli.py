@@ -291,10 +291,8 @@ def cmd_verify(args) -> int:
         if args.samples < 1:
             raise ValueError(f"decomposition: need at least 1 sample, got {args.samples}")
         worst = 0.0
-        for i in range(args.samples):
-            rng = spec.rng(i)
-            f = spec.draw(rng)
-            g = spec.draw(rng)
+        for pair in spec.draws(range(args.samples), 2):
+            f, g = (SpectralField.from_half(half, spec.dim, spec.cutoff) for half in pair)
             for s in (0.5, 1.5, 2.0):
                 worst = max(worst, decomposition_residual(f, g, s))
         print(f"decomposition identity residual = {worst!r} over "

@@ -22,15 +22,15 @@ pairs that land in the doubled ball.
 A campaign evaluates given fields in stacks: as many samples as fit their
 largest quadrature grid in _STACK_BYTES (256 KiB), at least one.  `_collect`
 draws each stack, sample i from its own stream, as canonical halves,
-(samples, fields, n_half).  Each stream is seeded once per process (its
-starting state is memoized) and restored into the drawing thread's own
-generator, and a sample's fields are one normal call.  In the evaluator
-each operand group takes one transform call per stack: the commutator's
-f, g and J^s g, its products, the grid norms of one inequality's side
-(`_lp_norms`).  A half can only describe a real field, so the stacked
-helpers convert no layout and check nothing.  The public one-field
-functions (`commutator`, `field_lp`) are their one-sample case, and every
-value is bit for bit the one-sample evaluation's.
+(samples, fields, n_half).  Each stream is generated once per process:
+the longest prefix of unit normals drawn from it so far is memoized, a
+longer request extends it, and a sample's fields are copied from it.  In
+the evaluator each operand group takes one transform call per stack: the
+commutator's f, g and J^s g, its products, the grid norms of one
+inequality's side (`_lp_norms`).  A half can only describe a real field,
+so the stacked helpers convert no layout and check nothing.  The public
+one-field functions (`commutator`, `field_lp`) are their one-sample case,
+and every value is bit for bit the one-sample evaluation's.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ import functools
 import math
 import numbers
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -63,11 +64,10 @@ class RandomFieldSpec:
     amplitudes damped by (1+|k|)^(-rho), conjugate-symmetrized.
 
     Sample i draws its fields from its own stream, default_rng((seed, i)):
-    one normal call gives all of a sample's fields (`draws`) or one field
-    (`draw`), each field's real parts and then its imaginary parts.  `draws`
-    seeds each stream once per process (a bounded memo of its starting
-    state) and restores it into this thread's own generator; threads never
-    share one."""
+    its unit normals give each field's real parts and then its imaginary
+    parts, field after field.  `draw` takes one field from a held generator;
+    `draws` copies all of a sample's fields from the stream's memoized
+    prefix, so each stream is generated once per process (`_StreamMemo`)."""
 
     dim: int = 2
     cutoff: int = 8
@@ -85,7 +85,15 @@ class RandomFieldSpec:
 
     def rng(self, index: int) -> np.random.Generator:
         """A fresh generator on sample `index`'s stream, default_rng((seed, index))."""
-        return np.random.default_rng((self.seed, index))
+        return np.random.default_rng(self._stream(index))
+
+    def _stream(self, index: int) -> Tuple[int, int]:
+        """Sample `index`'s stream key (seed, index); the index must be an int
+        >= 0, bool refused (True would read stream 1)."""
+        if (isinstance(index, bool) or not isinstance(index, numbers.Integral)
+                or index < 0):
+            raise ValueError(f"index must be an int >= 0, got {index!r}")
+        return self.seed, int(index)
 
     def draw(self, rng: np.random.Generator, scale: float = 1.0) -> SpectralField:
         """The next field of `rng`'s stream, from one normal call."""
@@ -95,19 +103,18 @@ class RandomFieldSpec:
     def draws(self, indices: Sequence[int], count: int) -> np.ndarray:
         """(len(indices), count, n_half): the canonical halves of the first
         `count` fields sample i draws from rng(i), bit for bit those of draw.
-        Each sample restores its stream's memoized starting state into this
-        thread's generator and takes one normal call."""
-        gen = _thread_generator()
-        normals = np.empty((len(indices), count, 2, (2 * self.cutoff - 1) ** self.dim))
+        Each sample copies its count * 2 * (2n-1)^d unit normals from its
+        stream's memoized prefix (`_STREAMS`)."""
+        cube = (2 * self.cutoff - 1) ** self.dim
+        normals = np.empty((len(indices), count * 2 * cube))
         for index, out in zip(indices, normals):
-            gen.bit_generator.state = _seeded_state(self.seed, index)
-            gen.standard_normal(out=out)
-        return self._halves(normals)
+            out[:] = _STREAMS.prefix(self._stream(index), out.size)
+        return self._halves(normals.reshape(len(indices), count, 2, cube))
 
     def _halves(self, normals: np.ndarray, scale: float = 1.0) -> np.ndarray:
         """The mean-free real parts' canonical halves of a (..., fields, 2,
         cube size) stack of unit normals N, times d = (1+|k|)^(-rho) scale.
-        One normal call fills field j's real parts [j, 0] and then its
+        A stream's normals fill field j's real parts [j, 0] and then its
         imaginary parts [j, 1], the values of rng.normal(...) + 1j *
         rng.normal(...)."""
         geo = _geometry(self.dim, self.cutoff)
@@ -126,23 +133,62 @@ class RandomFieldSpec:
         return replace(self, cutoff=cutoff)
 
 
-@functools.lru_cache(maxsize=1024)
-def _seeded_state(seed: int, index: int) -> dict:
-    """The PCG64 state default_rng((seed, index)) starts from, hashed once per
-    process for the 1024 most recent streams (about 0.5 MB in all)."""
-    return np.random.default_rng((seed, index)).bit_generator.state
+# Bytes of unit normals the stream memo keeps.  8 MiB holds every stream of
+# `kolmosim verify`'s default 200-sample campaigns at n = 8 and their 2n = 16
+# rerun (200 streams x 2 fields x 2 x 31^2 normals, 6.2 MB), and criterion
+# 09's set the same way; a longer stream is drawn without being kept.
+_STREAM_BYTES = 8 * 1024 * 1024
 
 
-_local = threading.local()
+class _StreamMemo:
+    """For each (seed, index) stream, default_rng((seed, index)), the longest
+    prefix of unit normals drawn from it so far (read-only float64) and the
+    PCG64 state after it.  A longer request restores that state into a
+    generator of its own and draws only the missing normals: standard_normal
+    drawn in pieces is the same sequence as one call.  The prefixes' bytes
+    stay within _STREAM_BYTES, the least recently used stream evicted first.
+    A lock guards the table; threads never share a generator."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._kept = OrderedDict()        # (seed, index) -> (prefix, state after it)
+        self.nbytes = 0
+
+    def prefix(self, key: Tuple[int, int], size: int) -> np.ndarray:
+        """The stream's first `size` unit normals, read-only."""
+        with self._lock:
+            entry = self._kept.get(key)
+            if entry is not None:
+                self._kept.move_to_end(key)
+                if entry[0].size >= size:
+                    return entry[0][:size]
+        gen = np.random.default_rng(key)
+        head = np.empty(0)
+        if entry is not None:               # skip what the memo holds
+            head, state = entry
+            gen.bit_generator.state = state
+        prefix = np.concatenate((head, gen.standard_normal(size - head.size)))
+        prefix.setflags(write=False)
+        if prefix.nbytes <= _STREAM_BYTES:
+            self._keep(key, prefix, gen.bit_generator.state)
+        return prefix
+
+    def _keep(self, key: Tuple[int, int], prefix: np.ndarray, state: dict) -> None:
+        with self._lock:
+            old = self._kept.get(key)
+            if old is not None:
+                if old[0].size >= prefix.size:      # another thread got further
+                    return
+                self.nbytes -= old[0].nbytes
+            self._kept[key] = prefix, state
+            self._kept.move_to_end(key)
+            self.nbytes += prefix.nbytes
+            while self.nbytes > _STREAM_BYTES:
+                _, (evicted, _) = self._kept.popitem(last=False)
+                self.nbytes -= evicted.nbytes
 
 
-def _thread_generator() -> np.random.Generator:
-    """This thread's generator, into which `draws` restores each sample's
-    state; each thread builds its own on first use."""
-    gen = getattr(_local, "generator", None)
-    if gen is None:
-        gen = _local.generator = np.random.Generator(np.random.PCG64(0))
-    return gen
+_STREAMS = _StreamMemo()
 
 
 @functools.lru_cache(maxsize=None)

@@ -534,6 +534,29 @@ def test_verify_decomposition_passes(tmp_path, capsys, monkeypatch):
     assert "pass" in capsys.readouterr().out
 
 
+def test_verify_decomposition_pairs_are_the_drawn_pairs(tmp_path, capsys, monkeypatch):
+    """The pairs `verify decomposition` takes from draws are, bit for bit,
+    each sample's two fields from a fresh rng(i) and draw."""
+    monkeypatch.chdir(tmp_path)
+    seen = []
+
+    def residual(f, g, s):
+        seen.append((f.coeffs, g.coeffs))
+        return 0.0
+
+    monkeypatch.setattr(cli, "decomposition_residual", residual)
+    assert run("verify", "decomposition", "--samples", "3", "--cutoff", "4",
+               "--rho", "1.5", "--seed", "4") == 0
+    spec = RandomFieldSpec(dim=2, cutoff=4, rho=1.5, seed=4)
+    assert len(seen) == 3 * 3
+    for i in range(3):
+        rng = spec.rng(i)
+        f, g = spec.draw(rng), spec.draw(rng)
+        for got_f, got_g in seen[3 * i:3 * i + 3]:
+            assert np.array_equal(got_f, f.coeffs) and np.array_equal(got_g, g.coeffs)
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("name", ["decomposition", "commutator"])
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_verify_refuses_empty_campaign(tmp_path, capsys, monkeypatch, name, samples):

@@ -49,6 +49,16 @@ COMMUTATOR_AMP_LOW = -6.243831425949187
 COS_INTERP_RATIO = 0.08702929350228393
 
 
+def _fresh_draws(spec, indices, count):
+    """The cubes of the first `count` fields of each sample, drawn from a
+    fresh spec.rng(i) by draw: the oracle of the memoized draws."""
+    cubes = []
+    for i in indices:
+        rng = spec.rng(i)
+        cubes.append([spec.draw(rng).coeffs for _ in range(count)])
+    return np.array(cubes)
+
+
 class TestRandomFieldSpec:
     def test_rejects_one_dimensional_torus(self):
         with pytest.raises(ValueError, match="dim >= 2"):
@@ -134,6 +144,92 @@ class TestRandomFieldSpec:
         assert not any(thread.is_alive() for thread in threads)
         for j in range(len(specs)):
             assert np.array_equal(got[j], serial[j])
+
+    @pytest.mark.parametrize("index", [-1, 1.5, True, np.int64(-2), "1", None])
+    def test_refuses_a_bad_index(self, index):
+        """A stream index is an int >= 0; a bool would read stream 1."""
+        spec = RandomFieldSpec(dim=2, cutoff=4, seed=3)
+        for call in (lambda: spec.rng(index), lambda: spec.draws([0, index], 1),
+                     lambda: admissible_state(spec, WIDE, index=index)):
+            with pytest.raises(ValueError, match="index must be an int >= 0"):
+                call()
+
+    @pytest.mark.parametrize("index", [0, 1, np.int64(3), 2 ** 40])
+    def test_accepts_a_good_index(self, index):
+        spec = RandomFieldSpec(dim=2, cutoff=4, seed=3)
+        got = spec.draws([index], 2)
+        assert np.array_equal(half_to_cube(got, 2, 4), _fresh_draws(spec, [int(index)], 2))
+        assert np.array_equal(spec.draw(spec.rng(index)).coeffs,
+                              spec.draw(spec.rng(int(index))).coeffs)
+
+    def test_memo_extends_and_slices_prefixes(self, monkeypatch):
+        """Requests that extend a stream's prefix, across cutoffs, counts and
+        seeds, and then slice it, give the fields of a fresh rng(i) and draw."""
+        monkeypatch.setattr(estimates, "_STREAMS", estimates._StreamMemo())
+        indices = [0, 4, 1]
+        for dim, cutoff, count, seed in [(2, 8, 1, 5), (2, 16, 2, 5), (2, 8, 2, 5),
+                                         (2, 16, 1, 5), (2, 16, 2, 6), (3, 3, 2, 5),
+                                         (2, 8, 1, 6)]:
+            spec = RandomFieldSpec(dim=dim, cutoff=cutoff, rho=1.5, seed=seed)
+            got = spec.draws(indices, count)
+            assert np.array_equal(half_to_cube(got, dim, cutoff),
+                                  _fresh_draws(spec, indices, count))
+        kept = estimates._STREAMS._kept
+        assert kept[(5, 0)][0].size == 2 * 2 * 31 ** 2       # the longest request
+        assert not kept[(5, 0)][0].flags.writeable
+        assert estimates._STREAMS.nbytes == sum(p.nbytes for p, _ in kept.values())
+
+    def test_memo_stays_within_its_bound(self, monkeypatch):
+        """With a bound of a few KB, draws stay bit for bit those of draw, the
+        kept bytes never exceed the bound, the least recent stream goes
+        first, and a stream longer than the bound is drawn but not kept."""
+        bound = 4096
+        monkeypatch.setattr(estimates, "_STREAM_BYTES", bound)
+        memo = estimates._StreamMemo()
+        monkeypatch.setattr(estimates, "_STREAMS", memo)
+        small = RandomFieldSpec(dim=2, cutoff=4, rho=1.5, seed=9)     # 1568 B per sample
+        large = small.with_cutoff(8)                                  # 7200 B per sample
+        for spec, indices in [(small, [0, 1]), (small, [2]), (large, [0]), (small, [0, 3]),
+                              (large, [1, 2]), (small, [0, 1])]:
+            got = spec.draws(indices, 2)
+            assert np.array_equal(half_to_cube(got, 2, spec.cutoff),
+                                  _fresh_draws(spec, indices, 2))
+            assert memo.nbytes <= bound
+            assert memo.nbytes == sum(p.nbytes for p, _ in memo._kept.values())
+            assert all(p.size <= 2 * 2 * 49 for p, _ in memo._kept.values())
+        assert list(memo._kept) == [(9, 0), (9, 1)]     # 0's hit left 3 the least recent
+
+    def test_threads_extend_one_stream_at_once(self, monkeypatch):
+        """Threads extending the same short prefixes at once each get the
+        fields of a fresh rng(i) and draw, and the memo keeps the longest."""
+        monkeypatch.setattr(estimates, "_STREAMS", estimates._StreamMemo())
+        short = RandomFieldSpec(dim=2, cutoff=4, rho=1.5, seed=31)
+        indices = range(20)
+        short.draws(indices, 1)
+        specs = [short.with_cutoff(16), short.with_cutoff(16), short.with_cutoff(8)]
+        got = [None] * len(specs)
+        start = threading.Barrier(len(specs))
+
+        def work(j):
+            start.wait()
+            got[j] = np.stack([specs[j].draws([i], 2)[0] for i in indices])
+
+        threads = [threading.Thread(target=work, args=(j,)) for j in range(len(specs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for spec, halves in zip(specs, got):
+            assert np.array_equal(half_to_cube(halves, 2, spec.cutoff),
+                                  _fresh_draws(spec, indices, 2))
+        assert all(estimates._STREAMS._kept[(31, i)][0].size == 2 * 2 * 31 ** 2
+                   for i in indices)
 
     def test_decay_scaling(self):
         rough = RandomFieldSpec(dim=2, cutoff=12, rho=0.0, seed=1)
